@@ -172,13 +172,14 @@ def _analyze_worker(task: tuple[str, str, str], stats: tuple[str, ...],
     return out
 
 
-def _merge_partials(parts: list[dict], stats: tuple[str, ...]) -> dict:
+def _merge_partials(parts: list[dict], stats: tuple[str, ...],
+                    group_name: str) -> dict:
     merged: dict = {}
     for stat in stats:
         values = [p[stat] for p in parts]
         head = values[0]
         if isinstance(head, DatasetReport):
-            merged[stat] = merge_reports(values, dataset=parts[0]["_dataset"])
+            merged[stat] = merge_reports(values, dataset=group_name)
         elif stat == "anaphor-antecedent":
             out = {k: sum((v[k] for v in values), start=type(head[k])())
                    for k in head}
@@ -213,7 +214,7 @@ def _render_analysis(name: str, stat: str, result, fmt: str) -> str:
         if fmt == "json":
             payload = [{"anaphor_type": t, "rank": r, "category": c,
                         "count": n} for t, r, c, n in rows]
-            return json.dumps(payload, indent=2) + "\n"
+            return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
         lines = ["anaphor_type\trank\tcategory\tcount"]
         lines += [f"{t}\t{r}\t{c}\t{n}" for t, r, c, n in rows]
         return "\n".join(lines) + "\n"
@@ -225,7 +226,7 @@ def _render_analysis(name: str, stat: str, result, fmt: str) -> str:
                         "valid_pct": None if f is None else float(f * 100),
                         "mean_competitors": None if m is None else float(m)}
                        for k, p, v, f, m in rows]
-            return json.dumps(payload, indent=2) + "\n"
+            return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
         lines = ["kind\tpronouns\tvalid\tvalid_pct\tmean_competitors"]
         for k, p, v, f, m in rows:
             lines.append(f"{k}\t{p}\t{v}\t"
@@ -237,7 +238,7 @@ def _render_analysis(name: str, stat: str, result, fmt: str) -> str:
         if fmt == "json":
             payload = [{"genre": g, "pronouns_per_8000":
                         None if r is None else float(r)} for g, r in rates]
-            return json.dumps(payload, indent=2) + "\n"
+            return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
         lines = ["genre\tpronouns_per_8000"]
         lines += [f"{g}\t{_pct(r)}" for g, r in rates]
         return "\n".join(lines) + "\n"
@@ -247,7 +248,8 @@ def _render_analysis(name: str, stat: str, result, fmt: str) -> str:
                                                            total_sq)
         if fmt == "json":
             return json.dumps({"pairs": count, "mean": mean,
-                               "variance": variance}, indent=2) + "\n"
+                               "variance": variance}, indent=2,
+                              ensure_ascii=False) + "\n"
         return ("pairs\tmean\tvariance\n"
                 f"{count}\t{_score(mean)}\t{_score(variance)}\n")
     raise CliError(f"cannot render statistic {stat!r}")
@@ -284,7 +286,7 @@ def _figure_rows(name: str, stat: str, result) -> list[tuple[str, str, str, str]
 
 def cmd_analyze(args) -> int:
     root = _input_root(args)
-    stats = tuple(args.stat) if args.stat else tuple(
+    stats = tuple(dict.fromkeys(args.stat)) if args.stat else tuple(
         s for s in ANALYZE_STATS if s != "semantic-distance")
     if "semantic-distance" in stats and not args.vectors:
         raise CliError("--vectors is required for semantic-distance")
@@ -306,7 +308,7 @@ def cmd_analyze(args) -> int:
                          genre_pattern=args.genre_pattern,
                          vectors_path=args.vectors)
         parts = _map_files(worker, tasks, args.jobs)
-        merged = _merge_partials(parts, stats)
+        merged = _merge_partials(parts, stats, group_name)
         for stat in stats:
             suffix = "json" if args.format == "json" else "tsv"
             _emit(args, f"{group_name}.{stat}.{suffix}",

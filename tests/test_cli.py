@@ -5,7 +5,7 @@ import json
 import pytest
 
 from corefkit.cli import main
-from conftest import DATA
+from conftest import DATA, tok
 
 GOLD_DIR = str(DATA / "score" / "gold")
 PRED_DIR = str(DATA / "score" / "pred")
@@ -211,3 +211,45 @@ def test_taxonomy_dump(capsys):
     assert lines[0] == "category\tname\trelations"
     assert len(lines) == 13
     assert lines[1] == "S\tcore arguments_subject\tnsubj"
+
+
+def _release(root, **datasets):
+    for name, content in datasets.items():
+        (root / f"{name}-corefud-train.conllu").write_bytes(content)
+    return str(root)
+
+
+def test_analyze_by_language_json_labels_pooled_reports(tmp_path, capsys):
+    basic = (DATA / "basic.conllu").read_bytes()
+    root = _release(tmp_path, xx_alpha=basic, xx_gamma=basic)
+    code, out, _ = run(capsys, "analyze", root, "--stat", "entity-size",
+                       "--by-language", "--format", "json")
+    assert code == 0
+    header, body = out.split("\n", 1)
+    assert header == "## xx.entity-size.json"
+    assert json.loads(body)["dataset"] == "xx"
+
+
+def test_analyze_json_writes_utf8(tmp_path, capsys):
+    text = "\n".join(["# newdoc id = cs_žurnál", "# sent_id = s1",
+                      tok(1, "on", "PRON", 0, "root", feats="PronType=Prs"),
+                      "", ""])
+    root = _release(tmp_path, cs_x=text.encode("utf-8"))
+    _, tsv, _ = run(capsys, "analyze", root, "--stat", "genre")
+    code, out, _ = run(capsys, "analyze", root, "--stat", "genre",
+                       "--stat", "competing", "--format", "json")
+    assert code == 0
+    assert "žurnál\t8000.00" in tsv
+    assert '"genre": "žurnál"' in out
+    assert "\\u" not in out
+
+
+def test_analyze_repeated_stat_runs_once(capsys):
+    code, out, _ = run(capsys, "analyze", GOLD_DIR, "--stat", "genre",
+                       "--stat", "entity-size", "--stat", "genre",
+                       "--figure-data")
+    assert code == 0
+    headers = [line for line in out.splitlines() if line.startswith("## ")]
+    assert headers == ["## en_pairset.genre.tsv",
+                       "## en_pairset.entity-size.tsv", "## figure_data.tsv"]
+    assert out.count("genre\ten_pairset\t") == 1
