@@ -75,15 +75,6 @@ def mention_type_distribution(corpus: Corpus,
     ])
 
 
-def anaphor_antecedent_ranking(
-        corpus: Corpus, mention_type: MentionType,
-        head_rule: str = "annotated") -> list[tuple[UdCategory, int]]:
-    """Frequency ranking of the dependency category of the closest
-    antecedent's head, over all non-first mentions of the given type."""
-    counts = antecedent_category_counts(corpus, head_rule)[mention_type]
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0].name))
-
-
 def antecedent_category_counts(
         corpus: Corpus, head_rule: str = "annotated",
 ) -> dict[MentionType, Counter[UdCategory]]:
@@ -248,7 +239,6 @@ def genre_counts(corpus: Corpus,
     for document in corpus.documents:
         match = extract.search(document.doc_id)
         genre = match.group(1) if match and match.group(1) else "unknown"
-        document.genre = genre
         for sentence in document.sentences:
             for token in sentence.tokens:
                 if token.is_empty:
@@ -265,14 +255,6 @@ def genre_rates(pronouns: Counter[str], tokens: Counter[str],
     return [(genre, Fraction(8000 * pronouns[genre], tokens[genre])
              if tokens[genre] else None)
             for genre in sorted(tokens)]
-
-
-def genre_pronoun_frequency(
-        corpus: Corpus, genre_pattern: str = DEFAULT_GENRE_PATTERN,
-) -> list[tuple[str, Fraction | None]]:
-    """Personal pronouns (UPOS PRON with PronType=Prs) per 8000 surface
-    tokens, by genre extracted from the document id."""
-    return genre_rates(*genre_counts(corpus, genre_pattern))
 
 
 def corpus_statistics(corpus: Corpus) -> DatasetReport:
@@ -382,10 +364,3 @@ def moments_to_mean_variance(count: int, total: float,
     mean = total / count
     variance = max(total_sq / count - mean * mean, 0.0)
     return (mean, variance)
-
-
-def semantic_distance(corpus: Corpus,
-                      vectors: MentionVectors) -> tuple[float, float]:
-    """Mean and population variance of the Euclidean distance between all
-    within-entity mention pairs."""
-    return moments_to_mean_variance(*distance_moments(corpus, vectors))

@@ -13,22 +13,21 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import analysis, errors, features, metrics, taxonomy
 from .analysis import HEAD_RULES
 from .conllu import ParseError, parse_file
 from .corpora import DatasetFiles, discover_datasets, pair_datasets
-from .reports import DatasetReport, merge_reports
+from .model import Corpus
+from .reports import DatasetReport
 from .taxonomy import MentionType
 
 log = logging.getLogger("corefkit")
-
-ANALYZE_STATS = ("head-position", "mention-types", "anaphor-antecedent",
-                 "first-mention", "entity-size", "competing", "genre",
-                 "semantic-distance")
 
 
 class CliError(Exception):
@@ -63,6 +62,14 @@ def _input_root(args) -> Path:
     return _existing(root)
 
 
+def _datasets(args) -> list[DatasetFiles]:
+    root = _input_root(args)
+    datasets = discover_datasets(root, args.split)
+    if not datasets:
+        raise CliError(f"no .conllu files under {root}")
+    return datasets
+
+
 def _emit(args, name: str, text: str) -> None:
     if args.out:
         out_dir = Path(args.out)
@@ -75,21 +82,21 @@ def _emit(args, name: str, text: str) -> None:
             sys.stdout.write("\n")
 
 
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
 def _map_files(worker, jobs_args: list, jobs: int) -> list:
     if jobs <= 1 or len(jobs_args) <= 1:
         return [worker(a) for a in jobs_args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, jobs_args))
+    with ProcessPoolExecutor(max_workers=jobs) as executor:
+        return list(executor.map(worker, jobs_args))
 
 
 # ---------------------------------------------------------------- validate
 
 def cmd_validate(args) -> int:
-    root = _input_root(args)
-    datasets = discover_datasets(root, args.split)
-    if not datasets:
-        raise CliError(f"no .conllu files under {root}")
-    for dataset in datasets:
+    for dataset in _datasets(args):
         for path in sorted(dataset.files):
             corpus = parse_file(path, dataset=dataset.name,
                                 language=dataset.language)
@@ -102,221 +109,227 @@ def cmd_validate(args) -> int:
     return 0
 
 
-# ------------------------------------------------------------------- stats
+# -------------------------------------------------------------- statistics
 
-def _stats_worker(task: tuple[str, str, str]) -> DatasetReport:
+class Sums(tuple):
+    """Partial result that pools with + position by position."""
+
+    def __add__(self, other: tuple) -> "Sums":
+        return Sums(a + b for a, b in zip(self, other, strict=True))
+
+
+class SumsByKey(dict):
+    """Partial result that pools with + key by key."""
+
+    def __add__(self, other: dict) -> "SumsByKey":
+        return SumsByKey({key: value + other[key]
+                          for key, value in self.items()})
+
+
+class StatOptions(NamedTuple):
+    head_rule: str = "annotated"
+    genre_pattern: str = analysis.DEFAULT_GENRE_PATTERN
+    vectors: analysis.MentionVectors | None = None
+
+
+@dataclass(frozen=True)
+class Table:
+    """The rows of one pooled statistic, from which its TSV, JSON and figure
+    data are all rendered. Cells hold exact values: `formats` gives a
+    column's TSV text (default str), and JSON writes fractions as floats.
+    `keys` are the columns naming a row in figure data and `figure` the
+    columns it exports; a table without keys has one row and renders as
+    one JSON object."""
+
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    keys: tuple[str, ...] = ()
+    figure: tuple[str, ...] = ()
+    formats: dict[str, Callable] = field(default_factory=dict)
+
+    def _text(self, column: str, value) -> str:
+        return self.formats.get(column, str)(value)
+
+    def to_tsv(self) -> str:
+        lines = ["\t".join(self.columns)]
+        lines += ["\t".join(self._text(c, v) for c, v in zip(self.columns, row))
+                  for row in self.rows]
+        return "\n".join(lines) + "\n"
+
+    def as_json(self) -> list[dict] | dict:
+        records = [{c: float(v) if isinstance(v, Fraction) else v
+                    for c, v in zip(self.columns, row)} for row in self.rows]
+        return records if self.keys else records[0]
+
+    def figure_rows(self) -> list[tuple[str, str]]:
+        out = []
+        for row in self.rows:
+            cells = dict(zip(self.columns, row))
+            name = [str(cells[k]) for k in self.keys]
+            for column in self.figure:
+                key = name + [column] if len(self.figure) > 1 else name
+                out.append((":".join(key), self._text(column, cells[column])))
+        return out
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """One `analyze --stat` choice. `compute` gives the partial result of
+    one parsed file; the partials of a group pool with +. `table` turns a
+    pooled result and its group name into what the reports render."""
+
+    compute: Callable[[Corpus, StatOptions], Any]
+    table: Callable[[Any, str], Table | DatasetReport]
+    needs_vectors: bool = False
+
+
+def _labelled(report: DatasetReport, name: str) -> DatasetReport:
+    return replace(report, dataset=name)
+
+
+def _ranking_table(counts: dict, name: str) -> Table:
+    rows = []
+    for mtype in MentionType:
+        ranking = sorted(counts[mtype].items(),
+                         key=lambda kv: (-kv[1], kv[0].name))
+        rows += [(mtype.value, rank, category.name, count)
+                 for rank, (category, count) in enumerate(ranking, start=1)]
+    return Table(("anaphor_type", "rank", "category", "count"), rows,
+                 keys=("anaphor_type", "category"), figure=("count",))
+
+
+def _competing_table(stats: tuple, name: str) -> Table:
+    rows = [(s.kind.value, s.n_pronouns, s.n_valid,
+             None if s.valid_fraction is None else s.valid_fraction * 100,
+             s.mean_competitors) for s in stats]
+    percent = ("valid_pct", "mean_competitors")
+    return Table(("kind", "pronouns", "valid") + percent, rows,
+                 keys=("kind",), figure=percent,
+                 formats=dict.fromkeys(percent, _pct))
+
+
+def _genre_table(counts: tuple, name: str) -> Table:
+    return Table(("genre", "pronouns_per_8000"),
+                 analysis.genre_rates(*counts), keys=("genre",),
+                 figure=("pronouns_per_8000",),
+                 formats={"pronouns_per_8000": _pct})
+
+
+def _distance_table(moments: tuple, name: str) -> Table:
+    mean, variance = analysis.moments_to_mean_variance(*moments)
+    return Table(("pairs", "mean", "variance"),
+                 [(moments[0], mean, variance)], figure=("mean", "variance"),
+                 formats=dict.fromkeys(("mean", "variance"), _score))
+
+
+# The analysis functions are looked up when an entry runs, not stored here,
+# so that rebinding a module attribute (as a tracer does) reaches them.
+STATISTICS: dict[str, Statistic] = {
+    "head-position": Statistic(
+        lambda c, o: analysis.head_position_stats(c, o.head_rule),
+        _labelled),
+    "mention-types": Statistic(
+        lambda c, o: analysis.mention_type_distribution(c, o.head_rule),
+        _labelled),
+    "anaphor-antecedent": Statistic(
+        lambda c, o: SumsByKey(
+            analysis.antecedent_category_counts(c, o.head_rule)),
+        _ranking_table),
+    "first-mention": Statistic(
+        lambda c, o: analysis.first_mention_stats(c, o.head_rule),
+        _labelled),
+    "entity-size": Statistic(
+        lambda c, o: analysis.entity_size_stats(c), _labelled),
+    "competing": Statistic(
+        lambda c, o: Sums(
+            analysis.competing_antecedents(c, kind, o.head_rule)
+            for kind in (MentionType.OVERT_PRONOUN, MentionType.ZERO_PRONOUN)),
+        _competing_table),
+    "genre": Statistic(
+        lambda c, o: Sums(analysis.genre_counts(c, o.genre_pattern)),
+        _genre_table),
+    "semantic-distance": Statistic(
+        lambda c, o: Sums(analysis.distance_moments(c, o.vectors)),
+        _distance_table, needs_vectors=True),
+}
+
+
+def compute_stats(corpus: Corpus, stats: tuple[str, ...],
+                  options: StatOptions) -> Sums:
+    """Partial results of the named statistics on one parsed file."""
+    return Sums(STATISTICS[stat].compute(corpus, options) for stat in stats)
+
+
+def pool(items: Iterable[tuple[str, Any]]) -> dict[str, Any]:
+    """Pool (group, partial result) pairs with +, in the order given."""
+    pooled: dict[str, Any] = {}
+    for group, part in items:
+        pooled[group] = pooled[group] + part if group in pooled else part
+    return pooled
+
+
+def _parse_and_compute(task: tuple[str, str, str], compute: Callable) -> Any:
     path, name, language = task
-    corpus = parse_file(Path(path), dataset=name, language=language)
-    return analysis.corpus_statistics(corpus)
+    return compute(parse_file(Path(path), dataset=name, language=language))
+
+
+def pool_groups(groups: dict[str, list[DatasetFiles]], compute: Callable,
+                jobs: int) -> dict[str, Any]:
+    """Parse every file of every group, compute its partial result and pool
+    the partials of each group in file order; groups come out sorted."""
+    tasks, owners = [], []
+    for group in sorted(groups):
+        for dataset in groups[group]:
+            for path in sorted(dataset.files):
+                tasks.append((str(path), dataset.name, dataset.language))
+                owners.append(group)
+    parts = _map_files(partial(_parse_and_compute, compute=compute), tasks,
+                       jobs)
+    return pool(zip(owners, parts))
 
 
 def cmd_stats(args) -> int:
-    root = _input_root(args)
-    datasets = discover_datasets(root, args.split)
-    if not datasets:
-        raise CliError(f"no .conllu files under {root}")
-    tasks = [(str(path), d.name, d.language)
-             for d in datasets for path in sorted(d.files)]
-    results = _map_files(_stats_worker, tasks, args.jobs)
-    by_dataset: dict[str, list[DatasetReport]] = {}
-    for report in results:
-        by_dataset.setdefault(report.dataset, []).append(report)
-    reports = [merge_reports(parts, dataset=name)
-               for name, parts in sorted(by_dataset.items())]
-
-    keys = ("documents", "sentences_per_document", "tokens_per_sentence",
-            "entities", "mentions", "mentions_per_entity")
+    pooled = pool_groups({d.name: [d] for d in _datasets(args)},
+                         analysis.corpus_statistics, args.jobs)
+    reports = list(pooled.values())
     if args.format == "json":
-        payload = [r.as_json() for r in reports]
-        _emit(args, "stats.json", json.dumps(payload, indent=2,
-                                             ensure_ascii=False) + "\n")
-    else:
-        lines = ["dataset\t" + "\t".join(keys)]
-        for report in reports:
-            lines.append(report.dataset + "\t" + "\t".join(
-                report.row(k).rendered() for k in keys))
-        _emit(args, "stats.tsv", "\n".join(lines) + "\n")
+        _emit(args, "stats.json", _json([r.as_json() for r in reports]))
+        return 0
+    keys = [row.key for row in reports[0].rows]
+    lines = ["dataset\t" + "\t".join(keys)]
+    for report in reports:
+        lines.append(report.dataset + "\t" + "\t".join(
+            row.rendered() for row in report.rows))
+    _emit(args, "stats.tsv", "\n".join(lines) + "\n")
     return 0
 
 
-# ----------------------------------------------------------------- analyze
-
-def _analyze_worker(task: tuple[str, str, str], stats: tuple[str, ...],
-                    head_rule: str, genre_pattern: str,
-                    vectors_path: str | None) -> dict:
-    path, name, language = task
-    corpus = parse_file(Path(path), dataset=name, language=language)
-    out: dict = {"_dataset": name}
-    for stat in stats:
-        if stat == "head-position":
-            out[stat] = analysis.head_position_stats(corpus, head_rule)
-        elif stat == "mention-types":
-            out[stat] = analysis.mention_type_distribution(corpus, head_rule)
-        elif stat == "first-mention":
-            out[stat] = analysis.first_mention_stats(corpus, head_rule)
-        elif stat == "entity-size":
-            out[stat] = analysis.entity_size_stats(corpus)
-        elif stat == "anaphor-antecedent":
-            out[stat] = analysis.antecedent_category_counts(corpus, head_rule)
-        elif stat == "competing":
-            out[stat] = {
-                kind.value: analysis.competing_antecedents(corpus, kind,
-                                                           head_rule)
-                for kind in (MentionType.OVERT_PRONOUN,
-                             MentionType.ZERO_PRONOUN)}
-        elif stat == "genre":
-            out[stat] = analysis.genre_counts(corpus, genre_pattern)
-        elif stat == "semantic-distance":
-            vectors = analysis.load_mention_vectors(vectors_path)
-            out[stat] = analysis.distance_moments(corpus, vectors)
-    return out
-
-
-def _merge_partials(parts: list[dict], stats: tuple[str, ...],
-                    group_name: str) -> dict:
-    merged: dict = {}
-    for stat in stats:
-        values = [p[stat] for p in parts]
-        head = values[0]
-        if isinstance(head, DatasetReport):
-            merged[stat] = merge_reports(values, dataset=group_name)
-        elif stat == "anaphor-antecedent":
-            out = {k: sum((v[k] for v in values), start=type(head[k])())
-                   for k in head}
-            merged[stat] = out
-        elif stat == "competing":
-            merged[stat] = {k: sum((v[k] for v in values[1:]), start=head[k])
-                            for k in head}
-        elif stat == "genre":
-            pronouns, tokens = head
-            for other_p, other_t in values[1:]:
-                pronouns = pronouns + other_p
-                tokens = tokens + other_t
-            merged[stat] = (pronouns, tokens)
-        elif stat == "semantic-distance":
-            merged[stat] = tuple(sum(column) for column in zip(*values))
-    return merged
-
-
-def _render_analysis(name: str, stat: str, result, fmt: str) -> str:
-    if isinstance(result, DatasetReport):
-        if fmt == "json":
-            return json.dumps(result.as_json(), indent=2,
-                              ensure_ascii=False) + "\n"
-        return result.to_tsv()
-    if stat == "anaphor-antecedent":
-        rows = []
-        for mtype in MentionType:
-            ranking = sorted(result[mtype].items(),
-                             key=lambda kv: (-kv[1], kv[0].name))
-            for rank, (category, count) in enumerate(ranking, start=1):
-                rows.append((mtype.value, rank, category.name, count))
-        if fmt == "json":
-            payload = [{"anaphor_type": t, "rank": r, "category": c,
-                        "count": n} for t, r, c, n in rows]
-            return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-        lines = ["anaphor_type\trank\tcategory\tcount"]
-        lines += [f"{t}\t{r}\t{c}\t{n}" for t, r, c, n in rows]
-        return "\n".join(lines) + "\n"
-    if stat == "competing":
-        rows = [(kind, s.n_pronouns, s.n_valid, s.valid_fraction,
-                 s.mean_competitors) for kind, s in result.items()]
-        if fmt == "json":
-            payload = [{"kind": k, "pronouns": p, "valid": v,
-                        "valid_pct": None if f is None else float(f * 100),
-                        "mean_competitors": None if m is None else float(m)}
-                       for k, p, v, f, m in rows]
-            return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-        lines = ["kind\tpronouns\tvalid\tvalid_pct\tmean_competitors"]
-        for k, p, v, f, m in rows:
-            lines.append(f"{k}\t{p}\t{v}\t"
-                         f"{_pct(None if f is None else f * 100)}\t"
-                         f"{_pct(m)}")
-        return "\n".join(lines) + "\n"
-    if stat == "genre":
-        rates = analysis.genre_rates(*result)
-        if fmt == "json":
-            payload = [{"genre": g, "pronouns_per_8000":
-                        None if r is None else float(r)} for g, r in rates]
-            return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-        lines = ["genre\tpronouns_per_8000"]
-        lines += [f"{g}\t{_pct(r)}" for g, r in rates]
-        return "\n".join(lines) + "\n"
-    if stat == "semantic-distance":
-        count, total, total_sq = result
-        mean, variance = analysis.moments_to_mean_variance(count, total,
-                                                           total_sq)
-        if fmt == "json":
-            return json.dumps({"pairs": count, "mean": mean,
-                               "variance": variance}, indent=2,
-                              ensure_ascii=False) + "\n"
-        return ("pairs\tmean\tvariance\n"
-                f"{count}\t{_score(mean)}\t{_score(variance)}\n")
-    raise CliError(f"cannot render statistic {stat!r}")
-
-
-def _figure_rows(name: str, stat: str, result) -> list[tuple[str, str, str, str]]:
-    rows = []
-    if isinstance(result, DatasetReport):
-        for row in result.rows:
-            rows.append((stat, name, row.key, row.rendered()))
-    elif stat == "anaphor-antecedent":
-        for mtype in MentionType:
-            ranking = sorted(result[mtype].items(),
-                             key=lambda kv: (-kv[1], kv[0].name))
-            for rank, (category, count) in enumerate(ranking, start=1):
-                rows.append((stat, name, f"{mtype.value}:{category.name}",
-                             str(count)))
-    elif stat == "competing":
-        for kind, s in result.items():
-            rows.append((stat, name, f"{kind}:valid_pct",
-                         _pct(None if s.valid_fraction is None
-                              else s.valid_fraction * 100)))
-            rows.append((stat, name, f"{kind}:mean_competitors",
-                         _pct(s.mean_competitors)))
-    elif stat == "genre":
-        for genre, rate in analysis.genre_rates(*result):
-            rows.append((stat, name, genre, _pct(rate)))
-    elif stat == "semantic-distance":
-        mean, variance = analysis.moments_to_mean_variance(*result)
-        rows.append((stat, name, "mean", _score(mean)))
-        rows.append((stat, name, "variance", _score(variance)))
-    return rows
-
-
 def cmd_analyze(args) -> int:
-    root = _input_root(args)
-    stats = tuple(dict.fromkeys(args.stat)) if args.stat else tuple(
-        s for s in ANALYZE_STATS if s != "semantic-distance")
-    if "semantic-distance" in stats and not args.vectors:
-        raise CliError("--vectors is required for semantic-distance")
-    datasets = discover_datasets(root, args.split)
-    if not datasets:
-        raise CliError(f"no .conllu files under {root}")
+    stats = tuple(dict.fromkeys(args.stat or (
+        name for name, s in STATISTICS.items() if not s.needs_vectors)))
+    needing = [stat for stat in stats if STATISTICS[stat].needs_vectors]
+    if needing and not args.vectors:
+        raise CliError(f"--vectors is required for {needing[0]}")
+    datasets = _datasets(args)
+    vectors = analysis.load_mention_vectors(args.vectors) if needing else None
     groups: dict[str, list[DatasetFiles]] = {}
     for dataset in datasets:
         key = dataset.language if args.by_language else dataset.name
         groups.setdefault(key, []).append(dataset)
+    options = StatOptions(args.head_rule, args.genre_pattern, vectors)
+    pooled = pool_groups(groups, partial(compute_stats, stats=stats,
+                                         options=options), args.jobs)
 
     args._multi = True
-    figure_rows: list[tuple[str, str, str, str]] = []
-    for group_name in sorted(groups):
-        tasks = [(str(path), d.name, d.language)
-                 for d in groups[group_name] for path in sorted(d.files)]
-        worker = partial(_analyze_worker, stats=stats,
-                         head_rule=args.head_rule,
-                         genre_pattern=args.genre_pattern,
-                         vectors_path=args.vectors)
-        parts = _map_files(worker, tasks, args.jobs)
-        merged = _merge_partials(parts, stats, group_name)
-        for stat in stats:
-            suffix = "json" if args.format == "json" else "tsv"
-            _emit(args, f"{group_name}.{stat}.{suffix}",
-                  _render_analysis(group_name, stat, merged[stat],
-                                   args.format))
-            if args.figure_data:
-                figure_rows.extend(_figure_rows(group_name, stat,
-                                                merged[stat]))
+    figure_rows: list[tuple[str, ...]] = []
+    for group, results in pooled.items():
+        for stat, result in zip(stats, results):
+            table = STATISTICS[stat].table(result, group)
+            _emit(args, f"{group}.{stat}.{args.format}",
+                  _json(table.as_json()) if args.format == "json"
+                  else table.to_tsv())
+            figure_rows += [(stat, group, key, value)
+                            for key, value in table.figure_rows()]
     if args.figure_data:
         lines = ["statistic\tdataset\tkey\tvalue"]
         lines += ["\t".join(row) for row in figure_rows]
@@ -370,8 +383,7 @@ def cmd_score(args) -> int:
             for name, r in rows],
             "macro_conll_f1": macro,
             "match": args.match, "singletons": args.singletons}
-        _emit(args, "scores.json",
-              json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+        _emit(args, "scores.json", _json(payload))
         return 0
     lines = ["dataset\tmuc_p\tmuc_r\tmuc_f1\tb3_p\tb3_r\tb3_f1"
              "\tceafe_p\tceafe_r\tceafe_f1\tconll_f1"]
@@ -432,8 +444,7 @@ def cmd_errors(args) -> int:
                                           .get(b, 0)
                                           for b in errors.DISTANCE_BUCKETS})
                    for r in reports]
-        _emit(args, "errors.json",
-              json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+        _emit(args, "errors.json", _json(payload))
     else:
         lines = ["dataset\t" + "\t".join(_ERROR_COLUMNS)]
         for report in reports:
@@ -448,8 +459,7 @@ def cmd_errors(args) -> int:
         lines.append("average\t" + "\t".join(averages))
         _emit(args, "errors.tsv", "\n".join(lines) + "\n")
     if want_detail:
-        _emit(args, "errors_detail.json",
-              json.dumps(details, indent=2, ensure_ascii=False) + "\n")
+        _emit(args, "errors_detail.json", _json(details))
     return 0
 
 
@@ -525,9 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="gold-annotation statistics")
     common(p)
-    p.add_argument("--stat", action="append", choices=ANALYZE_STATS,
+    p.add_argument("--stat", action="append", choices=list(STATISTICS),
                    help="statistic to compute (repeatable; default: all "
-                        "except semantic-distance)")
+                        "except " + ", ".join(
+                            name for name, s in STATISTICS.items()
+                            if s.needs_vectors) + ")")
     p.add_argument("--head-rule", choices=HEAD_RULES, default="annotated")
     p.add_argument("--by-language", action="store_true",
                    help="pool datasets of the same language")

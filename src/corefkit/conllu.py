@@ -358,7 +358,3 @@ def serialize(corpus: Corpus) -> str:
     if not chunks:
         return ""
     return "\n".join(chunks) + "\n"
-
-
-def write_conllu(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(serialize(corpus), encoding="utf-8", newline="\n")

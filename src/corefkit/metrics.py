@@ -63,17 +63,6 @@ class ClusterSet:
         return {key for cluster in self.clusters for key in cluster}
 
 
-def document_cluster_set(document: Document,
-                         singleton_policy: str = "include") -> ClusterSet:
-    """Clusters keyed by document id plus sorted span token positions."""
-    clusters = []
-    for entity in document.entities:
-        clusters.append(frozenset(
-            (document.doc_id, tuple(sorted(t.pos for t in m.span)))
-            for m in entity.mentions))
-    return ClusterSet(clusters, singleton_policy)
-
-
 def align_mentions(gold: Document, pred: Document,
                    mode: str = "exact") -> dict[Mention, Mention]:
     """Match system mentions to gold mentions; each gold is claimed at most
@@ -234,11 +223,6 @@ class ScoreReport:
     @property
     def conll_f1(self) -> float:
         return (self.muc.f1 + self.b_cubed.f1 + self.ceafe.f1) / 3
-
-
-def conll_f1(report: ScoreReport) -> float:
-    """Arithmetic mean of the MUC, B³ and CEAFe F1 scores."""
-    return report.conll_f1
 
 
 def macro_average(values: list[float]) -> float:

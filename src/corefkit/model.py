@@ -182,7 +182,6 @@ class Document:
     doc_id: str
     sentences: list[Sentence] = field(default_factory=list)
     entities: list[Entity] = field(default_factory=list)
-    genre: str | None = None
     language: str = ""
     dataset: str = ""
 

@@ -80,6 +80,14 @@ class DatasetReport:
         return {"dataset": self.dataset, "statistic": self.statistic,
                 "rows": [row.as_json() for row in self.rows]}
 
+    def figure_rows(self) -> list[tuple[str, str]]:
+        """(key, rendered value) per row, for plot-ready output."""
+        return [(row.key, row.rendered()) for row in self.rows]
+
+    def __add__(self, other: "DatasetReport") -> "DatasetReport":
+        """Pooled report (see merge_reports), labelled like this one."""
+        return merge_reports([self, other], dataset=self.dataset)
+
 
 def merge_reports(reports: list[DatasetReport],
                   dataset: str = "all") -> DatasetReport:

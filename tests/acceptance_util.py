@@ -16,11 +16,11 @@ from pathlib import Path
 import pytest
 
 from corefkit import analysis
+from corefkit.cli import (STATISTICS, StatOptions, SumsByKey, pool,
+                          pool_groups)
 from corefkit.conllu import parse_file
 from corefkit.corpora import discover_datasets, pair_datasets
 from corefkit.errors import analyze_errors, merge_error_reports
-from corefkit.reports import merge_reports
-from corefkit.taxonomy import MentionType
 
 COREFUD_ENV = "COREFUD_DATA"
 CRAC22_GOLD_ENV = "CRAC22_GOLD"
@@ -59,72 +59,36 @@ def train_datasets():
     return datasets
 
 
-def _stats_task(task):
-    path, name, language = task
-    corpus = parse_file(Path(path), dataset=name, language=language)
-    return analysis.corpus_statistics(corpus)
-
-
 def timed_corpus_statistics():
     """Parse + count the whole training release; returns
     ({dataset: report}, wall seconds)."""
     if "stats" in _cache:
         return _cache["stats"]
     datasets = train_datasets()
-    tasks = [(str(p), d.name, d.language) for d in datasets
-             for p in sorted(d.files)]
     start = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=jobs()) as pool:
-        results = list(pool.map(_stats_task, tasks))
-    elapsed = time.perf_counter() - start
-    by_dataset: dict[str, list] = {}
-    for report in results:
-        by_dataset.setdefault(report.dataset, []).append(report)
-    merged = {name: merge_reports(parts, dataset=name)
-              for name, parts in by_dataset.items()}
-    _cache["stats"] = (merged, elapsed)
+    merged = pool_groups({d.name: [d] for d in datasets},
+                         analysis.corpus_statistics, jobs())
+    _cache["stats"] = (merged, time.perf_counter() - start)
     return _cache["stats"]
 
 
-def _analysis_task(task):
-    path, name, language = task
-    corpus = parse_file(Path(path), dataset=name, language=language)
-    out = {
-        "dataset": name,
-        "language": language,
-        "head_annotated": analysis.head_position_stats(corpus, "annotated"),
-        "head_syntactic": analysis.head_position_stats(corpus, "syntactic"),
-        "types": analysis.mention_type_distribution(corpus),
-        "first": analysis.first_mention_stats(corpus),
-        "rankings": analysis.antecedent_category_counts(corpus),
-        "competing_overt": analysis.competing_antecedents(
-            corpus, MentionType.OVERT_PRONOUN),
-        "competing_zero": analysis.competing_antecedents(
-            corpus, MentionType.ZERO_PRONOUN),
-    }
-    if name == "en_gum":
-        out["genre"] = analysis.genre_counts(corpus)
-    return out
+# Result key -> (statistic, head rule) of the per-dataset analysis.
+_RELEASE_STATS = {
+    "head_annotated": ("head-position", "annotated"),
+    "head_syntactic": ("head-position", "syntactic"),
+    "types": ("mention-types", "annotated"),
+    "first": ("first-mention", "annotated"),
+    "rankings": ("anaphor-antecedent", "annotated"),
+    "competing": ("competing", "annotated"),
+}
 
 
-def _merge_analysis(parts: list[dict]) -> dict:
-    merged = dict(parts[0])
-    for part in parts[1:]:
-        for key in ("head_annotated", "head_syntactic", "types", "first"):
-            merged[key] = merge_reports([merged[key], part[key]],
-                                        dataset=merged["dataset"])
-        merged["rankings"] = {
-            mtype: merged["rankings"][mtype] + part["rankings"][mtype]
-            for mtype in merged["rankings"]}
-        for key in ("competing_overt", "competing_zero"):
-            merged[key] = merged[key] + part[key]
-        if "genre" in part:
-            if "genre" in merged:
-                merged["genre"] = (merged["genre"][0] + part["genre"][0],
-                                   merged["genre"][1] + part["genre"][1])
-            else:
-                merged["genre"] = part["genre"]
-    return merged
+def _release_partial(corpus) -> SumsByKey:
+    wanted = dict(_RELEASE_STATS)
+    if corpus.dataset == "en_gum":
+        wanted["genre"] = ("genre", "annotated")
+    return SumsByKey({key: STATISTICS[stat].compute(corpus, StatOptions(rule))
+                      for key, (stat, rule) in wanted.items()})
 
 
 def release_analysis() -> dict[str, dict]:
@@ -132,37 +96,21 @@ def release_analysis() -> dict[str, dict]:
     if "analysis" in _cache:
         return _cache["analysis"]
     datasets = train_datasets()
-    tasks = [(str(p), d.name, d.language) for d in datasets
-             for p in sorted(d.files)]
-    with ProcessPoolExecutor(max_workers=jobs()) as pool:
-        results = list(pool.map(_analysis_task, tasks))
-    by_dataset: dict[str, list[dict]] = {}
-    for part in results:
-        by_dataset.setdefault(part["dataset"], []).append(part)
-    _cache["analysis"] = {name: _merge_analysis(parts)
-                          for name, parts in by_dataset.items()}
-    return _cache["analysis"]
+    pooled = pool_groups({d.name: [d] for d in datasets}, _release_partial,
+                         jobs())
+    per_dataset = {}
+    for dataset in datasets:
+        info = dict(pooled[dataset.name], dataset=dataset.name,
+                    language=dataset.language)
+        info["competing_overt"], info["competing_zero"] = info.pop("competing")
+        per_dataset[dataset.name] = info
+    _cache["analysis"] = per_dataset
+    return per_dataset
 
 
 def by_language(per_dataset: dict[str, dict], key: str) -> dict[str, object]:
     """Pool one per-dataset result across datasets of the same language."""
-    grouped: dict[str, list] = {}
-    for info in per_dataset.values():
-        grouped.setdefault(info["language"], []).append(info[key])
-    pooled = {}
-    for language, values in grouped.items():
-        if hasattr(values[0], "rows"):
-            pooled[language] = merge_reports(values, dataset=language)
-        elif isinstance(values[0], dict):  # mention type -> Counter
-            pooled[language] = {
-                k: sum((v[k] for v in values[1:]), start=values[0][k])
-                for k in values[0]}
-        else:
-            total = values[0]
-            for value in values[1:]:
-                total = total + value
-            pooled[language] = total
-    return pooled
+    return pool((info["language"], info[key]) for info in per_dataset.values())
 
 
 def _error_task(task):

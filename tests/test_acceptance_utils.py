@@ -12,8 +12,19 @@ from fractions import Fraction
 import pytest
 
 import acceptance_util as util
+from corefkit.analysis import genre_rates
 from corefkit.taxonomy import MentionType
-from conftest import DATA
+from conftest import DATA, tok
+
+# Two en_gum documents whose ids carry the genre: one personal pronoun in
+# two vlog tokens, none in the academic ones.
+GUM = "\n".join([
+    "# newdoc id = GUM_vlog_hello", "# sent_id = v1",
+    tok(1, "I", "PRON", 2, "nsubj", feats="Number=Sing|PronType=Prs"),
+    tok(2, "tried", "VERB", 0, "root"), "",
+    "# newdoc id = GUM_academic_dry", "# sent_id = a1",
+    tok(1, "Results", "NOUN", 2, "nsubj"),
+    tok(2, "follow", "VERB", 0, "root"), "", ""]).encode("utf-8")
 
 
 @pytest.fixture
@@ -23,7 +34,7 @@ def synthetic_release(tmp_path, monkeypatch):
     gold = (DATA / "score" / "gold" / "en_pairset-corefud-dev.conllu") \
         .read_bytes()
     for dataset, content in (("xx_alpha", basic), ("xx_gamma", basic),
-                             ("yy_beta", gold)):
+                             ("yy_beta", gold), ("en_gum", GUM)):
         directory = root / f"CorefUD_{dataset}"
         directory.mkdir(parents=True)
         (directory / f"{dataset}-corefud-train.conllu").write_bytes(content)
@@ -39,7 +50,7 @@ def synthetic_release(tmp_path, monkeypatch):
 
 def test_timed_statistics_pipeline(synthetic_release):
     reports, elapsed = util.timed_corpus_statistics()
-    assert set(reports) == {"xx_alpha", "xx_gamma", "yy_beta"}
+    assert set(reports) == {"xx_alpha", "xx_gamma", "yy_beta", "en_gum"}
     assert reports["xx_alpha"].value("mentions") == 10
     assert reports["yy_beta"].value("entities") == 3
     assert elapsed > 0
@@ -47,19 +58,39 @@ def test_timed_statistics_pipeline(synthetic_release):
 
 def test_release_analysis_merging_and_pooling(synthetic_release):
     data = util.release_analysis()
-    assert set(data) == {"xx_alpha", "xx_gamma", "yy_beta"}
+    assert set(data) == {"xx_alpha", "xx_gamma", "yy_beta", "en_gum"}
     info = data["xx_alpha"]
     assert info["types"].row("zero_pronoun").numerator == 1
     assert info["competing_overt"].n_pronouns == 2
 
     pooled = util.by_language(data, "head_annotated")
-    assert set(pooled) == {"xx", "yy"}
+    assert set(pooled) == {"xx", "yy", "en"}
     # two identical xx datasets pool to doubled denominators
     assert pooled["xx"].row("premodified_of_all").denominator == 20
 
     rankings = util.by_language(data, "rankings")
     single = data["xx_alpha"]["rankings"][MentionType.OVERT_PRONOUN]
     assert rankings["xx"][MentionType.OVERT_PRONOUN] == single + single
+
+
+def test_release_analysis_shapes_read_by_acceptance(synthetic_release):
+    data = util.release_analysis()
+    syntactic = util.by_language(data, "head_syntactic")
+    assert syntactic["xx"].row("premodified_of_all").denominator == 20
+    assert syntactic["xx"].value("premodified_of_multitoken") is not None
+
+    assert data["xx_alpha"]["first"].value("first_is_longest") == 100
+    assert data["en_gum"]["first"].value("first_is_longest") is None
+
+    zero = (data["xx_alpha"]["competing_zero"]
+            + data["xx_gamma"]["competing_zero"])
+    assert zero.kind is MentionType.ZERO_PRONOUN
+    assert (zero.n_pronouns, zero.n_valid) == (2, 0)
+    assert zero.mean_competitors is None
+
+    assert "genre" not in data["xx_alpha"]
+    rates = dict(genre_rates(*data["en_gum"]["genre"]))
+    assert rates == {"academic": 0, "vlog": Fraction(8000 * 1, 2)}
 
 
 def test_system_error_reports_pipeline(synthetic_release):

@@ -1,19 +1,21 @@
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
 
 import pytest
 
-from corefkit import parse_conllu
-from corefkit.analysis import (MentionVectors, MissingVectorError,
-                               anaphor_antecedent_ranking,
+from corefkit import parse_conllu, serialize
+from corefkit.analysis import (HEAD_RULES, MentionVectors, MissingVectorError,
                                antecedent_category_counts,
                                competing_antecedents, corpus_statistics,
-                               entity_size_stats, first_mention_stats,
-                               genre_pronoun_frequency, head_position_stats,
-                               load_mention_vectors,
-                               mention_type_distribution, semantic_distance)
-from corefkit.model import Corpus
+                               distance_moments, entity_size_stats,
+                               first_mention_stats, genre_counts, genre_rates,
+                               head_position_stats, load_mention_vectors,
+                               mention_type_distribution,
+                               moments_to_mean_variance)
+from corefkit.cli import STATISTICS, StatOptions
+from corefkit.model import Corpus, Document, mention_key
 from corefkit.reports import merge_reports
 from corefkit.taxonomy import MentionType, UdCategory
 from conftest import DATA, make_corpus, tok
@@ -84,7 +86,8 @@ def test_ranking_for_pronoun_after_nmod_np():
         tok(1, "it", "PRON", 2, "nsubj", misc="Entity=(e1-x-1-)"),
         tok(2, "vanished", "VERB", 0, "root"),
     ])
-    ranking = anaphor_antecedent_ranking(corpus, MentionType.OVERT_PRONOUN)
+    counts = antecedent_category_counts(corpus)[MentionType.OVERT_PRONOUN]
+    ranking = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].name))
     assert ranking == [(UdCategory.N, 1)]
 
 
@@ -276,14 +279,14 @@ def test_genre_rates():
         tok(2, "follow", "VERB", 0, "root"),
         "",
     ]) + "\n")
-    rates = dict(genre_pronoun_frequency(corpus))
+    rates = dict(genre_rates(*genre_counts(corpus)))
     assert rates["academic"] == 0
     assert rates["vlog"] == Fraction(8000 * 1, 2)
 
 
 def test_genre_unknown_bucket():
     corpus = make_corpus([tok(1, "x", "VERB", 0, "root")], doc_id="nodashes")
-    rates = genre_pronoun_frequency(corpus)
+    rates = genre_rates(*genre_counts(corpus))
     assert rates == [("unknown", 0)]
 
 
@@ -307,7 +310,8 @@ def test_corpus_statistics_empty():
 def test_semantic_distance_fixture_vectors(basic_corpus):
     vectors = load_mention_vectors(DATA / "vectors.tsv")
     assert vectors.dimension == 2
-    mean, variance = semantic_distance(basic_corpus, vectors)
+    mean, variance = moments_to_mean_variance(
+        *distance_moments(basic_corpus, vectors))
     assert mean == pytest.approx(5.0)
     assert variance == pytest.approx(0.0)
 
@@ -325,7 +329,8 @@ def test_semantic_distance_three_mentions_hand_computed():
         ("d1", 1, "1"): (3.0, 4.0),
         ("d1", 2, "1"): (0.0, 8.0),
     }, 2)
-    mean, variance = semantic_distance(corpus, vectors)
+    mean, variance = moments_to_mean_variance(
+        *distance_moments(corpus, vectors))
     # pairwise distances 5, 8, 5
     assert mean == pytest.approx(6.0)
     assert variance == pytest.approx(2.0)
@@ -334,7 +339,7 @@ def test_semantic_distance_three_mentions_hand_computed():
 def test_semantic_distance_missing_vector_lists_keys(basic_corpus):
     vectors = MentionVectors({}, 2)
     with pytest.raises(MissingVectorError) as excinfo:
-        semantic_distance(basic_corpus, vectors)
+        distance_moments(basic_corpus, vectors)
     assert ("fixture-doc1", 0, "1,2,3") in excinfo.value.keys
 
 
@@ -350,6 +355,28 @@ def test_all_reports_invariant_under_document_reordering(basic_corpus):
     for kind in (MentionType.OVERT_PRONOUN, MentionType.ZERO_PRONOUN):
         assert (competing_antecedents(basic_corpus, kind)
                 == competing_antecedents(reversed_corpus, kind))
+
+
+def test_every_statistic_leaves_the_corpus_unchanged():
+    # annotate "The" as head of "The old castle", so the rules disagree
+    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
+    corpus = parse_conllu(text.replace("Entity=(e1-thing-3-",
+                                       "Entity=(e1-thing-1-"))
+    vectors = MentionVectors({mention_key(m, d.doc_id): (0.0,)
+                              for d in corpus.documents
+                              for m in d.mentions()}, 1)
+
+    def state():
+        return (serialize(corpus),
+                [{name: copy(getattr(d, name)) for name in Document.__slots__}
+                 for d in corpus.documents],
+                [[m.head for m in d.mentions()] for d in corpus.documents])
+
+    before = state()
+    for rule in HEAD_RULES:
+        for statistic in STATISTICS.values():
+            statistic.compute(corpus, StatOptions(rule, vectors=vectors))
+    assert state() == before
 
 
 def test_merge_reports_pools_counts():

@@ -172,12 +172,11 @@ def test_roundtrip_byte_identical_on_canonical_fixtures():
         assert serialize(parse_conllu(text)) == text, path
 
 
-def test_write_conllu_matches_serialize(tmp_path, basic_corpus):
-    from corefkit.conllu import write_conllu
-
+def test_serialized_file_parses_back(tmp_path, basic_corpus):
     out = tmp_path / "copy.conllu"
-    write_conllu(basic_corpus, out)
-    assert out.read_text(encoding="utf-8") == serialize(basic_corpus)
+    out.write_text(serialize(basic_corpus), encoding="utf-8", newline="\n")
+    again = parse_file(out, dataset="fixture", language="es")
+    assert serialize(again) == serialize(basic_corpus)
 
 
 def test_roundtrip_structural_identity():

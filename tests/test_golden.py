@@ -97,6 +97,7 @@ if __name__ == "__main__":
     scratch = Path(tempfile.mkdtemp())
     try:
         for name, args in CASES.items():
-            (GOLDEN / name).write_bytes(run(args, make_release(scratch / name)))
+            release = make_release(scratch / name)
+            (GOLDEN / name).write_bytes(run(args, release))
     finally:
         shutil.rmtree(scratch)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from corefkit import parse_conllu
 from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
-                              align_mentions, b_cubed, ceafe, ceafe_counts,
-                              conll_f1, document_cluster_set, macro_average,
-                              muc, score_pairs)
+                              ScoreReport, align_mentions, b_cubed, ceafe,
+                              ceafe_counts, macro_average, muc,
+                              remapped_cluster_set, score_pairs)
 from conftest import make_corpus, tok
 
 
@@ -78,22 +78,20 @@ def test_cluster_set_rejects_overlap():
         clusters("ab", "bc")
 
 
-def test_document_cluster_set_keys_and_policy(pair_docs):
+def test_remapped_cluster_set_keys_and_policy(pair_docs):
     gold, _ = pair_docs
-    everything = document_cluster_set(gold, "include")
+    everything, same = remapped_cluster_set(gold, gold, "exact", "include")
     assert len(everything.clusters) == 3
-    doc_ids = {key[0] for cluster in everything.clusters for key in cluster}
-    assert doc_ids == {"pair-doc1"}
-    linked_only = document_cluster_set(gold, "exclude")
+    assert same.clusters == everything.clusters
+    assert len(everything.mentions) == len(gold.mentions())
+    linked_only, _ = remapped_cluster_set(gold, gold, "exact", "exclude")
     assert sorted(len(c) for c in linked_only.clusters) == [2, 3]
 
 
 def test_conll_f1_is_mean_of_three():
-    report = type("R", (), {})()
-    from corefkit.metrics import ScoreReport
     report = ScoreReport(Scores(1, 1, 0.3), Scores(1, 1, 0.6),
                          Scores(1, 1, 0.9))
-    assert conll_f1(report) == pytest.approx(0.6)
+    assert report.conll_f1 == pytest.approx(0.6)
 
 
 def test_macro_average():
