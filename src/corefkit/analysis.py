@@ -1,9 +1,10 @@
 """Corpus statistics over gold coreference annotations.
 
-All operations are pure functions of an immutable Corpus and return exact
-counts (see reports.StatRow), so per-dataset results can be pooled into
-language-level views. Heads follow the annotated head attribute when present;
-pass head_rule="syntactic" to force the parent-outside-span rule everywhere.
+No operation changes the Corpus it reads; each returns exact counts (see
+reports.StatRow), so per-dataset results can be pooled into language-level
+views. Heads are the ones resolved at parse time, which follow the
+annotated head attribute when present; pass head_rule="syntactic" to force
+the parent-outside-span rule everywhere (see model.head_of).
 """
 from __future__ import annotations
 
@@ -14,22 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .model import Corpus, Document, Mention, Token, mention_head, mention_key
+from .model import Corpus, Mention, Token, head_of, mention_key
 from .reports import DatasetReport, StatRow
 from .taxonomy import MentionType, UdCategory, classify_mention_type, ud_category
 
-HEAD_RULES = ("annotated", "syntactic")
 DEFAULT_GENRE_PATTERN = r"^[^_]+_([^_]+)"
-
-
-def resolve_head(mention: Mention, document: Document, head_rule: str) -> Token:
-    if head_rule == "annotated":
-        if mention.head is None:
-            mention.head = mention_head(mention, document)
-        return mention.head
-    if head_rule == "syntactic":
-        return mention_head(mention, document, prefer_annotated=False)
-    raise ValueError(f"unknown head rule {head_rule!r}")
 
 
 def _is_premodified(mention: Mention, head: Token) -> bool:
@@ -51,7 +41,7 @@ def head_position_stats(corpus: Corpus,
                 total += 1
                 if len(mention.span) > 1:
                     multi_token += 1
-                    head = resolve_head(mention, document, head_rule)
+                    head = head_of(mention, document, head_rule)
                     if _is_premodified(mention, head):
                         premodified += 1
     return DatasetReport(corpus.dataset, "head_position", [
@@ -67,7 +57,7 @@ def mention_type_distribution(corpus: Corpus,
     for document in corpus.documents:
         for entity in document.entities:
             for mention in entity.mentions:
-                head = resolve_head(mention, document, head_rule)
+                head = head_of(mention, document, head_rule)
                 counts[classify_mention_type(head)] += 1
                 total += 1
     return DatasetReport(corpus.dataset, "mention_types", [
@@ -85,9 +75,9 @@ def antecedent_category_counts(
         for entity in document.entities:
             previous: Mention | None = None
             for mention in entity.mentions:
-                head = resolve_head(mention, document, head_rule)
+                head = head_of(mention, document, head_rule)
                 if previous is not None:
-                    antecedent_head = resolve_head(previous, document, head_rule)
+                    antecedent_head = head_of(previous, document, head_rule)
                     category = ud_category(antecedent_head.effective_deprel())
                     counts[classify_mention_type(head)][category] += 1
                 previous = mention
@@ -109,7 +99,7 @@ def first_mention_stats(corpus: Corpus,
             first, *rest = entity.mentions
             if len(first.span) >= max(len(m.span) for m in rest):
                 first_longest += 1
-            head = resolve_head(first, document, head_rule)
+            head = head_of(first, document, head_rule)
             if classify_mention_type(head) in (MentionType.NOMINAL_NOUN,
                                                MentionType.PROPER_NOUN):
                 first_nominal += 1
@@ -192,14 +182,14 @@ def competing_antecedents(corpus: Corpus, kind: MentionType,
         mention_entity: dict[int, str] = {}
         for entity in document.entities:
             for mention in entity.mentions:
-                head = resolve_head(mention, document, head_rule)
+                head = head_of(mention, document, head_rule)
                 by_sentence[mention.sent_index].append(
                     (mention, entity.entity_id, head))
                 mention_entity[id(mention)] = entity.entity_id
         for entity in document.entities:
             previous: Mention | None = None
             for mention in entity.mentions:
-                head = resolve_head(mention, document, head_rule)
+                head = head_of(mention, document, head_rule)
                 antecedent = previous
                 previous = mention
                 if classify_mention_type(head) is not kind:
@@ -287,6 +277,10 @@ class MissingVectorError(KeyError):
         super().__init__(f"missing vectors for {len(keys)} mentions: "
                          f"{shown}{more}")
 
+    def __reduce__(self):
+        # rebuilt from its keys, not its message, when it leaves a worker
+        return type(self), (self.keys,)
+
 
 @dataclass
 class MentionVectors:
@@ -302,7 +296,8 @@ class MentionVectors:
 
 def load_mention_vectors(path: str | Path) -> MentionVectors:
     """Read a vectors TSV: doc_id, sentence index, span key, then the vector
-    components. '#' lines are comments."""
+    components. '#' lines are comments. Malformed lines raise ValueError
+    naming the file and line."""
     vectors: dict[tuple[str, int, str], tuple[float, ...]] = {}
     dimension: int | None = None
     with open(path, encoding="utf-8") as handle:
@@ -314,7 +309,16 @@ def load_mention_vectors(path: str | Path) -> MentionVectors:
             if len(fields) < 4:
                 raise ValueError(f"{path}:{line_no}: expected at least 4 "
                                  f"columns, got {len(fields)}")
-            vector = tuple(float(x) for x in fields[3:])
+            try:
+                sent_index = int(fields[1])
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: sentence index "
+                                 f"{fields[1]!r} is not an integer") from None
+            try:
+                vector = tuple(float(x) for x in fields[3:])
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: non-numeric "
+                                 f"component") from None
             if not all(math.isfinite(x) for x in vector):
                 raise ValueError(f"{path}:{line_no}: non-finite component")
             if dimension is None:
@@ -322,7 +326,7 @@ def load_mention_vectors(path: str | Path) -> MentionVectors:
             elif len(vector) != dimension:
                 raise ValueError(f"{path}:{line_no}: dimension {len(vector)}"
                                  f" != {dimension}")
-            vectors[(fields[0], int(fields[1]), fields[2])] = vector
+            vectors[(fields[0], sent_index, fields[2])] = vector
     return MentionVectors(vectors, dimension or 0)
 
 

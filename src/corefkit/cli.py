@@ -20,10 +20,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple
 
 from . import analysis, errors, features, metrics, taxonomy
-from .analysis import HEAD_RULES
 from .conllu import ParseError, parse_file
 from .corpora import DatasetFiles, discover_datasets, pair_datasets
-from .model import Corpus
+from .model import HEAD_RULES, Corpus
 from .reports import DatasetReport
 from .taxonomy import MentionType
 
@@ -311,7 +310,11 @@ def cmd_analyze(args) -> int:
     if needing and not args.vectors:
         raise CliError(f"--vectors is required for {needing[0]}")
     datasets = _datasets(args)
-    vectors = analysis.load_mention_vectors(args.vectors) if needing else None
+    try:
+        vectors = (analysis.load_mention_vectors(args.vectors) if needing
+                   else None)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     groups: dict[str, list[DatasetFiles]] = {}
     for dataset in datasets:
         key = dataset.language if args.by_language else dataset.name
@@ -416,12 +419,9 @@ def cmd_errors(args) -> int:
     for name, gold_files, pred_files in paired:
         pairs = _document_pairs(name, gold_files, pred_files)
         try:
-            report = errors.analyze_errors(pairs, args.mode, args.definition,
-                                           dataset=name)
-            if want_detail:
-                for gold_doc, pred_doc in pairs:
-                    details.extend(errors.unresolved_entity_details(
-                        gold_doc, pred_doc, args.mode, args.definition))
+            report = errors.analyze_errors(
+                pairs, args.mode, args.definition, dataset=name,
+                details=details if want_detail else None)
         except metrics.AlignmentError as exc:
             raise CliError(str(exc)) from exc
         reports.append(report)

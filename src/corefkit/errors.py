@@ -13,32 +13,22 @@ from fractions import Fraction
 from typing import Iterable
 
 from .metrics import align_mentions
-from .model import Document, Entity, Mention, mention_head
+from .model import Document, Entity, Mention, span_key
 from .taxonomy import MentionType, classify_mention_type, ud_category
 
 UNRESOLVED_DEFINITIONS = ("links", "membership")
 DISTANCE_BUCKETS = ("0", "1", "2", "3+")
 
 
-def _head(mention: Mention, document: Document):
-    if mention.head is None:
-        mention.head = mention_head(mention, document)
-    return mention.head
+def _matched_by_gold(alignment: dict[Mention, Mention]) -> dict[int, Mention]:
+    return {id(g): p for p, g in alignment.items()}
 
 
-def _detected_gold_ids(gold: Document, pred: Document, mode: str,
-                       alignment: dict[Mention, Mention] | None = None,
-                       ) -> tuple[dict[int, Mention], dict[Mention, Mention]]:
-    if alignment is None:
-        alignment = align_mentions(gold, pred, mode)
-    return {id(g): p for p, g in alignment.items()}, alignment
-
-
-def unresolved_entities(gold: Document, pred: Document, mode: str = "exact",
-                        definition: str = "links",
-                        alignment: dict[Mention, Mention] | None = None,
-                        ) -> list[Entity]:
-    """Non-singleton gold entities for which the system recovered nothing.
+def unresolved_entities(gold: Document, pred: Document,
+                        alignment: dict[Mention, Mention],
+                        definition: str = "links") -> list[Entity]:
+    """Non-singleton gold entities for which the system recovered nothing,
+    given the alignment of system to gold mentions (metrics.align_mentions).
 
     links (default): no system cluster contains matches of two or more of
     the entity's mentions. membership: no system cluster contains a match
@@ -46,7 +36,7 @@ def unresolved_entities(gold: Document, pred: Document, mode: str = "exact",
     """
     if definition not in UNRESOLVED_DEFINITIONS:
         raise ValueError(f"unknown definition {definition!r}")
-    matched_by_gold, alignment = _detected_gold_ids(gold, pred, mode, alignment)
+    matched_by_gold = _matched_by_gold(alignment)
     cluster_of: dict[int, int] = {}
     for index, entity in enumerate(pred.entities):
         for mention in entity.mentions:
@@ -77,12 +67,11 @@ def two_mention_breakdown(unresolved: list[Entity],
     return share, two
 
 
-def undetected_mentions(two_mention_entities: list[Entity], gold: Document,
-                        pred: Document, mode: str = "exact",
-                        alignment: dict[Mention, Mention] | None = None,
+def undetected_mentions(two_mention_entities: list[Entity],
+                        alignment: dict[Mention, Mention],
                         ) -> tuple[Fraction | None, list[Mention]]:
     """Mentions of the given entities that no system mention matched."""
-    matched_by_gold, _ = _detected_gold_ids(gold, pred, mode, alignment)
+    matched_by_gold = _matched_by_gold(alignment)
     mentions = [m for e in two_mention_entities for m in e.mentions]
     undetected = [m for m in mentions if id(m) not in matched_by_gold]
     share = Fraction(len(undetected), len(mentions)) if mentions else None
@@ -132,13 +121,12 @@ class UndetectedProfile:
             self.total_length + other.total_length)
 
 
-def undetected_profile(undetected: list[Mention],
-                       document: Document) -> UndetectedProfile:
+def undetected_profile(undetected: list[Mention]) -> UndetectedProfile:
     """Type distribution, short-mention share, pre-modification share, and
     mean token length of undetected mentions."""
     profile = UndetectedProfile()
     for mention in undetected:
-        head = _head(mention, document)
+        head = mention.head
         profile.type_counts[classify_mention_type(head)] += 1
         profile.n_mentions += 1
         length = len(mention.span)
@@ -179,8 +167,7 @@ def _bucket(distance: int) -> str:
     return str(distance) if distance < 3 else "3+"
 
 
-def missing_link_profile(entities: list[Entity],
-                         document: Document) -> MissingLinkProfile:
+def missing_link_profile(entities: list[Entity]) -> MissingLinkProfile:
     """Sentence distance, mention-type pairs, and the antecedent's relation
     category for two-mention entities with both mentions detected."""
     profile = MissingLinkProfile()
@@ -189,12 +176,12 @@ def missing_link_profile(entities: list[Entity],
         profile.n_entities += 1
         profile.distance_buckets[
             _bucket(second.sent_index - first.sent_index)] += 1
-        first_type = classify_mention_type(_head(first, document))
-        second_type = classify_mention_type(_head(second, document))
+        first_type = classify_mention_type(first.head)
+        second_type = classify_mention_type(second.head)
         profile.type_pairs[(first_type, second_type)] += 1
         if second_type in (MentionType.NOMINAL_NOUN,
                            MentionType.OVERT_PRONOUN):
-            category = ud_category(_head(first, document).effective_deprel())
+            category = ud_category(first.head.effective_deprel())
             profile.antecedent_categories.setdefault(
                 second_type, Counter())[category] += 1
     return profile
@@ -250,25 +237,28 @@ class ErrorReport:
 
 
 def analyze_document(gold: Document, pred: Document, mode: str = "exact",
-                     definition: str = "links") -> ErrorReport:
-    """Run the full error-analysis pipeline on one document pair."""
+                     definition: str = "links",
+                     details: list[dict] | None = None) -> ErrorReport:
+    """Run the full error-analysis pipeline on one document pair. When a
+    details list is given, the records of unresolved_entity_details are
+    appended to it from the same alignment."""
     alignment = align_mentions(gold, pred, mode)
-    matched_by_gold = {id(g): p for p, g in alignment.items()}
-    unresolved = unresolved_entities(gold, pred, mode, definition, alignment)
+    matched_by_gold = _matched_by_gold(alignment)
+    unresolved = unresolved_entities(gold, pred, alignment, definition)
+    if details is not None:
+        details.extend(_entity_details(gold, unresolved, matched_by_gold))
     _, two_mention = two_mention_breakdown(unresolved)
-    _, undetected = undetected_mentions(two_mention, gold, pred, mode,
-                                        alignment)
+    _, undetected = undetected_mentions(two_mention, alignment)
     both_detected = [e for e in two_mention
                      if all(id(m) in matched_by_gold for m in e.mentions)]
-    report = ErrorReport(
+    return ErrorReport(
         dataset=gold.dataset, match_mode=mode, definition=definition,
         n_entities=sum(1 for e in gold.entities if not e.is_singleton()),
         n_unresolved=len(unresolved),
         n_two_mention=len(two_mention),
         n_both_detected=len(both_detected),
-        undetected=undetected_profile(undetected, gold),
-        missing_links=missing_link_profile(both_detected, gold))
-    return report
+        undetected=undetected_profile(undetected),
+        missing_links=missing_link_profile(both_detected))
 
 
 def merge_error_reports(reports: Iterable[ErrorReport],
@@ -290,10 +280,12 @@ def merge_error_reports(reports: Iterable[ErrorReport],
 
 def analyze_errors(pairs: Iterable[tuple[Document, Document]],
                    mode: str = "exact", definition: str = "links",
-                   dataset: str = "") -> ErrorReport:
-    """Aggregate the error analysis over aligned document pairs."""
+                   dataset: str = "",
+                   details: list[dict] | None = None) -> ErrorReport:
+    """Aggregate the error analysis over aligned document pairs, appending
+    per-entity detail records to details when it is given."""
     return merge_error_reports(
-        [analyze_document(g, p, mode, definition) for g, p in pairs],
+        [analyze_document(g, p, mode, definition, details) for g, p in pairs],
         dataset=dataset)
 
 
@@ -301,12 +293,16 @@ def unresolved_entity_details(gold: Document, pred: Document,
                               mode: str = "exact",
                               definition: str = "links") -> list[dict]:
     """Per-entity diagnostic records for the JSON detail dump."""
-    from .model import span_key
-
     alignment = align_mentions(gold, pred, mode)
-    matched_by_gold = {id(g) for g in alignment.values()}
+    return _entity_details(
+        gold, unresolved_entities(gold, pred, alignment, definition),
+        _matched_by_gold(alignment))
+
+
+def _entity_details(gold: Document, unresolved: list[Entity],
+                    matched_by_gold: dict[int, Mention]) -> list[dict]:
     details = []
-    for entity in unresolved_entities(gold, pred, mode, definition, alignment):
+    for entity in unresolved:
         mentions = []
         n_undetected = 0
         for mention in entity.mentions:
@@ -316,7 +312,7 @@ def unresolved_entity_details(gold: Document, pred: Document,
                 "sent_index": mention.sent_index,
                 "span": span_key(mention.span),
                 "text": " ".join(t.form for t in mention.span),
-                "type": classify_mention_type(_head(mention, gold)).value,
+                "type": classify_mention_type(mention.head).value,
                 "detected": detected,
             })
         if n_undetected:

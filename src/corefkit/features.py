@@ -3,8 +3,11 @@
 Emits one JSON-lines record per span (gold mentions, or all contiguous
 candidate spans up to a width cap) with the head-derived categorical
 features and the document's language/word-order, plus a TSV vocabulary
-sidecar listing every categorical value that occurs. Heads are syntactic;
-the sidecar header records that choice.
+sidecar listing every categorical value that occurs. Heads follow
+head_rule: syntactic (parent outside the span, the default) or annotated
+(the head resolved at parse time). Candidate spans carry no annotation, so
+their heads are syntactic under either rule. The sidecar header records the
+rule.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .model import Corpus, Document, Mention, Token, mention_head, span_key
+from .model import Corpus, Document, Mention, Token, head_of, span_key
 from .taxonomy import (MentionType, UdCategory, base_relation,
                        classify_mention_type, ud_category)
 
@@ -94,8 +97,7 @@ def extract_span_features(mention: Mention, document: Document,
                           head_rule: str = "syntactic") -> SpanFeatures:
     """Features of a gold mention, computed from its syntactic head (or the
     annotated head when head_rule='annotated')."""
-    head = mention_head(mention, document,
-                        prefer_annotated=head_rule == "annotated")
+    head = head_of(mention, document, head_rule)
     return _features_of_head(head, len(mention.span))
 
 
@@ -107,11 +109,6 @@ def extract_doc_features(document: Document,
             f"no word order configured for language {document.language!r} "
             f"(document {document.doc_id!r})")
     return DocFeatures(language=document.language, word_order=order)
-
-
-def _candidate_head(tokens: list[Token], document: Document) -> Token:
-    mention = Mention(entity_id="", span=tuple(tokens))
-    return mention_head(mention, document, prefer_annotated=False)
 
 
 def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
@@ -134,11 +131,11 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                 n = len(surface)
                 for width in range(1, min(max_width, n) + 1):
                     for start in range(n - width + 1):
-                        tokens = surface[start:start + width]
-                        head = _candidate_head(tokens, document)
-                        features = _features_of_head(head, width)
-                        yield _record(document, sent_index,
-                                      span_key(tuple(tokens)), features,
+                        span = tuple(surface[start:start + width])
+                        head = head_of(Mention("", span), document,
+                                       "syntactic")
+                        yield _record(document, sent_index, span_key(span),
+                                      _features_of_head(head, width),
                                       doc_features, None)
 
 

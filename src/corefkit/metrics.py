@@ -12,7 +12,7 @@ from typing import Hashable, Iterable
 
 from scipy.optimize import linear_sum_assignment
 
-from .model import Document, Mention, mention_head
+from .model import Document, Mention
 
 MATCH_MODES = ("exact", "head")
 SINGLETON_POLICIES = ("include", "exclude")
@@ -107,8 +107,6 @@ def align_mentions(gold: Document, pred: Document,
 
     by_head: dict[tuple[int, int], list[Mention]] = {}
     for mention in gold_mentions:
-        if mention.head is None:
-            mention.head = mention_head(mention, gold)
         by_head.setdefault(mention.head.pos, []).append(mention)
     for mention in sorted(pred_mentions,
                           key=lambda m: (len(m.span), m.start, m.end)):

@@ -7,6 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+HEAD_RULES = ("annotated", "syntactic")
+
+# Parent positions of a node with no parent and of one whose parent id
+# names no node of its sentence.
+ROOT = -1
+UNKNOWN = -2
+
 
 def parse_kv_items(raw: str) -> list[tuple[str, str | None]]:
     """Split a FEATS/MISC column into ordered (name, value) pairs.
@@ -116,11 +123,68 @@ class Sentence:
     sent_id: str | None = None
     text: str | None = None
     _by_index: dict[str, Token] | None = field(default=None, repr=False)
+    _parents: list[int] | None = field(default=None, repr=False)
+    _depths: list[int | None] | None = field(default=None, repr=False)
 
     def token(self, index: str) -> Token | None:
         if self._by_index is None:
             self._by_index = {t.index: t for t in self.tokens}
         return self._by_index.get(index)
+
+    def parents(self) -> list[int]:
+        """Position of each node's parent in this sentence: ROOT when it has
+        none, UNKNOWN when its parent id names no node here."""
+        if self._parents is None:
+            position = {t.index: i for i, t in enumerate(self.tokens)}
+            parents = []
+            for token in self.tokens:
+                parent_id = token.parent_id()
+                parents.append(ROOT if parent_id is None
+                               else position.get(parent_id, UNKNOWN))
+            self._parents = parents
+        return self._parents
+
+    def depth(self, position: int) -> int:
+        """Head-chain hops from the node at position to the root. A chain
+        that meets an unknown parent or runs into a cycle counts as very
+        deep: the hops taken until then plus the number of nodes. Depths
+        are worked out on first use and kept."""
+        depths = self._depths
+        if depths is None:
+            depths = self._depths = [None] * len(self.tokens)
+        known = depths[position]
+        if known is not None:
+            return known
+        parents = self.parents()
+        path: list[int] = []
+        on_path: dict[int, int] = {}
+        current = position
+        while True:
+            on_path[current] = len(path)
+            path.append(current)
+            parent = parents[current]
+            if parent == ROOT:
+                base = 0
+                break
+            if parent == UNKNOWN:
+                base = len(self.tokens)
+                break
+            if depths[parent] is not None:
+                base = depths[parent] + 1
+                break
+            if parent in on_path:
+                # every node of the cycle walks it once before it repeats
+                cycle = path[on_path[parent]:]
+                for node in cycle:
+                    depths[node] = len(cycle) - 1 + len(self.tokens)
+                del path[on_path[parent]:]
+                base = depths[parent] + 1
+                break
+            current = parent
+        for node in reversed(path):
+            depths[node] = base
+            base += 1
+        return depths[position]
 
     def surface_tokens(self) -> list[Token]:
         return [t for t in self.tokens if not t.is_empty]
@@ -198,23 +262,6 @@ class Corpus:
     language: str = ""
 
 
-def _tree_depth(token: Token, sentence: Sentence) -> int:
-    """Number of head-chain hops to the root; cycles count as very deep."""
-    depth = 0
-    seen = {id(token)}
-    current = token
-    while True:
-        parent_id = current.parent_id()
-        if parent_id is None:
-            return depth
-        parent = sentence.token(parent_id)
-        if parent is None or id(parent) in seen:
-            return depth + len(sentence.tokens)
-        seen.add(id(parent))
-        current = parent
-        depth += 1
-
-
 def mention_head(mention: Mention, document: Document,
                  prefer_annotated: bool = True) -> Token:
     """Resolve the head token of a mention.
@@ -234,17 +281,25 @@ def mention_head(mention: Mention, document: Document,
             i = int(annotated)
             if 1 <= i <= len(span):
                 return span[i - 1]
-    in_span = {id(t) for t in span}
-    candidates = []
+    in_span = {(t.sent_index, t.order) for t in span}
+    best = None
     for token in span:
         sentence = document.sentences[token.sent_index]
-        parent_id = token.parent_id()
-        parent = sentence.token(parent_id) if parent_id is not None else None
-        if parent is None or id(parent) not in in_span:
-            candidates.append((_tree_depth(token, sentence), token.pos, token))
-    if not candidates:
-        return span[0]
-    return min(candidates, key=lambda c: (c[0], c[1]))[2]
+        if (token.sent_index, sentence.parents()[token.order]) not in in_span:
+            key = (sentence.depth(token.order), token.sent_index, token.order)
+            if best is None or key < best[0]:
+                best = (key, token)
+    return span[0] if best is None else best[1]
+
+
+def head_of(mention: Mention, document: Document, head_rule: str) -> Token:
+    """The head a ``--head-rule`` picks: the one resolved at parse time for
+    'annotated', the parent-outside-span rule for 'syntactic'."""
+    if head_rule == "annotated":
+        return mention.head
+    if head_rule == "syntactic":
+        return mention_head(mention, document, prefer_annotated=False)
+    raise ValueError(f"unknown head rule {head_rule!r}")
 
 
 def span_parts(span: tuple[Token, ...]) -> list[list[Token]]:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import io
 from copy import copy
 from fractions import Fraction
 
 import pytest
 
 from corefkit import parse_conllu, serialize
-from corefkit.analysis import (HEAD_RULES, MentionVectors, MissingVectorError,
+from corefkit.analysis import (MentionVectors, MissingVectorError,
                                antecedent_category_counts,
                                competing_antecedents, corpus_statistics,
                                distance_moments, entity_size_stats,
@@ -15,7 +16,10 @@ from corefkit.analysis import (HEAD_RULES, MentionVectors, MissingVectorError,
                                mention_type_distribution,
                                moments_to_mean_variance)
 from corefkit.cli import STATISTICS, StatOptions
-from corefkit.model import Corpus, Document, mention_key
+from corefkit.errors import analyze_errors
+from corefkit.features import EXPORT_TARGETS, export_features
+from corefkit.metrics import MATCH_MODES, score_pairs
+from corefkit.model import HEAD_RULES, Corpus, Document, mention_key
 from corefkit.reports import merge_reports
 from corefkit.taxonomy import MentionType, UdCategory
 from conftest import DATA, make_corpus, tok
@@ -357,26 +361,54 @@ def test_all_reports_invariant_under_document_reordering(basic_corpus):
                 == competing_antecedents(reversed_corpus, kind))
 
 
+def _heads_disagree(text=None):
+    """basic.conllu with "The" annotated as head of "The old castle", so
+    the annotated and syntactic rules pick different heads."""
+    text = text or (DATA / "basic.conllu").read_text(encoding="utf-8")
+    return parse_conllu(text.replace("Entity=(e1-thing-3-",
+                                     "Entity=(e1-thing-1-"), language="es")
+
+
+def _corpus_state(corpus):
+    return (serialize(corpus),
+            [{name: copy(getattr(d, name)) for name in Document.__slots__}
+             for d in corpus.documents],
+            [[m.head for m in d.mentions()] for d in corpus.documents])
+
+
 def test_every_statistic_leaves_the_corpus_unchanged():
-    # annotate "The" as head of "The old castle", so the rules disagree
-    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
-    corpus = parse_conllu(text.replace("Entity=(e1-thing-3-",
-                                       "Entity=(e1-thing-1-"))
+    corpus = _heads_disagree()
     vectors = MentionVectors({mention_key(m, d.doc_id): (0.0,)
                               for d in corpus.documents
                               for m in d.mentions()}, 1)
-
-    def state():
-        return (serialize(corpus),
-                [{name: copy(getattr(d, name)) for name in Document.__slots__}
-                 for d in corpus.documents],
-                [[m.head for m in d.mentions()] for d in corpus.documents])
-
-    before = state()
+    before = _corpus_state(corpus)
     for rule in HEAD_RULES:
         for statistic in STATISTICS.values():
             statistic.compute(corpus, StatOptions(rule, vectors=vectors))
-    assert state() == before
+    assert _corpus_state(corpus) == before
+
+
+def test_scoring_errors_and_export_leave_the_corpora_unchanged():
+    gold = _heads_disagree()
+    # the system splits castle/It and misses "La", so error analysis reads
+    # the heads of undetected and of unlinked mentions
+    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
+    pred = _heads_disagree(
+        text.replace("Entity=(e1-thing-1-)", "Entity=(p1-thing-1-)")
+            .replace("Entity=(e10-thing-1-)", "_"))
+    pairs = list(zip(gold.documents, pred.documents))
+    before = (_corpus_state(gold), _corpus_state(pred))
+    for mode in MATCH_MODES:
+        score_pairs(pairs, mode, "include")
+        details = []
+        report = analyze_errors(pairs, mode, details=details)
+        assert report.undetected.n_mentions and report.n_both_detected
+        assert details
+    for target in EXPORT_TARGETS:
+        for rule in HEAD_RULES:
+            export_features(gold, {"es": "SVO"}, io.StringIO(),
+                            io.StringIO(), target, 4, rule)
+    assert (_corpus_state(gold), _corpus_state(pred)) == before
 
 
 def test_merge_reports_pools_counts():

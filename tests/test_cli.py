@@ -110,6 +110,41 @@ def test_analyze_semantic_distance_requires_vectors(capsys):
     assert "--vectors" in err
 
 
+def test_analyze_missing_vectors_same_error_with_jobs(capsys):
+    errs = []
+    for jobs in ("1", "2"):
+        code, _, err = run(capsys, "analyze", str(DATA), "--stat",
+                           "semantic-distance", "--vectors",
+                           str(DATA / "vectors.tsv"), "--jobs", jobs)
+        assert code == 2
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert "missing vectors for 5 mentions: ('pair-doc1', 0, '1')" in errs[0]
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("fixture-doc1\t0\t1,2,3", "expected at least 4 columns, got 3"),
+    ("fixture-doc1\tx\t1,2,3\t1.0\t2.0", "sentence index 'x' is not an "
+                                          "integer"),
+    ("fixture-doc1\t0\t1,2,3\t1.0\tx", "non-numeric component"),
+    ("fixture-doc1\t0\t1,2,3\t1.0\tnan", "non-finite component"),
+    ("fixture-doc1\t0\t1,2,3\t1.0\tinf", "non-finite component"),
+    ("fixture-doc1\t0\t1,2,3\t1.0", "dimension 1 != 2"),
+], ids=["columns", "sentence-index", "non-numeric", "nan", "inf",
+        "dimension"])
+def test_analyze_malformed_vectors_exit_2(tmp_path, capsys, line, problem):
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text("# doc, sentence, span, components\n"
+                       "fixture-doc1\t1\t1\t4.0\t6.0\n" + line + "\n",
+                       encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(DATA / "basic.conllu"),
+                         "--stat", "semantic-distance", "--vectors",
+                         str(vectors))
+    assert code == 2
+    assert out == ""
+    assert err == f"corefkit: error: {vectors}:3: {problem}\n"
+
+
 def test_analyze_by_language_pools(capsys):
     code, out, _ = run(capsys, "analyze", str(DATA), "--stat", "entity-size",
                        "--by-language")

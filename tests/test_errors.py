@@ -9,6 +9,7 @@ from corefkit.errors import (analyze_document, analyze_errors,
                              merge_error_reports, missing_link_profile,
                              two_mention_breakdown, undetected_mentions,
                              undetected_profile, unresolved_entities)
+from corefkit.metrics import align_mentions
 from corefkit.model import Corpus
 from corefkit.taxonomy import MentionType, UdCategory
 from conftest import make_corpus, tok
@@ -20,7 +21,7 @@ def _doc(corpus):
 
 def test_perfect_output_has_no_unresolved(pair_docs):
     gold, _ = pair_docs
-    assert unresolved_entities(gold, gold) == []
+    assert unresolved_entities(gold, gold, align_mentions(gold, gold)) == []
     report = analyze_document(gold, gold)
     assert report.unresolved_pct == 0
     assert report.two_mention_pct is None
@@ -48,8 +49,9 @@ def test_membership_definition_differs(pair_docs):
     gold, pred = pair_docs
     # "it" was matched into a multi-mention system cluster, so under the
     # membership definition the {dog, it} entity counts as touched.
-    assert len(unresolved_entities(gold, pred, definition="links")) == 1
-    assert unresolved_entities(gold, pred, definition="membership") == []
+    alignment = align_mentions(gold, pred)
+    assert len(unresolved_entities(gold, pred, alignment, "links")) == 1
+    assert unresolved_entities(gold, pred, alignment, "membership") == []
 
 
 def test_split_mentions_over_singletons_is_unresolved():
@@ -67,7 +69,7 @@ def test_split_mentions_over_singletons_is_unresolved():
         tok(1, "He", "PRON", 2, "nsubj", misc="Entity=(p2-x-1-)"),
         tok(2, "hid", "VERB", 0, "root"),
     ]))
-    unresolved = unresolved_entities(gold, pred)
+    unresolved = unresolved_entities(gold, pred, align_mentions(gold, pred))
     assert [e.entity_id for e in unresolved] == ["e1"]
 
 
@@ -112,20 +114,22 @@ def _undetected_corpus_pair():
 
 def test_undetected_share_hand_count():
     gold, pred = _undetected_corpus_pair()
-    unresolved = unresolved_entities(gold, pred)
+    alignment = align_mentions(gold, pred)
+    unresolved = unresolved_entities(gold, pred, alignment)
     assert len(unresolved) == 2
     share, two = two_mention_breakdown(unresolved)
     assert share == 1
-    undetected_share, undetected = undetected_mentions(two, gold, pred)
+    undetected_share, undetected = undetected_mentions(two, alignment)
     assert undetected_share == Fraction(3, 4)
     assert len(undetected) == 3
 
 
 def test_all_spans_detected_gives_zero_undetected(pair_docs):
     gold, pred = pair_docs
-    unresolved = unresolved_entities(gold, pred)
+    alignment = align_mentions(gold, pred)
+    unresolved = unresolved_entities(gold, pred, alignment)
     _, two = two_mention_breakdown(unresolved)
-    share, undetected = undetected_mentions(two, gold, pred)
+    share, undetected = undetected_mentions(two, alignment)
     assert share == 0
     assert undetected == []
 
@@ -139,7 +143,7 @@ def test_undetected_profile_single_premodified_mention():
     ])
     document = _doc(corpus)
     (mention,) = document.entities[0].mentions
-    profile = undetected_profile([mention], document)
+    profile = undetected_profile([mention])
     assert profile.short_share == 0
     assert profile.premodified_share == 1
     assert profile.mean_length == 3
@@ -155,7 +159,7 @@ def test_missing_link_same_sentence_bucket_zero():
         tok(4, "Pat", "PROPN", 3, "obj", misc="Entity=(e1-x-1-)"),
     ])
     document = _doc(corpus)
-    profile = missing_link_profile([document.entities[0]], document)
+    profile = missing_link_profile([document.entities[0]])
     assert profile.distance_buckets == {"0": 1}
 
 

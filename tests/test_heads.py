@@ -1,0 +1,141 @@
+"""Per-sentence parent positions and head-chain depths, checked against a
+plain walk to the root on arbitrary trees: cycles, self-loops, heads that
+name no node, empty nodes attached through DEPS, spans across sentences."""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corefkit.model import (ROOT, UNKNOWN, Document, Mention, Sentence,
+                            Token, mention_head)
+from conftest import make_corpus, tok
+
+
+def _reference_depth(token: Token, sentence: Sentence) -> int:
+    """Hops to the root, one walk per call; cycles and unknown parents
+    count as the hops taken plus the number of nodes."""
+    by_index = {t.index: t for t in sentence.tokens}
+    depth = 0
+    seen = {id(token)}
+    current = token
+    while True:
+        parent_id = current.parent_id()
+        if parent_id is None:
+            return depth
+        parent = by_index.get(parent_id)
+        if parent is None or id(parent) in seen:
+            return depth + len(sentence.tokens)
+        seen.add(id(parent))
+        current = parent
+        depth += 1
+
+
+def _reference_head(span: tuple[Token, ...], document: Document) -> Token:
+    """Parent-outside-span rule with one root walk per candidate."""
+    if len(span) == 1:
+        return span[0]
+    in_span = {id(t) for t in span}
+    candidates = []
+    for token in span:
+        sentence = document.sentences[token.sent_index]
+        by_index = {t.index: t for t in sentence.tokens}
+        parent_id = token.parent_id()
+        parent = by_index.get(parent_id) if parent_id is not None else None
+        if parent is None or id(parent) not in in_span:
+            candidates.append((_reference_depth(token, sentence), token.pos,
+                               token))
+    if not candidates:
+        return span[0]
+    return min(candidates, key=lambda c: (c[0], c[1]))[2]
+
+
+def _node(index: str, head: int | None, deps: str, is_empty: bool) -> Token:
+    return Token(index=index, form=index, lemma=index, upos="X", xpos="_",
+                 feats_raw="_", head=head, deprel="dep", deps_raw=deps,
+                 misc_raw="_", is_empty=is_empty)
+
+
+@st.composite
+def sentences(draw) -> list[Token]:
+    """Surface nodes 1..n with an empty node after some of them. Surface
+    heads range over the root, every node, self and ids past the end; empty
+    nodes take their parent from DEPS, which may name an empty node, the
+    root, an unknown id, or nothing."""
+    n = draw(st.integers(1, 7))
+    tokens: list[Token] = []
+    for i in range(1, n + 1):
+        head = draw(st.one_of(st.none(), st.integers(0, n + 2)))
+        tokens.append(_node(str(i), head, "_", False))
+        if draw(st.booleans()):
+            tokens.append(_node(f"{i}.1", None, "", True))
+    ids = [t.index for t in tokens]
+    for token in tokens:
+        if token.is_empty:
+            parent = draw(st.sampled_from(ids + ["0", "9.9", "_"]))
+            token.deps_raw = "_" if parent == "_" else f"{parent}:dep"
+    return tokens
+
+
+@st.composite
+def documents(draw) -> Document:
+    document = Document(doc_id="d", sentences=[
+        Sentence(tokens=draw(sentences()))
+        for _ in range(draw(st.integers(1, 3)))])
+    for sent_index, sentence in enumerate(document.sentences):
+        for order, token in enumerate(sentence.tokens):
+            token.sent_index = sent_index
+            token.order = order
+    return document
+
+
+@settings(max_examples=300)
+@given(documents(), st.randoms(use_true_random=False))
+def test_parents_and_depths_match_a_root_walk(document, random):
+    for sentence in document.sentences:
+        position = {t.index: i for i, t in enumerate(sentence.tokens)}
+        expected = [ROOT if t.parent_id() is None
+                    else position.get(t.parent_id(), UNKNOWN)
+                    for t in sentence.tokens]
+        assert sentence.parents() == expected
+        # depths are filled on demand, so ask in any order
+        order = list(range(len(sentence.tokens)))
+        random.shuffle(order)
+        for i in order:
+            assert sentence.depth(i) == _reference_depth(sentence.tokens[i],
+                                                         sentence)
+
+
+@settings(max_examples=300)
+@given(documents(), st.data())
+def test_syntactic_head_matches_a_root_walk(document, data):
+    flat = [t for s in document.sentences for t in s.tokens]
+    first = len(document.sentences[0].tokens)
+    if first < len(flat) and data.draw(st.booleans()):
+        # a span that runs from the first sentence into a later one
+        start = data.draw(st.integers(0, first - 1))
+        end = data.draw(st.integers(first, len(flat) - 1))
+    else:
+        start = data.draw(st.integers(0, len(flat) - 1))
+        end = data.draw(st.integers(start, len(flat) - 1))
+    span = tuple(flat[start:end + 1])
+    mention = Mention(entity_id="e", span=span, attributes={"head": "1"})
+    assert (mention_head(mention, document, prefer_annotated=False)
+            is _reference_head(span, document))
+
+
+def test_parents_are_looked_up_in_their_own_sentence():
+    # "c" attaches at position 2 of its sentence; position 2 of the first
+    # sentence is in the span, but c's parent is not
+    document = make_corpus([
+        tok(1, "x", "VERB", 0, "root"),
+        tok(2, "y", "NOUN", 1, "obj"),
+        tok(3, "a", "NOUN", 2, "nmod", misc="Entity=(e1-x-"),
+    ], [
+        tok(1, "c", "NOUN", 3, "obj", misc="Entity=e1)"),
+        tok(2, "d", "NOUN", 3, "obj"),
+        tok(3, "v", "VERB", 0, "root"),
+    ]).documents[0]
+    (mention,) = document.entities[0].mentions
+    head = mention_head(mention, document, prefer_annotated=False)
+    assert head.form == "c"
+    assert head is _reference_head(mention.span, document)
