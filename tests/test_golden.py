@@ -1,4 +1,5 @@
-"""Byte-for-byte snapshots of the `analyze` and `stats` reports.
+"""Byte-for-byte snapshots of the `analyze`, `stats`, `score` and `errors`
+reports.
 
 Each case runs the command line in-process on the fixtures and compares its
 stdout with a file under tests/data/golden/. After a deliberate change to a
@@ -29,7 +30,9 @@ ALL_STATS = tuple(arg for stat in (
 # Snapshot name -> arguments. "{data}" is tests/data (datasets basic and
 # en_pairset, the latter in two files); "{release}" holds two datasets of
 # one language, xx_alpha and xx_gamma, each a copy of basic.conllu, which
-# the vectors file covers.
+# the vectors file covers. "{gold}" and "{pred}" pair two datasets:
+# en_pairset from tests/data/score, and xx_alpha (basic.conllu) scored
+# against itself, so that the macro and average rows pool two datasets.
 CASES = {
     "analyze.tsv": ("analyze", "{data}"),
     "analyze.json": ("analyze", "{data}", "--format", "json"),
@@ -54,20 +57,49 @@ CASES = {
         "--figure-data", *ALL_STATS),
     "stats.tsv": ("stats", "{data}"),
     "stats.json": ("stats", "{data}", "--format", "json"),
+    "score-exact-exclude.tsv": ("score", "--gold", "{gold}", "--pred",
+                                "{pred}"),
+    "score-exact-exclude.json": ("score", "--gold", "{gold}", "--pred",
+                                 "{pred}", "--format", "json"),
+    "score-head-include.tsv": ("score", "--gold", "{gold}", "--pred",
+                               "{pred}", "--match", "head",
+                               "--singletons", "include"),
+    "score-head-include.json": ("score", "--gold", "{gold}", "--pred",
+                                "{pred}", "--match", "head",
+                                "--singletons", "include", "--format",
+                                "json"),
+    "errors-exact-links.tsv": ("errors", "--gold", "{gold}", "--pred",
+                               "{pred}", "--detail"),
+    "errors-exact-links.json": ("errors", "--gold", "{gold}", "--pred",
+                                "{pred}", "--detail", "--format", "json"),
+    "errors-head-membership.tsv": ("errors", "--gold", "{gold}", "--pred",
+                                   "{pred}", "--detail", "--mode", "head",
+                                   "--definition", "membership"),
+    "errors-head-membership.json": ("errors", "--gold", "{gold}", "--pred",
+                                    "{pred}", "--detail", "--mode", "head",
+                                    "--definition", "membership",
+                                    "--format", "json"),
 }
 
 
-def make_release(root: Path) -> Path:
+def make_inputs(root: Path) -> dict[str, Path]:
+    """The placeholders of CASES, built under root."""
     basic = (DATA / "basic.conllu").read_bytes()
+    release = root / "release"
     for dataset in ("xx_alpha", "xx_gamma"):
-        directory = root / f"CorefUD_{dataset}"
+        directory = release / f"CorefUD_{dataset}"
         directory.mkdir(parents=True)
         (directory / f"{dataset}-corefud-train.conllu").write_bytes(basic)
-    return root
+    gold, pred = root / "gold", root / "pred"
+    shutil.copytree(DATA / "score" / "gold", gold)
+    shutil.copytree(DATA / "score" / "pred", pred)
+    (gold / "xx_alpha-corefud-dev.conllu").write_bytes(basic)
+    (pred / "xx_alpha.conllu").write_bytes(basic)
+    return dict(data=DATA, release=release, gold=gold, pred=pred)
 
 
-def run(args: tuple[str, ...], release: Path) -> bytes:
-    argv = [a.format(data=DATA, release=release) for a in args]
+def run(args: tuple[str, ...], inputs: dict[str, Path]) -> bytes:
+    argv = [a.format(**inputs) for a in args]
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv)
@@ -76,20 +108,20 @@ def run(args: tuple[str, ...], release: Path) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def release(tmp_path_factory):
-    return make_release(tmp_path_factory.mktemp("release"))
+def inputs(tmp_path_factory):
+    return make_inputs(tmp_path_factory.mktemp("inputs"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_snapshot(name, release):
-    assert run(CASES[name], release) == (GOLDEN / name).read_bytes()
+def test_report_matches_snapshot(name, inputs):
+    assert run(CASES[name], inputs) == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", ["figure-data.tsv",
                                   "figure-data-release-by-language.tsv"])
-def test_analyze_jobs_do_not_change_output(name, release):
+def test_analyze_jobs_do_not_change_output(name, inputs):
     args = CASES[name]
-    assert run(args + ("--jobs", "2"), release) == run(args, release)
+    assert run(args + ("--jobs", "2"), inputs) == run(args, inputs)
 
 
 if __name__ == "__main__":
@@ -97,7 +129,7 @@ if __name__ == "__main__":
     scratch = Path(tempfile.mkdtemp())
     try:
         for name, args in CASES.items():
-            release = make_release(scratch / name)
-            (GOLDEN / name).write_bytes(run(args, release))
+            inputs = make_inputs(scratch / name)
+            (GOLDEN / name).write_bytes(run(args, inputs))
     finally:
         shutil.rmtree(scratch)
