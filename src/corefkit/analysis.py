@@ -281,6 +281,8 @@ class MissingVectorError(KeyError):
         # rebuilt from its keys, not its message, when it leaves a worker
         return type(self), (self.keys,)
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 @dataclass
 class MentionVectors:

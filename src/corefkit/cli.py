@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import analysis, errors, features, metrics, taxonomy
 from .conllu import ParseError, parse_file
@@ -342,40 +342,21 @@ def cmd_analyze(args) -> int:
 
 # ------------------------------------------------------------------- score
 
-def _document_pairs(name: str, gold_files: DatasetFiles,
-                    pred_files: DatasetFiles):
-    gold = gold_files.load()
-    pred = pred_files.load()
-    pred_docs = {d.doc_id: d for d in pred.documents}
-    if len(pred_docs) != len(pred.documents):
-        raise CliError(f"{name}: duplicate doc ids in system output")
-    pairs = []
-    for document in gold.documents:
-        match = pred_docs.pop(document.doc_id, None)
-        if match is None:
-            raise CliError(f"{name}: system output misses document "
-                           f"{document.doc_id!r}")
-        pairs.append((document, match))
-    if pred_docs:
-        extra = next(iter(pred_docs))
-        raise CliError(f"{name}: system output has unknown document "
-                       f"{extra!r}")
-    return pairs
-
-
-def cmd_score(args) -> int:
+def _dataset_pairs(args) -> Iterator[tuple[str, list]]:
+    """(dataset, its (gold, system) document pairs) for each dataset that
+    --gold and --pred share, loading one dataset at a time."""
     paired = pair_datasets(_existing(args.gold), _existing(args.pred),
                            args.split)
     if not paired:
         raise CliError("no dataset names shared between --gold and --pred")
-    rows = []
     for name, gold_files, pred_files in paired:
-        pairs = _document_pairs(name, gold_files, pred_files)
-        try:
-            report = metrics.score_pairs(pairs, args.match, args.singletons)
-        except metrics.AlignmentError as exc:
-            raise CliError(str(exc)) from exc
-        rows.append((name, report))
+        yield name, metrics.document_pairs(gold_files.load(),
+                                           pred_files.load())
+
+
+def cmd_score(args) -> int:
+    rows = [(name, metrics.score_pairs(pairs, args.match, args.singletons))
+            for name, pairs in _dataset_pairs(args)]
     macro = metrics.macro_average([r.conll_f1 for _, r in rows])
 
     if args.format == "json":
@@ -409,28 +390,12 @@ _ERROR_COLUMNS = ("unresolved_pct", "two_mention_pct", "undetected_pct",
 
 
 def cmd_errors(args) -> int:
-    paired = pair_datasets(_existing(args.gold), _existing(args.pred),
-                           args.split)
-    if not paired:
-        raise CliError("no dataset names shared between --gold and --pred")
     want_detail = args.detail or bool(args.out)
-    reports = []
-    details = []
-    for name, gold_files, pred_files in paired:
-        pairs = _document_pairs(name, gold_files, pred_files)
-        try:
-            report = errors.analyze_errors(
-                pairs, args.mode, args.definition, dataset=name,
-                details=details if want_detail else None)
-        except metrics.AlignmentError as exc:
-            raise CliError(str(exc)) from exc
-        reports.append(report)
-
-    def cell(report, column):
-        value = getattr(report, column)
-        if column == "mean_undetected_length":
-            return "n/a" if value is None else f"{float(value):.2f}"
-        return _pct(value)
+    details: list[dict] = []
+    reports = [errors.analyze_errors(pairs, args.mode, args.definition,
+                                     dataset=name,
+                                     details=details if want_detail else None)
+               for name, pairs in _dataset_pairs(args)]
 
     if args.format == "json":
         payload = [dict(dataset=r.dataset,
@@ -449,7 +414,7 @@ def cmd_errors(args) -> int:
         lines = ["dataset\t" + "\t".join(_ERROR_COLUMNS)]
         for report in reports:
             lines.append(report.dataset + "\t" + "\t".join(
-                cell(report, c) for c in _ERROR_COLUMNS))
+                _pct(getattr(report, c)) for c in _ERROR_COLUMNS))
         averages = []
         for column in _ERROR_COLUMNS:
             values = [getattr(r, column) for r in reports
@@ -607,10 +572,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("export-features requires --out")
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"corefkit: error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, analysis.MissingVectorError, features.WordOrderError,
+    except (CliError, ParseError, metrics.AlignmentError,
+            analysis.MissingVectorError, features.WordOrderError,
             OSError) as exc:
         print(f"corefkit: error: {exc}", file=sys.stderr)
         return 2

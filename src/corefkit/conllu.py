@@ -138,6 +138,8 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                 filename, line_no)
         if sentence is None:
             sentence = Sentence()
+        if not sentence.first_line:
+            sentence.first_line = line_no
         index = cols[0]
         if index.isdigit() and index.isascii() and index[0] != "0":
             if int(index) != prev_surface + 1:
@@ -218,9 +220,21 @@ def entity_field_layout(document: Document) -> tuple[str, ...]:
     return DEFAULT_ENTITY_FIELDS
 
 
+def _line(document: Document, token: Token) -> int:
+    """File line of a node: its sentence's first node line plus the node
+    and range lines before it; 0 when the sentence has no recorded line."""
+    sentence = document.sentences[token.sent_index]
+    if not sentence.first_line:
+        return 0
+    ranges = sum(1 for offset, _ in sentence.mwt_ranges
+                 if offset <= token.order)
+    return sentence.first_line + token.order + ranges
+
+
 def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
     """Decode Entity bracket annotations into entities with merged
-    discontinuous mentions. Raises ParseError on unbalanced annotation."""
+    discontinuous mentions. Raises ParseError on unbalanced annotation,
+    naming the line of the token whose bracket is at fault."""
     layout = entity_field_layout(document)
     if not layout or layout[0] != "eid":
         raise ParseError(
@@ -245,7 +259,7 @@ def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
                 raise ParseError(
                     f"malformed Entity annotation {value!r} on token "
                     f"{token.index} (sentence {token.sent_index + 1})",
-                    filename)
+                    filename, _line(document, token))
             consumed = match.end()
             both, opened, closed = match.groups()
             if both is not None or opened is not None:
@@ -263,14 +277,25 @@ def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
                 if not stack:
                     raise ParseError(
                         f"Entity close {bracket_id!r} without matching open "
-                        f"(sentence {token.sent_index + 1})", filename)
+                        f"(sentence {token.sent_index + 1})",
+                        filename, _line(document, token))
                 start_pos, attributes = stack.pop()
-                raw_parts.append(_part(bracket_id, start_pos, flat_pos,
-                                       attributes, filename))
+                eid, part_i, part_n = bracket_id, None, None
+                if suffix := _PART_SUFFIX.match(bracket_id):
+                    eid, part_i, part_n = (suffix.group(1),
+                                           int(suffix.group(2)),
+                                           int(suffix.group(3)))
+                    if not 1 <= part_i <= part_n:
+                        raise ParseError(
+                            f"invalid part index in {bracket_id!r}",
+                            filename, _line(document, token))
+                raw_parts.append((eid, part_i, part_n, start_pos, flat_pos,
+                                  attributes))
         if consumed != len(value):
             raise ParseError(
                 f"malformed Entity annotation {value!r} on token "
-                f"{token.index} (sentence {token.sent_index + 1})", filename)
+                f"{token.index} (sentence {token.sent_index + 1})",
+                filename, _line(document, token))
 
     for bracket_id, stack in open_stacks.items():
         if stack:
@@ -278,25 +303,16 @@ def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
             raise ParseError(
                 f"unbalanced Entity bracket {bracket_id!r} opened in "
                 f"sentence {flat[start_pos].sent_index + 1} never closed "
-                f"before end of document {document.doc_id!r}", filename)
+                f"before end of document {document.doc_id!r}",
+                filename, _line(document, flat[start_pos]))
 
     return _assemble_entities(document, flat, raw_parts, filename)
-
-
-def _part(bracket_id: str, start: int, end: int, attributes: dict[str, str],
-          filename: str):
-    match = _PART_SUFFIX.match(bracket_id)
-    if match:
-        base, part_i, part_n = match.group(1), int(match.group(2)), int(match.group(3))
-        if not 1 <= part_i <= part_n:
-            raise ParseError(f"invalid part index in {bracket_id!r}", filename)
-        return (base, part_i, part_n, start, end, attributes)
-    return (bracket_id, None, None, start, end, attributes)
 
 
 def _assemble_entities(document: Document, flat: list[Token], raw_parts,
                        filename: str) -> list[Entity]:
     # Parts complete in close order; discontinuous parts must arrive 1..n.
+    # An error names the line of the token closing the part at fault.
     mentions: dict[str, list[Mention]] = {}
     pending: dict[str, tuple[int, int, list[Token], dict[str, str]]] = {}
 
@@ -312,14 +328,14 @@ def _assemble_entities(document: Document, flat: list[Token], raw_parts,
                 raise ParseError(
                     f"unmatched part indices for entity {eid!r}: new mention "
                     f"starts while part {pending[eid][0]}/{pending[eid][1]} "
-                    f"is expected", filename)
+                    f"is expected", filename, _line(document, flat[end]))
             pending[eid] = (2, part_n, list(span_tokens), attributes)
         else:
             state = pending.get(eid)
             if state is None or state[0] != part_i or state[1] != part_n:
                 raise ParseError(
                     f"unmatched part indices for entity {eid!r}: got part "
-                    f"{part_i}/{part_n}", filename)
+                    f"{part_i}/{part_n}", filename, _line(document, flat[end]))
             state[2].extend(span_tokens)
             pending[eid] = (part_i + 1, part_n, state[2], state[3])
         if part_i == part_n:
@@ -332,7 +348,8 @@ def _assemble_entities(document: Document, flat: list[Token], raw_parts,
     for eid, state in pending.items():
         raise ParseError(
             f"unmatched part indices for entity {eid!r}: parts after "
-            f"{state[0] - 1}/{state[1]} missing at end of document", filename)
+            f"{state[0] - 1}/{state[1]} missing at end of document",
+            filename, _line(document, state[2][-1]))
 
     entities = []
     for eid, entity_mentions in mentions.items():

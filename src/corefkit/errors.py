@@ -8,7 +8,7 @@ and what relates the two mentions when both were detected but left unlinked.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -235,6 +235,16 @@ class ErrorReport:
     def mean_undetected_length(self) -> Fraction | None:
         return self.undetected.mean_length
 
+    def __add__(self, other: "ErrorReport") -> "ErrorReport":
+        """Pooled report, labelled like this one."""
+        return replace(
+            self, n_entities=self.n_entities + other.n_entities,
+            n_unresolved=self.n_unresolved + other.n_unresolved,
+            n_two_mention=self.n_two_mention + other.n_two_mention,
+            n_both_detected=self.n_both_detected + other.n_both_detected,
+            undetected=self.undetected + other.undetected,
+            missing_links=self.missing_links + other.missing_links)
+
 
 def analyze_document(gold: Document, pred: Document, mode: str = "exact",
                      definition: str = "links",
@@ -261,32 +271,15 @@ def analyze_document(gold: Document, pred: Document, mode: str = "exact",
         missing_links=missing_link_profile(both_detected))
 
 
-def merge_error_reports(reports: Iterable[ErrorReport],
-                        dataset: str = "") -> ErrorReport:
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no error reports to merge")
-    merged = ErrorReport(dataset or reports[0].dataset,
-                         reports[0].match_mode, reports[0].definition)
-    for report in reports:
-        merged.n_entities += report.n_entities
-        merged.n_unresolved += report.n_unresolved
-        merged.n_two_mention += report.n_two_mention
-        merged.n_both_detected += report.n_both_detected
-        merged.undetected = merged.undetected + report.undetected
-        merged.missing_links = merged.missing_links + report.missing_links
-    return merged
-
-
 def analyze_errors(pairs: Iterable[tuple[Document, Document]],
                    mode: str = "exact", definition: str = "links",
                    dataset: str = "",
                    details: list[dict] | None = None) -> ErrorReport:
-    """Aggregate the error analysis over aligned document pairs, appending
-    per-entity detail records to details when it is given."""
-    return merge_error_reports(
-        [analyze_document(g, p, mode, definition, details) for g, p in pairs],
-        dataset=dataset)
+    """Pool the error analysis of aligned document pairs into one report
+    labelled with dataset, appending per-entity detail records to details
+    when it is given. No pairs give an empty report."""
+    return sum((analyze_document(g, p, mode, definition, details)
+                for g, p in pairs), ErrorReport(dataset, mode, definition))
 
 
 def unresolved_entity_details(gold: Document, pred: Document,

@@ -59,6 +59,8 @@ class DocFeatures:
 class WordOrderError(KeyError):
     """A document's language has no word-order entry."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 def load_word_order_table(path: str | Path) -> dict[str, str]:
     """Read the two-column (language, order) TSV; '#' lines are comments."""

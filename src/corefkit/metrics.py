@@ -8,11 +8,12 @@ assignment, not a greedy approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Hashable, Iterable
 
 from scipy.optimize import linear_sum_assignment
 
-from .model import Document, Mention
+from .model import Corpus, Document, Mention
 
 MATCH_MODES = ("exact", "head")
 SINGLETON_POLICIES = ("include", "exclude")
@@ -20,6 +21,30 @@ SINGLETON_POLICIES = ("include", "exclude")
 
 class AlignmentError(ValueError):
     """Gold and system documents cannot be aligned."""
+
+
+def document_pairs(gold: Corpus,
+                   pred: Corpus) -> list[tuple[Document, Document]]:
+    """(gold, system) documents of one dataset paired by doc id, in gold
+    order. Every gold document needs exactly one system document and every
+    system document a gold one; otherwise AlignmentError names the first
+    that does not pair."""
+    name = gold.dataset
+    pred_docs = {d.doc_id: d for d in pred.documents}
+    if len(pred_docs) != len(pred.documents):
+        raise AlignmentError(f"{name}: duplicate doc ids in system output")
+    pairs = []
+    for document in gold.documents:
+        match = pred_docs.pop(document.doc_id, None)
+        if match is None:
+            raise AlignmentError(f"{name}: system output misses document "
+                                 f"{document.doc_id!r}")
+        pairs.append((document, match))
+    if pred_docs:
+        extra = next(iter(pred_docs))
+        raise AlignmentError(f"{name}: system output has unknown document "
+                             f"{extra!r}")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -230,23 +255,6 @@ def macro_average(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
-@dataclass
-class _Accumulator:
-    p_num: float = 0.0
-    p_den: float = 0.0
-    r_num: float = 0.0
-    r_den: float = 0.0
-
-    def add(self, counts: tuple) -> None:
-        self.p_num += counts[0]
-        self.p_den += counts[1]
-        self.r_num += counts[2]
-        self.r_den += counts[3]
-
-    def scores(self) -> Scores:
-        return _prf(self.p_num, self.p_den, self.r_num, self.r_den)
-
-
 def remapped_cluster_set(gold: Document, pred: Document, mode: str,
                          singleton_policy: str,
                          ) -> tuple[ClusterSet, ClusterSet]:
@@ -282,13 +290,16 @@ def remapped_cluster_set(gold: Document, pred: Document, mode: str,
 def score_pairs(pairs: Iterable[tuple[Document, Document]],
                 mode: str = "exact",
                 singleton_policy: str = "exclude") -> ScoreReport:
-    """Score aligned (gold, system) document pairs, pooling counts."""
-    acc = {"muc": _Accumulator(), "b3": _Accumulator(), "ceafe": _Accumulator()}
+    """Score aligned (gold, system) document pairs, summing the MUC, B³ and
+    CEAFe counts of every pair before computing the scores."""
+    totals = [(0.0, 0.0, 0.0, 0.0)] * 3
     for gold, pred in pairs:
         gold_set, pred_set = remapped_cluster_set(gold, pred, mode,
                                                   singleton_policy)
-        acc["muc"].add(muc_counts(gold_set, pred_set))
-        acc["b3"].add(b_cubed_counts(gold_set, pred_set))
-        acc["ceafe"].add(ceafe_counts(gold_set, pred_set))
-    return ScoreReport(acc["muc"].scores(), acc["b3"].scores(),
-                       acc["ceafe"].scores(), mode, singleton_policy)
+        counts = (muc_counts(gold_set, pred_set),
+                  b_cubed_counts(gold_set, pred_set),
+                  ceafe_counts(gold_set, pred_set))
+        totals = [tuple(map(add, total, part))
+                  for total, part in zip(totals, counts)]
+    return ScoreReport(*(_prf(*total) for total in totals), mode,
+                       singleton_policy)

@@ -122,6 +122,7 @@ class Sentence:
     mwt_ranges: list[tuple[int, tuple[str, ...]]] = field(default_factory=list)
     sent_id: str | None = None
     text: str | None = None
+    first_line: int = 0  # file line of the first node line; 0 if unknown
     _by_index: dict[str, Token] | None = field(default=None, repr=False)
     _parents: list[int] | None = field(default=None, repr=False)
     _depths: list[int | None] | None = field(default=None, repr=False)

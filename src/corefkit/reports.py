@@ -1,7 +1,8 @@
 """Tabular statistic reports with exact rational values.
 
 Every percentage keeps its numerator and denominator so reports can be
-merged across datasets (language-level views) without rounding drift.
+pooled with + across datasets (language-level views) without rounding
+drift.
 """
 from __future__ import annotations
 
@@ -85,32 +86,17 @@ class DatasetReport:
         return [(row.key, row.rendered()) for row in self.rows]
 
     def __add__(self, other: "DatasetReport") -> "DatasetReport":
-        """Pooled report (see merge_reports), labelled like this one."""
-        return merge_reports([self, other], dataset=self.dataset)
-
-
-def merge_reports(reports: list[DatasetReport],
-                  dataset: str = "all") -> DatasetReport:
-    """Sum matching rows across reports; row order follows the first report.
-
-    Count rows add numerators; ratio rows add numerators and denominators,
-    so the merged value is the pooled (not averaged) statistic.
-    """
-    if not reports:
-        raise ValueError("no reports to merge")
-    merged: dict[str, StatRow] = {}
-    order: list[str] = []
-    for report in reports:
-        for row in report.rows:
-            if row.key not in merged:
-                merged[row.key] = row
-                order.append(row.key)
-            else:
-                prev = merged[row.key]
-                if prev.kind != row.kind:
-                    raise ValueError(f"row {row.key!r} has mixed kinds")
-                merged[row.key] = StatRow(
-                    row.key, prev.numerator + row.numerator,
-                    prev.denominator + row.denominator, row.kind)
-    return DatasetReport(dataset=dataset, statistic=reports[0].statistic,
-                         rows=[merged[key] for key in order])
+        """Pooled report, labelled like this one. Reports of one statistic
+        have the same rows in the same order: count rows add numerators,
+        ratio rows add numerators and denominators, so the pooled value is
+        the pooled (not averaged) statistic."""
+        rows = []
+        for mine, theirs in zip(self.rows, other.rows, strict=True):
+            if (mine.key, mine.kind) != (theirs.key, theirs.kind):
+                raise ValueError(f"cannot pool row {theirs.key!r} "
+                                 f"({theirs.kind}) into {mine.key!r} "
+                                 f"({mine.kind})")
+            rows.append(StatRow(mine.key, mine.numerator + theirs.numerator,
+                                mine.denominator + theirs.denominator,
+                                mine.kind))
+        return DatasetReport(self.dataset, self.statistic, rows)

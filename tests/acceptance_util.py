@@ -2,9 +2,10 @@
 
 Corpus-gated criteria read the public data roots from environment
 variables; everything here degrades to pytest.skip with download
-instructions when a root is missing. Per-file partial results are computed
-in a process pool and merged per dataset, so the large releases stay
-memory-bounded and wall time stays low.
+instructions when a root is missing. Statistics are computed per file in a
+process pool and pooled per dataset, so the large releases stay
+memory-bounded and wall time stays low; error analyses pair the gold and
+system documents of one dataset per worker.
 """
 from __future__ import annotations
 
@@ -18,9 +19,9 @@ import pytest
 from corefkit import analysis
 from corefkit.cli import (STATISTICS, StatOptions, SumsByKey, pool,
                           pool_groups)
-from corefkit.conllu import parse_file
 from corefkit.corpora import discover_datasets, pair_datasets
-from corefkit.errors import analyze_errors, merge_error_reports
+from corefkit.errors import analyze_errors
+from corefkit.metrics import document_pairs
 
 COREFUD_ENV = "COREFUD_DATA"
 CRAC22_GOLD_ENV = "CRAC22_GOLD"
@@ -114,18 +115,9 @@ def by_language(per_dataset: dict[str, dict], key: str) -> dict[str, object]:
 
 
 def _error_task(task):
-    gold_path, pred_path, name, language, mode = task
-    gold = parse_file(Path(gold_path), dataset=name, language=language)
-    pred = parse_file(Path(pred_path), dataset=name, language=language)
-    pred_docs = {d.doc_id: d for d in pred.documents}
-    pairs = []
-    for document in gold.documents:
-        match = pred_docs.get(document.doc_id)
-        if match is None:
-            raise AssertionError(f"{name}: system output misses document "
-                                 f"{document.doc_id!r}")
-        pairs.append((document, match))
-    return analyze_errors(pairs, mode=mode, dataset=name)
+    gold_files, pred_files, mode = task
+    pairs = document_pairs(gold_files.load(), pred_files.load())
+    return analyze_errors(pairs, mode=mode, dataset=gold_files.name)
 
 
 def system_error_reports(system_env: str, mode: str) -> dict[str, object]:
@@ -139,20 +131,9 @@ def system_error_reports(system_env: str, mode: str) -> dict[str, object]:
     if not paired:
         pytest.skip(f"no dataset names shared between {CRAC22_GOLD_ENV} "
                     f"and {system_env}")
-    tasks = []
-    for name, gold_files, pred_files in paired:
-        assert len(gold_files.files) == len(pred_files.files), \
-            f"{name}: {len(gold_files.files)} gold files vs " \
-            f"{len(pred_files.files)} system files"
-        for gold_path, pred_path in zip(sorted(gold_files.files),
-                                        sorted(pred_files.files)):
-            tasks.append((str(gold_path), str(pred_path), name,
-                          gold_files.language, mode))
+    tasks = [(gold_files, pred_files, mode)
+             for _, gold_files, pred_files in paired]
     with ProcessPoolExecutor(max_workers=jobs()) as pool:
-        results = list(pool.map(_error_task, tasks))
-    by_dataset: dict[str, list] = {}
-    for report in results:
-        by_dataset.setdefault(report.dataset, []).append(report)
-    _cache[cache_key] = {name: merge_error_reports(parts, dataset=name)
-                         for name, parts in by_dataset.items()}
+        _cache[cache_key] = {report.dataset: report
+                             for report in pool.map(_error_task, tasks)}
     return _cache[cache_key]

@@ -13,6 +13,7 @@ import pytest
 
 import acceptance_util as util
 from corefkit.analysis import genre_rates
+from corefkit.metrics import AlignmentError
 from corefkit.taxonomy import MentionType
 from conftest import DATA, tok
 
@@ -100,6 +101,18 @@ def test_system_error_reports_pipeline(synthetic_release):
     assert report.unresolved_pct == Fraction(50)
     head_mode = util.system_error_reports(util.CRAC22_BASELINE_ENV, "head")
     assert head_mode["en_pairset"].n_entities == 2
+
+
+def test_system_error_reports_reject_an_extra_document(synthetic_release,
+                                                      tmp_path, monkeypatch):
+    pred = (DATA / "score" / "pred" / "en_pairset.conllu") \
+        .read_text(encoding="utf-8")
+    (tmp_path / "en_pairset.conllu").write_text(
+        pred + pred.replace("pair-doc1", "pair-doc2"), encoding="utf-8")
+    monkeypatch.setenv(util.CRAC22_BASELINE_ENV, str(tmp_path))
+    with pytest.raises(AlignmentError, match="^en_pairset: system output "
+                       "has unknown document 'pair-doc2'$"):
+        util.system_error_reports(util.CRAC22_BASELINE_ENV, "exact")
 
 
 def test_data_root_skips_without_env(monkeypatch):

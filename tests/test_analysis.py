@@ -20,7 +20,6 @@ from corefkit.errors import analyze_errors
 from corefkit.features import EXPORT_TARGETS, export_features
 from corefkit.metrics import MATCH_MODES, score_pairs
 from corefkit.model import HEAD_RULES, Corpus, Document, mention_key
-from corefkit.reports import merge_reports
 from corefkit.taxonomy import MentionType, UdCategory
 from conftest import DATA, make_corpus, tok
 
@@ -411,7 +410,7 @@ def test_scoring_errors_and_export_leave_the_corpora_unchanged():
     assert (_corpus_state(gold), _corpus_state(pred)) == before
 
 
-def test_merge_reports_pools_counts():
+def test_report_addition_pools_counts():
     corpus_a = make_corpus([
         tok(1, "old", "ADJ", 2, "amod", misc="Entity=(e1-x-2-"),
         tok(2, "walls", "NOUN", 0, "root", misc="Entity=e1)"),
@@ -420,7 +419,10 @@ def test_merge_reports_pools_counts():
         tok(1, "walls", "NOUN", 0, "root", misc="Entity=(e1-x-1-"),
         tok(2, "everywhere", "ADV", 1, "advmod", misc="Entity=e1)"),
     ])
-    merged = merge_reports([head_position_stats(corpus_a),
-                            head_position_stats(corpus_b)], dataset="xx")
-    assert merged.value("premodified_of_multitoken") == Fraction(50)
-    assert merged.row("premodified_of_multitoken").denominator == 2
+    report_a = head_position_stats(corpus_a)
+    pooled = report_a + head_position_stats(corpus_b)
+    assert pooled.dataset == report_a.dataset
+    assert pooled.value("premodified_of_multitoken") == Fraction(50)
+    assert pooled.row("premodified_of_multitoken").denominator == 2
+    with pytest.raises(ValueError, match="cannot pool row"):
+        report_a + mention_type_distribution(corpus_b)

@@ -119,7 +119,11 @@ def test_analyze_missing_vectors_same_error_with_jobs(capsys):
         assert code == 2
         errs.append(err)
     assert errs[0] == errs[1]
-    assert "missing vectors for 5 mentions: ('pair-doc1', 0, '1')" in errs[0]
+    assert errs[0] == (
+        "corefkit: error: missing vectors for 5 mentions: "
+        "('pair-doc1', 0, '1'), ('pair-doc1', 1, '1'), "
+        "('pair-doc1', 2, '2,3'), ('pair-doc1', 0, '3,4'), "
+        "('pair-doc1', 2, '5')\n")
 
 
 @pytest.mark.parametrize("line, problem", [
@@ -211,6 +215,42 @@ def test_errors_tsv_and_detail(tmp_path, capsys):
     assert detail[0]["diagnosis"] == "missing_link"
 
 
+def test_errors_on_a_dataset_without_documents(tmp_path, capsys):
+    for side in ("gold", "pred"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "xx_empty.conllu").write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "errors", "--gold", str(tmp_path / "gold"),
+                         "--pred", str(tmp_path / "pred"), "--detail")
+    assert (code, err) == (0, "")
+    assert out == ("dataset\tunresolved_pct\ttwo_mention_pct\tundetected_pct"
+                   "\tshort_pct\tpremodified_pct\tmean_undetected_length\n"
+                   "xx_empty" + "\tn/a" * 6 + "\n"
+                   "average" + "\tn/a" * 6 + "\n"
+                   "[]\n")
+
+
+@pytest.mark.parametrize("command", ["score", "errors"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda pred: "", "en_pairset: system output misses document 'pair-doc1'"),
+    (lambda pred: pred + pred.replace("pair-doc1", "pair-doc2"),
+     "en_pairset: system output has unknown document 'pair-doc2'"),
+    (lambda pred: pred + pred,
+     "en_pairset: duplicate doc ids in system output"),
+    (lambda pred: pred.partition("# sent_id = pair-s3")[0],
+     "sentence segmentation differs in document 'pair-doc1': "
+     "3 sentences vs 2"),
+], ids=["missing", "unknown", "duplicate", "sentences"])
+def test_unpaired_documents_exit_2(tmp_path, capsys, command, edit,
+                                   message):
+    pred = (DATA / "score" / "pred" / "en_pairset.conllu") \
+        .read_text(encoding="utf-8")
+    (tmp_path / "en_pairset.conllu").write_text(edit(pred), encoding="utf-8")
+    code, out, err = run(capsys, command, "--gold", GOLD_DIR,
+                         "--pred", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"corefkit: error: {message}\n"
+
+
 def test_export_features_requires_out(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["export-features", GOLD_DIR, "--word-order",
@@ -236,7 +276,8 @@ def test_export_features_unknown_language_exits_2(tmp_path, capsys):
                        "--word-order", str(table), "--out",
                        str(tmp_path / "out"))
     assert code == 2
-    assert "en_pairset".split("_")[0] in err
+    assert err == ("corefkit: error: no word order configured for language "
+                   "'en' (document 'pair-doc1')\n")
 
 
 def test_taxonomy_dump(capsys):

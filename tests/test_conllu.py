@@ -156,6 +156,49 @@ def test_error_names_file_and_line(tmp_path):
     assert "bad.conllu:1" in str(excinfo.value)
 
 
+# The file puts token 1 of sentence 1 on line 3, token 1 of sentence 2 on
+# line 9 (after the range line 8) and its token 3 on line 12 (after the
+# empty node on line 11); misc maps "s<sentence>-<token>" to an Entity value.
+@pytest.mark.parametrize("misc, line, message", [
+    ({"s2-3": "(e1-x-1-)junk"}, 12,
+     "malformed Entity annotation '(e1-x-1-)junk' on token 3 (sentence 2)"),
+    ({"s2-3": "e9)"}, 12,
+     "Entity close 'e9' without matching open (sentence 2)"),
+    ({"s2-1": "(e1-x-1-"}, 9,
+     "unbalanced Entity bracket 'e1' opened in sentence 2 never closed "
+     "before end of document 'd1'"),
+    ({"s2-3": "(e1[3/2]-x-1-)"}, 12, "invalid part index in 'e1[3/2]'"),
+    ({"s2-3": "(e1[2/2]-x-1-)"}, 12,
+     "unmatched part indices for entity 'e1': got part 2/2"),
+    ({"s1-1": "(e1[1/2]-x-1-)", "s2-3": "(e1[1/2]-x-1-)"}, 12,
+     "unmatched part indices for entity 'e1': new mention starts while "
+     "part 2/2 is expected"),
+    ({"s1-1": "(e1[1/2]-x-1-)"}, 3,
+     "unmatched part indices for entity 'e1': parts after 1/2 missing at "
+     "end of document"),
+], ids=["malformed", "close-without-open", "unclosed", "invalid-part",
+        "unexpected-part", "part-restarts", "parts-missing"])
+def test_entity_decoding_error_names_line(tmp_path, misc, line, message):
+    def entity(key):
+        return f"Entity={misc[key]}" if key in misc else "_"
+
+    path = tmp_path / "bad.conllu"
+    path.write_text("\n".join([
+        "# newdoc id = d1", "# sent_id = s1",
+        tok(1, "Pat", "PROPN", 2, "nsubj", misc=entity("s1-1")),
+        tok(2, "slept", "VERB", 0, "root"), "",
+        "# sent_id = s2", "# text = dont go home",
+        "1-2\tdont\t_\t_\t_\t_\t_\t_\t_\t_",
+        tok(1, "do", "AUX", 2, "aux", misc=entity("s2-1")),
+        tok(2, "go", "VERB", 0, "root"),
+        tok("2.1", "you", "PRON", "_", "_", deps="2:nsubj"),
+        tok(3, "home", "ADV", 2, "advmod", misc=entity("s2-3")),
+        "", ""]), encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == f"{path}:{line}: {message}"
+
+
 def test_duplicate_sent_id_warns_not_fatal(caplog):
     lines = ["# newdoc id = d1",
              "# sent_id = s1", tok(1, "a", "VERB", 0, "root"), "",

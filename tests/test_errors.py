@@ -2,13 +2,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
-
 from corefkit import parse_conllu, serialize
-from corefkit.errors import (analyze_document, analyze_errors,
-                             merge_error_reports, missing_link_profile,
-                             two_mention_breakdown, undetected_mentions,
-                             undetected_profile, unresolved_entities)
+from corefkit.errors import (ErrorReport, analyze_document, analyze_errors,
+                             missing_link_profile, two_mention_breakdown,
+                             undetected_mentions, undetected_profile,
+                             unresolved_entities)
 from corefkit.metrics import align_mentions
 from corefkit.model import Corpus
 from corefkit.taxonomy import MentionType, UdCategory
@@ -197,11 +195,13 @@ def test_undetected_partition_invariant(pair_docs):
             <= 2 * report.n_two_mention)
 
 
-def test_merge_error_reports_pools(pair_docs):
+def test_error_report_addition_pools(pair_docs):
     gold, pred = pair_docs
     single = analyze_document(gold, pred)
-    merged = analyze_errors([(gold, pred), (gold, pred)], dataset="two")
-    assert merged.n_entities == 2 * single.n_entities
-    assert merged.unresolved_pct == single.unresolved_pct
-    with pytest.raises(ValueError):
-        merge_error_reports([])
+    pooled = analyze_errors([(gold, pred), (gold, pred)], dataset="two")
+    assert pooled == ErrorReport("two", "exact", "links") + single + single
+    assert pooled.n_entities == 2 * single.n_entities
+    assert pooled.unresolved_pct == single.unresolved_pct
+    empty = analyze_errors([], "head", "membership", dataset="none")
+    assert empty == ErrorReport("none", "head", "membership")
+    assert empty.unresolved_pct is None
