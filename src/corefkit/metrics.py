@@ -151,35 +151,40 @@ def align_mentions(gold: Document, pred: Document,
     return alignment
 
 
-def _partition_count(cluster: frozenset, membership: dict) -> int:
-    """Number of blocks the other side's clusters split this cluster into,
-    unmatched mentions counting as their own blocks."""
-    blocks = set()
-    singletons = 0
-    for key in cluster:
-        other = membership.get(key)
-        if other is None:
-            singletons += 1
-        else:
-            blocks.add(other)
-    return len(blocks) + singletons
-
-
 def _membership(clusters: Iterable[frozenset]) -> dict:
     return {key: index for index, cluster in enumerate(clusters)
             for key in cluster}
 
 
+def _overlaps(clusters: list[frozenset],
+              other: list[frozenset]) -> list[dict[int, int]]:
+    """For each cluster, how many of its keys lie in each cluster of the
+    other side, by that cluster's index. Unmatched keys are not counted."""
+    membership = _membership(other)
+    overlaps = []
+    for cluster in clusters:
+        shared: dict[int, int] = {}
+        for key in cluster:
+            index = membership.get(key)
+            if index is not None:
+                shared[index] = shared.get(index, 0) + 1
+        overlaps.append(shared)
+    return overlaps
+
+
+def _muc_side(clusters: list[frozenset],
+              other: list[frozenset]) -> tuple[int, int]:
+    """Correct and total links: a cluster of n keys that the other side
+    splits into b blocks (an unmatched key is a block of its own) has
+    n - b of its n - 1 links right."""
+    correct = sum(sum(shared.values()) - len(shared)
+                  for shared in _overlaps(clusters, other))
+    return correct, sum(len(c) - 1 for c in clusters)
+
+
 def muc_counts(gold: ClusterSet, pred: ClusterSet) -> tuple[int, int, int, int]:
-    gold_membership = _membership(gold.clusters)
-    pred_membership = _membership(pred.clusters)
-    r_num = sum(len(c) - _partition_count(c, pred_membership)
-                for c in gold.clusters)
-    r_den = sum(len(c) - 1 for c in gold.clusters)
-    p_num = sum(len(c) - _partition_count(c, gold_membership)
-                for c in pred.clusters)
-    p_den = sum(len(c) - 1 for c in pred.clusters)
-    return (p_num, p_den, r_num, r_den)
+    return (*_muc_side(pred.clusters, gold.clusters),
+            *_muc_side(gold.clusters, pred.clusters))
 
 
 def muc(gold: ClusterSet, pred: ClusterSet) -> Scores:
@@ -187,27 +192,26 @@ def muc(gold: ClusterSet, pred: ClusterSet) -> Scores:
     return _prf(*muc_counts(gold, pred))
 
 
+def _b_cubed_side(clusters: list[frozenset],
+                  other: list[frozenset]) -> tuple[float, int]:
+    """Sum over the keys of |K∩R| / |K|, where K is the key's cluster and R
+    the other side's cluster holding it. The terms are added cluster by
+    cluster and, within one, in ascending index of R, so the float does not
+    depend on set iteration order."""
+    total = 0.0
+    for cluster, shared in zip(clusters, _overlaps(clusters, other)):
+        for index in sorted(shared):
+            count = shared[index]
+            value = count / len(cluster)
+            for _ in range(count):
+                total += value
+    return total, sum(len(c) for c in clusters)
+
+
 def b_cubed_counts(gold: ClusterSet,
                    pred: ClusterSet) -> tuple[float, int, float, int]:
-    gold_by_key = {key: cluster for cluster in gold.clusters for key in cluster}
-    pred_by_key = {key: cluster for cluster in pred.clusters for key in cluster}
-    r_num = 0.0
-    r_den = 0
-    for cluster in gold.clusters:
-        for key in cluster:
-            r_den += 1
-            other = pred_by_key.get(key)
-            if other:
-                r_num += len(cluster & other) / len(cluster)
-    p_num = 0.0
-    p_den = 0
-    for cluster in pred.clusters:
-        for key in cluster:
-            p_den += 1
-            other = gold_by_key.get(key)
-            if other:
-                p_num += len(cluster & other) / len(cluster)
-    return (p_num, p_den, r_num, r_den)
+    return (*_b_cubed_side(pred.clusters, gold.clusters),
+            *_b_cubed_side(gold.clusters, pred.clusters))
 
 
 def b_cubed(gold: ClusterSet, pred: ClusterSet) -> Scores:

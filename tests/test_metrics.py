@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from corefkit import parse_conllu
 from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
-                              ScoreReport, align_mentions, b_cubed, ceafe,
-                              ceafe_counts, macro_average, muc,
+                              ScoreReport, align_mentions, b_cubed,
+                              b_cubed_counts, ceafe, ceafe_counts,
+                              macro_average, muc,
                               remapped_cluster_set, score_pairs)
 from conftest import make_corpus, tok
 
@@ -250,6 +251,23 @@ def test_permutation_invariance(data):
         second = metric(gold2, pred2)
         assert first.precision == pytest.approx(second.precision)
         assert first.recall == pytest.approx(second.recall)
+
+
+def test_b_cubed_counts_exactly_invariant_under_relabelling():
+    # Relabelling the keys changes the order in which sets iterate them;
+    # the float sums must not depend on it.
+    rng = random.Random(1680)
+    for _ in range(300):
+        universe = range(rng.randint(1, 40))
+        gold_sets = _random_clustering(rng, universe, max_clusters=8)
+        pred_sets = _random_clustering(rng, universe, max_clusters=8)
+        labels = rng.sample(range(10 ** 6), len(universe))
+
+        def relabelled(sets):
+            return ClusterSet([{labels[key] for key in s} for s in sets])
+
+        assert b_cubed_counts(relabelled(gold_sets), relabelled(pred_sets)) \
+            == b_cubed_counts(ClusterSet(gold_sets), ClusterSet(pred_sets))
 
 
 def test_removing_correct_link_never_raises_muc_recall():
