@@ -3,15 +3,16 @@
 Each metric is computed from cumulative numerator/denominator counts so
 document pairs can be pooled into one dataset score, matching the usual
 scorer behavior. Cluster alignment for CEAFe is the exact optimal one-to-one
-assignment, not a greedy approximation.
+assignment, not a greedy approximation. Only clusters that share a mention
+have a similarity above zero, so it is solved exactly and separately on each
+connected component of the gold/system overlap graph, in plain Python.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import add
-from typing import Hashable, Iterable
-
-from scipy.optimize import linear_sum_assignment
+from typing import Hashable, Iterable, Iterator
 
 from .model import Corpus, Document, Mention
 
@@ -223,13 +224,119 @@ def _phi(a: frozenset, b: frozenset) -> float:
     return 2 * len(a & b) / (len(a) + len(b))
 
 
+def _max_assignment(weights: list[list[float]]) -> list[int]:
+    """Column of each row in a one-to-one assignment of maximal total weight,
+    for a dense matrix with no more rows than columns. Shortest augmenting
+    paths (Jonker-Volgenant, as laid out by Crouse 2016), one row at a time
+    on the negated weights; ties go the same way as in that description."""
+    cost = [[-w for w in row] for row in weights]
+    n_cols = len(cost[0])
+    u = [0.0] * len(cost)
+    v = [0.0] * n_cols
+    col4row = [-1] * len(cost)
+    row4col = [-1] * n_cols
+    path = [-1] * n_cols
+    for current in range(len(cost)):
+        shortest = [math.inf] * n_cols
+        scanned_rows = []
+        scanned_cols = []
+        remaining = list(range(n_cols - 1, -1, -1))
+        min_val = 0.0
+        row = current
+        sink = -1
+        while sink < 0:
+            scanned_rows.append(row)
+            row_cost = cost[row]
+            u_row = u[row]
+            lowest = math.inf
+            index = -1
+            for it, col in enumerate(remaining):
+                reduced = min_val + row_cost[col] - u_row - v[col]
+                if reduced < shortest[col]:
+                    path[col] = row
+                    shortest[col] = reduced
+                if (shortest[col] < lowest
+                        or shortest[col] == lowest and row4col[col] < 0):
+                    lowest = shortest[col]
+                    index = it
+            min_val = lowest
+            col = remaining[index]
+            if row4col[col] < 0:
+                sink = col
+            else:
+                row = row4col[col]
+            scanned_cols.append(col)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[current] += min_val
+        for row in scanned_rows:
+            if row != current:
+                u[row] += min_val - shortest[col4row[row]]
+        for col in scanned_cols:
+            v[col] -= min_val - shortest[col]
+        col = sink
+        while True:
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == current:
+                break
+    return col4row
+
+
+def _component_matches(rows: list[int], cols: list[int],
+                       phi: dict[tuple[int, int], float],
+                       ) -> Iterator[tuple[int, int]]:
+    """(gold, system) pairs of an optimal alignment of one overlap
+    component, given its ascending gold and system cluster indices."""
+    if len(rows) == 1:
+        yield rows[0], max(cols, key=lambda c: phi.get((rows[0], c), 0.0))
+    elif len(cols) == 1:
+        yield max(rows, key=lambda r: phi.get((r, cols[0]), 0.0)), cols[0]
+    elif len(rows) <= len(cols):
+        weights = [[phi.get((r, c), 0.0) for c in cols] for r in rows]
+        for r, c in zip(rows, _max_assignment(weights)):
+            yield r, cols[c]
+    else:
+        weights = [[phi.get((r, c), 0.0) for r in rows] for c in cols]
+        for c, r in zip(cols, _max_assignment(weights)):
+            yield rows[r], c
+
+
 def ceafe_counts(gold: ClusterSet,
                  pred: ClusterSet) -> tuple[float, int, float, int]:
+    """Only clusters that share a key have φ > 0, so the optimal alignment
+    is solved separately on each connected component of the gold/system
+    overlap graph. The matched φ are summed in gold cluster order."""
     if not gold.clusters or not pred.clusters:
         return (0.0, len(pred.clusters), 0.0, len(gold.clusters))
-    similarity = [[_phi(g, p) for p in pred.clusters] for g in gold.clusters]
-    rows, cols = linear_sum_assignment(similarity, maximize=True)
-    best = sum(similarity[r][c] for r, c in zip(rows, cols))
+    overlaps = _overlaps(gold.clusters, pred.clusters)
+    phi = {(g, p): _phi(gold.clusters[g], pred.clusters[p])
+           for g, shared in enumerate(overlaps) for p in shared}
+    golds_of: dict[int, list[int]] = {}
+    for g, shared in enumerate(overlaps):
+        for p in shared:
+            golds_of.setdefault(p, []).append(g)
+    matched = [0.0] * len(gold.clusters)
+    done = [False] * len(gold.clusters)
+    for start, shared in enumerate(overlaps):
+        if done[start] or not shared:
+            continue
+        rows, cols = {start}, set()
+        frontier = [start]
+        while frontier:
+            for p in overlaps[frontier.pop()]:
+                if p not in cols:
+                    cols.add(p)
+                    for g in golds_of[p]:
+                        if g not in rows:
+                            rows.add(g)
+                            frontier.append(g)
+        for g in rows:
+            done[g] = True
+        for g, p in _component_matches(sorted(rows), sorted(cols), phi):
+            matched[g] = phi.get((g, p), 0.0)
+    best = sum(matched)
     return (best, len(pred.clusters), best, len(gold.clusters))
 
 

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import corefkit
 
 from corefkit.cli import main
 from conftest import DATA, tok
@@ -194,6 +200,20 @@ def test_score_runs_are_byte_identical(capsys):
     _, second, _ = run(capsys, "score", "--gold", GOLD_DIR,
                        "--pred", PRED_DIR)
     assert first == second
+
+
+def test_score_imports_neither_scipy_nor_numpy():
+    script = ("import sys\n"
+              "from corefkit.cli import main\n"
+              f"code = main(['score', '--gold', {GOLD_DIR!r}, "
+              f"'--pred', {PRED_DIR!r}])\n"
+              "print(code, 'scipy' in sys.modules, 'numpy' in sys.modules)\n")
+    src = str(Path(corefkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_errors_tsv_and_detail(tmp_path, capsys):

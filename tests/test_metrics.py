@@ -230,6 +230,66 @@ def test_ceafe_matches_brute_force_on_random_instances():
         assert best2 == pytest.approx(expected)
 
 
+SHAPES = ("free", "blocks", "ties", "merged", "same", "empty")
+
+
+@st.composite
+def cluster_pairs(draw):
+    """Gold and system clusterings of at most 7 clusters each, in one of
+    several shapes: unrelated labels, three disjoint overlap components,
+    two-key clusters with many equal φ, one merged system cluster, system
+    equal to gold, and an empty system side."""
+    shape = draw(st.sampled_from(SHAPES))
+    rng = random.Random(draw(st.integers(0, 2 ** 30)))
+    n_keys = rng.randint(1, 14)
+
+    def labels():
+        n = rng.randint(1, 7)
+        return [rng.randrange(n) if rng.random() < 0.85 else None
+                for _ in range(n_keys)]
+
+    gold_labels = labels()
+    pred_labels = labels()
+    if shape == "blocks":
+        gold_labels = [2 * (k % 3) + rng.randrange(2) for k in range(n_keys)]
+        pred_labels = [2 * (k % 3) + rng.randrange(2) for k in range(n_keys)]
+    elif shape == "ties":
+        order = rng.sample(range(n_keys), n_keys)
+        gold_labels = [k // 2 for k in range(n_keys)]
+        pred_labels = [order.index(k) // 2 for k in range(n_keys)]
+    elif shape == "merged":
+        pred_labels = [0 if g is not None else p
+                       for g, p in zip(gold_labels, pred_labels)]
+    elif shape == "same":
+        pred_labels = gold_labels
+    elif shape == "empty":
+        pred_labels = [None] * n_keys
+
+    def clustering(labels):
+        groups: dict[int, set] = {}
+        for key, group in enumerate(labels):
+            if group is not None:
+                groups.setdefault(group, set()).add(key)
+        return ClusterSet(list(groups.values()))
+
+    return shape, clustering(gold_labels), clustering(pred_labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cluster_pairs())
+def test_ceafe_counts_match_brute_force(case):
+    shape, gold, pred = case
+    assert len(gold.clusters) <= 7 and len(pred.clusters) <= 7
+    expected = brute_force_ceafe_total(gold.clusters, pred.clusters)
+    best, n_pred, best2, n_gold = ceafe_counts(gold, pred)
+    assert best == best2 == pytest.approx(expected)
+    assert (n_pred, n_gold) == (len(pred.clusters), len(gold.clusters))
+    if shape == "empty":
+        assert (best, n_pred) == (0.0, 0)
+    if shape == "same" and gold.clusters:
+        assert ceafe(gold, pred) == Scores(1.0, 1.0, 1.0)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_permutation_invariance(data):
