@@ -43,8 +43,8 @@ def _pct(value: Fraction | None) -> str:
     return "n/a" if value is None else f"{float(value):.2f}"
 
 
-def _score(value: float) -> str:
-    return f"{value:.6f}"
+def _score(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.6f}"
 
 
 def _existing(path: str) -> Path:
@@ -355,15 +355,21 @@ def _dataset_pairs(args) -> Iterator[tuple[str, list]]:
 
 
 def cmd_score(args) -> int:
-    rows = [(name, metrics.score_pairs(pairs, args.match, args.singletons))
+    # A dataset without documents has no score: n/a, and no part in macro.
+    rows = [(name, metrics.score_pairs(pairs, args.match, args.singletons)
+             if pairs else None)
             for name, pairs in _dataset_pairs(args)]
-    macro = metrics.macro_average([r.conll_f1 for _, r in rows])
+    scored = [r.conll_f1 for _, r in rows if r is not None]
+    macro = metrics.macro_average(scored) if scored else None
 
     if args.format == "json":
+        def metric(r: metrics.ScoreReport | None, name: str) -> dict:
+            return (dict.fromkeys(("precision", "recall", "f1"))
+                    if r is None else vars(getattr(r, name)))
         payload = {"datasets": [
             {"dataset": name,
-             "muc": vars(r.muc), "b_cubed": vars(r.b_cubed),
-             "ceafe": vars(r.ceafe), "conll_f1": r.conll_f1}
+             **{key: metric(r, key) for key in ("muc", "b_cubed", "ceafe")},
+             "conll_f1": None if r is None else r.conll_f1}
             for name, r in rows],
             "macro_conll_f1": macro,
             "match": args.match, "singletons": args.singletons}
@@ -372,6 +378,9 @@ def cmd_score(args) -> int:
     lines = ["dataset\tmuc_p\tmuc_r\tmuc_f1\tb3_p\tb3_r\tb3_f1"
              "\tceafe_p\tceafe_r\tceafe_f1\tconll_f1"]
     for name, r in rows:
+        if r is None:
+            lines.append(name + "\tn/a" * 10)
+            continue
         cells = [name]
         for scores in (r.muc, r.b_cubed, r.ceafe):
             cells += [_score(scores.precision), _score(scores.recall),

@@ -34,6 +34,8 @@ def document_pairs(gold: Corpus,
     pred_docs = {d.doc_id: d for d in pred.documents}
     if len(pred_docs) != len(pred.documents):
         raise AlignmentError(f"{name}: duplicate doc ids in system output")
+    if len({d.doc_id for d in gold.documents}) != len(gold.documents):
+        raise AlignmentError(f"{name}: duplicate doc ids in gold")
     pairs = []
     for document in gold.documents:
         match = pred_docs.pop(document.doc_id, None)

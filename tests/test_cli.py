@@ -249,24 +249,59 @@ def test_errors_on_a_dataset_without_documents(tmp_path, capsys):
                    "[]\n")
 
 
+def test_score_on_a_dataset_without_documents(tmp_path, capsys):
+    for side in ("gold", "pred"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "xx_empty.conllu").write_text("", encoding="utf-8")
+    gold, pred = str(tmp_path / "gold"), str(tmp_path / "pred")
+    code, out, err = run(capsys, "score", "--gold", gold, "--pred", pred)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["xx_empty" + "\tn/a" * 10,
+                                    "macro" + "\t" * 9 + "\tn/a"]
+    _, out, _ = run(capsys, "score", "--gold", gold, "--pred", pred,
+                    "--format", "json")
+    empty = {"precision": None, "recall": None, "f1": None}
+    assert json.loads(out)["datasets"] == [
+        {"dataset": "xx_empty", "muc": empty, "b_cubed": empty,
+         "ceafe": empty, "conll_f1": None}]
+    assert json.loads(out)["macro_conll_f1"] is None
+
+    # Next to a scored dataset, the empty one leaves macro alone.
+    for side, source in (("gold", GOLD_DIR), ("pred", PRED_DIR)):
+        for path in Path(source).iterdir():
+            (tmp_path / side / path.name).write_bytes(path.read_bytes())
+    _, out, _ = run(capsys, "score", "--gold", gold, "--pred", pred)
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert [row[0] for row in rows] == ["dataset", "en_pairset", "xx_empty",
+                                        "macro"]
+    assert rows[3][-1] == rows[1][-1] == f"{(0.4 + 39 / 71 + 0.65) / 3:.6f}"
+
+
 @pytest.mark.parametrize("command", ["score", "errors"])
-@pytest.mark.parametrize("edit, message", [
-    (lambda pred: "", "en_pairset: system output misses document 'pair-doc1'"),
-    (lambda pred: pred + pred.replace("pair-doc1", "pair-doc2"),
+@pytest.mark.parametrize("side, edit, message", [
+    ("pred", lambda pred: "",
+     "en_pairset: system output misses document 'pair-doc1'"),
+    ("pred", lambda pred: pred + pred.replace("pair-doc1", "pair-doc2"),
      "en_pairset: system output has unknown document 'pair-doc2'"),
-    (lambda pred: pred + pred,
+    ("pred", lambda pred: pred + pred,
      "en_pairset: duplicate doc ids in system output"),
-    (lambda pred: pred.partition("# sent_id = pair-s3")[0],
+    ("gold", lambda gold: gold + gold,
+     "en_pairset: duplicate doc ids in gold"),
+    ("pred", lambda pred: pred.partition("# sent_id = pair-s3")[0],
      "sentence segmentation differs in document 'pair-doc1': "
      "3 sentences vs 2"),
-], ids=["missing", "unknown", "duplicate", "sentences"])
-def test_unpaired_documents_exit_2(tmp_path, capsys, command, edit,
+], ids=["missing", "unknown", "duplicate", "gold-duplicate", "sentences"])
+def test_unpaired_documents_exit_2(tmp_path, capsys, command, side, edit,
                                    message):
-    pred = (DATA / "score" / "pred" / "en_pairset.conllu") \
-        .read_text(encoding="utf-8")
-    (tmp_path / "en_pairset.conllu").write_text(edit(pred), encoding="utf-8")
-    code, out, err = run(capsys, command, "--gold", GOLD_DIR,
-                         "--pred", str(tmp_path))
+    dirs = {"gold": GOLD_DIR, "pred": str(tmp_path)}
+    source = DATA / "score" / "pred" / "en_pairset.conllu"
+    if side == "gold":
+        dirs = {"gold": str(tmp_path), "pred": PRED_DIR}
+        source = DATA / "score" / "gold" / "en_pairset-corefud-dev.conllu"
+    (tmp_path / source.name).write_text(
+        edit(source.read_text(encoding="utf-8")), encoding="utf-8")
+    code, out, err = run(capsys, command, "--gold", dirs["gold"],
+                         "--pred", dirs["pred"])
     assert (code, out) == (2, "")
     assert err == f"corefkit: error: {message}\n"
 
