@@ -154,16 +154,12 @@ def align_mentions(gold: Document, pred: Document,
     return alignment
 
 
-def _membership(clusters: Iterable[frozenset]) -> dict:
-    return {key: index for index, cluster in enumerate(clusters)
-            for key in cluster}
-
-
 def _overlaps(clusters: list[frozenset],
               other: list[frozenset]) -> list[dict[int, int]]:
     """For each cluster, how many of its keys lie in each cluster of the
     other side, by that cluster's index. Unmatched keys are not counted."""
-    membership = _membership(other)
+    membership = {key: index for index, cluster in enumerate(other)
+                  for key in cluster}
     overlaps = []
     for cluster in clusters:
         shared: dict[int, int] = {}

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import corefkit
-
 from corefkit.cli import main
 from conftest import DATA, tok
 
