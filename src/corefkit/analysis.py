@@ -292,9 +292,6 @@ class MentionVectors:
     vectors: dict[tuple[str, int, str], tuple[float, ...]]
     dimension: int
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
 
 def load_mention_vectors(path: str | Path) -> MentionVectors:
     """Read a vectors TSV: doc_id, sentence index, span key, then the vector

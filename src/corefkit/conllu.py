@@ -12,7 +12,7 @@ import io
 import logging
 import re
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .model import (Corpus, Document, Entity, Mention, Sentence, Token,
                     mention_head)
@@ -38,25 +38,21 @@ class ParseError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-def parse_conllu(source: str | TextIO | Path, dataset: str = "",
-                 language: str = "", filename: str = "") -> Corpus:
+def parse_conllu(text: str, dataset: str = "", language: str = "",
+                 filename: str = "") -> Corpus:
     """Parse CoNLL-U text into a Corpus.
 
-    Accepts a string, an open text stream, or a path. Comment lines, MISC
-    attributes, and multiword-token range lines are preserved verbatim for
-    round-tripping; entity annotations are decoded per document.
+    Comment lines, MISC attributes, and multiword-token range lines are
+    preserved verbatim for round-tripping; entity annotations are decoded
+    per document. filename names the source in errors and warnings.
     """
-    if isinstance(source, Path):
-        filename = filename or str(source)
-        with open(source, encoding="utf-8") as handle:
-            return _parse_stream(handle, dataset, language, filename)
-    if isinstance(source, str):
-        return _parse_stream(io.StringIO(source), dataset, language, filename)
-    return _parse_stream(source, dataset, language, filename)
+    return _parse_stream(io.StringIO(text), dataset, language, filename)
 
 
 def parse_file(path: str | Path, dataset: str = "", language: str = "") -> Corpus:
-    return parse_conllu(Path(path), dataset=dataset, language=language)
+    """Parse the CoNLL-U file at path; parse errors name it."""
+    with open(path, encoding="utf-8") as handle:
+        return _parse_stream(handle, dataset, language, str(Path(path)))
 
 
 def _parse_stream(stream: Iterable[str], dataset: str, language: str,

@@ -59,25 +59,6 @@ def unresolved_entities(gold: Document, pred: Document,
     return unresolved
 
 
-def two_mention_breakdown(unresolved: list[Entity],
-                          ) -> tuple[Fraction | None, list[Entity]]:
-    """Share and sublist of unresolved entities with exactly two mentions."""
-    two = [e for e in unresolved if len(e.mentions) == 2]
-    share = Fraction(len(two), len(unresolved)) if unresolved else None
-    return share, two
-
-
-def undetected_mentions(two_mention_entities: list[Entity],
-                        alignment: dict[Mention, Mention],
-                        ) -> tuple[Fraction | None, list[Mention]]:
-    """Mentions of the given entities that no system mention matched."""
-    matched_by_gold = _matched_by_gold(alignment)
-    mentions = [m for e in two_mention_entities for m in e.mentions]
-    undetected = [m for m in mentions if id(m) not in matched_by_gold]
-    share = Fraction(len(undetected), len(mentions)) if mentions else None
-    return share, undetected
-
-
 @dataclass
 class UndetectedProfile:
     """What the undetected mentions look like."""
@@ -90,26 +71,10 @@ class UndetectedProfile:
     total_length: int = 0
 
     @property
-    def short_share(self) -> Fraction | None:
-        return Fraction(self.n_short, self.n_mentions) if self.n_mentions else None
-
-    @property
-    def premodified_share(self) -> Fraction | None:
-        if self.n_multi_token == 0:
-            return None
-        return Fraction(self.n_premodified, self.n_multi_token)
-
-    @property
     def premodified_share_of_all(self) -> Fraction | None:
         if self.n_mentions == 0:
             return None
         return Fraction(self.n_premodified, self.n_mentions)
-
-    @property
-    def mean_length(self) -> Fraction | None:
-        if self.n_mentions == 0:
-            return None
-        return Fraction(self.total_length, self.n_mentions)
 
     def __add__(self, other: "UndetectedProfile") -> "UndetectedProfile":
         return UndetectedProfile(
@@ -223,17 +188,24 @@ class ErrorReport:
 
     @property
     def short_pct(self) -> Fraction | None:
-        share = self.undetected.short_share
-        return None if share is None else share * 100
+        if self.undetected.n_mentions == 0:
+            return None
+        return Fraction(self.undetected.n_short,
+                        self.undetected.n_mentions) * 100
 
     @property
     def premodified_pct(self) -> Fraction | None:
-        share = self.undetected.premodified_share
-        return None if share is None else share * 100
+        if self.undetected.n_multi_token == 0:
+            return None
+        return Fraction(self.undetected.n_premodified,
+                        self.undetected.n_multi_token) * 100
 
     @property
     def mean_undetected_length(self) -> Fraction | None:
-        return self.undetected.mean_length
+        if self.undetected.n_mentions == 0:
+            return None
+        return Fraction(self.undetected.total_length,
+                        self.undetected.n_mentions)
 
     def __add__(self, other: "ErrorReport") -> "ErrorReport":
         """Pooled report, labelled like this one."""
@@ -250,15 +222,16 @@ def analyze_document(gold: Document, pred: Document, mode: str = "exact",
                      definition: str = "links",
                      details: list[dict] | None = None) -> ErrorReport:
     """Run the full error-analysis pipeline on one document pair. When a
-    details list is given, the records of unresolved_entity_details are
+    details list is given, one diagnostic record per unresolved entity is
     appended to it from the same alignment."""
     alignment = align_mentions(gold, pred, mode)
     matched_by_gold = _matched_by_gold(alignment)
     unresolved = unresolved_entities(gold, pred, alignment, definition)
     if details is not None:
         details.extend(_entity_details(gold, unresolved, matched_by_gold))
-    _, two_mention = two_mention_breakdown(unresolved)
-    _, undetected = undetected_mentions(two_mention, alignment)
+    two_mention = [e for e in unresolved if len(e.mentions) == 2]
+    undetected = [m for e in two_mention for m in e.mentions
+                  if id(m) not in matched_by_gold]
     both_detected = [e for e in two_mention
                      if all(id(m) in matched_by_gold for m in e.mentions)]
     return ErrorReport(
@@ -286,10 +259,9 @@ def unresolved_entity_details(gold: Document, pred: Document,
                               mode: str = "exact",
                               definition: str = "links") -> list[dict]:
     """Per-entity diagnostic records for the JSON detail dump."""
-    alignment = align_mentions(gold, pred, mode)
-    return _entity_details(
-        gold, unresolved_entities(gold, pred, alignment, definition),
-        _matched_by_gold(alignment))
+    details: list[dict] = []
+    analyze_document(gold, pred, mode, definition, details)
+    return details
 
 
 def _entity_details(gold: Document, unresolved: list[Entity],

@@ -20,7 +20,6 @@ from .model import Corpus, Document, Mention, Token, head_of, span_key
 from .taxonomy import (MentionType, UdCategory, base_relation,
                        classify_mention_type, ud_category)
 
-WIDTH_BUCKETS = ("1", "2", "3", "4", "5-7", "8-15", "16-31", "32+")
 WORD_ORDERS = ("SOV", "SVO", "VSO", "VOS", "OVS", "OSV", "NoDominant")
 
 EXPORT_TARGETS = ("gold", "all_spans")

@@ -30,12 +30,6 @@ def parse_kv_items(raw: str) -> list[tuple[str, str | None]]:
     return items
 
 
-def render_kv_items(items: list[tuple[str, str | None]]) -> str:
-    if not items:
-        return "_"
-    return "|".join(k if v is None else f"{k}={v}" for k, v in items)
-
-
 @dataclass(eq=False, slots=True)
 class Token:
     """One CoNLL-U node: a surface token or an empty node (index i.j)."""
@@ -66,11 +60,8 @@ class Token:
             self._feats = dict(parse_kv_items(self.feats_raw))
         return self._feats
 
-    def misc_items(self) -> list[tuple[str, str | None]]:
-        return parse_kv_items(self.misc_raw)
-
     def misc_value(self, name: str) -> str | None:
-        for key, value in self.misc_items():
+        for key, value in parse_kv_items(self.misc_raw):
             if key == name:
                 return value
         return None
@@ -123,14 +114,8 @@ class Sentence:
     sent_id: str | None = None
     text: str | None = None
     first_line: int = 0  # file line of the first node line; 0 if unknown
-    _by_index: dict[str, Token] | None = field(default=None, repr=False)
     _parents: list[int] | None = field(default=None, repr=False)
     _depths: list[int | None] | None = field(default=None, repr=False)
-
-    def token(self, index: str) -> Token | None:
-        if self._by_index is None:
-            self._by_index = {t.index: t for t in self.tokens}
-        return self._by_index.get(index)
 
     def parents(self) -> list[int]:
         """Position of each node's parent in this sentence: ROOT when it has
@@ -226,9 +211,6 @@ class Mention:
     @property
     def sent_index(self) -> int:
         return self.span[0].sent_index
-
-    def __len__(self) -> int:
-        return len(self.span)
 
 
 @dataclass(eq=False, slots=True)

@@ -41,14 +41,6 @@ class UdCategory(enum.Enum):
     P = "special"
     T = "other"
 
-    @property
-    def letter(self) -> str:
-        return self.name
-
-    @property
-    def display(self) -> str:
-        return self.value
-
     def __str__(self) -> str:
         return self.name
 

@@ -16,6 +16,12 @@ def tok(index, form, upos="NOUN", head=0, deprel="root", feats="_",
                       upos, xpos, feats, str(head), deprel, deps, misc))
 
 
+def node(sentence, index):
+    """The node of a sentence with the given CoNLL-U id."""
+    (found,) = [t for t in sentence.tokens if t.index == index]
+    return found
+
+
 def make_corpus(*sentence_blocks, dataset="toy", language="xx",
                 doc_id="toy-doc1"):
     """Build a one-document corpus out of token-line blocks."""

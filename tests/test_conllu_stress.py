@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from corefkit import parse_conllu, serialize
-from conftest import corpus_signature, tok
+from conftest import corpus_signature, node, tok
 
 
 def build(lines):
@@ -75,9 +75,9 @@ def test_stress_round_trip_and_decoding():
     assert spans == [["Ana", "and", "Bo"], ["their"]]
     assert entities["e1"].mentions[0].attributes["other"] == "Ana%20Q."
     # bridging and split-antecedent annotations survive untouched
-    neighbours = document.sentences[0].token("6")
+    neighbours = node(document.sentences[0], "6")
     assert neighbours.misc_value("SplitAnte") == "e1<e3,e2<e3"
-    assert document.sentences[1].token("1").misc_value("Bridge") == "e3<e4"
+    assert node(document.sentences[1], "1").misc_value("Bridge") == "e3<e4"
     # the paragraph comment is kept in place
     assert "# newpar" in document.sentences[0].comments
 
@@ -94,9 +94,9 @@ def test_crossing_mentions_decode():
 def test_empty_node_multiple_enhanced_heads():
     corpus = parse_conllu(MULTI_HEAD_DEPS)
     document = corpus.documents[0]
-    node = document.sentences[0].token("1.1")
-    assert node.parent_id() == "1"
-    assert node.effective_deprel() == "nsubj"
+    empty = node(document.sentences[0], "1.1")
+    assert empty.parent_id() == "1"
+    assert empty.effective_deprel() == "nsubj"
     (entity,) = document.entities
-    assert entity.mentions[0].head is node
+    assert entity.mentions[0].head is empty
     assert serialize(corpus) == MULTI_HEAD_DEPS

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 from corefkit import parse_conllu, serialize
 from corefkit.errors import (ErrorReport, analyze_document, analyze_errors,
-                             missing_link_profile, two_mention_breakdown,
-                             undetected_mentions, undetected_profile,
+                             missing_link_profile, undetected_profile,
                              unresolved_entities)
 from corefkit.metrics import align_mentions
-from corefkit.model import Corpus
+from corefkit.model import Corpus, Mention
 from corefkit.taxonomy import MentionType, UdCategory
 from conftest import make_corpus, tok
 
@@ -72,24 +71,24 @@ def test_split_mentions_over_singletons_is_unresolved():
 
 
 def test_two_mention_breakdown_counts():
-    share, entities = two_mention_breakdown([])
-    assert share is None and entities == []
+    def sentences(e1, e2):
+        return ([tok(1, "A", "PROPN", 2, "nsubj", misc=e1),
+                 tok(2, "v", "VERB", 0, "root"),
+                 tok(3, "B", "PROPN", 2, "obj", misc=e2)],
+                [tok(1, "A", "PROPN", 2, "nsubj", misc=e1),
+                 tok(2, "v", "VERB", 0, "root"),
+                 tok(3, "B", "PROPN", 2, "obj", misc=e2)],
+                [tok(1, "B", "PROPN", 0, "root", misc=e2)])
 
-    gold = _doc(make_corpus([
-        tok(1, "A", "PROPN", 2, "nsubj", misc="Entity=(e1-x-1-)"),
-        tok(2, "v", "VERB", 0, "root"),
-        tok(3, "B", "PROPN", 2, "obj", misc="Entity=(e2-x-1-)"),
-    ], [
-        tok(1, "A", "PROPN", 2, "nsubj", misc="Entity=(e1-x-1-)"),
-        tok(2, "v", "VERB", 0, "root"),
-        tok(3, "B", "PROPN", 2, "obj", misc="Entity=(e2-x-1-)"),
-    ], [
-        tok(1, "B", "PROPN", 0, "root", misc="Entity=(e2-x-1-)"),
-    ]))
-    # e1 has two mentions, e2 has three
-    share, two = two_mention_breakdown(gold.entities)
-    assert share == Fraction(1, 2)
-    assert [e.entity_id for e in two] == ["e1"]
+    gold = _doc(make_corpus(*sentences("Entity=(e1-x-1-)",
+                                       "Entity=(e2-x-1-)")))
+    pred = _doc(make_corpus(*sentences("_", "_")))
+    assert analyze_document(gold, gold).two_mention_pct is None
+    # both entities are unresolved: e1 has two mentions, e2 has three
+    report = analyze_document(gold, pred)
+    assert report.n_unresolved == 2
+    assert report.n_two_mention == 1
+    assert report.two_mention_pct == Fraction(50)
 
 
 def _undetected_corpus_pair():
@@ -112,24 +111,19 @@ def _undetected_corpus_pair():
 
 def test_undetected_share_hand_count():
     gold, pred = _undetected_corpus_pair()
-    alignment = align_mentions(gold, pred)
-    unresolved = unresolved_entities(gold, pred, alignment)
-    assert len(unresolved) == 2
-    share, two = two_mention_breakdown(unresolved)
-    assert share == 1
-    undetected_share, undetected = undetected_mentions(two, alignment)
-    assert undetected_share == Fraction(3, 4)
-    assert len(undetected) == 3
+    report = analyze_document(gold, pred)
+    assert report.n_unresolved == 2
+    assert report.two_mention_pct == 100
+    assert report.undetected_pct == Fraction(75)
+    assert report.undetected.n_mentions == 3
 
 
 def test_all_spans_detected_gives_zero_undetected(pair_docs):
     gold, pred = pair_docs
-    alignment = align_mentions(gold, pred)
-    unresolved = unresolved_entities(gold, pred, alignment)
-    _, two = two_mention_breakdown(unresolved)
-    share, undetected = undetected_mentions(two, alignment)
-    assert share == 0
-    assert undetected == []
+    report = analyze_document(gold, pred)
+    assert report.n_two_mention > 0
+    assert report.undetected_pct == 0
+    assert report.undetected.n_mentions == 0
 
 
 def test_undetected_profile_single_premodified_mention():
@@ -142,10 +136,19 @@ def test_undetected_profile_single_premodified_mention():
     document = _doc(corpus)
     (mention,) = document.entities[0].mentions
     profile = undetected_profile([mention])
-    assert profile.short_share == 0
-    assert profile.premodified_share == 1
-    assert profile.mean_length == 3
     assert profile.type_counts == {MentionType.NOMINAL_NOUN: 1}
+    report = ErrorReport("toy", "exact", "links", undetected=profile)
+    assert report.short_pct == 0
+    assert report.premodified_pct == 100
+    assert report.mean_undetected_length == 3
+    # a one-token mention is short and leaves the pre-modified share, which
+    # is taken over multi-token mentions only
+    fell = document.sentences[0].tokens[3]
+    report.undetected += undetected_profile([Mention("e2", (fell,),
+                                                     head=fell)])
+    assert report.short_pct == 50
+    assert report.premodified_pct == 100
+    assert report.mean_undetected_length == 2
 
 
 def test_missing_link_same_sentence_bucket_zero():
