@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -39,6 +40,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _genre_pattern(text: str) -> str:
+    try:
+        groups = re.compile(text).groups
+    except re.error as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid regex {text!r}: {exc}") from None
+    if groups == 0:
+        raise argparse.ArgumentTypeError(
+            f"regex {text!r} has no group to extract the genre")
+    return text
+
+
 def _pct(value: Fraction | None) -> str:
     return "n/a" if value is None else f"{float(value):.2f}"
 
@@ -54,15 +74,11 @@ def _existing(path: str) -> Path:
     return resolved
 
 
-def _input_root(args) -> Path:
-    root = args.input or os.environ.get("COREFUD_DATA")
-    if not root:
-        raise CliError("no input given and COREFUD_DATA is not set")
-    return _existing(root)
-
-
 def _datasets(args) -> list[DatasetFiles]:
-    root = _input_root(args)
+    given = args.input or os.environ.get("COREFUD_DATA")
+    if not given:
+        raise CliError("no input given and COREFUD_DATA is not set")
+    root = _existing(given)
     datasets = discover_datasets(root, args.split)
     if not datasets:
         raise CliError(f"no .conllu files under {root}")
@@ -440,14 +456,11 @@ def cmd_errors(args) -> int:
 # -------------------------------------------------------- export-features
 
 def cmd_export_features(args) -> int:
-    root = _input_root(args)
+    datasets = _datasets(args)
     try:
         table = features.load_word_order_table(args.word_order)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    datasets = discover_datasets(root, args.split)
-    if not datasets:
-        raise CliError(f"no .conllu files under {root}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = "all_spans" if args.target == "spans" else "gold"
@@ -487,28 +500,31 @@ def build_parser() -> argparse.ArgumentParser:
                                  "and feature export for CorefUD data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?",
-                           help="corpus file or directory "
-                                "(default: $COREFUD_DATA)")
-            p.add_argument("--split", choices=("train", "dev", "test"),
-                           help="restrict to canonical release files "
-                                "of one split")
+    def inputs(p):
+        p.add_argument("input", nargs="?",
+                       help="corpus file or directory "
+                            "(default: $COREFUD_DATA)")
+        p.add_argument("--split", choices=("train", "dev", "test"),
+                       help="restrict to canonical release files "
+                            "of one split")
+
+    def report(p):
         p.add_argument("--out", help="output directory (default: stdout)")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p = sub.add_parser("validate", help="parse inputs and check invariants")
-    common(p)
+    inputs(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stats", help="corpus size statistics per dataset")
-    common(p)
-    p.add_argument("--jobs", type=int, default=1)
+    inputs(p)
+    report(p)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("analyze", help="gold-annotation statistics")
-    common(p)
+    inputs(p)
+    report(p)
     p.add_argument("--stat", action="append", choices=list(STATISTICS),
                    help="statistic to compute (repeatable; default: all "
                         "except " + ", ".join(
@@ -517,14 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head-rule", choices=HEAD_RULES, default="annotated")
     p.add_argument("--by-language", action="store_true",
                    help="pool datasets of the same language")
-    p.add_argument("--genre-pattern", default=analysis.DEFAULT_GENRE_PATTERN,
+    p.add_argument("--genre-pattern", type=_genre_pattern,
+                   default=analysis.DEFAULT_GENRE_PATTERN,
                    help="regex with one group extracting the genre "
                         "from doc ids")
     p.add_argument("--vectors", help="mention-vector TSV "
                                      "(for semantic-distance)")
     p.add_argument("--figure-data", action="store_true",
                    help="also emit plot-ready long-format TSV")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("score", help="MUC/B3/CEAFe/CoNLL F1 of system "
@@ -555,11 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-features",
                        help="emit span/document feature records")
-    common(p)
+    inputs(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--word-order", required=True,
                    help="two-column TSV: language, dominant word order")
     p.add_argument("--target", choices=("gold", "spans"), default="gold")
-    p.add_argument("--max-width", type=int, default=10,
+    p.add_argument("--max-width", type=_positive_int, default=10,
                    help="maximum candidate span width (spans target)")
     p.add_argument("--head-rule", choices=("syntactic", "annotated"),
                    default="syntactic")
@@ -567,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("taxonomy",
                        help="dump the relation-to-category mapping")
-    common(p, with_input=False)
+    p.add_argument("--out", help="output directory (default: stdout)")
     p.set_defaults(func=cmd_taxonomy)
     return parser
 
@@ -575,10 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "export-features" and not args.out:
-        parser.error("export-features requires --out")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ParseError, metrics.AlignmentError,

@@ -14,6 +14,7 @@ from conftest import DATA, tok
 
 GOLD_DIR = str(DATA / "score" / "gold")
 PRED_DIR = str(DATA / "score" / "pred")
+WORD_ORDER = str(DATA / "word_order.tsv")
 
 
 def run(capsys, *argv):
@@ -310,6 +311,48 @@ def test_export_features_requires_out(capsys):
         main(["export-features", GOLD_DIR, "--word-order",
               str(DATA / "word_order.tsv")])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", GOLD_DIR, "--format", "json"],
+    ["validate", GOLD_DIR, "--out", "{out}"],
+    ["taxonomy", "--format", "json"],
+    ["export-features", GOLD_DIR, "--word-order", WORD_ORDER,
+     "--out", "{out}", "--format", "json"],
+], ids=["validate-format", "validate-out", "taxonomy-format",
+        "export-features-format"])
+def test_options_without_effect_are_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(out=out) for arg in argv])
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", GOLD_DIR, "--genre-pattern", "^fix"],
+     "argument --genre-pattern: regex '^fix' has no group"),
+    (["analyze", GOLD_DIR, "--genre-pattern", "("],
+     "argument --genre-pattern: invalid regex '('"),
+    (["export-features", GOLD_DIR, "--word-order", WORD_ORDER,
+      "--out", "{out}", "--target", "spans", "--max-width", "0"],
+     "argument --max-width: expected a positive integer, got '0'"),
+    (["stats", GOLD_DIR, "--jobs", "0"],
+     "argument --jobs: expected a positive integer, got '0'"),
+    (["analyze", GOLD_DIR, "--jobs", "-3"],
+     "argument --jobs: expected a positive integer, got '-3'"),
+    (["stats", GOLD_DIR, "--jobs", "two"],
+     "argument --jobs: expected a positive integer, got 'two'"),
+], ids=["genre-pattern-without-group", "genre-pattern-invalid",
+        "max-width-0", "jobs-0", "jobs-negative", "jobs-not-a-number"])
+def test_bad_option_values_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(out=out) for arg in argv])
+    assert excinfo.value.code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_features_writes_records(tmp_path, capsys):
