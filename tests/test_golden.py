@@ -1,9 +1,10 @@
 """Byte-for-byte snapshots of the `analyze`, `stats`, `score` and `errors`
-reports.
+reports and of the `export-features` files.
 
 Each case runs the command line in-process on the fixtures and compares its
-stdout with a file under tests/data/golden/. After a deliberate change to a
-report, regenerate the snapshots and review the diff:
+stdout, or the files it writes, with snapshots under tests/data/golden/.
+After a deliberate change to a report, regenerate the snapshots and review
+the diff:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -22,6 +23,7 @@ from corefkit.cli import main
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 VECTORS = str(DATA / "vectors.tsv")
+WORD_ORDER = str(DATA / "word_order.tsv")
 ALL_STATS = tuple(arg for stat in (
     "head-position", "mention-types", "anaphor-antecedent", "first-mention",
     "entity-size", "competing", "genre", "semantic-distance")
@@ -81,6 +83,20 @@ CASES = {
                                     "--format", "json"),
 }
 
+# Snapshot directory -> export-features arguments. Each directory holds the
+# .features.jsonl and .vocab.tsv of both datasets under "{export}":
+# es_basic, which is basic.conllu with "The" annotated as the head of "The
+# old castle" (so the two head rules pick different heads; it also has an
+# empty node, a multiword-token range and a discontinuous mention), and
+# en_pairset, the gold file from tests/data/score.
+EXPORTS = {
+    "export-gold-syntactic": ("--target", "gold", "--head-rule",
+                              "syntactic"),
+    "export-gold-annotated": ("--target", "gold", "--head-rule",
+                              "annotated"),
+    "export-spans": ("--target", "spans", "--max-width", "3"),
+}
+
 
 def make_inputs(root: Path) -> dict[str, Path]:
     """The placeholders of CASES, built under root."""
@@ -95,7 +111,14 @@ def make_inputs(root: Path) -> dict[str, Path]:
     shutil.copytree(DATA / "score" / "pred", pred)
     (gold / "xx_alpha-corefud-dev.conllu").write_bytes(basic)
     (pred / "xx_alpha.conllu").write_bytes(basic)
-    return dict(data=DATA, release=release, gold=gold, pred=pred)
+    export = root / "export"
+    export.mkdir()
+    (export / "es_basic.conllu").write_bytes(basic.replace(
+        b"Entity=(e1-thing-3-", b"Entity=(e1-thing-1-"))
+    shutil.copy(DATA / "score" / "gold" / "en_pairset-corefud-dev.conllu",
+                export)
+    return dict(data=DATA, release=release, gold=gold, pred=pred,
+                export=export)
 
 
 def run(args: tuple[str, ...], inputs: dict[str, Path]) -> bytes:
@@ -107,6 +130,19 @@ def run(args: tuple[str, ...], inputs: dict[str, Path]) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def export(args: tuple[str, ...], inputs: dict[str, Path],
+           out: Path) -> dict[str, bytes]:
+    """The files export-features writes under out, by name."""
+    assert run(("export-features", "{export}", "--word-order", WORD_ORDER,
+                "--out", str(out)) + args, inputs) == b""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def snapshot(name: str) -> dict[str, bytes]:
+    return {path.name: path.read_bytes()
+            for path in sorted((GOLDEN / name).iterdir())}
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     return make_inputs(tmp_path_factory.mktemp("inputs"))
@@ -115,6 +151,18 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_snapshot(name, inputs):
     assert run(CASES[name], inputs) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_export_matches_snapshot(name, inputs, tmp_path):
+    assert export(EXPORTS[name], inputs, tmp_path) == snapshot(name)
+
+
+def test_export_snapshots_of_the_two_head_rules_differ():
+    syntactic = snapshot("export-gold-syntactic")
+    annotated = snapshot("export-gold-annotated")
+    name = "es_basic.features.jsonl"
+    assert syntactic[name] != annotated[name]
 
 
 @pytest.mark.parametrize("name", ["figure-data.tsv",
@@ -131,5 +179,12 @@ if __name__ == "__main__":
         for name, args in CASES.items():
             inputs = make_inputs(scratch / name)
             (GOLDEN / name).write_bytes(run(args, inputs))
+        for name, args in EXPORTS.items():
+            shutil.rmtree(GOLDEN / name, ignore_errors=True)
+            (GOLDEN / name).mkdir()
+            inputs = make_inputs(scratch / name)
+            for file_name, data in export(args, inputs,
+                                          scratch / name / "out").items():
+                (GOLDEN / name / file_name).write_bytes(data)
     finally:
         shutil.rmtree(scratch)
