@@ -12,13 +12,11 @@ rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .model import Corpus, Document, Mention, Token, head_of, span_key
-from .taxonomy import (MentionType, UdCategory, base_relation,
-                       classify_mention_type, ud_category)
+from .model import Corpus, Mention, Token, head_of, span_key
+from .taxonomy import base_relation, classify_mention_type, ud_category
 
 WORD_ORDERS = ("SOV", "SVO", "VSO", "VOS", "OVS", "OSV", "NoDominant")
 
@@ -38,21 +36,6 @@ def width_bucket(n_tokens: int) -> str:
     if n_tokens <= 31:
         return "16-31"
     return "32+"
-
-
-@dataclass(frozen=True)
-class SpanFeatures:
-    width_bucket: str
-    head_upos: str
-    head_deprel: str
-    mention_type: MentionType
-    ud_category: UdCategory
-
-
-@dataclass(frozen=True)
-class DocFeatures:
-    language: str
-    word_order: str
 
 
 class WordOrderError(KeyError):
@@ -84,32 +67,14 @@ def load_word_order_table(path: str | Path) -> dict[str, str]:
     return table
 
 
-def _features_of_head(head: Token, n_tokens: int) -> SpanFeatures:
+def _span_fields(head: Token, width: int) -> dict:
+    """The fields of a record that follow from its head and width."""
     deprel = head.effective_deprel()
-    return SpanFeatures(
-        width_bucket=width_bucket(n_tokens),
-        head_upos=head.upos,
-        head_deprel=base_relation(deprel) if deprel else "_",
-        mention_type=classify_mention_type(head),
-        ud_category=ud_category(deprel))
-
-
-def extract_span_features(mention: Mention, document: Document,
-                          head_rule: str = "syntactic") -> SpanFeatures:
-    """Features of a gold mention, computed from its syntactic head (or the
-    annotated head when head_rule='annotated')."""
-    head = head_of(mention, document, head_rule)
-    return _features_of_head(head, len(mention.span))
-
-
-def extract_doc_features(document: Document,
-                         word_order_table: dict[str, str]) -> DocFeatures:
-    order = word_order_table.get(document.language)
-    if order is None:
-        raise WordOrderError(
-            f"no word order configured for language {document.language!r} "
-            f"(document {document.doc_id!r})")
-    return DocFeatures(language=document.language, word_order=order)
+    return {"width_bucket": width_bucket(width),
+            "head_upos": head.upos,
+            "head_deprel": base_relation(deprel) if deprel else "_",
+            "mention_type": classify_mention_type(head).value,
+            "ud_category": ud_category(deprel).name}
 
 
 def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
@@ -119,13 +84,21 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
     if target not in EXPORT_TARGETS:
         raise ValueError(f"unknown export target {target!r}")
     for document in corpus.documents:
-        doc_features = extract_doc_features(document, word_order_table)
+        language = document.language
+        word_order = word_order_table.get(language)
+        if word_order is None:
+            raise WordOrderError(
+                f"no word order configured for language {language!r} "
+                f"(document {document.doc_id!r})")
         if target == "gold":
             for mention in document.mentions():
-                features = extract_span_features(mention, document, head_rule)
-                yield _record(document, mention.sent_index,
-                              span_key(mention.span), features, doc_features,
-                              mention.entity_id)
+                head = head_of(mention, document, head_rule)
+                yield {"doc_id": document.doc_id,
+                       "sent_index": mention.sent_index,
+                       "span": span_key(mention.span),
+                       **_span_fields(head, len(mention.span)),
+                       "language": language, "word_order": word_order,
+                       "entity_id": mention.entity_id}
         else:
             for sent_index, sentence in enumerate(document.sentences):
                 surface = sentence.surface_tokens()
@@ -135,29 +108,12 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                         span = tuple(surface[start:start + width])
                         head = head_of(Mention("", span), document,
                                        "syntactic")
-                        yield _record(document, sent_index, span_key(span),
-                                      _features_of_head(head, width),
-                                      doc_features, None)
-
-
-def _record(document: Document, sent_index: int, span: str,
-            features: SpanFeatures, doc_features: DocFeatures,
-            entity_id: str | None) -> dict:
-    record = {
-        "doc_id": document.doc_id,
-        "sent_index": sent_index,
-        "span": span,
-        "width_bucket": features.width_bucket,
-        "head_upos": features.head_upos,
-        "head_deprel": features.head_deprel,
-        "mention_type": features.mention_type.value,
-        "ud_category": features.ud_category.name,
-        "language": doc_features.language,
-        "word_order": doc_features.word_order,
-    }
-    if entity_id is not None:
-        record["entity_id"] = entity_id
-    return record
+                        yield {"doc_id": document.doc_id,
+                               "sent_index": sent_index,
+                               "span": span_key(span),
+                               **_span_fields(head, width),
+                               "language": language,
+                               "word_order": word_order}
 
 
 def export_features(corpus: Corpus, word_order_table: dict[str, str],

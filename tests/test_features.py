@@ -6,14 +6,20 @@ import random
 
 import pytest
 
-from corefkit.features import (DocFeatures, SpanFeatures, WordOrderError,
-                               export_features, extract_doc_features,
-                               extract_span_features, iter_feature_records,
-                               load_word_order_table, width_bucket)
-from corefkit.taxonomy import MentionType, UdCategory
+from corefkit.features import (WordOrderError, export_features,
+                               iter_feature_records, load_word_order_table,
+                               width_bucket)
 from conftest import DATA, make_corpus, tok
 
 WORD_ORDER = {"xx": "SVO", "en": "SVO"}
+SPAN_FIELDS = ("width_bucket", "head_upos", "head_deprel", "mention_type",
+               "ud_category")
+
+
+def span_fields(corpus):
+    """The head-and-width fields of the corpus's one gold record."""
+    (record,) = iter_feature_records(corpus, WORD_ORDER, "gold")
+    return tuple(record[name] for name in SPAN_FIELDS)
 
 
 def test_width_buckets():
@@ -29,11 +35,8 @@ def test_pronoun_subject_features():
         tok(1, "she", "PRON", 2, "nsubj", misc="Entity=(e1-x-1-)"),
         tok(2, "left", "VERB", 0, "root"),
     ])
-    document = corpus.documents[0]
-    (mention,) = document.entities[0].mentions
-    features = extract_span_features(mention, document)
-    assert features == SpanFeatures("1", "PRON", "nsubj",
-                                    MentionType.OVERT_PRONOUN, UdCategory.S)
+    assert span_fields(corpus) == ("1", "PRON", "nsubj", "overt_pronoun",
+                                   "S")
 
 
 def test_six_token_nmod_mention_features():
@@ -46,11 +49,8 @@ def test_six_token_nmod_mention_features():
         tok(6, "stone", "NOUN", 7, "compound"),
         tok(7, "castle", "NOUN", 1, "nmod:poss", misc="Entity=e1)"),
     ])
-    document = corpus.documents[0]
-    (mention,) = document.entities[0].mentions
-    features = extract_span_features(mention, document)
-    assert features == SpanFeatures("5-7", "NOUN", "nmod",
-                                    MentionType.NOMINAL_NOUN, UdCategory.N)
+    assert span_fields(corpus) == ("5-7", "NOUN", "nmod", "nominal_noun",
+                                   "N")
 
 
 def test_zero_pronoun_features():
@@ -59,27 +59,23 @@ def test_zero_pronoun_features():
         tok("1.1", "_", "PRON", "_", "_", deps="1:nsubj",
             misc="Entity=(e1-x-1-)"),
     ])
-    document = corpus.documents[0]
-    (mention,) = document.entities[0].mentions
-    features = extract_span_features(mention, document)
-    assert features == SpanFeatures("1", "PRON", "nsubj",
-                                    MentionType.ZERO_PRONOUN, UdCategory.S)
+    assert span_fields(corpus) == ("1", "PRON", "nsubj", "zero_pronoun",
+                                   "S")
 
 
 def test_doc_features_lookup():
-    corpus = make_corpus([tok(1, "x", "VERB", 0, "root")], language="en")
-    document = corpus.documents[0]
-    document.language = "en"
-    assert extract_doc_features(document, WORD_ORDER) \
-        == DocFeatures("en", "SVO")
+    corpus = make_corpus([tok(1, "x", "VERB", 0, "root",
+                              misc="Entity=(e1-x-1-)")], language="en")
+    corpus.documents[0].language = "en"
+    (record,) = iter_feature_records(corpus, WORD_ORDER, "gold")
+    assert (record["language"], record["word_order"]) == ("en", "SVO")
 
 
 def test_doc_features_missing_language_is_an_error():
     corpus = make_corpus([tok(1, "x", "VERB", 0, "root")])
-    document = corpus.documents[0]
-    document.language = "zz"
+    corpus.documents[0].language = "zz"
     with pytest.raises(WordOrderError, match="zz"):
-        extract_doc_features(document, {})
+        next(iter_feature_records(corpus, {}, "gold"))
 
 
 def test_word_order_table_loading(tmp_path):
