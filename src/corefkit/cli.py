@@ -593,7 +593,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "export-features" and (args.target, args.head_rule) \
+            == ("spans", "annotated"):
+        parser.error("export-features: --head-rule annotated needs --target "
+                     "gold; candidate spans carry no annotated head")
     try:
         return args.func(args)
     except (CliError, ParseError, metrics.AlignmentError,

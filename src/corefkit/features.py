@@ -6,8 +6,8 @@ features and the document's language/word-order, plus a TSV vocabulary
 sidecar listing every categorical value that occurs. Heads follow
 head_rule: syntactic (parent outside the span, the default) or annotated
 (the head resolved at parse time). Candidate spans carry no annotation, so
-their heads are syntactic under either rule. The sidecar header records the
-rule.
+their heads are always syntactic. The sidecar header records the rule the
+records followed.
 """
 from __future__ import annotations
 
@@ -125,6 +125,8 @@ def export_features(corpus: Corpus, word_order_table: dict[str, str],
     Returns the number of records written. Output is a pure function of the
     inputs: two runs produce identical bytes.
     """
+    if target == "all_spans":
+        head_rule = "syntactic"  # the only rule candidate spans can follow
     vocabulary: dict[str, set[str]] = {name: set() for name in _FEATURE_NAMES}
     count = 0
     for record in iter_feature_records(corpus, word_order_table, target,

@@ -338,6 +338,9 @@ def test_options_without_effect_are_rejected(tmp_path, capsys, argv):
     (["export-features", GOLD_DIR, "--word-order", WORD_ORDER,
       "--out", "{out}", "--target", "spans", "--max-width", "0"],
      "argument --max-width: expected a positive integer, got '0'"),
+    (["export-features", GOLD_DIR, "--word-order", WORD_ORDER,
+      "--out", "{out}", "--target", "spans", "--head-rule", "annotated"],
+     "--head-rule annotated needs --target gold"),
     (["stats", GOLD_DIR, "--jobs", "0"],
      "argument --jobs: expected a positive integer, got '0'"),
     (["analyze", GOLD_DIR, "--jobs", "-3"],
@@ -345,7 +348,8 @@ def test_options_without_effect_are_rejected(tmp_path, capsys, argv):
     (["stats", GOLD_DIR, "--jobs", "two"],
      "argument --jobs: expected a positive integer, got 'two'"),
 ], ids=["genre-pattern-without-group", "genre-pattern-invalid",
-        "max-width-0", "jobs-0", "jobs-negative", "jobs-not-a-number"])
+        "max-width-0", "spans-annotated-head", "jobs-0", "jobs-negative",
+        "jobs-not-a-number"])
 def test_bad_option_values_exit_1(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as excinfo:

@@ -165,6 +165,19 @@ def test_export_is_deterministic(basic_corpus):
     assert first[0] == 10  # fixture mention count
 
 
+def test_span_export_records_the_syntactic_head_rule(basic_corpus):
+    table = load_word_order_table(DATA / "word_order.tsv")
+
+    def run(head_rule):
+        records, vocab = io.StringIO(), io.StringIO()
+        export_features(basic_corpus, table, records, vocab,
+                        target="all_spans", max_width=2, head_rule=head_rule)
+        return records.getvalue(), vocab.getvalue()
+
+    assert run("annotated") == run("syntactic")
+    assert "head=syntactic\n# heads are syntactic" in run("annotated")[1]
+
+
 def test_vocabulary_is_exactly_the_used_values(basic_corpus):
     table = load_word_order_table(DATA / "word_order.tsv")
     records = io.StringIO()
