@@ -87,9 +87,10 @@ class DatasetReport:
 
     def __add__(self, other: "DatasetReport") -> "DatasetReport":
         """Pooled report, labelled like this one. Reports of one statistic
-        have the same rows in the same order: count rows add numerators,
-        ratio rows add numerators and denominators, so the pooled value is
-        the pooled (not averaged) statistic."""
+        have the same rows in the same order: count rows add numerators and
+        keep their denominator of 1, ratio rows add numerators and
+        denominators, so the pooled value is the pooled (not averaged)
+        statistic."""
         rows = []
         for mine, theirs in zip(self.rows, other.rows, strict=True):
             if (mine.key, mine.kind) != (theirs.key, theirs.kind):
@@ -97,6 +98,7 @@ class DatasetReport:
                                  f"({theirs.kind}) into {mine.key!r} "
                                  f"({mine.kind})")
             rows.append(StatRow(mine.key, mine.numerator + theirs.numerator,
-                                mine.denominator + theirs.denominator,
+                                mine.denominator if mine.kind == "count"
+                                else mine.denominator + theirs.denominator,
                                 mine.kind))
         return DatasetReport(self.dataset, self.statistic, rows)

@@ -81,6 +81,22 @@ def test_stats_json(capsys):
     assert rows["mentions"]["numerator"] == 6
 
 
+def test_stats_json_does_not_depend_on_the_file_split(tmp_path, capsys):
+    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
+    second = text.index("# newdoc", 1)
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    whole.mkdir()
+    split.mkdir()
+    (whole / "xx_basic-corefud-train.conllu").write_text(text, "utf-8")
+    (split / "xx_basic-corefud-train.conllu").write_text(text[:second],
+                                                         "utf-8")
+    (split / "xx_basic-corefud-dev.conllu").write_text(text[second:],
+                                                       "utf-8")
+    _, one_file, _ = run(capsys, "stats", str(whole), "--format", "json")
+    _, two_files, _ = run(capsys, "stats", str(split), "--format", "json")
+    assert one_file == two_files
+
+
 def test_stats_jobs_do_not_change_output(capsys):
     _, sequential, _ = run(capsys, "stats", str(DATA))
     _, parallel, _ = run(capsys, "stats", str(DATA), "--jobs", "3")
