@@ -104,7 +104,8 @@ def _json(payload) -> str:
 def _map_files(worker, jobs_args: list, jobs: int) -> list:
     if jobs <= 1 or len(jobs_args) <= 1:
         return [worker(a) for a in jobs_args]
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(jobs_args))) \
+            as executor:
         return list(executor.map(worker, jobs_args))
 
 

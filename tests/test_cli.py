@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import corefkit
+from corefkit import cli
 from corefkit.cli import main
 from conftest import DATA, tok
 
@@ -101,6 +102,30 @@ def test_stats_jobs_do_not_change_output(capsys):
     _, sequential, _ = run(capsys, "stats", str(DATA))
     _, parallel, _ = run(capsys, "stats", str(DATA), "--jobs", "3")
     assert sequential == parallel
+
+
+def test_jobs_beyond_the_file_count_start_one_worker_per_file(
+        capsys, monkeypatch):
+    started = []
+
+    class Executor:  # records the pool size and maps in-process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Executor)
+    _, capped, _ = run(capsys, "stats", str(DATA), "--jobs", "64")
+    _, sequential, _ = run(capsys, "stats", str(DATA))
+    assert started == [3]  # basic.conllu and the two en_pairset files
+    assert capped == sequential
 
 
 def test_analyze_writes_deterministic_files(tmp_path, capsys):
