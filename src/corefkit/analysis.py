@@ -179,13 +179,11 @@ def competing_antecedents(corpus: Corpus, kind: MentionType,
     total_competitors = 0
     for document in corpus.documents:
         by_sentence: dict[int, list[tuple[Mention, str, Token]]] = defaultdict(list)
-        mention_entity: dict[int, str] = {}
         for entity in document.entities:
             for mention in entity.mentions:
                 head = head_of(mention, document, head_rule)
                 by_sentence[mention.sent_index].append(
                     (mention, entity.entity_id, head))
-                mention_entity[id(mention)] = entity.entity_id
         for entity in document.entities:
             previous: Mention | None = None
             for mention in entity.mentions:

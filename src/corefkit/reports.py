@@ -19,9 +19,9 @@ def _format(value: Fraction | None, decimals: int) -> str:
 @dataclass(frozen=True)
 class StatRow:
     key: str
-    numerator: int | Fraction
+    numerator: int
     denominator: int
-    kind: str = "percent"  # percent | mean | rate | count
+    kind: str = "percent"  # percent | mean | count
 
     @property
     def value(self) -> Fraction | None:
@@ -43,8 +43,7 @@ class StatRow:
         value = self.value
         return {
             "key": self.key,
-            "numerator": [self.numerator.numerator, self.numerator.denominator]
-            if isinstance(self.numerator, Fraction) else self.numerator,
+            "numerator": self.numerator,
             "denominator": self.denominator,
             "kind": self.kind,
             "value": None if value is None else float(value),
@@ -70,10 +69,7 @@ class DatasetReport:
     def to_tsv(self) -> str:
         lines = ["key\tvalue\tnumerator\tdenominator"]
         for row in self.rows:
-            numerator = (f"{float(row.numerator):.6f}"
-                         if isinstance(row.numerator, Fraction)
-                         else str(row.numerator))
-            lines.append(f"{row.key}\t{row.rendered()}\t{numerator}"
+            lines.append(f"{row.key}\t{row.rendered()}\t{row.numerator}"
                          f"\t{row.denominator}")
         return "\n".join(lines) + "\n"
 
