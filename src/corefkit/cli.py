@@ -465,21 +465,25 @@ def cmd_export_features(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = "all_spans" if args.target == "spans" else "gold"
-    for dataset in datasets:
-        corpus = dataset.load()
-        records_path = out_dir / f"{dataset.name}.features.jsonl"
-        vocab_path = out_dir / f"{dataset.name}.vocab.tsv"
-        try:
+    written: list[Path] = []
+    try:
+        for dataset in datasets:
+            corpus = dataset.load()
+            records_path = out_dir / f"{dataset.name}.features.jsonl"
+            vocab_path = out_dir / f"{dataset.name}.vocab.tsv"
+            written += (records_path, vocab_path)
             with open(records_path, "w", encoding="utf-8") as records_out, \
                     open(vocab_path, "w", encoding="utf-8") as vocab_out:
                 count = features.export_features(
                     corpus, table, records_out, vocab_out, target=target,
                     max_width=args.max_width, head_rule=args.head_rule)
-        except features.WordOrderError as exc:
-            records_path.unlink(missing_ok=True)
-            vocab_path.unlink(missing_ok=True)
-            raise CliError(str(exc)) from exc
-        log.info("%s: %d records", dataset.name, count)
+            log.info("%s: %d records", dataset.name, count)
+    except BaseException:
+        # a failed run leaves no file behind, not even of the datasets
+        # it finished, since those would look like a complete export
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return 0
 
 

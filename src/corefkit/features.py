@@ -3,19 +3,25 @@
 Emits one JSON-lines record per span (gold mentions, or all contiguous
 candidate spans up to a width cap) with the head-derived categorical
 features and the document's language/word-order, plus a TSV vocabulary
-sidecar listing every categorical value that occurs. Heads follow
+sidecar listing every categorical value the records hold. Heads follow
 head_rule: syntactic (parent outside the span, the default) or annotated
 (the head resolved at parse time). Candidate spans carry no annotation, so
 their heads are always syntactic. The sidecar header records the rule the
 records followed.
+
+In a sentence without a head cycle, a candidate's syntactic head is the
+running minimum of (depth, position) while the span grows by one token,
+so each candidate costs O(1). A sentence with a cycle resolves each
+candidate with mention_head.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
-from .model import Corpus, Mention, Token, head_of, span_key
+from .model import (Corpus, Document, Mention, Sentence, Token, head_of,
+                    span_key)
 from .taxonomy import base_relation, classify_mention_type, ud_category
 
 WORD_ORDERS = ("SOV", "SVO", "VSO", "VOS", "OVS", "OSV", "NoDominant")
@@ -24,6 +30,8 @@ EXPORT_TARGETS = ("gold", "all_spans")
 
 _FEATURE_NAMES = ("width_bucket", "head_upos", "head_deprel", "mention_type",
                   "ud_category", "language", "word_order")
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 def width_bucket(n_tokens: int) -> str:
@@ -77,43 +85,99 @@ def _span_fields(head: Token, width: int) -> dict:
             "ud_category": ud_category(deprel).name}
 
 
+def _has_cycle(sentence: Sentence) -> bool:
+    """Whether some parent chain of the sentence runs into a cycle: then a
+    node and its parent are equally deep, where elsewhere depth falls by
+    one along every parent edge."""
+    depth = sentence.depth
+    return any(parent >= 0 and depth(parent) >= depth(i)
+               for i, parent in enumerate(sentence.parents()))
+
+
+def _candidate_rows(document: Document, sentence: Sentence, max_width: int,
+                    ) -> Iterator[tuple[int, Iterable[tuple[str, Token]]]]:
+    """Each width up to max_width with the (span key, syntactic head) of
+    every run of that many surface tokens, leftmost run first."""
+    surface = sentence.surface_tokens()
+    n = len(surface)
+    widths = range(1, min(max_width, n) + 1)
+    if _has_cycle(sentence):
+        for width in widths:
+            spans = [tuple(surface[start:start + width])
+                     for start in range(n - width + 1)]
+            yield width, [(span_key(span),
+                           head_of(Mention("", span), document, "syntactic"))
+                          for span in spans]
+        return
+    # Depth falls along every parent edge, so the shallowest token of a run
+    # (leftmost on a tie) has its parent outside the run: it is the head
+    # mention_head picks. Surface ids are consecutive, so a run's key is its
+    # ids comma-joined. Each run grows by one token per width.
+    depths = [sentence.depth(token.order) for token in surface]
+    keys = [token.index for token in surface]
+    heads = list(surface)
+    head_depths = list(depths)
+    for width in widths:
+        n_runs = n - width + 1
+        if width > 1:
+            for start in range(n_runs):
+                end = start + width - 1
+                keys[start] += "," + surface[end].index
+                if depths[end] < head_depths[start]:
+                    heads[start] = surface[end]
+                    head_depths[start] = depths[end]
+        yield width, zip(keys[:n_runs], heads)
+
+
 def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                          target: str = "gold", max_width: int = 10,
                          head_rule: str = "syntactic") -> Iterator[dict]:
-    """Yield one record per span in deterministic document order."""
+    """Yield one record per span in deterministic document order: gold
+    mentions in document order, candidate spans per sentence by width and
+    then by start."""
     if target not in EXPORT_TARGETS:
         raise ValueError(f"unknown export target {target!r}")
     for document in corpus.documents:
+        doc_id = document.doc_id
         language = document.language
         word_order = word_order_table.get(language)
         if word_order is None:
             raise WordOrderError(
                 f"no word order configured for language {language!r} "
-                f"(document {document.doc_id!r})")
+                f"(document {doc_id!r})")
         if target == "gold":
             for mention in document.mentions():
                 head = head_of(mention, document, head_rule)
-                yield {"doc_id": document.doc_id,
+                yield {"doc_id": doc_id,
                        "sent_index": mention.sent_index,
                        "span": span_key(mention.span),
                        **_span_fields(head, len(mention.span)),
                        "language": language, "word_order": word_order,
                        "entity_id": mention.entity_id}
-        else:
-            for sent_index, sentence in enumerate(document.sentences):
-                surface = sentence.surface_tokens()
-                n = len(surface)
-                for width in range(1, min(max_width, n) + 1):
-                    for start in range(n - width + 1):
-                        span = tuple(surface[start:start + width])
-                        head = head_of(Mention("", span), document,
-                                       "syntactic")
-                        yield {"doc_id": document.doc_id,
-                               "sent_index": sent_index,
-                               "span": span_key(span),
-                               **_span_fields(head, width),
-                               "language": language,
-                               "word_order": word_order}
+            continue
+        for sent_index, sentence in enumerate(document.sentences):
+            fields_of: dict[tuple[Token, str], dict] = {}
+            for width, candidates in _candidate_rows(document, sentence,
+                                                     max_width):
+                bucket = width_bucket(width)
+                for key, head in candidates:
+                    fields = fields_of.get((head, bucket))
+                    if fields is None:
+                        fields = fields_of[head, bucket] = _span_fields(
+                            head, width)
+                    yield {"doc_id": doc_id, "sent_index": sent_index,
+                           "span": key, **fields,
+                           "language": language, "word_order": word_order}
+
+
+class _Pieces(dict):
+    """The JSON text '"key":value' of each (key, value) record item,
+    encoded on first use."""
+
+    def __missing__(self, item: tuple[str, object]) -> str:
+        key, value = item
+        piece = self[item] = f"{_ENCODER.encode(key)}:{_ENCODER.encode(value)}"
+        return piece
 
 
 def export_features(corpus: Corpus, word_order_table: dict[str, str],
@@ -122,20 +186,26 @@ def export_features(corpus: Corpus, word_order_table: dict[str, str],
                     head_rule: str = "syntactic") -> int:
     """Write the JSONL record stream and the vocabulary sidecar.
 
-    Returns the number of records written. Output is a pure function of the
-    inputs: two runs produce identical bytes.
+    Each line is the record as ``json.dumps(record, ensure_ascii=False,
+    separators=(",", ":"))`` writes it, joined from memoised item pieces;
+    the sidecar lists the feature values among those pieces. Returns the
+    number of records written. Output is a pure function of the inputs:
+    two runs produce identical bytes.
     """
     if target == "all_spans":
         head_rule = "syntactic"  # the only rule candidate spans can follow
-    vocabulary: dict[str, set[str]] = {name: set() for name in _FEATURE_NAMES}
+    pieces = _Pieces()
     count = 0
     for record in iter_feature_records(corpus, word_order_table, target,
                                        max_width, head_rule):
-        for name in _FEATURE_NAMES:
-            vocabulary[name].add(record[name])
-        records_out.write(json.dumps(record, ensure_ascii=False,
-                                     separators=(",", ":")) + "\n")
+        records_out.write("{" + ",".join([pieces[item]
+                                          for item in record.items()])
+                          + "}\n")
         count += 1
+    vocabulary: dict[str, list[str]] = {name: [] for name in _FEATURE_NAMES}
+    for name, value in pieces:
+        if name in vocabulary:
+            vocabulary[name].append(value)
     vocab_out.write("# categorical feature vocabulary; values observed in "
                     "the exported records\n")
     vocab_out.write(f"# target={target}"
@@ -147,7 +217,7 @@ def export_features(corpus: Corpus, word_order_table: dict[str, str],
                         "a trained scorer may substitute attention-derived "
                         "heads\n")
     vocab_out.write("feature\tvalue\n")
-    for name in _FEATURE_NAMES:
-        for value in sorted(vocabulary[name]):
+    for name, values in vocabulary.items():
+        for value in sorted(values):
             vocab_out.write(f"{name}\t{value}\n")
     return count

@@ -422,6 +422,22 @@ def test_export_features_unknown_language_exits_2(tmp_path, capsys):
                    "'en' (document 'pair-doc1')\n")
 
 
+def test_failed_export_removes_the_files_of_every_dataset(tmp_path,
+                                                         capsys):
+    # en_pairset is exported before zz_other fails on its language
+    gold = (DATA / "score" / "gold" / "en_pairset-corefud-dev.conllu")
+    root = tmp_path / "release"
+    root.mkdir()
+    _release(root, en_pairset=gold.read_bytes(), zz_other=gold.read_bytes())
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "export-features", str(root),
+                       "--word-order", WORD_ORDER, "--out", str(out))
+    assert code == 2
+    assert err.endswith("corefkit: error: no word order configured for "
+                        "language 'zz' (document 'pair-doc1')\n")
+    assert list(out.iterdir()) == []
+
+
 def test_taxonomy_dump(capsys):
     code, out, _ = run(capsys, "taxonomy")
     assert code == 0

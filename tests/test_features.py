@@ -5,11 +5,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corefkit.features import (WordOrderError, export_features,
+from corefkit import features, parse_file
+from corefkit.features import (WordOrderError, _span_fields, export_features,
                                iter_feature_records, load_word_order_table,
                                width_bucket)
+from corefkit.model import (Corpus, Document, Mention, Sentence, Token,
+                            head_of, span_key)
 from conftest import DATA, make_corpus, tok
+from test_heads import documents
 
 WORD_ORDER = {"xx": "SVO", "en": "SVO"}
 SPAN_FIELDS = ("width_bucket", "head_upos", "head_deprel", "mention_type",
@@ -180,24 +186,154 @@ def test_span_export_records_the_syntactic_head_rule(basic_corpus):
 
 def test_vocabulary_is_exactly_the_used_values(basic_corpus):
     table = load_word_order_table(DATA / "word_order.tsv")
-    records = io.StringIO()
-    vocab = io.StringIO()
-    export_features(basic_corpus, table, records, vocab, target="gold")
-    parsed = [json.loads(line) for line in records.getvalue().splitlines()]
-    used: dict[str, set[str]] = {}
-    for record in parsed:
-        for name in ("width_bucket", "head_upos", "head_deprel",
-                     "mention_type", "ud_category", "language", "word_order"):
-            used.setdefault(name, set()).add(record[name])
-    listed: dict[str, set[str]] = {}
-    for line in vocab.getvalue().splitlines():
-        if line.startswith("#") or line == "feature\tvalue":
-            continue
-        name, value = line.split("\t")
-        listed.setdefault(name, set()).add(value)
-    assert listed == used
+    for target in ("gold", "all_spans"):
+        records = io.StringIO()
+        vocab = io.StringIO()
+        export_features(basic_corpus, table, records, vocab, target=target,
+                        max_width=4)
+        parsed = [json.loads(line) for line in records.getvalue().splitlines()]
+        used: dict[str, set[str]] = {}
+        for record in parsed:
+            for name in ("width_bucket", "head_upos", "head_deprel",
+                         "mention_type", "ud_category", "language",
+                         "word_order"):
+                used.setdefault(name, set()).add(record[name])
+        listed: dict[str, set[str]] = {}
+        for line in vocab.getvalue().splitlines():
+            if line.startswith("#") or line == "feature\tvalue":
+                continue
+            name, value = line.split("\t")
+            listed.setdefault(name, set()).add(value)
+        assert listed == used, target
 
 
 def test_word_order_error_names_language(basic_corpus):
     with pytest.raises(WordOrderError, match="es"):
         list(iter_feature_records(basic_corpus, {"en": "SVO"}, "gold"))
+
+
+# The reference for candidate records: mention_head and span_key on every
+# run of surface tokens, one span at a time.
+def _per_span_records(corpus, word_order_table, max_width):
+    for document in corpus.documents:
+        language = document.language
+        for sent_index, sentence in enumerate(document.sentences):
+            surface = sentence.surface_tokens()
+            n = len(surface)
+            for width in range(1, min(max_width, n) + 1):
+                for start in range(n - width + 1):
+                    span = tuple(surface[start:start + width])
+                    head = head_of(Mention("", span), document, "syntactic")
+                    yield {"doc_id": document.doc_id,
+                           "sent_index": sent_index,
+                           "span": span_key(span),
+                           **_span_fields(head, width),
+                           "language": language,
+                           "word_order": word_order_table[language]}
+
+
+# one tag per node position, so a record's head_upos names its head
+UPOS = ("NOUN", "PROPN", "PRON", "VERB", "ADJ", "ADV", "DET", "ADP", "AUX",
+        "NUM", "CCONJ", "SCONJ", "PART", "INTJ", "PUNCT", "SYM", "X")
+
+
+@settings(max_examples=300)
+@given(documents(), st.integers(1, 8))
+def test_candidate_records_match_the_per_span_loop(document, max_width):
+    for sentence in document.sentences:
+        for token in sentence.tokens:
+            token.upos = UPOS[token.order]
+    corpus = Corpus(documents=[document])
+    table = {"": "SVO"}
+    assert (list(iter_feature_records(corpus, table, "all_spans", max_width))
+            == list(_per_span_records(corpus, table, max_width)))
+
+
+def _candidate_heads(corpus, max_width=3):
+    """span key -> head UPOS of every candidate record, checked against the
+    per-span loop."""
+    records = list(iter_feature_records(corpus, WORD_ORDER, "all_spans",
+                                        max_width))
+    assert records == list(_per_span_records(corpus, WORD_ORDER, max_width))
+    return {r["span"]: r["head_upos"] for r in records}
+
+
+def test_candidate_heads_in_a_sentence_with_a_cycle():
+    heads = _candidate_heads(make_corpus([
+        tok(1, "a", "PRON", 2, "nsubj"),
+        tok(2, "b", "VERB", 3, "ccomp"),
+        tok(3, "c", "NOUN", 2, "obj"),
+        tok(4, "d", "ADV", 0, "root"),
+    ]))
+    # 2 and 3 govern each other, so no token of 1,2,3 has its parent
+    # outside the span and the leftmost stands in, though 2 and 3 are the
+    # shallower tokens
+    assert heads["1,2,3"] == "PRON"
+    assert heads["2,3"] == "VERB"
+    assert heads["1,2"] == "VERB"
+    assert heads["2,3,4"] == "ADV"
+
+
+def test_candidate_heads_in_a_sentence_with_an_unknown_parent():
+    # built without the parser, which rejects a head past the sentence end
+    tokens = [Token(index=str(i), form=upos.lower(), lemma=upos.lower(),
+                    upos=upos, xpos="_", feats_raw="_", head=head,
+                    deprel=deprel, deps_raw="_", misc_raw="_",
+                    is_empty=False, sent_index=0, order=i - 1)
+              for i, (upos, head, deprel) in enumerate(
+                  [("NOUN", 2, "nmod"), ("ADJ", 7, "amod"),
+                   ("VERB", 0, "root")], start=1)]
+    heads = _candidate_heads(Corpus(documents=[Document(
+        "toy-doc1", [Sentence(tokens=tokens)], language="xx")]))
+    assert heads["1,2"] == "ADJ"
+    assert heads["2,3"] == "VERB"
+    assert heads["1,2,3"] == "VERB"
+
+
+def test_written_lines_are_the_json_of_the_records(tmp_path):
+    escaped = tmp_path / "escaped.conllu"
+    escaped.write_text(
+        (DATA / "basic.conllu").read_text(encoding="utf-8")
+        .replace("# newdoc id = ", '# newdoc id = dóc"\\')
+        .replace("Entity=(e1-", 'Entity=(ë"\\1-')
+        .replace("Entity=e1)", 'Entity=ë"\\1)'),
+        encoding="utf-8")
+    corpus = parse_file(escaped, dataset="fixture", language="es")
+    doc_ids = [d.doc_id for d in corpus.documents]
+    entity_ids = [e.entity_id for d in corpus.documents for e in d.entities]
+    assert any('dóc"\\' in d for d in doc_ids)
+    assert 'ë"\\1' in entity_ids
+    table = load_word_order_table(DATA / "word_order.tsv")
+    for target, head_rule in (("gold", "syntactic"), ("gold", "annotated"),
+                              ("all_spans", "syntactic"),
+                              ("all_spans", "annotated")):
+        records = io.StringIO()
+        export_features(corpus, table, records, io.StringIO(), target, 4,
+                        head_rule)
+        if target == "all_spans":
+            head_rule = "syntactic"
+        expected = "".join(json.dumps(record, ensure_ascii=False,
+                                      separators=(",", ":")) + "\n"
+                           for record in iter_feature_records(
+                               corpus, table, target, 4, head_rule))
+        assert records.getvalue() == expected, target
+
+
+@pytest.mark.parametrize("target", ["gold", "all_spans"])
+def test_export_reads_records_through_the_module_attribute(basic_corpus,
+                                                           monkeypatch,
+                                                           target):
+    # bench/layers.py traces the span export by rebinding the module's
+    # iter_feature_records and divides by the time spent in it
+    table = load_word_order_table(DATA / "word_order.tsv")
+    calls = []
+
+    def replacement(*args):
+        calls.append(args[2])
+        yield from iter_feature_records(*args)
+
+    monkeypatch.setattr(features, "iter_feature_records", replacement)
+    count = export_features(basic_corpus, table, io.StringIO(),
+                            io.StringIO(), target, 2)
+    assert calls == [target]
+    assert count > 0
