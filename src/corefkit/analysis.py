@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .model import Corpus, Mention, Token, head_of, mention_key
+from .model import (DEFAULT_GENRE_PATTERN, Corpus, DataError, Mention, Token,
+                    head_of, mention_key)
 from .reports import DatasetReport, StatRow
 from .taxonomy import MentionType, UdCategory, classify_mention_type, ud_category
-
-DEFAULT_GENRE_PATTERN = r"^[^_]+_([^_]+)"
 
 
 def _is_premodified(mention: Mention, head: Token) -> bool:
@@ -265,7 +264,7 @@ def corpus_statistics(corpus: Corpus) -> DatasetReport:
     ])
 
 
-class MissingVectorError(KeyError):
+class MissingVectorError(KeyError, DataError):
     """A non-singleton mention has no embedding vector."""
 
     def __init__(self, keys: list[tuple[str, int, str]]):

@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 data error. All reports are
 deterministic: percentages with 2 decimals, scores with 6, fixed ordering.
 Logs go to stderr only; the COREFUD_DATA environment variable supplies the
 default corpus root.
+
+Start-up is most of a run on small inputs, so `metrics`, `errors`,
+`features` and the process pool are imported by the code that uses them,
+and each process loads only what its subcommand runs.
 """
 from __future__ import annotations
 
@@ -13,25 +17,26 @@ import logging
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from . import analysis, errors, features, metrics, taxonomy
-from .conllu import ParseError, parse_file
+from . import analysis, taxonomy
+from .conllu import parse_file
 from .corpora import DatasetFiles, discover_datasets, pair_datasets
-from .model import HEAD_RULES, Corpus
+from .model import (DEFAULT_GENRE_PATTERN, HEAD_RULES, MATCH_MODES,
+                    SINGLETON_POLICIES, UNRESOLVED_DEFINITIONS, Corpus,
+                    DataError)
 from .reports import DatasetReport
 from .taxonomy import MentionType
 
 log = logging.getLogger("corefkit")
 
 
-class CliError(Exception):
-    """Data-level failure; maps to exit code 2."""
+class CliError(DataError):
+    """Data-level failure found by the command line itself."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +86,8 @@ def _datasets(args) -> list[DatasetFiles]:
     root = _existing(given)
     datasets = discover_datasets(root, args.split)
     if not datasets:
-        raise CliError(f"no .conllu files under {root}")
+        of_split = f" of split {args.split!r}" if args.split else ""
+        raise CliError(f"no .conllu files{of_split} under {root}")
     return datasets
 
 
@@ -104,6 +110,7 @@ def _json(payload) -> str:
 def _map_files(worker, jobs_args: list, jobs: int) -> list:
     if jobs <= 1 or len(jobs_args) <= 1:
         return [worker(a) for a in jobs_args]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(jobs_args))) \
             as executor:
         return list(executor.map(worker, jobs_args))
@@ -144,7 +151,7 @@ class SumsByKey(dict):
 
 class StatOptions(NamedTuple):
     head_rule: str = "annotated"
-    genre_pattern: str = analysis.DEFAULT_GENRE_PATTERN
+    genre_pattern: str = DEFAULT_GENRE_PATTERN
     vectors: analysis.MentionVectors | None = None
 
 
@@ -362,6 +369,7 @@ def cmd_analyze(args) -> int:
 def _dataset_pairs(args) -> Iterator[tuple[str, list]]:
     """(dataset, its (gold, system) document pairs) for each dataset that
     --gold and --pred share, loading one dataset at a time."""
+    from . import metrics
     paired = pair_datasets(_existing(args.gold), _existing(args.pred),
                            args.split)
     if not paired:
@@ -372,6 +380,7 @@ def _dataset_pairs(args) -> Iterator[tuple[str, list]]:
 
 
 def cmd_score(args) -> int:
+    from . import metrics
     # A dataset without documents has no score: n/a, and no part in macro.
     rows = [(name, metrics.score_pairs(pairs, args.match, args.singletons)
              if pairs else None)
@@ -416,6 +425,7 @@ _ERROR_COLUMNS = ("unresolved_pct", "two_mention_pct", "undetected_pct",
 
 
 def cmd_errors(args) -> int:
+    from . import errors
     want_detail = args.detail or bool(args.out)
     details: list[dict] = []
     reports = [errors.analyze_errors(pairs, args.mode, args.definition,
@@ -457,6 +467,7 @@ def cmd_errors(args) -> int:
 # -------------------------------------------------------- export-features
 
 def cmd_export_features(args) -> int:
+    from . import features
     datasets = _datasets(args)
     try:
         table = features.load_word_order_table(args.word_order)
@@ -539,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by-language", action="store_true",
                    help="pool datasets of the same language")
     p.add_argument("--genre-pattern", type=_genre_pattern,
-                   default=analysis.DEFAULT_GENRE_PATTERN,
+                   default=DEFAULT_GENRE_PATTERN,
                    help="regex with one group extracting the genre "
                         "from doc ids")
     p.add_argument("--vectors", help="mention-vector TSV "
@@ -554,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--split", choices=("train", "dev", "test"))
-    p.add_argument("--match", choices=metrics.MATCH_MODES, default="exact")
-    p.add_argument("--singletons", choices=metrics.SINGLETON_POLICIES,
+    p.add_argument("--match", choices=MATCH_MODES, default="exact")
+    p.add_argument("--singletons", choices=SINGLETON_POLICIES,
                    default="exclude")
     p.add_argument("--out")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
@@ -566,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--split", choices=("train", "dev", "test"))
-    p.add_argument("--mode", choices=metrics.MATCH_MODES, default="exact")
-    p.add_argument("--definition", choices=errors.UNRESOLVED_DEFINITIONS,
+    p.add_argument("--mode", choices=MATCH_MODES, default="exact")
+    p.add_argument("--definition", choices=UNRESOLVED_DEFINITIONS,
                    default="links")
     p.add_argument("--detail", action="store_true",
                    help="also dump per-entity JSON diagnostics")
@@ -606,8 +617,6 @@ def main(argv: list[str] | None = None) -> int:
                      "gold; candidate spans carry no annotated head")
     try:
         return args.func(args)
-    except (CliError, ParseError, metrics.AlignmentError,
-            analysis.MissingVectorError, features.WordOrderError,
-            OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"corefkit: error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ import re
 from pathlib import Path
 from typing import Iterable
 
-from .model import (Corpus, Document, Entity, Mention, Sentence, Token,
-                    mention_head)
+from .model import (Corpus, DataError, Document, Entity, Mention, Sentence,
+                    Token, mention_head)
 
 log = logging.getLogger(__name__)
 
@@ -28,7 +28,7 @@ _RANGE = re.compile(r"^([1-9][0-9]*)-([1-9][0-9]*)$")
 _EMPTY = re.compile(r"^([0-9]+)\.([1-9][0-9]*)$")
 
 
-class ParseError(ValueError):
+class ParseError(ValueError, DataError):
     """Malformed input data; carries file and line information."""
 
     def __init__(self, message: str, filename: str = "", line: int = 0):
@@ -51,8 +51,28 @@ def parse_conllu(text: str, dataset: str = "", language: str = "",
 
 def parse_file(path: str | Path, dataset: str = "", language: str = "") -> Corpus:
     """Parse the CoNLL-U file at path; parse errors name it."""
-    with open(path, encoding="utf-8") as handle:
-        return _parse_stream(handle, dataset, language, str(Path(path)))
+    filename = str(Path(path))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return _parse_stream(handle, dataset, language, filename)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, filename, exc) from exc
+
+
+def _not_utf8(path: str | Path, filename: str,
+              exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError naming the first line of the file that is not UTF-8;
+    only read after decoding the file failed."""
+    line_no = 0
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                exc = line_exc
+                break
+    return ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 "
+                      f"({exc.reason})", filename, line_no)
 
 
 def _parse_stream(stream: Iterable[str], dataset: str, language: str,

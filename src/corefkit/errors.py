@@ -13,10 +13,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .metrics import align_mentions
-from .model import Document, Entity, Mention, span_key
+from .model import UNRESOLVED_DEFINITIONS, Document, Entity, Mention, span_key
 from .taxonomy import MentionType, classify_mention_type, ud_category
 
-UNRESOLVED_DEFINITIONS = ("links", "membership")
 DISTANCE_BUCKETS = ("0", "1", "2", "3+")
 
 

@@ -20,8 +20,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .model import (Corpus, Document, Mention, Sentence, Token, head_of,
-                    span_key)
+from .model import (Corpus, DataError, Document, Mention, Sentence, Token,
+                    head_of, span_key)
 from .taxonomy import base_relation, classify_mention_type, ud_category
 
 WORD_ORDERS = ("SOV", "SVO", "VSO", "VOS", "OVS", "OSV", "NoDominant")
@@ -46,7 +46,7 @@ def width_bucket(n_tokens: int) -> str:
     return "32+"
 
 
-class WordOrderError(KeyError):
+class WordOrderError(KeyError, DataError):
     """A document's language has no word-order entry."""
 
     __str__ = Exception.__str__  # the message, not KeyError's repr of it

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from operator import add
 from typing import Hashable, Iterable, Iterator
 
-from .model import Corpus, Document, Mention
-
-MATCH_MODES = ("exact", "head")
-SINGLETON_POLICIES = ("include", "exclude")
+from .model import (MATCH_MODES, SINGLETON_POLICIES, Corpus, DataError,
+                    Document, Mention)
 
 
-class AlignmentError(ValueError):
+class AlignmentError(ValueError, DataError):
     """Gold and system documents cannot be aligned."""
 
 

@@ -8,6 +8,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 HEAD_RULES = ("annotated", "syntactic")
+# The choices of metrics.align_mentions, metrics.ClusterSet and
+# errors.analyze_errors, and analysis.genre_counts's default. They live here
+# so that the command line can offer them without importing those modules.
+MATCH_MODES = ("exact", "head")
+SINGLETON_POLICIES = ("include", "exclude")
+UNRESOLVED_DEFINITIONS = ("links", "membership")
+DEFAULT_GENRE_PATTERN = r"^[^_]+_([^_]+)"
+
+
+class DataError(Exception):
+    """Base of every error in the input data rather than in the call; the
+    command line reports each with exit code 2. Subclasses keep their
+    standard base too: ParseError is also a ValueError, WordOrderError a
+    KeyError."""
+
 
 # Parent positions of a node with no parent and of one whose parent id
 # names no node of its sentence.

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,12 @@ from pathlib import Path
 import pytest
 
 import corefkit
-from corefkit import cli
-from corefkit.cli import main
+from corefkit.analysis import MissingVectorError
+from corefkit.cli import CliError, main
+from corefkit.conllu import ParseError
+from corefkit.features import WordOrderError
+from corefkit.metrics import AlignmentError
+from corefkit.model import DataError
 from conftest import DATA, tok
 
 GOLD_DIR = str(DATA / "score" / "gold")
@@ -49,6 +55,28 @@ def test_validate_data_error_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(tmp_path))
     assert code == 2
     assert "bad.conllu:1" in err
+
+
+def test_validate_non_utf8_names_the_line_and_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.conllu"
+    bad.write_bytes("\n".join(["# sent_id = s1", tok(1, "Hola"),
+                               tok(2, "Caf\xe9", head=1, deprel="obj"),
+                               "", ""]).encode("latin-1"))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == (f"corefkit: error: {bad}:3: byte 0xe9 is not UTF-8 "
+                   "(invalid continuation byte)\n")
+
+
+def test_validate_split_without_files_names_the_split(capsys):
+    code, _, err = run(capsys, "validate", str(DATA), "--split", "test")
+    assert code == 2
+    assert err == (f"corefkit: error: no .conllu files of split 'test' "
+                   f"under {DATA}\n")
+    code, out, _ = run(capsys, "validate", str(DATA), "--split", "dev")
+    assert code == 0
+    assert out.startswith("ok\t")
 
 
 def test_missing_input_exits_2(capsys, monkeypatch):
@@ -121,7 +149,8 @@ def test_jobs_beyond_the_file_count_start_one_worker_per_file(
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Executor)
+    # cli._map_files imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
     _, capped, _ = run(capsys, "stats", str(DATA), "--jobs", "64")
     _, sequential, _ = run(capsys, "stats", str(DATA))
     assert started == [3]  # basic.conllu and the two en_pairset files
@@ -243,18 +272,138 @@ def test_score_runs_are_byte_identical(capsys):
     assert first == second
 
 
+# ------------------------------------------- runs in a fresh interpreter
+#
+# The test process has imported every corefkit module already, so what a
+# subcommand loads, and how an error from a module it loads late is
+# reported, shows only in a new interpreter.
+
+_SRC = str(Path(corefkit.__file__).resolve().parent.parent)
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+# Runs main on its arguments, then prints the loaded module names as the
+# last line of stderr and exits with main's code.
+_PROBE = ("import json, sys\n"
+          "from corefkit.cli import main\n"
+          "code = main(sys.argv[1:])\n"
+          "sys.stdout.flush()\n"
+          "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+          "sys.exit(code)\n")
+
+
+def fresh(*argv) -> subprocess.CompletedProcess:
+    """`python -m corefkit argv` in a new interpreter."""
+    return subprocess.run([sys.executable, "-m", "corefkit", *argv],
+                          env=_ENV, capture_output=True, text=True,
+                          timeout=120)
+
+
+def fresh_modules(*argv) -> set[str]:
+    """The modules a new interpreter holds after main(argv) returned 0."""
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stderr.splitlines()[-1]))
+
+
 def test_score_imports_neither_scipy_nor_numpy():
-    script = ("import sys\n"
-              "from corefkit.cli import main\n"
-              f"code = main(['score', '--gold', {GOLD_DIR!r}, "
-              f"'--pred', {PRED_DIR!r}])\n"
-              "print(code, 'scipy' in sys.modules, 'numpy' in sys.modules)\n")
-    src = str(Path(corefkit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False False"
+    modules = fresh_modules("score", "--gold", GOLD_DIR, "--pred", PRED_DIR)
+    assert "scipy" not in modules and "numpy" not in modules
+
+
+# Every process loads the package, cli and what they import; analysis and
+# reports come with cli, since its statistics table names them.
+_ALWAYS = {"corefkit", "corefkit.cli", "corefkit.corpora", "corefkit.conllu",
+           "corefkit.model", "corefkit.taxonomy", "corefkit.analysis",
+           "corefkit.reports"}
+
+
+@pytest.mark.parametrize("argv, extra, pool", [
+    (["taxonomy"], set(), False),
+    (["validate", str(DATA)], set(), False),
+    (["stats", str(DATA)], set(), False),
+    (["analyze", str(DATA)], set(), False),
+    (["score", "--gold", GOLD_DIR, "--pred", PRED_DIR],
+     {"corefkit.metrics"}, False),
+    (["errors", "--gold", GOLD_DIR, "--pred", PRED_DIR],
+     {"corefkit.metrics", "corefkit.errors"}, False),
+    (["export-features", GOLD_DIR, "--word-order", WORD_ORDER, "--out",
+      "{tmp}"], {"corefkit.features"}, False),
+    (["stats", str(DATA), "--jobs", "2"], set(), True),
+    (["analyze", str(DATA), "--jobs", "2"], set(), True),
+    (["stats", GOLD_DIR, "--jobs", "2"], set(), False),
+], ids=["taxonomy", "validate", "stats", "analyze", "score", "errors",
+        "export-features", "stats-jobs", "analyze-jobs",
+        "stats-jobs-one-file"])
+def test_subcommand_imports_only_what_it_runs(tmp_path, argv, extra, pool):
+    modules = fresh_modules(*(a.format(tmp=tmp_path) for a in argv))
+    assert {m for m in modules if m.startswith("corefkit")} == \
+        _ALWAYS | extra
+    # the process pool, and multiprocessing with it, only when one starts
+    assert ("concurrent.futures.process" in modules) is pool
+    assert ("multiprocessing" in modules) is pool
+
+
+def _score_without_the_document(tmp_path):
+    (tmp_path / "en_pairset.conllu").write_text("", encoding="utf-8")
+    return ["score", "--gold", GOLD_DIR, "--pred", str(tmp_path)]
+
+
+def _export_without_the_language(tmp_path):
+    (tmp_path / "orders.tsv").write_text("zz\tSOV\n", encoding="utf-8")
+    return ["export-features", GOLD_DIR, "--word-order",
+            str(tmp_path / "orders.tsv"), "--out", str(tmp_path / "out")]
+
+
+def _vectors_without_the_keys(tmp_path):
+    return ["analyze", str(DATA), "--stat", "semantic-distance",
+            "--vectors", str(DATA / "vectors.tsv")]
+
+
+def _malformed_token_line(tmp_path):
+    (tmp_path / "bad.conllu").write_text("1\tnot\tenough\tcolumns\n",
+                                         encoding="utf-8")
+    return ["validate", str(tmp_path / "bad.conllu")]
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (_score_without_the_document,
+     "en_pairset: system output misses document 'pair-doc1'"),
+    (_export_without_the_language,
+     "no word order configured for language 'en' (document 'pair-doc1')"),
+    (_vectors_without_the_keys, "missing vectors for 5 mentions: "),
+    (_malformed_token_line, "bad.conllu:1: "),
+], ids=["AlignmentError", "WordOrderError", "MissingVectorError",
+        "ParseError"])
+def test_data_error_of_a_late_module_exits_2(tmp_path, make_argv, message):
+    done = fresh(*make_argv(tmp_path))
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("corefkit: error: ")
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_analyze_jobs_print_the_same_bytes_in_a_fresh_process():
+    sequential = fresh("analyze", str(DATA), "--jobs", "1")
+    parallel = fresh("analyze", str(DATA), "--jobs", "2")
+    assert sequential.returncode == parallel.returncode == 0
+    assert sequential.stdout == parallel.stdout != ""
+
+
+@pytest.mark.parametrize("error, base", [
+    (CliError("no input"), Exception),
+    (ParseError("malformed HEAD value 'x'", "a.conllu", 3), ValueError),
+    (AlignmentError("xx: duplicate doc ids in gold"), ValueError),
+    (MissingVectorError([("doc", 0, "1,2")]), KeyError),
+    (WordOrderError("no word order configured for language 'zz'"), KeyError),
+], ids=["CliError", "ParseError", "AlignmentError", "MissingVectorError",
+        "WordOrderError"])
+def test_data_errors_share_one_base_and_survive_pickling(error, base):
+    copy = pickle.loads(pickle.dumps(error))
+    assert isinstance(error, DataError) and isinstance(error, base)
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
 
 
 def test_errors_tsv_and_detail(tmp_path, capsys):
