@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .conllu import ParseError, open_text
 from .model import (DEFAULT_GENRE_PATTERN, Corpus, DataError, Mention, Token,
                     head_of, mention_key)
 from .reports import DatasetReport, StatRow
@@ -292,36 +293,37 @@ class MentionVectors:
 
 def load_mention_vectors(path: str | Path) -> MentionVectors:
     """Read a vectors TSV: doc_id, sentence index, span key, then the vector
-    components. '#' lines are comments. Malformed lines raise ValueError
-    naming the file and line."""
+    components. '#' lines are comments. Malformed lines, and a file that is
+    not UTF-8, raise ParseError naming the file and line."""
     vectors: dict[tuple[str, int, str], tuple[float, ...]] = {}
     dimension: int | None = None
-    with open(path, encoding="utf-8") as handle:
+    filename = str(path)
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) < 4:
-                raise ValueError(f"{path}:{line_no}: expected at least 4 "
-                                 f"columns, got {len(fields)}")
+                raise ParseError(f"expected at least 4 columns, got "
+                                 f"{len(fields)}", filename, line_no)
             try:
                 sent_index = int(fields[1])
             except ValueError:
-                raise ValueError(f"{path}:{line_no}: sentence index "
-                                 f"{fields[1]!r} is not an integer") from None
+                raise ParseError(f"sentence index {fields[1]!r} is not an "
+                                 f"integer", filename, line_no) from None
             try:
                 vector = tuple(float(x) for x in fields[3:])
             except ValueError:
-                raise ValueError(f"{path}:{line_no}: non-numeric "
-                                 f"component") from None
+                raise ParseError("non-numeric component", filename,
+                                 line_no) from None
             if not all(math.isfinite(x) for x in vector):
-                raise ValueError(f"{path}:{line_no}: non-finite component")
+                raise ParseError("non-finite component", filename, line_no)
             if dimension is None:
                 dimension = len(vector)
             elif len(vector) != dimension:
-                raise ValueError(f"{path}:{line_no}: dimension {len(vector)}"
-                                 f" != {dimension}")
+                raise ParseError(f"dimension {len(vector)} != {dimension}",
+                                 filename, line_no)
             vectors[(fields[0], sent_index, fields[2])] = vector
     return MentionVectors(vectors, dimension or 0)
 

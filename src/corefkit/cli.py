@@ -79,6 +79,11 @@ def _existing(path: str) -> Path:
     return resolved
 
 
+def _no_files(root: Path, split: str | None) -> CliError:
+    of_split = f" of split {split!r}" if split else ""
+    return CliError(f"no .conllu files{of_split} under {root}")
+
+
 def _datasets(args) -> list[DatasetFiles]:
     given = args.input or os.environ.get("COREFUD_DATA")
     if not given:
@@ -86,8 +91,7 @@ def _datasets(args) -> list[DatasetFiles]:
     root = _existing(given)
     datasets = discover_datasets(root, args.split)
     if not datasets:
-        of_split = f" of split {args.split!r}" if args.split else ""
-        raise CliError(f"no .conllu files{of_split} under {root}")
+        raise _no_files(root, args.split)
     return datasets
 
 
@@ -334,11 +338,7 @@ def cmd_analyze(args) -> int:
     if needing and not args.vectors:
         raise CliError(f"--vectors is required for {needing[0]}")
     datasets = _datasets(args)
-    try:
-        vectors = (analysis.load_mention_vectors(args.vectors) if needing
-                   else None)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    vectors = analysis.load_mention_vectors(args.vectors) if needing else None
     groups: dict[str, list[DatasetFiles]] = {}
     for dataset in datasets:
         key = dataset.language if args.by_language else dataset.name
@@ -370,9 +370,11 @@ def _dataset_pairs(args) -> Iterator[tuple[str, list]]:
     """(dataset, its (gold, system) document pairs) for each dataset that
     --gold and --pred share, loading one dataset at a time."""
     from . import metrics
-    paired = pair_datasets(_existing(args.gold), _existing(args.pred),
-                           args.split)
+    gold = _existing(args.gold)
+    paired = pair_datasets(gold, _existing(args.pred), args.split)
     if not paired:
+        if not discover_datasets(gold, args.split):
+            raise _no_files(gold, args.split)
         raise CliError("no dataset names shared between --gold and --pred")
     for name, gold_files, pred_files in paired:
         yield name, metrics.document_pairs(gold_files.load(),
@@ -441,8 +443,7 @@ def cmd_errors(args) -> int:
                         undetected_types={t.value: n for t, n in sorted(
                             r.undetected.type_counts.items(),
                             key=lambda kv: kv[0].value)},
-                        distance_buckets={b: r.missing_links.distance_buckets
-                                          .get(b, 0)
+                        distance_buckets={b: r.distance_buckets[b]
                                           for b in errors.DISTANCE_BUCKETS})
                    for r in reports]
         _emit(args, "errors.json", _json(payload))
@@ -469,10 +470,7 @@ def cmd_errors(args) -> int:
 def cmd_export_features(args) -> int:
     from . import features
     datasets = _datasets(args)
-    try:
-        table = features.load_word_order_table(args.word_order)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    table = features.load_word_order_table(args.word_order)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = "all_spans" if args.target == "spans" else "gold"

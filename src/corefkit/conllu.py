@@ -11,8 +11,9 @@ from __future__ import annotations
 import io
 import logging
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from .model import (Corpus, DataError, Document, Entity, Mention, Sentence,
                     Token, mention_head)
@@ -51,16 +52,24 @@ def parse_conllu(text: str, dataset: str = "", language: str = "",
 
 def parse_file(path: str | Path, dataset: str = "", language: str = "") -> Corpus:
     """Parse the CoNLL-U file at path; parse errors name it."""
-    filename = str(Path(path))
+    path = Path(path)
+    with open_text(path) as handle:
+        return _parse_stream(handle, dataset, language, str(path))
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """Open the UTF-8 text file at path for reading. A byte that is not
+    UTF-8, met while the block reads the file, raises ParseError naming
+    str(path) and the line that does not decode."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return _parse_stream(handle, dataset, language, filename)
+            yield handle
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, filename, exc) from exc
+        raise _not_utf8(path, exc) from exc
 
 
-def _not_utf8(path: str | Path, filename: str,
-              exc: UnicodeDecodeError) -> ParseError:
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ParseError:
     """The ParseError naming the first line of the file that is not UTF-8;
     only read after decoding the file failed."""
     line_no = 0
@@ -72,7 +81,7 @@ def _not_utf8(path: str | Path, filename: str,
                 exc = line_exc
                 break
     return ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 "
-                      f"({exc.reason})", filename, line_no)
+                      f"({exc.reason})", str(path), line_no)
 
 
 def _parse_stream(stream: Iterable[str], dataset: str, language: str,
@@ -143,8 +152,6 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                 doc_id = value.strip() if value else ""
             elif line.startswith("# sent_id"):
                 sentence.sent_id = line.partition("=")[2].strip()
-            elif line.startswith("# text ") or line.startswith("# text="):
-                sentence.text = line.partition("=")[2].strip()
             continue
 
         cols = line.split("\t")

@@ -3,7 +3,8 @@
 Starting from gold entities whose links the system completely missed
 (recall zero), drill down: how many have exactly two mentions, how many of
 those mentions were never detected, what the undetected mentions look like,
-and what relates the two mentions when both were detected but left unlinked.
+and how many sentences apart the two mentions are when both were detected
+but left unlinked.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Iterable
 
 from .metrics import align_mentions
 from .model import UNRESOLVED_DEFINITIONS, Document, Entity, Mention, span_key
-from .taxonomy import MentionType, classify_mention_type, ud_category
+from .taxonomy import classify_mention_type
 
 DISTANCE_BUCKETS = ("0", "1", "2", "3+")
 
@@ -105,66 +106,17 @@ def undetected_profile(undetected: list[Mention]) -> UndetectedProfile:
 
 
 @dataclass
-class MissingLinkProfile:
-    """Relationship between the two mentions of unresolved entities whose
-    mentions were both detected but never linked."""
-
-    distance_buckets: Counter = field(default_factory=Counter)
-    type_pairs: Counter = field(default_factory=Counter)
-    antecedent_categories: dict[MentionType, Counter] = field(
-        default_factory=dict)
-    n_entities: int = 0
-
-    def __add__(self, other: "MissingLinkProfile") -> "MissingLinkProfile":
-        categories = {}
-        for key in set(self.antecedent_categories) | set(other.antecedent_categories):
-            categories[key] = (self.antecedent_categories.get(key, Counter())
-                               + other.antecedent_categories.get(key, Counter()))
-        return MissingLinkProfile(
-            self.distance_buckets + other.distance_buckets,
-            self.type_pairs + other.type_pairs,
-            categories,
-            self.n_entities + other.n_entities)
-
-
-def _bucket(distance: int) -> str:
-    return str(distance) if distance < 3 else "3+"
-
-
-def missing_link_profile(entities: list[Entity]) -> MissingLinkProfile:
-    """Sentence distance, mention-type pairs, and the antecedent's relation
-    category for two-mention entities with both mentions detected."""
-    profile = MissingLinkProfile()
-    for entity in entities:
-        first, second = entity.mentions
-        profile.n_entities += 1
-        profile.distance_buckets[
-            _bucket(second.sent_index - first.sent_index)] += 1
-        first_type = classify_mention_type(first.head)
-        second_type = classify_mention_type(second.head)
-        profile.type_pairs[(first_type, second_type)] += 1
-        if second_type in (MentionType.NOMINAL_NOUN,
-                           MentionType.OVERT_PRONOUN):
-            category = ud_category(first.head.effective_deprel())
-            profile.antecedent_categories.setdefault(
-                second_type, Counter())[category] += 1
-    return profile
-
-
-@dataclass
 class ErrorReport:
     """Aggregated error analysis for one dataset (one gold/system pair)."""
 
     dataset: str
-    match_mode: str
-    definition: str
     n_entities: int = 0  # non-singleton gold entities
     n_unresolved: int = 0
     n_two_mention: int = 0
-    n_both_detected: int = 0
     undetected: UndetectedProfile = field(default_factory=UndetectedProfile)
-    missing_links: MissingLinkProfile = field(
-        default_factory=MissingLinkProfile)
+    # sentence distance between the two mentions of each two-mention
+    # entity whose mentions were both detected but never linked
+    distance_buckets: Counter = field(default_factory=Counter)
 
     @property
     def unresolved_pct(self) -> Fraction | None:
@@ -212,9 +164,8 @@ class ErrorReport:
             self, n_entities=self.n_entities + other.n_entities,
             n_unresolved=self.n_unresolved + other.n_unresolved,
             n_two_mention=self.n_two_mention + other.n_two_mention,
-            n_both_detected=self.n_both_detected + other.n_both_detected,
             undetected=self.undetected + other.undetected,
-            missing_links=self.missing_links + other.missing_links)
+            distance_buckets=self.distance_buckets + other.distance_buckets)
 
 
 def analyze_document(gold: Document, pred: Document, mode: str = "exact",
@@ -231,16 +182,19 @@ def analyze_document(gold: Document, pred: Document, mode: str = "exact",
     two_mention = [e for e in unresolved if len(e.mentions) == 2]
     undetected = [m for e in two_mention for m in e.mentions
                   if id(m) not in matched_by_gold]
-    both_detected = [e for e in two_mention
-                     if all(id(m) in matched_by_gold for m in e.mentions)]
+    distance_buckets: Counter = Counter()
+    for entity in two_mention:
+        first, second = entity.mentions
+        if id(first) in matched_by_gold and id(second) in matched_by_gold:
+            distance = second.sent_index - first.sent_index
+            distance_buckets[str(distance) if distance < 3 else "3+"] += 1
     return ErrorReport(
-        dataset=gold.dataset, match_mode=mode, definition=definition,
+        dataset=gold.dataset,
         n_entities=sum(1 for e in gold.entities if not e.is_singleton()),
         n_unresolved=len(unresolved),
         n_two_mention=len(two_mention),
-        n_both_detected=len(both_detected),
         undetected=undetected_profile(undetected),
-        missing_links=missing_link_profile(both_detected))
+        distance_buckets=distance_buckets)
 
 
 def analyze_errors(pairs: Iterable[tuple[Document, Document]],
@@ -251,7 +205,7 @@ def analyze_errors(pairs: Iterable[tuple[Document, Document]],
     labelled with dataset, appending per-entity detail records to details
     when it is given. No pairs give an empty report."""
     return sum((analyze_document(g, p, mode, definition, details)
-                for g, p in pairs), ErrorReport(dataset, mode, definition))
+                for g, p in pairs), ErrorReport(dataset))
 
 
 def unresolved_entity_details(gold: Document, pred: Document,

@@ -20,6 +20,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
+from .conllu import ParseError, open_text
 from .model import (Corpus, DataError, Document, Mention, Sentence, Token,
                     head_of, span_key)
 from .taxonomy import base_relation, classify_mention_type, ud_category
@@ -53,24 +54,27 @@ class WordOrderError(KeyError, DataError):
 
 
 def load_word_order_table(path: str | Path) -> dict[str, str]:
-    """Read the two-column (language, order) TSV; '#' lines are comments."""
+    """Read the two-column (language, order) TSV; '#' lines are comments.
+    Malformed lines, and a file that is not UTF-8, raise ParseError naming
+    the file and line."""
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    filename = str(path)
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 2 columns, "
-                                 f"got {len(fields)}")
+                raise ParseError(f"expected 2 columns, got {len(fields)}",
+                                 filename, line_no)
             language, order = fields
             if language in table:
-                raise ValueError(f"{path}:{line_no}: duplicate language "
-                                 f"{language!r}")
+                raise ParseError(f"duplicate language {language!r}",
+                                 filename, line_no)
             if order not in WORD_ORDERS:
-                raise ValueError(f"{path}:{line_no}: unknown word order "
-                                 f"{order!r}")
+                raise ParseError(f"unknown word order {order!r}",
+                                 filename, line_no)
             table[language] = order
     return table
 

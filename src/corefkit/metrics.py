@@ -84,10 +84,6 @@ class ClusterSet:
             seen |= cluster
         self.clusters = clusters
 
-    @property
-    def mentions(self) -> set[Hashable]:
-        return {key for cluster in self.clusters for key in cluster}
-
 
 def align_mentions(gold: Document, pred: Document,
                    mode: str = "exact") -> dict[Mention, Mention]:
@@ -347,8 +343,6 @@ class ScoreReport:
     muc: Scores
     b_cubed: Scores
     ceafe: Scores
-    match_mode: str = "exact"
-    singleton_policy: str = "include"
 
     @property
     def conll_f1(self) -> float:
@@ -408,5 +402,4 @@ def score_pairs(pairs: Iterable[tuple[Document, Document]],
                   ceafe_counts(gold_set, pred_set))
         totals = [tuple(map(add, total, part))
                   for total, part in zip(totals, counts)]
-    return ScoreReport(*(_prf(*total) for total in totals), mode,
-                       singleton_policy)
+    return ScoreReport(*(_prf(*total) for total in totals))

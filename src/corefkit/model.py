@@ -127,7 +127,6 @@ class Sentence:
     tokens: list[Token] = field(default_factory=list)
     mwt_ranges: list[tuple[int, tuple[str, ...]]] = field(default_factory=list)
     sent_id: str | None = None
-    text: str | None = None
     first_line: int = 0  # file line of the first node line; 0 if unknown
     _parents: list[int] | None = field(default=None, repr=False)
     _depths: list[int | None] | None = field(default=None, repr=False)

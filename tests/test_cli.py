@@ -79,6 +79,40 @@ def test_validate_split_without_files_names_the_split(capsys):
     assert out.startswith("ok\t")
 
 
+@pytest.mark.parametrize("command", ["score", "errors"])
+def test_pairing_split_without_gold_files_names_the_split(capsys, command):
+    code, out, err = run(capsys, command, "--gold", GOLD_DIR,
+                         "--pred", PRED_DIR, "--split", "test")
+    assert code == 2
+    assert out == ""
+    assert err == (f"corefkit: error: no .conllu files of split 'test' "
+                   f"under {GOLD_DIR}\n")
+    code, out, _ = run(capsys, command, "--gold", GOLD_DIR,
+                       "--pred", PRED_DIR, "--split", "dev")
+    assert code == 0
+    assert out.startswith("dataset\t")
+
+
+@pytest.mark.parametrize("sidecar", ["vectors", "word-order"])
+def test_non_utf8_sidecar_names_the_line_and_exits_2(tmp_path, capsys,
+                                                    sidecar):
+    path = tmp_path / "sidecar.tsv"
+    first = ("fixture-doc1\t1\t1\t4.0\t6.0" if sidecar == "vectors"
+             else "es\tSVO")
+    path.write_bytes((first + "\n# caf\xe9\n").encode("latin-1"))
+    if sidecar == "vectors":
+        argv = ["analyze", str(DATA / "basic.conllu"), "--stat",
+                "semantic-distance", "--vectors", str(path)]
+    else:
+        argv = ["export-features", str(DATA / "basic.conllu"),
+                "--word-order", str(path), "--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"corefkit: error: {path}:2: byte 0xe9 is not UTF-8 "
+                   "(invalid continuation byte)\n")
+
+
 def test_missing_input_exits_2(capsys, monkeypatch):
     monkeypatch.delenv("COREFUD_DATA", raising=False)
     code, _, err = run(capsys, "stats")

@@ -29,7 +29,7 @@ def test_comments_and_misc_preserved(basic_corpus):
     sentence = basic_corpus.documents[0].sentences[0]
     assert sentence.comments[0] == "# newdoc id = fixture-doc1"
     assert sentence.sent_id == "doc1-s1"
-    assert sentence.text == "The old castle stood on a hill ."
+    assert "# text = The old castle stood on a hill ." in sentence.comments
     hill = node(sentence, "7")
     assert hill.misc_value("SpaceAfter") == "No"
     assert hill.misc_value("Entity") == "e2)"

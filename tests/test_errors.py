@@ -4,11 +4,10 @@ from fractions import Fraction
 
 from corefkit import parse_conllu, serialize
 from corefkit.errors import (ErrorReport, analyze_document, analyze_errors,
-                             missing_link_profile, undetected_profile,
-                             unresolved_entities)
+                             undetected_profile, unresolved_entities)
 from corefkit.metrics import align_mentions
 from corefkit.model import Corpus, Mention
-from corefkit.taxonomy import MentionType, UdCategory
+from corefkit.taxonomy import MentionType
 from conftest import make_corpus, tok
 
 
@@ -34,12 +33,7 @@ def test_fixture_pair_error_tree(pair_docs):
     assert report.unresolved_pct == Fraction(50)
     assert report.two_mention_pct == Fraction(100)
     assert report.undetected_pct == 0
-    assert report.n_both_detected == 1
-    assert report.missing_links.distance_buckets == {"2": 1}
-    assert report.missing_links.type_pairs == {
-        (MentionType.NOMINAL_NOUN, MentionType.OVERT_PRONOUN): 1}
-    assert report.missing_links.antecedent_categories[
-        MentionType.OVERT_PRONOUN] == {UdCategory.O: 1}
+    assert report.distance_buckets == {"2": 1}
 
 
 def test_membership_definition_differs(pair_docs):
@@ -137,7 +131,7 @@ def test_undetected_profile_single_premodified_mention():
     (mention,) = document.entities[0].mentions
     profile = undetected_profile([mention])
     assert profile.type_counts == {MentionType.NOMINAL_NOUN: 1}
-    report = ErrorReport("toy", "exact", "links", undetected=profile)
+    report = ErrorReport("toy", undetected=profile)
     assert report.short_pct == 0
     assert report.premodified_pct == 100
     assert report.mean_undetected_length == 3
@@ -159,9 +153,21 @@ def test_missing_link_same_sentence_bucket_zero():
         tok(3, "saw", "VERB", 0, "root"),
         tok(4, "Pat", "PROPN", 3, "obj", misc="Entity=(e1-x-1-)"),
     ])
-    document = _doc(corpus)
-    profile = missing_link_profile([document.entities[0]])
-    assert profile.distance_buckets == {"0": 1}
+    gold = _doc(corpus)
+    # the system detects both mentions but puts them in two clusters
+    pred = _doc(parse_conllu(serialize(corpus).replace(
+        "Entity=(e1-x-1-)", "Entity=(p1-x-1-)", 1).replace(
+        "Entity=(e1-x-1-)", "Entity=(p2-x-1-)")))
+    report = analyze_document(gold, pred)
+    assert report.n_two_mention == 1
+    assert report.undetected.n_mentions == 0
+    assert report.distance_buckets == {"0": 1}
+    # with one of the two mentions undetected, the entity has no bucket
+    pred = _doc(parse_conllu(serialize(corpus).replace(
+        "Entity=(e1-x-1-)", "_", 1)))
+    report = analyze_document(gold, pred)
+    assert report.undetected.n_mentions == 1
+    assert report.distance_buckets == {}
 
 
 def test_no_predicted_clusters_gives_100_percent_unresolved(pair_docs):
@@ -185,8 +191,7 @@ def test_cluster_id_renaming_is_invisible(pair_docs):
     other = analyze_document(gold, renamed)
     assert base.unresolved_pct == other.unresolved_pct
     assert base.undetected.type_counts == other.undetected.type_counts
-    assert base.missing_links.distance_buckets \
-        == other.missing_links.distance_buckets
+    assert base.distance_buckets == other.distance_buckets
 
 
 def test_undetected_partition_invariant(pair_docs):
@@ -194,7 +199,8 @@ def test_undetected_partition_invariant(pair_docs):
     report = analyze_document(gold, pred)
     assert report.undetected.n_mentions <= 2 * report.n_two_mention
     # detected + undetected partition the two-mention entities' mentions
-    assert (2 * report.n_both_detected + report.undetected.n_mentions
+    both_detected = sum(report.distance_buckets.values())
+    assert (2 * both_detected + report.undetected.n_mentions
             <= 2 * report.n_two_mention)
 
 
@@ -202,9 +208,9 @@ def test_error_report_addition_pools(pair_docs):
     gold, pred = pair_docs
     single = analyze_document(gold, pred)
     pooled = analyze_errors([(gold, pred), (gold, pred)], dataset="two")
-    assert pooled == ErrorReport("two", "exact", "links") + single + single
+    assert pooled == ErrorReport("two") + single + single
     assert pooled.n_entities == 2 * single.n_entities
     assert pooled.unresolved_pct == single.unresolved_pct
     empty = analyze_errors([], "head", "membership", dataset="none")
-    assert empty == ErrorReport("none", "head", "membership")
+    assert empty == ErrorReport("none")
     assert empty.unresolved_pct is None
