@@ -18,7 +18,7 @@ from pathlib import Path
 from .conllu import ParseError, open_text
 from .model import (DEFAULT_GENRE_PATTERN, Corpus, DataError, Mention, Token,
                     head_of, mention_key)
-from .reports import DatasetReport, StatRow
+from .reports import DatasetReport, StatRow, ratio
 from .taxonomy import MentionType, UdCategory, classify_mention_type, ud_category
 
 
@@ -141,15 +141,11 @@ class CompetingAntecedentStats:
 
     @property
     def valid_fraction(self) -> Fraction | None:
-        if self.n_pronouns == 0:
-            return None
-        return Fraction(self.n_valid, self.n_pronouns)
+        return ratio(self.n_valid, self.n_pronouns)
 
     @property
     def mean_competitors(self) -> Fraction | None:
-        if self.n_valid == 0:
-            return None
-        return Fraction(self.total_competitors, self.n_valid)
+        return ratio(self.total_competitors, self.n_valid)
 
     def __add__(self, other: "CompetingAntecedentStats",
                 ) -> "CompetingAntecedentStats":
@@ -240,8 +236,7 @@ def genre_counts(corpus: Corpus,
 
 def genre_rates(pronouns: Counter[str], tokens: Counter[str],
                 ) -> list[tuple[str, Fraction | None]]:
-    return [(genre, Fraction(8000 * pronouns[genre], tokens[genre])
-             if tokens[genre] else None)
+    return [(genre, ratio(pronouns[genre], tokens[genre], 8000))
             for genre in sorted(tokens)]
 
 
@@ -319,6 +314,10 @@ def load_mention_vectors(path: str | Path) -> MentionVectors:
                                  line_no) from None
             if not all(math.isfinite(x) for x in vector):
                 raise ParseError("non-finite component", filename, line_no)
+            # twice the norm bounds the distance to any accepted vector
+            bound = 2 * math.hypot(*vector)
+            if not math.isfinite(bound * bound):
+                raise ParseError("vector norm too large", filename, line_no)
             if dimension is None:
                 dimension = len(vector)
             elif len(vector) != dimension:
@@ -329,13 +328,14 @@ def load_mention_vectors(path: str | Path) -> MentionVectors:
 
 
 def distance_moments(corpus: Corpus, vectors: MentionVectors,
-                     ) -> tuple[int, float, float]:
+                     ) -> tuple[int, Fraction, Fraction]:
     """(pair count, sum of distances, sum of squared distances) over all
-    within-entity mention pairs; poolable across corpora."""
+    within-entity mention pairs; exact, so pooling across corpora with +
+    does not depend on how the documents are split into files."""
     missing: list[tuple[str, int, str]] = []
     count = 0
-    total = 0.0
-    total_sq = 0.0
+    total = 0
+    total_sq = 0
     for document in corpus.documents:
         for entity in document.entities:
             if entity.is_singleton():
@@ -350,19 +350,23 @@ def distance_moments(corpus: Corpus, vectors: MentionVectors,
                     keyed.append(vector)
             for i in range(len(keyed)):
                 for j in range(i + 1, len(keyed)):
-                    distance = math.dist(keyed[i], keyed[j])
+                    # a finite float is a whole multiple of 2**-1074, its
+                    # square of 2**-2148: the sums count those units
+                    units, power = math.dist(keyed[i], keyed[j]) \
+                        .as_integer_ratio()
+                    shift = 1075 - power.bit_length()
                     count += 1
-                    total += distance
-                    total_sq += distance * distance
+                    total += units << shift
+                    total_sq += (units * units) << (2 * shift)
     if missing:
         raise MissingVectorError(missing)
-    return count, total, total_sq
+    return count, Fraction(total, 1 << 1074), Fraction(total_sq, 1 << 2148)
 
 
-def moments_to_mean_variance(count: int, total: float,
-                             total_sq: float) -> tuple[float, float]:
+def moments_to_mean_variance(count: int, total: Fraction,
+                             total_sq: Fraction) -> tuple[float, float]:
+    """Mean and variance, each rounded once from its exact value."""
     if count == 0:
         return (0.0, 0.0)
     mean = total / count
-    variance = max(total_sq / count - mean * mean, 0.0)
-    return (mean, variance)
+    return (float(mean), float(total_sq / count - mean * mean))

@@ -29,7 +29,7 @@ from .corpora import DatasetFiles, discover_datasets, pair_datasets
 from .model import (DEFAULT_GENRE_PATTERN, HEAD_RULES, MATCH_MODES,
                     SINGLETON_POLICIES, UNRESOLVED_DEFINITIONS, Corpus,
                     DataError)
-from .reports import DatasetReport
+from .reports import DatasetReport, fixed, ratio, tsv
 from .taxonomy import MentionType
 
 log = logging.getLogger("corefkit")
@@ -64,14 +64,6 @@ def _genre_pattern(text: str) -> str:
     return text
 
 
-def _pct(value: Fraction | None) -> str:
-    return "n/a" if value is None else f"{float(value):.2f}"
-
-
-def _score(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.6f}"
-
-
 def _existing(path: str) -> Path:
     resolved = Path(path)
     if not resolved.exists():
@@ -103,8 +95,6 @@ def _emit(args, name: str, text: str) -> None:
     else:
         header = f"## {name}\n" if getattr(args, "_multi", False) else ""
         sys.stdout.write(header + text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _json(payload) -> str:
@@ -178,10 +168,9 @@ class Table:
         return self.formats.get(column, str)(value)
 
     def to_tsv(self) -> str:
-        lines = ["\t".join(self.columns)]
-        lines += ["\t".join(self._text(c, v) for c, v in zip(self.columns, row))
-                  for row in self.rows]
-        return "\n".join(lines) + "\n"
+        return tsv(self.columns, ([self._text(c, v) for c, v
+                                   in zip(self.columns, row)]
+                                  for row in self.rows))
 
     def as_json(self) -> list[dict] | dict:
         records = [{c: float(v) if isinstance(v, Fraction) else v
@@ -227,26 +216,27 @@ def _ranking_table(counts: dict, name: str) -> Table:
 
 def _competing_table(stats: tuple, name: str) -> Table:
     rows = [(s.kind.value, s.n_pronouns, s.n_valid,
-             None if s.valid_fraction is None else s.valid_fraction * 100,
-             s.mean_competitors) for s in stats]
+             ratio(s.n_valid, s.n_pronouns, 100), s.mean_competitors)
+            for s in stats]
     percent = ("valid_pct", "mean_competitors")
     return Table(("kind", "pronouns", "valid") + percent, rows,
                  keys=("kind",), figure=percent,
-                 formats=dict.fromkeys(percent, _pct))
+                 formats=dict.fromkeys(percent, fixed))
 
 
 def _genre_table(counts: tuple, name: str) -> Table:
     return Table(("genre", "pronouns_per_8000"),
                  analysis.genre_rates(*counts), keys=("genre",),
                  figure=("pronouns_per_8000",),
-                 formats={"pronouns_per_8000": _pct})
+                 formats={"pronouns_per_8000": fixed})
 
 
 def _distance_table(moments: tuple, name: str) -> Table:
     mean, variance = analysis.moments_to_mean_variance(*moments)
     return Table(("pairs", "mean", "variance"),
                  [(moments[0], mean, variance)], figure=("mean", "variance"),
-                 formats=dict.fromkeys(("mean", "variance"), _score))
+                 formats=dict.fromkeys(("mean", "variance"),
+                                       partial(fixed, decimals=6)))
 
 
 # The analysis functions are looked up when an entry runs, not stored here,
@@ -322,12 +312,10 @@ def cmd_stats(args) -> int:
     if args.format == "json":
         _emit(args, "stats.json", _json([r.as_json() for r in reports]))
         return 0
-    keys = [row.key for row in reports[0].rows]
-    lines = ["dataset\t" + "\t".join(keys)]
-    for report in reports:
-        lines.append(report.dataset + "\t" + "\t".join(
-            row.rendered() for row in report.rows))
-    _emit(args, "stats.tsv", "\n".join(lines) + "\n")
+    header = ["dataset"] + [row.key for row in reports[0].rows]
+    _emit(args, "stats.tsv", tsv(header, (
+        [report.dataset] + [row.rendered() for row in report.rows]
+        for report in reports)))
     return 0
 
 
@@ -358,9 +346,8 @@ def cmd_analyze(args) -> int:
             figure_rows += [(stat, group, key, value)
                             for key, value in table.figure_rows()]
     if args.figure_data:
-        lines = ["statistic\tdataset\tkey\tvalue"]
-        lines += ["\t".join(row) for row in figure_rows]
-        _emit(args, "figure_data.tsv", "\n".join(lines) + "\n")
+        _emit(args, "figure_data.tsv",
+              tsv(("statistic", "dataset", "key", "value"), figure_rows))
     return 0
 
 
@@ -381,6 +368,11 @@ def _dataset_pairs(args) -> Iterator[tuple[str, list]]:
                                            pred_files.load())
 
 
+_METRICS = ("muc", "b_cubed", "ceafe")
+_SCORE_COLUMNS = ("dataset", "muc_p", "muc_r", "muc_f1", "b3_p", "b3_r",
+                  "b3_f1", "ceafe_p", "ceafe_r", "ceafe_f1", "conll_f1")
+
+
 def cmd_score(args) -> int:
     from . import metrics
     # A dataset without documents has no score: n/a, and no part in macro.
@@ -390,33 +382,23 @@ def cmd_score(args) -> int:
     scored = [r.conll_f1 for _, r in rows if r is not None]
     macro = metrics.macro_average(scored) if scored else None
 
+    def metric(r: metrics.ScoreReport | None, name: str) -> dict:
+        return (dict.fromkeys(("precision", "recall", "f1"))
+                if r is None else vars(getattr(r, name)))
+    datasets = [{"dataset": name, **{m: metric(r, m) for m in _METRICS},
+                 "conll_f1": None if r is None else r.conll_f1}
+                for name, r in rows]
     if args.format == "json":
-        def metric(r: metrics.ScoreReport | None, name: str) -> dict:
-            return (dict.fromkeys(("precision", "recall", "f1"))
-                    if r is None else vars(getattr(r, name)))
-        payload = {"datasets": [
-            {"dataset": name,
-             **{key: metric(r, key) for key in ("muc", "b_cubed", "ceafe")},
-             "conll_f1": None if r is None else r.conll_f1}
-            for name, r in rows],
-            "macro_conll_f1": macro,
-            "match": args.match, "singletons": args.singletons}
-        _emit(args, "scores.json", _json(payload))
+        _emit(args, "scores.json", _json({
+            "datasets": datasets, "macro_conll_f1": macro,
+            "match": args.match, "singletons": args.singletons}))
         return 0
-    lines = ["dataset\tmuc_p\tmuc_r\tmuc_f1\tb3_p\tb3_r\tb3_f1"
-             "\tceafe_p\tceafe_r\tceafe_f1\tconll_f1"]
-    for name, r in rows:
-        if r is None:
-            lines.append(name + "\tn/a" * 10)
-            continue
-        cells = [name]
-        for scores in (r.muc, r.b_cubed, r.ceafe):
-            cells += [_score(scores.precision), _score(scores.recall),
-                      _score(scores.f1)]
-        cells.append(_score(r.conll_f1))
-        lines.append("\t".join(cells))
-    lines.append("macro\t" + "\t".join([""] * 9) + "\t" + _score(macro))
-    _emit(args, "scores.tsv", "\n".join(lines) + "\n")
+    lines = []
+    for d in datasets:
+        values = [v for m in _METRICS for v in d[m].values()] + [d["conll_f1"]]
+        lines.append([d["dataset"]] + [fixed(v, 6) for v in values])
+    lines.append(["macro"] + [""] * 9 + [fixed(macro, 6)])
+    _emit(args, "scores.tsv", tsv(_SCORE_COLUMNS, lines))
     return 0
 
 
@@ -448,18 +430,14 @@ def cmd_errors(args) -> int:
                    for r in reports]
         _emit(args, "errors.json", _json(payload))
     else:
-        lines = ["dataset\t" + "\t".join(_ERROR_COLUMNS)]
-        for report in reports:
-            lines.append(report.dataset + "\t" + "\t".join(
-                _pct(getattr(report, c)) for c in _ERROR_COLUMNS))
-        averages = []
-        for column in _ERROR_COLUMNS:
-            values = [getattr(r, column) for r in reports
-                      if getattr(r, column) is not None]
-            averages.append(f"{sum(float(v) for v in values) / len(values):.2f}"
-                            if values else "n/a")
-        lines.append("average\t" + "\t".join(averages))
-        _emit(args, "errors.tsv", "\n".join(lines) + "\n")
+        lines = [[r.dataset] + [fixed(getattr(r, c)) for c in _ERROR_COLUMNS]
+                 for r in reports]
+        # each column's unweighted mean over the datasets that have a value
+        present = [[v for r in reports if (v := getattr(r, c)) is not None]
+                   for c in _ERROR_COLUMNS]
+        lines.append(["average"] + [fixed(ratio(sum(values), len(values)))
+                                    for values in present])
+        _emit(args, "errors.tsv", tsv(("dataset",) + _ERROR_COLUMNS, lines))
     if want_detail:
         _emit(args, "errors_detail.json", _json(details))
     return 0
@@ -499,10 +477,8 @@ def cmd_export_features(args) -> int:
 # ---------------------------------------------------------------- taxonomy
 
 def cmd_taxonomy(args) -> int:
-    lines = ["category\tname\trelations"]
-    for letter, display, relations in taxonomy.category_table():
-        lines.append(f"{letter}\t{display}\t{relations}")
-    _emit(args, "taxonomy.tsv", "\n".join(lines) + "\n")
+    _emit(args, "taxonomy.tsv", tsv(("category", "name", "relations"),
+                                    taxonomy.category_table()))
     return 0
 
 

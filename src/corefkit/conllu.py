@@ -120,7 +120,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
             return
         if not sentence.tokens:
             raise ParseError("sentence without token lines", filename, line_no)
-        _check_heads(sentence, prev_surface, filename, line_no)
+        _check_heads(sentence, prev_surface, filename)
         if sentence.sent_id is not None:
             if sentence.sent_id in seen_sent_ids:
                 log.warning("%s: duplicated sent_id %r within document %r",
@@ -215,13 +215,13 @@ def _make_token(cols: list[str], is_empty: bool, filename: str,
                  deps_raw=cols[8], misc_raw=cols[9], is_empty=is_empty)
 
 
-def _check_heads(sentence: Sentence, n: int, filename: str,
-                 line_no: int) -> None:
-    for token in sentence.tokens:
+def _check_heads(sentence: Sentence, n: int, filename: str) -> None:
+    for order, token in enumerate(sentence.tokens):
         if token.head is not None and not 0 <= token.head <= n:
             raise ParseError(
                 f"token {token.index} head {token.head} refers to a "
-                f"nonexistent token (sentence has {n})", filename, line_no)
+                f"nonexistent token (sentence has {n})", filename,
+                _node_line(sentence, order))
 
 
 def _index_tokens(document: Document) -> None:
@@ -243,15 +243,18 @@ def entity_field_layout(document: Document) -> tuple[str, ...]:
     return DEFAULT_ENTITY_FIELDS
 
 
-def _line(document: Document, token: Token) -> int:
-    """File line of a node: its sentence's first node line plus the node
-    and range lines before it; 0 when the sentence has no recorded line."""
-    sentence = document.sentences[token.sent_index]
+def _node_line(sentence: Sentence, order: int) -> int:
+    """File line of the node at position order in sentence: the sentence's
+    first node line plus the node and range lines before it; 0 when the
+    sentence has no recorded line."""
     if not sentence.first_line:
         return 0
-    ranges = sum(1 for offset, _ in sentence.mwt_ranges
-                 if offset <= token.order)
-    return sentence.first_line + token.order + ranges
+    ranges = sum(1 for offset, _ in sentence.mwt_ranges if offset <= order)
+    return sentence.first_line + order + ranges
+
+
+def _line(document: Document, token: Token) -> int:
+    return _node_line(document.sentences[token.sent_index], token.order)
 
 
 def resolve_entities(document: Document, filename: str = "") -> list[Entity]:

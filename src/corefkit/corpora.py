@@ -44,21 +44,21 @@ class DatasetFiles:
         return corpus
 
 
-def discover_datasets(root: str | Path,
-                      split: str | None = None) -> list[DatasetFiles]:
-    """Find .conllu files under root and group them by dataset name.
+def discover_datasets(root: str | Path, split: str | None = None,
+                      keep_unsplit: bool = False) -> list[DatasetFiles]:
+    """Find .conllu files under root, or root itself when it is a file, and
+    group them by dataset name.
 
     With split set, only canonical ``*-corefud-<split>.conllu`` files are
-    kept; otherwise every .conllu file counts.
+    kept, and with keep_unsplit also files whose name carries no split;
+    otherwise every .conllu file counts.
     """
     root = Path(root)
-    if root.is_file():
-        name, _ = dataset_of(root)
-        return [DatasetFiles(name, [root])]
+    kept = {split, None} if keep_unsplit else {split}
     grouped: dict[str, DatasetFiles] = {}
-    for path in sorted(root.rglob("*.conllu")):
+    for path in [root] if root.is_file() else sorted(root.rglob("*.conllu")):
         name, file_split = dataset_of(path)
-        if split is not None and file_split != split:
+        if split is not None and file_split not in kept:
             continue
         grouped.setdefault(name, DatasetFiles(name)).files.append(path)
     return [grouped[name] for name in sorted(grouped)]
@@ -67,8 +67,11 @@ def discover_datasets(root: str | Path,
 def pair_datasets(gold_root: str | Path, pred_root: str | Path,
                   split: str | None = None,
                   ) -> list[tuple[str, DatasetFiles, DatasetFiles]]:
-    """Match gold and system dataset groups by dataset name."""
+    """Match gold and system dataset groups by dataset name. With split
+    set, system files named for another split are dropped; those whose name
+    carries no split, like flat ``<dataset>.conllu`` dumps, are kept."""
     gold = {d.name: d for d in discover_datasets(gold_root, split)}
-    pred = {d.name: d for d in discover_datasets(pred_root)}
+    pred = {d.name: d for d in discover_datasets(pred_root, split,
+                                                 keep_unsplit=True)}
     common = sorted(set(gold) & set(pred))
     return [(name, gold[name], pred[name]) for name in common]

@@ -15,6 +15,7 @@ from typing import Iterable
 
 from .metrics import align_mentions
 from .model import UNRESOLVED_DEFINITIONS, Document, Entity, Mention, span_key
+from .reports import ratio
 from .taxonomy import classify_mention_type
 
 DISTANCE_BUCKETS = ("0", "1", "2", "3+")
@@ -72,9 +73,7 @@ class UndetectedProfile:
 
     @property
     def premodified_share_of_all(self) -> Fraction | None:
-        if self.n_mentions == 0:
-            return None
-        return Fraction(self.n_premodified, self.n_mentions)
+        return ratio(self.n_premodified, self.n_mentions)
 
     def __add__(self, other: "UndetectedProfile") -> "UndetectedProfile":
         return UndetectedProfile(
@@ -120,43 +119,28 @@ class ErrorReport:
 
     @property
     def unresolved_pct(self) -> Fraction | None:
-        if self.n_entities == 0:
-            return None
-        return Fraction(self.n_unresolved, self.n_entities) * 100
+        return ratio(self.n_unresolved, self.n_entities, 100)
 
     @property
     def two_mention_pct(self) -> Fraction | None:
-        if self.n_unresolved == 0:
-            return None
-        return Fraction(self.n_two_mention, self.n_unresolved) * 100
+        return ratio(self.n_two_mention, self.n_unresolved, 100)
 
     @property
     def undetected_pct(self) -> Fraction | None:
-        if self.n_two_mention == 0:
-            return None
-        return Fraction(self.undetected.n_mentions,
-                        2 * self.n_two_mention) * 100
+        return ratio(self.undetected.n_mentions, 2 * self.n_two_mention, 100)
 
     @property
     def short_pct(self) -> Fraction | None:
-        if self.undetected.n_mentions == 0:
-            return None
-        return Fraction(self.undetected.n_short,
-                        self.undetected.n_mentions) * 100
+        return ratio(self.undetected.n_short, self.undetected.n_mentions, 100)
 
     @property
     def premodified_pct(self) -> Fraction | None:
-        if self.undetected.n_multi_token == 0:
-            return None
-        return Fraction(self.undetected.n_premodified,
-                        self.undetected.n_multi_token) * 100
+        return ratio(self.undetected.n_premodified,
+                     self.undetected.n_multi_token, 100)
 
     @property
     def mean_undetected_length(self) -> Fraction | None:
-        if self.undetected.n_mentions == 0:
-            return None
-        return Fraction(self.undetected.total_length,
-                        self.undetected.n_mentions)
+        return ratio(self.undetected.total_length, self.undetected.n_mentions)
 
     def __add__(self, other: "ErrorReport") -> "ErrorReport":
         """Pooled report, labelled like this one."""

@@ -2,18 +2,36 @@
 
 Every percentage keeps its numerator and denominator so reports can be
 pooled with + across datasets (language-level views) without rounding
-drift.
+drift. Every printed number follows one rule: a ratio stays exact until
+printed (`ratio`), then prints as `n/a` or with fixed decimals (`fixed`),
+in tab-separated lines (`tsv`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 
-def _format(value: Fraction | None, decimals: int) -> str:
-    if value is None:
-        return "n/a"
-    return f"{float(value):.{decimals}f}"
+def ratio(numerator: int | Fraction, denominator: int,
+          scale: int = 1) -> Fraction | None:
+    """numerator / denominator * scale, exact; None when the denominator is
+    0, since an empty ratio has no value."""
+    if denominator == 0:
+        return None
+    return Fraction(numerator, denominator) * scale
+
+
+def fixed(value: Fraction | float | None, decimals: int = 2) -> str:
+    """The printed text of a number: `n/a` for no value, else the value
+    with a fixed number of decimals."""
+    return "n/a" if value is None else f"{float(value):.{decimals}f}"
+
+
+def tsv(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
+    """Tab-separated text: the header line, then one line per row, each
+    ending in a newline."""
+    return "".join("\t".join(cells) + "\n" for cells in [header, *rows])
 
 
 @dataclass(frozen=True)
@@ -28,16 +46,13 @@ class StatRow:
         """Exact value; None when the denominator is empty (rendered n/a)."""
         if self.kind == "count":
             return Fraction(self.numerator)
-        if self.denominator == 0:
-            return None
-        if self.kind == "percent":
-            return Fraction(self.numerator, self.denominator) * 100
-        return Fraction(self.numerator) / self.denominator
+        return ratio(self.numerator, self.denominator,
+                     100 if self.kind == "percent" else 1)
 
     def rendered(self) -> str:
         if self.kind == "count":
             return str(self.numerator)
-        return _format(self.value, 2)
+        return fixed(self.value)
 
     def as_json(self) -> dict:
         value = self.value
@@ -67,11 +82,9 @@ class DatasetReport:
         return self.row(key).value
 
     def to_tsv(self) -> str:
-        lines = ["key\tvalue\tnumerator\tdenominator"]
-        for row in self.rows:
-            lines.append(f"{row.key}\t{row.rendered()}\t{row.numerator}"
-                         f"\t{row.denominator}")
-        return "\n".join(lines) + "\n"
+        return tsv(("key", "value", "numerator", "denominator"),
+                   ((row.key, row.rendered(), str(row.numerator),
+                     str(row.denominator)) for row in self.rows))
 
     def as_json(self) -> dict:
         return {"dataset": self.dataset, "statistic": self.statistic,

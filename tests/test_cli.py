@@ -79,6 +79,37 @@ def test_validate_split_without_files_names_the_split(capsys):
     assert out.startswith("ok\t")
 
 
+def test_split_filters_a_file_input(capsys):
+    path = DATA / "basic.conllu"  # its name carries no split
+    code, out, err = run(capsys, "validate", str(path), "--split", "test")
+    assert code == 2
+    assert out == ""
+    assert err == (f"corefkit: error: no .conllu files of split 'test' "
+                   f"under {path}\n")
+    path = Path(GOLD_DIR) / "en_pairset-corefud-dev.conllu"
+    code, out, _ = run(capsys, "validate", str(path), "--split", "dev")
+    assert code == 0
+    assert out.startswith("ok\t")
+
+
+@pytest.mark.parametrize("command", ["score", "errors"])
+def test_pairing_split_drops_system_files_of_other_splits(tmp_path, capsys,
+                                                          command):
+    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
+    gold, pred = tmp_path / "gold", tmp_path / "pred"
+    for root in (gold, pred):
+        root.mkdir()
+        (root / "xx-corefud-dev.conllu").write_text(text, "utf-8")
+    (pred / "xx-corefud-train.conllu").write_text(
+        text.replace("# newdoc id = ", "# newdoc id = train-"), "utf-8")
+    code, out, _ = run(capsys, command, "--gold", str(gold),
+                       "--pred", str(pred), "--split", "dev")
+    assert code == 0
+    _, dev_only, _ = run(capsys, command, "--gold", str(gold),
+                         "--pred", str(gold))
+    assert out == dev_only
+
+
 @pytest.mark.parametrize("command", ["score", "errors"])
 def test_pairing_split_without_gold_files_names_the_split(capsys, command):
     code, out, err = run(capsys, command, "--gold", GOLD_DIR,
@@ -144,8 +175,33 @@ def test_stats_json(capsys):
     assert rows["mentions"]["numerator"] == 6
 
 
-def test_stats_json_does_not_depend_on_the_file_split(tmp_path, capsys):
-    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
+def _basic_stats(tmp_path: Path) -> tuple[str, list[str]]:
+    return (DATA / "basic.conllu").read_text(encoding="utf-8"), ["stats"]
+
+
+def _three_distances(tmp_path: Path) -> tuple[str, list[str]]:
+    """Three documents with one two-mention entity each, whose mention
+    vectors lie 0.1, 0.2 and 0.3 apart: float sums of these depend on the
+    order in which they are added."""
+    lines, vectors = [], []
+    for n in (1, 2, 3):
+        lines += [f"# newdoc id = d{n}", f"# sent_id = d{n}-s1",
+                  tok(1, "Pat", "PROPN", 2, "nsubj", misc="Entity=(e1-p-1-)"),
+                  tok(2, "saw", "VERB"),
+                  tok(3, "herself", "PRON", 2, "obj", misc="Entity=(e1-p-1-)"),
+                  ""]
+        vectors += [f"d{n}\t0\t1\t0.0", f"d{n}\t0\t3\t0.{n}"]
+    path = tmp_path / "vectors.tsv"
+    path.write_text("\n".join(vectors) + "\n", "utf-8")
+    return "\n".join(lines) + "\n", ["analyze", "--stat", "semantic-distance",
+                                     "--vectors", str(path)]
+
+
+@pytest.mark.parametrize("case", [_basic_stats, _three_distances],
+                         ids=["stats", "semantic-distance"])
+def test_stats_json_does_not_depend_on_the_file_split(tmp_path, capsys,
+                                                      case):
+    text, command = case(tmp_path)
     second = text.index("# newdoc", 1)
     whole, split = tmp_path / "whole", tmp_path / "split"
     whole.mkdir()
@@ -155,8 +211,9 @@ def test_stats_json_does_not_depend_on_the_file_split(tmp_path, capsys):
                                                          "utf-8")
     (split / "xx_basic-corefud-dev.conllu").write_text(text[second:],
                                                        "utf-8")
-    _, one_file, _ = run(capsys, "stats", str(whole), "--format", "json")
-    _, two_files, _ = run(capsys, "stats", str(split), "--format", "json")
+    code, one_file, _ = run(capsys, *command, str(whole), "--format", "json")
+    assert code == 0
+    _, two_files, _ = run(capsys, *command, str(split), "--format", "json")
     assert one_file == two_files
 
 
@@ -243,9 +300,10 @@ def test_analyze_missing_vectors_same_error_with_jobs(capsys):
     ("fixture-doc1\t0\t1,2,3\t1.0\tx", "non-numeric component"),
     ("fixture-doc1\t0\t1,2,3\t1.0\tnan", "non-finite component"),
     ("fixture-doc1\t0\t1,2,3\t1.0\tinf", "non-finite component"),
+    ("fixture-doc1\t0\t1,2,3\t1e160\t0.0", "vector norm too large"),
     ("fixture-doc1\t0\t1,2,3\t1.0", "dimension 1 != 2"),
 ], ids=["columns", "sentence-index", "non-numeric", "nan", "inf",
-        "dimension"])
+        "norm", "dimension"])
 def test_analyze_malformed_vectors_exit_2(tmp_path, capsys, line, problem):
     vectors = tmp_path / "vectors.tsv"
     vectors.write_text("# doc, sentence, span, components\n"

@@ -156,6 +156,20 @@ def test_error_names_file_and_line(tmp_path):
     assert "bad.conllu:1" in str(excinfo.value)
 
 
+def test_out_of_range_head_names_its_own_line(tmp_path):
+    path = tmp_path / "badhead.conllu"
+    path.write_text("\n".join([
+        "# sent_id = s1", "# text = dont go home",
+        "1-2\tdont\t_\t_\t_\t_\t_\t_\t_\t_",
+        tok(1, "do", "AUX", 2, "aux"),
+        tok(2, "go", "VERB", 7, "nmod"),  # line 5
+        tok(3, "home", "ADV", 2, "advmod"), "", ""]), encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == (f"{path}:5: token 2 head 7 refers to a "
+                                  f"nonexistent token (sentence has 3)")
+
+
 # The file puts token 1 of sentence 1 on line 3, token 1 of sentence 2 on
 # line 9 (after the range line 8) and its token 3 on line 12 (after the
 # empty node on line 11); misc maps "s<sentence>-<token>" to an Entity value.
