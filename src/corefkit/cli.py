@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import analysis, taxonomy
 from .conllu import parse_file
-from .corpora import DatasetFiles, discover_datasets, pair_datasets
+from .corpora import SPLITS, DatasetFiles, discover_datasets, pair_datasets
 from .model import (DEFAULT_GENRE_PATTERN, HEAD_RULES, MATCH_MODES,
                     SINGLETON_POLICIES, UNRESOLVED_DEFINITIONS, Corpus,
                     DataError)
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?",
                        help="corpus file or directory "
                             "(default: $COREFUD_DATA)")
-        p.add_argument("--split", choices=("train", "dev", "test"),
+        p.add_argument("--split", choices=SPLITS,
                        help="restrict to canonical release files "
                             "of one split")
 
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "output against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--split", choices=("train", "dev", "test"))
+    p.add_argument("--split", choices=SPLITS)
     p.add_argument("--match", choices=MATCH_MODES, default="exact")
     p.add_argument("--singletons", choices=SINGLETON_POLICIES,
                    default="exclude")
@@ -550,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "entities")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--split", choices=("train", "dev", "test"))
+    p.add_argument("--split", choices=SPLITS)
     p.add_argument("--mode", choices=MATCH_MODES, default="exact")
     p.add_argument("--definition", choices=UNRESOLVED_DEFINITIONS,
                    default="links")

@@ -4,7 +4,9 @@ The Entity MISC attribute uses bracket notation: ``(e1-etype-1-`` opens a
 mention, ``e1)`` closes it, ``(e1-...)`` does both on one token. Brackets of
 different entities may nest or overlap; discontinuous mentions carry a part
 suffix ``e1[2/3]``. Field layout inside an opening bracket follows the
-``# global.Entity`` declaration of the document.
+``# global.Entity`` declaration of the document. One pass over a document's
+tokens builds each mention at its closing bracket; resolve_entities says
+which of several faults is reported.
 """
 from __future__ import annotations
 
@@ -92,6 +94,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     sentence: Sentence | None = None
     prev_surface = 0
     prev_empty_minor = 0
+    prev_range_end = 0
     seen_sent_ids: set[str] = set()
     seen_doc_ids: set[str] = set()
 
@@ -107,7 +110,6 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
             document = Document(
                 doc_id=resolved_id,
                 sentences=doc_sentences, language=language, dataset=dataset)
-            _index_tokens(document)
             document.entities = resolve_entities(document, filename=filename)
             corpus.documents.append(document)
         doc_sentences = []
@@ -115,11 +117,17 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
         seen_sent_ids = set()
 
     def flush_sentence(line_no: int) -> None:
-        nonlocal sentence, prev_surface, prev_empty_minor
+        nonlocal sentence, prev_surface, prev_empty_minor, prev_range_end
         if sentence is None:
             return
         if not sentence.tokens:
             raise ParseError("sentence without token lines", filename, line_no)
+        if prev_range_end > prev_surface:
+            offset, cols = sentence.mwt_ranges[-1]
+            raise ParseError(
+                f"token range {cols[0]} ends after the last token "
+                f"{prev_surface} of its sentence", filename,
+                sentence.first_line + offset + len(sentence.mwt_ranges) - 1)
         _check_heads(sentence, prev_surface, filename)
         if sentence.sent_id is not None:
             if sentence.sent_id in seen_sent_ids:
@@ -130,6 +138,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
         sentence = None
         prev_surface = 0
         prev_empty_minor = 0
+        prev_range_end = 0
 
     line_no = 0
     for line_no, raw in enumerate(stream, start=1):
@@ -171,23 +180,29 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                     filename, line_no)
             prev_surface += 1
             prev_empty_minor = 0
-            sentence.tokens.append(_make_token(cols, False, filename, line_no))
+            is_empty = False
         elif match := _RANGE.match(index):
             start, end = int(match.group(1)), int(match.group(2))
-            if start != prev_surface + 1 or end < start:
+            if start != prev_surface + 1 or not prev_range_end < start <= end:
                 raise ParseError(f"non-monotonic token range {index}",
                                  filename, line_no)
+            prev_range_end = end
             sentence.mwt_ranges.append((len(sentence.tokens), tuple(cols)))
+            continue
         elif match := _EMPTY.match(index):
             major, minor = int(match.group(1)), int(match.group(2))
             if major != prev_surface or minor != prev_empty_minor + 1:
                 raise ParseError(f"non-monotonic empty-node index {index}",
                                  filename, line_no)
             prev_empty_minor = minor
-            sentence.tokens.append(_make_token(cols, True, filename, line_no))
+            is_empty = True
         else:
             raise ParseError(f"malformed token index {index!r}",
                              filename, line_no)
+        # a '# newdoc' line has flushed any previous document by now
+        sentence.tokens.append(_make_token(
+            cols, is_empty, len(doc_sentences), len(sentence.tokens),
+            filename, line_no))
 
     if sentence is not None:
         if sentence.tokens:
@@ -199,8 +214,8 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     return corpus
 
 
-def _make_token(cols: list[str], is_empty: bool, filename: str,
-                line_no: int) -> Token:
+def _make_token(cols: list[str], is_empty: bool, sent_index: int, order: int,
+                filename: str, line_no: int) -> Token:
     head_raw = cols[6]
     if head_raw == "_":
         head = None
@@ -212,7 +227,8 @@ def _make_token(cols: list[str], is_empty: bool, filename: str,
                              filename, line_no) from None
     return Token(index=cols[0], form=cols[1], lemma=cols[2], upos=cols[3],
                  xpos=cols[4], feats_raw=cols[5], head=head, deprel=cols[7],
-                 deps_raw=cols[8], misc_raw=cols[9], is_empty=is_empty)
+                 deps_raw=cols[8], misc_raw=cols[9], is_empty=is_empty,
+                 sent_index=sent_index, order=order)
 
 
 def _check_heads(sentence: Sentence, n: int, filename: str) -> None:
@@ -224,21 +240,24 @@ def _check_heads(sentence: Sentence, n: int, filename: str) -> None:
                 _node_line(sentence, order))
 
 
-def _index_tokens(document: Document) -> None:
-    for sent_index, sentence in enumerate(document.sentences):
-        for order, token in enumerate(sentence.tokens):
-            token.sent_index = sent_index
-            token.order = order
-
-
-def entity_field_layout(document: Document) -> tuple[str, ...]:
+def entity_field_layout(document: Document,
+                        filename: str = "") -> tuple[str, ...]:
     """Field names declared by ``# global.Entity``, defaulting to the
-    CorefUD layout."""
+    CorefUD layout. A layout whose first field is not eid raises ParseError
+    naming the declaration's line."""
     for sentence in document.sentences:
-        for comment in sentence.comments:
+        for k, comment in enumerate(sentence.comments):
             if comment.startswith("# global.Entity"):
                 value = comment.partition("=")[2].strip()
                 if value:
+                    if value.partition("-")[0] != "eid":
+                        # comments are the lines right before the first node
+                        line = sentence.first_line and (
+                            sentence.first_line - len(sentence.comments) + k)
+                        raise ParseError(
+                            f"unsupported global.Entity layout {value!r} in "
+                            f"document {document.doc_id!r} (first field must "
+                            f"be eid)", filename, line)
                     return tuple(value.split("-"))
     return DEFAULT_ENTITY_FIELDS
 
@@ -258,22 +277,22 @@ def _line(document: Document, token: Token) -> int:
 
 
 def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
-    """Decode Entity bracket annotations into entities with merged
-    discontinuous mentions. Raises ParseError on unbalanced annotation,
-    naming the line of the token whose bracket is at fault."""
-    layout = entity_field_layout(document)
-    if not layout or layout[0] != "eid":
-        raise ParseError(
-            f"unsupported global.Entity layout {'-'.join(layout)!r} in "
-            f"document {document.doc_id!r} (first field must be eid)",
-            filename)
+    """Decode Entity bracket annotations into entities in one pass over the
+    tokens: each mention, with its head, is built when its closing bracket
+    is read, a discontinuous one when its parts have closed in order 1..n.
+    Raises ParseError naming the line of the token at fault: the first
+    fault met in token order, else an unclosed bracket, else missing parts.
+    """
+    layout = entity_field_layout(document, filename)
     n_extra = len(layout) - 1
 
-    flat: list[Token] = [t for s in document.sentences for t in s.tokens]
+    flat = [t for s in document.sentences for t in s.tokens]
     open_stacks: dict[str, list[tuple[int, dict[str, str]]]] = {}
-    raw_parts: list[tuple[str, int | None, int | None, int, int, dict[str, str]]] = []
+    # eid -> (next part index, part count, tokens so far, attributes)
+    pending: dict[str, tuple[int, int, list[Token], dict[str, str]]] = {}
+    mentions: dict[str, list[Mention]] = {}
 
-    for flat_pos, token in enumerate(flat):
+    for position, token in enumerate(flat):
         if "Entity=" not in token.misc_raw:
             continue
         value = token.misc_value("Entity")
@@ -282,41 +301,54 @@ def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
         consumed = 0
         for match in _BRACKET.finditer(value):
             if match.start() != consumed:
-                raise ParseError(
-                    f"malformed Entity annotation {value!r} on token "
-                    f"{token.index} (sentence {token.sent_index + 1})",
-                    filename, _line(document, token))
+                break
             consumed = match.end()
             both, opened, closed = match.groups()
-            if both is not None or opened is not None:
-                content = both if both is not None else opened
-                fields = content.split("-", n_extra)
-                bracket_id = fields[0]
-                attributes = {name: fields[i + 1]
-                              for i, name in enumerate(layout[1:])
-                              if i + 1 < len(fields)}
-                open_stacks.setdefault(bracket_id, []).append(
-                    (flat_pos, attributes))
-            if both is not None or closed is not None:
-                bracket_id = closed if closed is not None else both.split("-", 1)[0]
-                stack = open_stacks.get(bracket_id)
-                if not stack:
-                    raise ParseError(
-                        f"Entity close {bracket_id!r} without matching open "
-                        f"(sentence {token.sent_index + 1})",
-                        filename, _line(document, token))
-                start_pos, attributes = stack.pop()
-                eid, part_i, part_n = bracket_id, None, None
-                if suffix := _PART_SUFFIX.match(bracket_id):
-                    eid, part_i, part_n = (suffix.group(1),
-                                           int(suffix.group(2)),
-                                           int(suffix.group(3)))
-                    if not 1 <= part_i <= part_n:
+            if closed is None:
+                fields = (both or opened).split("-", n_extra)
+                open_stacks.setdefault(fields[0], []).append(
+                    (position, dict(zip(layout[1:], fields[1:]))))
+            if opened is not None:
+                continue
+            bracket_id = closed or both.split("-", 1)[0]
+            stack = open_stacks.get(bracket_id)
+            if not stack:
+                raise ParseError(
+                    f"Entity close {bracket_id!r} without matching open "
+                    f"(sentence {token.sent_index + 1})",
+                    filename, _line(document, token))
+            start, attributes = stack.pop()
+            eid, tokens, part_n = bracket_id, flat[start:position + 1], 1
+            if suffix := _PART_SUFFIX.match(bracket_id):
+                eid, part_i, part_n = (suffix.group(1), int(suffix.group(2)),
+                                       int(suffix.group(3)))
+                if not 1 <= part_i <= part_n:
+                    raise ParseError(f"invalid part index in {bracket_id!r}",
+                                     filename, _line(document, token))
+                state = pending.pop(eid, None)
+                if part_i == 1:
+                    if state is not None:
                         raise ParseError(
-                            f"invalid part index in {bracket_id!r}",
+                            f"unmatched part indices for entity {eid!r}: new "
+                            f"mention starts while part {state[0]}/"
+                            f"{state[1]} is expected",
                             filename, _line(document, token))
-                raw_parts.append((eid, part_i, part_n, start_pos, flat_pos,
-                                  attributes))
+                    state = (1, part_n, [], attributes)
+                if state is None or state[:2] != (part_i, part_n):
+                    raise ParseError(
+                        f"unmatched part indices for entity {eid!r}: got "
+                        f"part {part_i}/{part_n}",
+                        filename, _line(document, token))
+                _, _, parts, attributes = state
+                parts.extend(tokens)
+                if part_i < part_n:
+                    pending[eid] = (part_i + 1, part_n, parts, attributes)
+                    continue
+                tokens = sorted(parts, key=lambda t: t.pos)
+            mention = Mention(entity_id=eid, span=tuple(tokens),
+                              n_parts=part_n, attributes=attributes)
+            mention.head = mention_head(mention, document)
+            mentions.setdefault(eid, []).append(mention)
         if consumed != len(value):
             raise ParseError(
                 f"malformed Entity annotation {value!r} on token "
@@ -325,65 +357,20 @@ def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
 
     for bracket_id, stack in open_stacks.items():
         if stack:
-            start_pos, _ = stack[-1]
+            start, _ = stack[-1]
             raise ParseError(
                 f"unbalanced Entity bracket {bracket_id!r} opened in "
-                f"sentence {flat[start_pos].sent_index + 1} never closed "
+                f"sentence {flat[start].sent_index + 1} never closed "
                 f"before end of document {document.doc_id!r}",
-                filename, _line(document, flat[start_pos]))
-
-    return _assemble_entities(document, flat, raw_parts, filename)
-
-
-def _assemble_entities(document: Document, flat: list[Token], raw_parts,
-                       filename: str) -> list[Entity]:
-    # Parts complete in close order; discontinuous parts must arrive 1..n.
-    # An error names the line of the token closing the part at fault.
-    mentions: dict[str, list[Mention]] = {}
-    pending: dict[str, tuple[int, int, list[Token], dict[str, str]]] = {}
-
-    for eid, part_i, part_n, start, end, attributes in raw_parts:
-        span_tokens = flat[start:end + 1]
-        if part_i is None:
-            mentions.setdefault(eid, []).append(
-                Mention(entity_id=eid, span=tuple(span_tokens),
-                        attributes=attributes))
-            continue
-        if part_i == 1:
-            if eid in pending:
-                raise ParseError(
-                    f"unmatched part indices for entity {eid!r}: new mention "
-                    f"starts while part {pending[eid][0]}/{pending[eid][1]} "
-                    f"is expected", filename, _line(document, flat[end]))
-            pending[eid] = (2, part_n, list(span_tokens), attributes)
-        else:
-            state = pending.get(eid)
-            if state is None or state[0] != part_i or state[1] != part_n:
-                raise ParseError(
-                    f"unmatched part indices for entity {eid!r}: got part "
-                    f"{part_i}/{part_n}", filename, _line(document, flat[end]))
-            state[2].extend(span_tokens)
-            pending[eid] = (part_i + 1, part_n, state[2], state[3])
-        if part_i == part_n:
-            _, total, tokens, attrs = pending.pop(eid)
-            tokens.sort(key=lambda t: t.pos)
-            mentions.setdefault(eid, []).append(
-                Mention(entity_id=eid, span=tuple(tokens),
-                        n_parts=total, attributes=attrs))
-
-    for eid, state in pending.items():
+                filename, _line(document, flat[start]))
+    for eid, (next_part, part_n, tokens, _) in pending.items():
         raise ParseError(
             f"unmatched part indices for entity {eid!r}: parts after "
-            f"{state[0] - 1}/{state[1]} missing at end of document",
-            filename, _line(document, state[2][-1]))
+            f"{next_part - 1}/{part_n} missing at end of document",
+            filename, _line(document, tokens[-1]))
 
-    entities = []
-    for eid, entity_mentions in mentions.items():
-        entity = Entity(entity_id=eid)
-        entity.mentions = sorted(entity_mentions, key=lambda m: (m.start, m.end))
-        for mention in entity.mentions:
-            mention.head = mention_head(mention, document)
-        entities.append(entity)
+    entities = [Entity(eid, sorted(group, key=lambda m: (m.start, m.end)))
+                for eid, group in mentions.items()]
     entities.sort(key=lambda e: (e.mentions[0].start, e.mentions[0].end,
                                  e.entity_id))
     return entities

@@ -14,8 +14,9 @@ from pathlib import Path
 from .conllu import parse_file
 from .model import Corpus
 
+SPLITS = ("train", "dev", "test")
 _CANONICAL = re.compile(
-    r"^(?P<dataset>[A-Za-z0-9_.]+?)-corefud-(?P<split>train|dev|test)$")
+    rf"^(?P<dataset>[A-Za-z0-9_.]+?)-corefud-(?P<split>{'|'.join(SPLITS)})$")
 
 
 def dataset_of(path: Path) -> tuple[str, str | None]:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corefkit import ParseError, parse_conllu, parse_file, serialize
+from corefkit import (ParseError, parse_conllu, parse_file, resolve_entities,
+                      serialize)
 from corefkit.model import mention_head, parse_kv_items, span_key
 from conftest import DATA, corpus_signature, make_corpus, node, tok
 
@@ -170,6 +171,43 @@ def test_out_of_range_head_names_its_own_line(tmp_path):
                                   f"nonexistent token (sentence has 3)")
 
 
+@pytest.mark.parametrize("block, line, message", [
+    (["1-3\tdont\t_\t_\t_\t_\t_\t_\t_\t_", tok(1, "do", "AUX", 2, "aux"),
+      tok(2, "go", "VERB", 0, "root")], 6,
+     "token range 1-3 ends after the last token 2 of its sentence"),
+    (["1-2\tdont\t_\t_\t_\t_\t_\t_\t_\t_", tok(1, "do", "AUX", 2, "aux"),
+      tok(2, "go", "VERB", 0, "root"),
+      "3-4\thome\t_\t_\t_\t_\t_\t_\t_\t_",
+      tok(3, "home", "ADV", 2, "advmod")], 9,
+     "token range 3-4 ends after the last token 3 of its sentence"),
+    (["1-2\tdont\t_\t_\t_\t_\t_\t_\t_\t_",
+      "1-3\tdonta\t_\t_\t_\t_\t_\t_\t_\t_", tok(1, "do", "AUX", 2, "aux"),
+      tok(2, "go", "VERB", 0, "root"), tok(3, "a", "DET", 2, "det")], 7,
+     "non-monotonic token range 1-3"),
+], ids=["past-end", "past-end-after-range", "overlap"])
+def test_bad_token_range_names_its_own_line(tmp_path, block, line, message):
+    path = tmp_path / "badrange.conllu"
+    path.write_text("\n".join([
+        "# sent_id = s1", tok(1, "Pat", "PROPN", 0, "root"), "",
+        "# sent_id = s2", "# text = dont go home", *block, "", ""]),
+        encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == f"{path}:{line}: {message}"
+
+
+def test_unsupported_entity_layout_names_its_line(tmp_path):
+    lines = (DATA / "basic.conllu").read_text(encoding="utf-8").split("\n")
+    lines[1] = "# global.Entity = etype-eid-head-other"
+    path = tmp_path / "layout.conllu"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == (
+        f"{path}:2: unsupported global.Entity layout 'etype-eid-head-other' "
+        f"in document 'fixture-doc1' (first field must be eid)")
+
+
 # The file puts token 1 of sentence 1 on line 3, token 1 of sentence 2 on
 # line 9 (after the range line 8) and its token 3 on line 12 (after the
 # empty node on line 11); misc maps "s<sentence>-<token>" to an Entity value.
@@ -190,8 +228,11 @@ def test_out_of_range_head_names_its_own_line(tmp_path):
     ({"s1-1": "(e1[1/2]-x-1-)"}, 3,
      "unmatched part indices for entity 'e1': parts after 1/2 missing at "
      "end of document"),
+    # of several faults, the first in token order is reported
+    ({"s1-1": "(e1[2/2]-x-1-)", "s2-3": "(e2-x-1-)junk"}, 3,
+     "unmatched part indices for entity 'e1': got part 2/2"),
 ], ids=["malformed", "close-without-open", "unclosed", "invalid-part",
-        "unexpected-part", "part-restarts", "parts-missing"])
+        "unexpected-part", "part-restarts", "parts-missing", "first-fault"])
 def test_entity_decoding_error_names_line(tmp_path, misc, line, message):
     def entity(key):
         return f"Entity={misc[key]}" if key in misc else "_"
@@ -211,6 +252,27 @@ def test_entity_decoding_error_names_line(tmp_path, misc, line, message):
     with pytest.raises(ParseError) as excinfo:
         parse_file(path)
     assert str(excinfo.value) == f"{path}:{line}: {message}"
+
+
+def test_redecoding_a_parsed_document_changes_nothing():
+    paths = [DATA / "basic.conllu", *sorted(DATA.glob("score/*/*.conllu"))]
+    for path in paths:
+        for document in parse_file(path).documents:
+            nodes = [(t, t.line(), t.sent_index, t.order)
+                     for s in document.sentences for t in s.tokens]
+            again = resolve_entities(document)
+            assert [e.entity_id for e in again] == [
+                e.entity_id for e in document.entities], path
+            for new, old in zip(again, document.entities):
+                assert len(new.mentions) == len(old.mentions)
+                for m, n in zip(new.mentions, old.mentions):
+                    assert len(m.span) == len(n.span)
+                    assert all(a is b for a, b in zip(m.span, n.span))
+                    assert m.head is n.head
+                    assert (m.entity_id, m.n_parts, m.attributes) == (
+                        n.entity_id, n.n_parts, n.attributes)
+            assert nodes == [(t, t.line(), t.sent_index, t.order)
+                             for s in document.sentences for t in s.tokens]
 
 
 def test_duplicate_sent_id_warns_not_fatal(caplog):
