@@ -19,13 +19,8 @@ from .conllu import ParseError, open_text
 from .model import (DEFAULT_GENRE_PATTERN, Corpus, DataError, Mention, Token,
                     head_of, mention_key)
 from .reports import DatasetReport, StatRow, ratio
-from .taxonomy import MentionType, UdCategory, classify_mention_type, ud_category
-
-
-def _is_premodified(mention: Mention, head: Token) -> bool:
-    """True for multi-token mentions whose non-head tokens all precede the
-    head, i.e. the head is span-final."""
-    return len(mention.span) > 1 and mention.span[-1] is head
+from .taxonomy import (MentionType, UdCategory, classify_mention_type,
+                       is_premodified, ud_category)
 
 
 def head_position_stats(corpus: Corpus,
@@ -42,7 +37,7 @@ def head_position_stats(corpus: Corpus,
                 if len(mention.span) > 1:
                     multi_token += 1
                     head = head_of(mention, document, head_rule)
-                    if _is_premodified(mention, head):
+                    if is_premodified(mention, head):
                         premodified += 1
     return DatasetReport(corpus.dataset, "head_position", [
         StatRow("premodified_of_multitoken", premodified, multi_token),

@@ -589,6 +589,9 @@ def main(argv: list[str] | None = None) -> int:
             == ("spans", "annotated"):
         parser.error("export-features: --head-rule annotated needs --target "
                      "gold; candidate spans carry no annotated head")
+    if args.command == "analyze" and args.vectors and not any(
+            STATISTICS[stat].needs_vectors for stat in args.stat or ()):
+        parser.error("analyze: --vectors is only read by semantic-distance")
     try:
         return args.func(args)
     except (DataError, OSError) as exc:

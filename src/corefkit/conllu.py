@@ -232,12 +232,43 @@ def _make_token(cols: list[str], is_empty: bool, sent_index: int, order: int,
 
 
 def _check_heads(sentence: Sentence, n: int, filename: str) -> None:
+    """Raise ParseError naming the node's line when a HEAD names no token,
+    or where the first walk up the parents re-enters its own path: surface
+    HEADs first (a surface parent is a surface token), then empty nodes."""
+    heads = [0]  # HEAD of surface token i, 0 for the root or '_'
+    empty: dict[str, str | None] = {}  # empty node id -> parent id
     for order, token in enumerate(sentence.tokens):
         if token.head is not None and not 0 <= token.head <= n:
             raise ParseError(
                 f"token {token.index} head {token.head} refers to a "
                 f"nonexistent token (sentence has {n})", filename,
                 _node_line(sentence, order))
+        if token.is_empty:
+            empty[token.index] = token.parent_id()
+        else:
+            heads.append(token.head or 0)
+    walked = [0] * (n + 1)  # the walk that reached surface token i first
+    for start in range(1, n + 1):
+        node = start
+        while node and not walked[node]:
+            walked[node] = start
+            node = heads[node]
+        if node and walked[node] == start:
+            raise _cycle_error(sentence, str(node), filename)
+    walked_empty: dict[str, str] = {}
+    for start in empty:
+        node = start
+        while node in empty and node not in walked_empty:
+            walked_empty[node] = start
+            node = empty[node]
+        if walked_empty.get(node) == start:
+            raise _cycle_error(sentence, node, filename)
+
+
+def _cycle_error(sentence: Sentence, index: str, filename: str) -> ParseError:
+    order = next(k for k, t in enumerate(sentence.tokens) if t.index == index)
+    return ParseError(f"token {index} is on a head cycle", filename,
+                      _node_line(sentence, order))
 
 
 def entity_field_layout(document: Document,
@@ -310,7 +341,7 @@ def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
                     (position, dict(zip(layout[1:], fields[1:]))))
             if opened is not None:
                 continue
-            bracket_id = closed or both.split("-", 1)[0]
+            bracket_id = closed or fields[0]
             stack = open_stacks.get(bracket_id)
             if not stack:
                 raise ParseError(

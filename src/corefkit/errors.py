@@ -16,7 +16,7 @@ from typing import Iterable
 from .metrics import align_mentions
 from .model import UNRESOLVED_DEFINITIONS, Document, Entity, Mention, span_key
 from .reports import ratio
-from .taxonomy import classify_mention_type
+from .taxonomy import classify_mention_type, is_premodified
 
 DISTANCE_BUCKETS = ("0", "1", "2", "3+")
 
@@ -99,8 +99,8 @@ def undetected_profile(undetected: list[Mention]) -> UndetectedProfile:
             profile.n_short += 1
         if length > 1:
             profile.n_multi_token += 1
-            if mention.span[-1] is head:
-                profile.n_premodified += 1
+        if is_premodified(mention, head):
+            profile.n_premodified += 1
     return profile
 
 

@@ -9,10 +9,8 @@ head_rule: syntactic (parent outside the span, the default) or annotated
 their heads are always syntactic. The sidecar header records the rule the
 records followed.
 
-In a sentence without a head cycle, a candidate's syntactic head is the
-running minimum of (depth, position) while the span grows by one token,
-so each candidate costs O(1). A sentence with a cycle resolves each
-candidate with mention_head.
+A candidate's syntactic head is the running minimum of (depth, position)
+while the span grows by one token, so each candidate costs O(1).
 """
 from __future__ import annotations
 
@@ -21,8 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .conllu import ParseError, open_text
-from .model import (Corpus, DataError, Document, Mention, Sentence, Token,
-                    head_of, span_key)
+from .model import Corpus, DataError, Sentence, Token, head_of, span_key
 from .taxonomy import base_relation, classify_mention_type, ud_category
 
 WORD_ORDERS = ("SOV", "SVO", "VSO", "VOS", "OVS", "OSV", "NoDominant")
@@ -89,39 +86,20 @@ def _span_fields(head: Token, width: int) -> dict:
             "ud_category": ud_category(deprel).name}
 
 
-def _has_cycle(sentence: Sentence) -> bool:
-    """Whether some parent chain of the sentence runs into a cycle: then a
-    node and its parent are equally deep, where elsewhere depth falls by
-    one along every parent edge."""
-    depth = sentence.depth
-    return any(parent >= 0 and depth(parent) >= depth(i)
-               for i, parent in enumerate(sentence.parents()))
-
-
-def _candidate_rows(document: Document, sentence: Sentence, max_width: int,
+def _candidate_rows(sentence: Sentence, max_width: int,
                     ) -> Iterator[tuple[int, Iterable[tuple[str, Token]]]]:
     """Each width up to max_width with the (span key, syntactic head) of
     every run of that many surface tokens, leftmost run first."""
+    # The syntactic head of a run is its shallowest token, leftmost on a
+    # tie (see mention_head). Surface ids are consecutive, so a run's key
+    # is its ids comma-joined. Each run grows by one token per width.
     surface = sentence.surface_tokens()
     n = len(surface)
-    widths = range(1, min(max_width, n) + 1)
-    if _has_cycle(sentence):
-        for width in widths:
-            spans = [tuple(surface[start:start + width])
-                     for start in range(n - width + 1)]
-            yield width, [(span_key(span),
-                           head_of(Mention("", span), document, "syntactic"))
-                          for span in spans]
-        return
-    # Depth falls along every parent edge, so the shallowest token of a run
-    # (leftmost on a tie) has its parent outside the run: it is the head
-    # mention_head picks. Surface ids are consecutive, so a run's key is its
-    # ids comma-joined. Each run grows by one token per width.
     depths = [sentence.depth(token.order) for token in surface]
     keys = [token.index for token in surface]
     heads = list(surface)
     head_depths = list(depths)
-    for width in widths:
+    for width in range(1, min(max_width, n) + 1):
         n_runs = n - width + 1
         if width > 1:
             for start in range(n_runs):
@@ -161,8 +139,7 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
             continue
         for sent_index, sentence in enumerate(document.sentences):
             fields_of: dict[tuple[Token, str], dict] = {}
-            for width, candidates in _candidate_rows(document, sentence,
-                                                     max_width):
+            for width, candidates in _candidate_rows(sentence, max_width):
                 bucket = width_bucket(width)
                 for key, head in candidates:
                     fields = fields_of.get((head, bucket))

@@ -146,9 +146,10 @@ class Sentence:
 
     def depth(self, position: int) -> int:
         """Head-chain hops from the node at position to the root. A chain
-        that meets an unknown parent or runs into a cycle counts as very
-        deep: the hops taken until then plus the number of nodes. Depths
-        are worked out on first use and kept."""
+        that meets an unknown parent counts as very deep: the hops taken
+        until then plus the number of nodes. Depths are worked out on first
+        use and kept. A chain that runs into a cycle, which only a
+        hand-built sentence can hold, raises ValueError."""
         depths = self._depths
         if depths is None:
             depths = self._depths = [None] * len(self.tokens)
@@ -156,31 +157,16 @@ class Sentence:
         if known is not None:
             return known
         parents = self.parents()
-        path: list[int] = []
-        on_path: dict[int, int] = {}
-        current = position
-        while True:
-            on_path[current] = len(path)
-            path.append(current)
-            parent = parents[current]
-            if parent == ROOT:
-                base = 0
-                break
-            if parent == UNKNOWN:
-                base = len(self.tokens)
-                break
-            if depths[parent] is not None:
-                base = depths[parent] + 1
-                break
-            if parent in on_path:
-                # every node of the cycle walks it once before it repeats
-                cycle = path[on_path[parent]:]
-                for node in cycle:
-                    depths[node] = len(cycle) - 1 + len(self.tokens)
-                del path[on_path[parent]:]
-                base = depths[parent] + 1
-                break
-            current = parent
+        path = [position]
+        parent = parents[position]
+        while parent >= 0 and depths[parent] is None:
+            if len(path) == len(parents):
+                raise ValueError(f"node {self.tokens[position].index} "
+                                 f"leads into a head cycle")
+            path.append(parent)
+            parent = parents[parent]
+        base = (0 if parent == ROOT else len(parents) if parent == UNKNOWN
+                else depths[parent] + 1)
         for node in reversed(path):
             depths[node] = base
             base += 1
@@ -265,9 +251,10 @@ def mention_head(mention: Mention, document: Document,
 
     An explicit head attribute from the entity annotation (1-based position
     within the span) wins when present and ``prefer_annotated`` is set.
-    Otherwise: the span token whose syntactic parent lies outside the span;
-    ties resolved by tree depth (closest to root), then leftmost; degenerate
-    spans fall back to the leftmost token.
+    Otherwise the syntactic head: the span token closest to the root, the
+    leftmost on a tie. Depth falls by one along every parent edge, so its
+    parent lies outside the span. A hand-built sentence whose head chain
+    runs into a cycle raises ValueError (see Sentence.depth).
     """
     span = mention.span
     if len(span) == 1:
@@ -278,15 +265,9 @@ def mention_head(mention: Mention, document: Document,
             i = int(annotated)
             if 1 <= i <= len(span):
                 return span[i - 1]
-    in_span = {(t.sent_index, t.order) for t in span}
-    best = None
-    for token in span:
-        sentence = document.sentences[token.sent_index]
-        if (token.sent_index, sentence.parents()[token.order]) not in in_span:
-            key = (sentence.depth(token.order), token.sent_index, token.order)
-            if best is None or key < best[0]:
-                best = (key, token)
-    return span[0] if best is None else best[1]
+    sentences = document.sentences
+    return min(span, key=lambda t: (sentences[t.sent_index].depth(t.order),
+                                    t.sent_index, t.order))
 
 
 def head_of(mention: Mention, document: Document, head_rule: str) -> Token:

@@ -11,7 +11,7 @@ import logging
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .model import Token
+    from .model import Mention, Token
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +104,11 @@ def classify_mention_type(head: Token) -> MentionType:
     if head.upos == "PRON":
         return MentionType.OVERT_PRONOUN
     return MentionType.OTHER
+
+
+def is_premodified(mention: Mention, head: Token) -> bool:
+    """Whether the mention has several tokens and ends in its head."""
+    return len(mention.span) > 1 and mention.span[-1] is head
 
 
 def category_table() -> list[tuple[str, str, str]]:

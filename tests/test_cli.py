@@ -629,9 +629,12 @@ def test_options_without_effect_are_rejected(tmp_path, capsys, argv):
      "argument --jobs: expected a positive integer, got '-3'"),
     (["stats", GOLD_DIR, "--jobs", "two"],
      "argument --jobs: expected a positive integer, got 'two'"),
+    (["analyze", GOLD_DIR, "--stat", "entity-size", "--vectors",
+      "{out}/vectors.tsv"],
+     "--vectors is only read by semantic-distance"),
 ], ids=["genre-pattern-without-group", "genre-pattern-invalid",
         "max-width-0", "spans-annotated-head", "jobs-0", "jobs-negative",
-        "jobs-not-a-number"])
+        "jobs-not-a-number", "vectors-without-semantic-distance"])
 def test_bad_option_values_exit_1(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as excinfo:

@@ -89,6 +89,18 @@ def test_single_token_mention():
     assert [t.index for t in entity.mentions[0].span] == ["4"]
 
 
+def test_self_closing_bracket_with_a_one_field_layout():
+    # the whole bracket is the eid, as it is when opened and closed apart
+    corpus = parse_conllu("\n".join([
+        "# newdoc id = d1", "# global.Entity = eid",
+        tok(1, "Rex", "PROPN", 0, "root", misc="Entity=(e1-x)"),
+        tok(2, "Pat", "PROPN", 1, "conj", misc="Entity=(e2-y"),
+        tok(3, "Kim", "PROPN", 1, "conj", misc="Entity=e2-y)"), "", ""]))
+    entities = corpus.documents[0].entities
+    assert [(e.entity_id, [t.index for m in e.mentions for t in m.span])
+            for e in entities] == [("e1-x", ["1"]), ("e2-y", ["2", "3"])]
+
+
 def test_discontinuous_mention_omits_gap_tokens():
     corpus = make_corpus([
         tok(1, "Saw", "VERB", 0, "root"),
@@ -194,6 +206,43 @@ def test_bad_token_range_names_its_own_line(tmp_path, block, line, message):
     with pytest.raises(ParseError) as excinfo:
         parse_file(path)
     assert str(excinfo.value) == f"{path}:{line}: {message}"
+
+
+# Sentence 2's block starts on line 6, after a range line.
+@pytest.mark.parametrize("block, line, message", [
+    ([tok(1, "do", "AUX", 1, "aux"), tok(2, "go", "VERB", 0, "root")], 6,
+     "token 1 is on a head cycle"),
+    (["1-2\tdont\t_\t_\t_\t_\t_\t_\t_\t_", tok(1, "do", "AUX", 3, "aux"),
+      tok(2, "go", "VERB", 3, "ccomp"), tok(3, "home", "ADV", 2, "advmod")],
+     9, "token 3 is on a head cycle"),
+    (["1-2\tdont\t_\t_\t_\t_\t_\t_\t_\t_", tok(1, "do", "AUX", 2, "aux"),
+      tok(2, "go", "VERB", 0, "root"),
+      tok("2.1", "you", "PRON", "_", "_", deps="2.2:nsubj"),
+      tok("2.2", "me", "PRON", "_", "_", deps="2.1:conj|2:obj")],
+     9, "token 2.1 is on a head cycle"),
+], ids=["self-loop", "surface-after-range", "empty-nodes"])
+def test_head_cycle_names_the_line_where_it_closes(tmp_path, block, line,
+                                                   message):
+    path = tmp_path / "cycle.conllu"
+    path.write_text("\n".join([
+        "# sent_id = s1", tok(1, "Pat", "PROPN", 0, "root"), "",
+        "# sent_id = s2", "# text = dont go home", *block, "", ""]),
+        encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == f"{path}:{line}: {message}"
+
+
+def test_empty_nodes_may_attach_to_earlier_and_later_empty_nodes():
+    corpus = make_corpus([
+        tok(1, "go", "VERB", 0, "root"),
+        tok("1.1", "you", "PRON", "_", "_", deps="1.2:nsubj"),
+        tok("1.2", "me", "PRON", "_", "_", deps="1:obj"),
+        tok("1.3", "it", "PRON", "_", "_", deps="1.1:conj",
+            misc="Entity=(e1-x-)"),
+    ])
+    (entity,) = corpus.documents[0].entities
+    assert entity.mentions[0].span[0].index == "1.3"
 
 
 def test_unsupported_entity_layout_names_its_line(tmp_path):
@@ -358,15 +407,16 @@ class TestMentionHead:
         (mention,) = document.entities[0].mentions
         assert mention_head(mention, document).form == "shallow"
 
-    def test_cycle_falls_back_to_leftmost(self):
-        corpus = make_corpus([
-            tok(1, "x", "VERB", 0, "root"),
-            tok(2, "a", "NOUN", 3, "nmod", misc="Entity=(e1-x-"),
-            tok(3, "b", "NOUN", 2, "nmod", misc="Entity=e1)"),
-        ])
-        document = corpus.documents[0]
-        (mention,) = document.entities[0].mentions
-        assert mention_head(mention, document).form == "a"
+    def test_cycle_is_a_parse_error(self):
+        # 2 and 3 govern each other, so no token of the mention has its
+        # parent outside it
+        with pytest.raises(ParseError) as excinfo:
+            make_corpus([
+                tok(1, "x", "VERB", 0, "root"),
+                tok(2, "a", "NOUN", 3, "nmod", misc="Entity=(e1-x-"),
+                tok(3, "b", "NOUN", 2, "nmod", misc="Entity=e1)"),
+            ])
+        assert str(excinfo.value) == "<input>:5: token 2 is on a head cycle"
 
     def test_annotated_head_attribute_wins_by_default(self):
         corpus = make_corpus([

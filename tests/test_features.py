@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkit import features, parse_file
+from corefkit import ParseError, features, parse_file
 from corefkit.features import (WordOrderError, _span_fields, export_features,
                                iter_feature_records, load_word_order_table,
                                width_bucket)
@@ -258,20 +258,17 @@ def _candidate_heads(corpus, max_width=3):
     return {r["span"]: r["head_upos"] for r in records}
 
 
-def test_candidate_heads_in_a_sentence_with_a_cycle():
-    heads = _candidate_heads(make_corpus([
-        tok(1, "a", "PRON", 2, "nsubj"),
-        tok(2, "b", "VERB", 3, "ccomp"),
-        tok(3, "c", "NOUN", 2, "obj"),
-        tok(4, "d", "ADV", 0, "root"),
-    ]))
-    # 2 and 3 govern each other, so no token of 1,2,3 has its parent
-    # outside the span and the leftmost stands in, though 2 and 3 are the
-    # shallower tokens
-    assert heads["1,2,3"] == "PRON"
-    assert heads["2,3"] == "VERB"
-    assert heads["1,2"] == "VERB"
-    assert heads["2,3,4"] == "ADV"
+def test_a_sentence_with_a_cycle_is_a_parse_error():
+    # 2 and 3 govern each other, so no candidate of 1,2,3 would have its
+    # parent outside the span; the walk from 1 closes at 2
+    with pytest.raises(ParseError) as excinfo:
+        make_corpus([
+            tok(1, "a", "PRON", 2, "nsubj"),
+            tok(2, "b", "VERB", 3, "ccomp"),
+            tok(3, "c", "NOUN", 2, "obj"),
+            tok(4, "d", "ADV", 0, "root"),
+        ])
+    assert str(excinfo.value) == "<input>:5: token 2 is on a head cycle"
 
 
 def test_candidate_heads_in_a_sentence_with_an_unknown_parent():

@@ -1,8 +1,10 @@
 """Per-sentence parent positions and head-chain depths, checked against a
-plain walk to the root on arbitrary trees: cycles, self-loops, heads that
-name no node, empty nodes attached through DEPS, spans across sentences."""
+plain walk to the root on arbitrary forests: heads that name no node, empty
+nodes attached through DEPS, spans across sentences. The parser rejects a
+head cycle; a hand-built one raises ValueError."""
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,22 +59,26 @@ def _node(index: str, head: int | None, deps: str, is_empty: bool) -> Token:
 
 @st.composite
 def sentences(draw) -> list[Token]:
-    """Surface nodes 1..n with an empty node after some of them. Surface
-    heads range over the root, every node, self and ids past the end; empty
-    nodes take their parent from DEPS, which may name an empty node, the
-    root, an unknown id, or nothing."""
+    """Surface nodes 1..n with an empty node after some of them, forming a
+    forest. A surface head is a token earlier in a random order, the root,
+    '_' or an id past the end; an empty node's DEPS names a surface id, the
+    root, an unknown id, nothing, or an earlier empty node."""
     n = draw(st.integers(1, 7))
+    rank = draw(st.permutations(range(1, n + 1)))
+    heads = {i: draw(st.one_of(st.none(),
+                               st.sampled_from([0, *rank[:k], n + 1, n + 2])))
+             for k, i in enumerate(rank)}
     tokens: list[Token] = []
     for i in range(1, n + 1):
-        head = draw(st.one_of(st.none(), st.integers(0, n + 2)))
-        tokens.append(_node(str(i), head, "_", False))
+        tokens.append(_node(str(i), heads[i], "_", False))
         if draw(st.booleans()):
             tokens.append(_node(f"{i}.1", None, "", True))
-    ids = [t.index for t in tokens]
+    ids = [str(i) for i in range(1, n + 1)]
     for token in tokens:
         if token.is_empty:
             parent = draw(st.sampled_from(ids + ["0", "9.9", "_"]))
             token.deps_raw = "_" if parent == "_" else f"{parent}:dep"
+            ids.append(token.index)
     return tokens
 
 
@@ -121,6 +127,20 @@ def test_syntactic_head_matches_a_root_walk(document, data):
     mention = Mention(entity_id="e", span=span, attributes={"head": "1"})
     assert (mention_head(mention, document, prefer_annotated=False)
             is _reference_head(span, document))
+
+
+def test_a_hand_built_cycle_raises_value_error():
+    # the parser rejects this sentence: 2 and 3 govern each other
+    tokens = [_node("1", 0, "_", False), _node("2", 3, "_", False),
+              _node("3", 2, "_", False)]
+    for order, token in enumerate(tokens):
+        token.sent_index, token.order = 0, order
+    document = Document(doc_id="d", sentences=[Sentence(tokens=tokens)])
+    with pytest.raises(ValueError, match="node 2 leads into a head cycle"):
+        document.sentences[0].depth(1)
+    mention = Mention(entity_id="e", span=tuple(tokens))
+    with pytest.raises(ValueError, match="head cycle"):
+        mention_head(mention, document, prefer_annotated=False)
 
 
 def test_parents_are_looked_up_in_their_own_sentence():
