@@ -1,5 +1,6 @@
 """Byte-for-byte snapshots of the `analyze`, `stats`, `score` and `errors`
-reports and of the `export-features` files.
+reports and of the `export-features` files, and a snapshot of the parsed
+model of every CoNLL-U fixture.
 
 Each case runs the command line in-process on the fixtures and compares its
 stdout, or the files it writes, with snapshots under tests/data/golden/.
@@ -10,7 +11,9 @@ the diff:
 """
 from __future__ import annotations
 
+import dataclasses
 import io
+import json
 import shutil
 import tempfile
 from contextlib import redirect_stdout
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from corefkit import Token, parse_file
 from corefkit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -121,6 +125,44 @@ def make_inputs(root: Path) -> dict[str, Path]:
                 export=export)
 
 
+TOKEN_FIELDS = [f.name for f in dataclasses.fields(Token)
+                if not f.name.startswith("_")]
+MODEL = GOLDEN / "parsed-model.json"
+
+
+def parsed_model() -> dict:
+    """Every fixture's parsed model as JSON values, by path under
+    tests/data: each token's fields; each sentence's comments, ranges and
+    first line; each mention's span ids, part count, attributes and head id.
+    A node id is [sentence index, CoNLL-U id]."""
+    def node_id(token: Token) -> list:
+        return [token.sent_index, token.index]
+
+    return {path.relative_to(DATA).as_posix(): [
+        {"doc_id": document.doc_id,
+         "sentences": [{"comments": sentence.comments,
+                        "mwt_ranges": sentence.mwt_ranges,
+                        "first_line": sentence.first_line,
+                        "tokens": [[getattr(token, name)
+                                    for name in TOKEN_FIELDS]
+                                   for token in sentence.tokens]}
+                       for sentence in document.sentences],
+         "entities": [{"entity_id": entity.entity_id,
+                       "mentions": [{"span": [node_id(t) for t in m.span],
+                                     "n_parts": m.n_parts,
+                                     "attributes": m.attributes,
+                                     "head": node_id(m.head)}
+                                    for m in entity.mentions]}
+                      for entity in document.entities]}
+        for document in parse_file(path).documents]
+        for path in sorted(DATA.rglob("*.conllu"))}
+
+
+def model_json() -> str:
+    return json.dumps({"token_fields": TOKEN_FIELDS, "files": parsed_model()},
+                      ensure_ascii=False, indent=1) + "\n"
+
+
 def run(args: tuple[str, ...], inputs: dict[str, Path]) -> bytes:
     argv = [a.format(**inputs) for a in args]
     out = io.StringIO()
@@ -165,6 +207,10 @@ def test_export_snapshots_of_the_two_head_rules_differ():
     assert syntactic[name] != annotated[name]
 
 
+def test_parsed_model_matches_snapshot():
+    assert model_json() == MODEL.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", ["figure-data.tsv",
                                   "figure-data-release-by-language.tsv"])
 def test_analyze_jobs_do_not_change_output(name, inputs):
@@ -174,6 +220,7 @@ def test_analyze_jobs_do_not_change_output(name, inputs):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    MODEL.write_text(model_json(), encoding="utf-8")
     scratch = Path(tempfile.mkdtemp())
     try:
         for name, args in CASES.items():
