@@ -14,6 +14,7 @@ import io
 import logging
 import re
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -24,11 +25,14 @@ log = logging.getLogger(__name__)
 
 DEFAULT_ENTITY_FIELDS = ("eid", "etype", "head", "other")
 
-# One opening, self-closing, or closing bracket inside an Entity value.
-_BRACKET = re.compile(r"\(([^()]+)\)|\(([^()]+)|([^()]+)\)")
+# One self-closing, opening or closing bracket inside an Entity value, or
+# else the character where the brackets stop.
+_BRACKET = re.compile(r"\(([^()]+)\)|\(([^()]+)|([^()]+)\)|(.)", re.S)
 _PART_SUFFIX = re.compile(r"^(.*)\[([0-9]+)/([0-9]+)\]$")
 _RANGE = re.compile(r"^([1-9][0-9]*)-([1-9][0-9]*)$")
-_EMPTY = re.compile(r"^([0-9]+)\.([1-9][0-9]*)$")
+_EMPTY = re.compile(r"^(0|[1-9][0-9]*)\.([1-9][0-9]*)$")
+# Each MISC item named Entity: "=" and its value, or "" without an '='.
+_ENTITY_ITEM = re.compile(r"(?:^|\|)Entity(=[^|]*)?(?=\||\Z)")
 
 
 class ParseError(ValueError, DataError):
@@ -92,11 +96,20 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     doc_sentences: list[Sentence] = []
     doc_id: str | None = None
     sentence: Sentence | None = None
-    prev_surface = 0
+    tokens: list[Token] = []      # the nodes of sentence
+    heads = [0]  # HEAD of each surface token of sentence, 0 for root or '_'
+    first_line = 0
     prev_empty_minor = 0
     prev_range_end = 0
     seen_sent_ids: set[str] = set()
     seen_doc_ids: set[str] = set()
+    # Local to this parse, so nothing is kept once it returns: ids[i] is the
+    # surface index i, head_values maps each valid HEAD text seen to its
+    # value, and shared holds one object per repeated column text.
+    ids = ["0"]
+    head_values: dict[str, int | None] = {"_": None, "0": 0}
+    shared: dict[str, str] = {}
+    share = shared.setdefault
 
     def flush_document() -> None:
         nonlocal doc_sentences, doc_id, seen_sent_ids
@@ -117,18 +130,22 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
         seen_sent_ids = set()
 
     def flush_sentence(line_no: int) -> None:
-        nonlocal sentence, prev_surface, prev_empty_minor, prev_range_end
+        nonlocal sentence, tokens, heads, first_line, prev_empty_minor
+        nonlocal prev_range_end
         if sentence is None:
             return
-        if not sentence.tokens:
+        if not tokens:
             raise ParseError("sentence without token lines", filename, line_no)
-        if prev_range_end > prev_surface:
+        sentence.tokens = tokens
+        sentence.first_line = first_line
+        n = len(heads) - 1
+        if prev_range_end > n:
             offset, cols = sentence.mwt_ranges[-1]
             raise ParseError(
                 f"token range {cols[0]} ends after the last token "
-                f"{prev_surface} of its sentence", filename,
-                sentence.first_line + offset + len(sentence.mwt_ranges) - 1)
-        _check_heads(sentence, prev_surface, filename)
+                f"{n} of its sentence", filename,
+                first_line + offset + len(sentence.mwt_ranges) - 1)
+        _check_heads(sentence, heads, filename)
         if sentence.sent_id is not None:
             if sentence.sent_id in seen_sent_ids:
                 log.warning("%s: duplicated sent_id %r within document %r",
@@ -136,18 +153,15 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
             seen_sent_ids.add(sentence.sent_id)
         doc_sentences.append(sentence)
         sentence = None
-        prev_surface = 0
-        prev_empty_minor = 0
-        prev_range_end = 0
+        tokens = []
+        heads = [0]
+        first_line = prev_empty_minor = prev_range_end = 0
 
     line_no = 0
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")  # CRLF input is non-canonical but parseable
-        if line == "":
-            flush_sentence(line_no)
-            continue
-        if line.startswith("#"):
-            if sentence is not None and sentence.tokens:
+    for line_no, line in enumerate(stream, start=1):
+        if line[:1] == "#":
+            line = line.rstrip("\r\n")
+            if tokens:
                 raise ParseError("comment line inside token block",
                                  filename, line_no)
             is_newdoc = line == "# newdoc" or line.startswith("# newdoc ")
@@ -165,47 +179,66 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
 
         cols = line.split("\t")
         if len(cols) != 10:
-            raise ParseError(
-                f"expected 10 tab-separated columns, got {len(cols)}",
-                filename, line_no)
+            # CRLF input is non-canonical but parseable
+            if line.rstrip("\r\n"):
+                raise ParseError(
+                    f"expected 10 tab-separated columns, got {len(cols)}",
+                    filename, line_no)
+            flush_sentence(line_no)
+            continue
+        index, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
         if sentence is None:
             sentence = Sentence()
-        if not sentence.first_line:
-            sentence.first_line = line_no
-        index = cols[0]
-        if index.isdigit() and index.isascii() and index[0] != "0":
-            if int(index) != prev_surface + 1:
-                raise ParseError(
-                    f"non-monotonic token index {index} after {prev_surface}",
-                    filename, line_no)
-            prev_surface += 1
+        if not first_line:
+            first_line = line_no
+        n = len(heads)  # the index the next surface token must have
+        if n == len(ids):
+            ids.append(str(n))
+        if index == ids[n]:
+            index = ids[n]
             prev_empty_minor = 0
             is_empty = False
+        elif index.isdigit() and index.isascii() and index[0] != "0":
+            raise ParseError(
+                f"non-monotonic token index {index} after {n - 1}",
+                filename, line_no)
         elif match := _RANGE.match(index):
             start, end = int(match.group(1)), int(match.group(2))
-            if start != prev_surface + 1 or not prev_range_end < start <= end:
+            if start != n or not prev_range_end < start <= end:
                 raise ParseError(f"non-monotonic token range {index}",
                                  filename, line_no)
             prev_range_end = end
-            sentence.mwt_ranges.append((len(sentence.tokens), tuple(cols)))
+            cols[9] = misc.rstrip("\r\n")
+            sentence.mwt_ranges.append((len(tokens), tuple(cols)))
             continue
         elif match := _EMPTY.match(index):
             major, minor = int(match.group(1)), int(match.group(2))
-            if major != prev_surface or minor != prev_empty_minor + 1:
+            if major != n - 1 or minor != prev_empty_minor + 1:
                 raise ParseError(f"non-monotonic empty-node index {index}",
                                  filename, line_no)
             prev_empty_minor = minor
+            index = share(index, index)
             is_empty = True
         else:
             raise ParseError(f"malformed token index {index!r}",
                              filename, line_no)
+        head_value = head_values.get(head, -1)
+        if head_value == -1:
+            if not (head.isdigit() and head.isascii() and head[0] != "0"):
+                raise ParseError(f"malformed HEAD value {head!r}",
+                                 filename, line_no)
+            head_value = head_values[head] = int(head)
+        if not is_empty:
+            heads.append(head_value or 0)
         # a '# newdoc' line has flushed any previous document by now
-        sentence.tokens.append(_make_token(
-            cols, is_empty, len(doc_sentences), len(sentence.tokens),
-            filename, line_no))
+        tokens.append(Token(
+            index, form, lemma, share(upos, upos), share(xpos, xpos),
+            share(feats, feats), head_value, share(deprel, deprel),
+            share(deps, deps), misc.rstrip("\r\n"), is_empty,
+            len(doc_sentences), len(tokens)))
 
     if sentence is not None:
-        if sentence.tokens:
+        if tokens:
             flush_sentence(line_no)
         elif sentence.comments:
             raise ParseError("trailing comments without a sentence",
@@ -214,39 +247,21 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     return corpus
 
 
-def _make_token(cols: list[str], is_empty: bool, sent_index: int, order: int,
-                filename: str, line_no: int) -> Token:
-    head_raw = cols[6]
-    if head_raw == "_":
-        head = None
-    else:
-        try:
-            head = int(head_raw)
-        except ValueError:
-            raise ParseError(f"malformed HEAD value {head_raw!r}",
-                             filename, line_no) from None
-    return Token(index=cols[0], form=cols[1], lemma=cols[2], upos=cols[3],
-                 xpos=cols[4], feats_raw=cols[5], head=head, deprel=cols[7],
-                 deps_raw=cols[8], misc_raw=cols[9], is_empty=is_empty,
-                 sent_index=sent_index, order=order)
-
-
-def _check_heads(sentence: Sentence, n: int, filename: str) -> None:
+def _check_heads(sentence: Sentence, heads: list[int], filename: str) -> None:
     """Raise ParseError naming the node's line when a HEAD names no token,
     or where the first walk up the parents re-enters its own path: surface
-    HEADs first (a surface parent is a surface token), then empty nodes."""
-    heads = [0]  # HEAD of surface token i, 0 for the root or '_'
-    empty: dict[str, str | None] = {}  # empty node id -> parent id
-    for order, token in enumerate(sentence.tokens):
-        if token.head is not None and not 0 <= token.head <= n:
-            raise ParseError(
-                f"token {token.index} head {token.head} refers to a "
-                f"nonexistent token (sentence has {n})", filename,
-                _node_line(sentence, order))
-        if token.is_empty:
-            empty[token.index] = token.parent_id()
-        else:
-            heads.append(token.head or 0)
+    HEADs first (a surface parent is a surface token), then empty nodes.
+    heads[i] is the HEAD of surface token i, 0 for the root or '_'."""
+    n = len(heads) - 1
+    tokens = sentence.tokens
+    has_empty = len(tokens) > n
+    if has_empty or max(heads) > n:
+        for order, token in enumerate(tokens):
+            if token.head is not None and token.head > n:
+                raise ParseError(
+                    f"token {token.index} head {token.head} refers to a "
+                    f"nonexistent token (sentence has {n})", filename,
+                    _node_line(sentence, order))
     walked = [0] * (n + 1)  # the walk that reached surface token i first
     for start in range(1, n + 1):
         node = start
@@ -255,6 +270,10 @@ def _check_heads(sentence: Sentence, n: int, filename: str) -> None:
             node = heads[node]
         if node and walked[node] == start:
             raise _cycle_error(sentence, str(node), filename)
+    if not has_empty:
+        return
+    # empty node id -> parent id
+    empty = {t.index: t.parent_id() for t in tokens if t.is_empty}
     walked_empty: dict[str, str] = {}
     for start in empty:
         node = start
@@ -316,41 +335,51 @@ def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
     """
     layout = entity_field_layout(document, filename)
     n_extra = len(layout) - 1
+    names = layout[1:]
 
     flat = [t for s in document.sentences for t in s.tokens]
     open_stacks: dict[str, list[tuple[int, dict[str, str]]]] = {}
-    # eid -> (next part index, part count, tokens so far, attributes)
-    pending: dict[str, tuple[int, int, list[Token], dict[str, str]]] = {}
-    mentions: dict[str, list[Mention]] = {}
+    # eid -> (next part index, part count, positions so far, attributes)
+    pending: dict[str, tuple[int, int, list[int], dict[str, str]]] = {}
+    # eid -> (first position, last position, mention) of each mention
+    mentions: dict[str, list[tuple[int, int, Mention]]] = {}
 
     for position, token in enumerate(flat):
-        if "Entity=" not in token.misc_raw:
+        if "Entity" not in token.misc_raw:
             continue
-        value = token.misc_value("Entity")
+        items = _ENTITY_ITEM.findall(token.misc_raw)
+        if len(items) > 1:
+            raise ParseError(
+                f"{len(items)} Entity items in MISC of token {token.index} "
+                f"(sentence {token.sent_index + 1})",
+                filename, _line(document, token))
+        value = items[0][1:] if items else ""
         if not value:
             continue
-        consumed = 0
-        for match in _BRACKET.finditer(value):
-            if match.start() != consumed:
-                break
-            consumed = match.end()
-            both, opened, closed = match.groups()
-            if closed is None:
+        for both, opened, bracket_id, junk in _BRACKET.findall(value):
+            if junk:
+                raise ParseError(
+                    f"malformed Entity annotation {value!r} on token "
+                    f"{token.index} (sentence {token.sent_index + 1})",
+                    filename, _line(document, token))
+            if not bracket_id:
                 fields = (both or opened).split("-", n_extra)
                 open_stacks.setdefault(fields[0], []).append(
-                    (position, dict(zip(layout[1:], fields[1:]))))
-            if opened is not None:
-                continue
-            bracket_id = closed or fields[0]
+                    (position, dict(zip(names, fields[1:]))))
+                if opened:
+                    continue
+                bracket_id = fields[0]
             stack = open_stacks.get(bracket_id)
             if not stack:
                 raise ParseError(
                     f"Entity close {bracket_id!r} without matching open "
                     f"(sentence {token.sent_index + 1})",
                     filename, _line(document, token))
-            start, attributes = stack.pop()
-            eid, tokens, part_n = bracket_id, flat[start:position + 1], 1
-            if suffix := _PART_SUFFIX.match(bracket_id):
+            first, attributes = stack.pop()
+            eid, last, part_n = bracket_id, position, 1
+            span = flat[first:position + 1]
+            if bracket_id[-1] == "]" and (
+                    suffix := _PART_SUFFIX.match(bracket_id)):
                 eid, part_i, part_n = (suffix.group(1), int(suffix.group(2)),
                                        int(suffix.group(3)))
                 if not 1 <= part_i <= part_n:
@@ -371,40 +400,39 @@ def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
                         f"part {part_i}/{part_n}",
                         filename, _line(document, token))
                 _, _, parts, attributes = state
-                parts.extend(tokens)
+                parts.extend(range(first, position + 1))
                 if part_i < part_n:
                     pending[eid] = (part_i + 1, part_n, parts, attributes)
                     continue
-                tokens = sorted(parts, key=lambda t: t.pos)
-            mention = Mention(entity_id=eid, span=tuple(tokens),
-                              n_parts=part_n, attributes=attributes)
+                parts.sort()
+                first, last = parts[0], parts[-1]
+                span = [flat[i] for i in parts]
+            mention = Mention(eid, tuple(span), part_n, attributes)
             mention.head = mention_head(mention, document)
-            mentions.setdefault(eid, []).append(mention)
-        if consumed != len(value):
-            raise ParseError(
-                f"malformed Entity annotation {value!r} on token "
-                f"{token.index} (sentence {token.sent_index + 1})",
-                filename, _line(document, token))
+            mentions.setdefault(eid, []).append((first, last, mention))
 
     for bracket_id, stack in open_stacks.items():
         if stack:
-            start, _ = stack[-1]
+            first, _ = stack[-1]
             raise ParseError(
                 f"unbalanced Entity bracket {bracket_id!r} opened in "
-                f"sentence {flat[start].sent_index + 1} never closed "
+                f"sentence {flat[first].sent_index + 1} never closed "
                 f"before end of document {document.doc_id!r}",
-                filename, _line(document, flat[start]))
-    for eid, (next_part, part_n, tokens, _) in pending.items():
+                filename, _line(document, flat[first]))
+    for eid, (next_part, part_n, parts, _) in pending.items():
         raise ParseError(
             f"unmatched part indices for entity {eid!r}: parts after "
             f"{next_part - 1}/{part_n} missing at end of document",
-            filename, _line(document, tokens[-1]))
+            filename, _line(document, flat[parts[-1]]))
 
-    entities = [Entity(eid, sorted(group, key=lambda m: (m.start, m.end)))
-                for eid, group in mentions.items()]
-    entities.sort(key=lambda e: (e.mentions[0].start, e.mentions[0].end,
-                                 e.entity_id))
-    return entities
+    # mentions by first then last position, entities by their first mention
+    entities = []
+    for eid, group in mentions.items():
+        group.sort(key=itemgetter(0, 1))
+        entities.append((*group[0][:2], eid,
+                         Entity(eid, [mention for *_, mention in group])))
+    entities.sort(key=itemgetter(0, 1, 2))
+    return [entity for *_, entity in entities]
 
 
 def serialize(corpus: Corpus) -> str:

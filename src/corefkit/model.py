@@ -135,13 +135,18 @@ class Sentence:
         """Position of each node's parent in this sentence: ROOT when it has
         none, UNKNOWN when its parent id names no node here."""
         if self._parents is None:
-            position = {t.index: i for i, t in enumerate(self.tokens)}
-            parents = []
-            for token in self.tokens:
-                parent_id = token.parent_id()
-                parents.append(ROOT if parent_id is None
-                               else position.get(parent_id, UNKNOWN))
-            self._parents = parents
+            tokens = self.tokens
+            n = len(tokens)
+            if any(t.is_empty for t in tokens):
+                position = {t.index: i for i, t in enumerate(tokens)}
+                self._parents = [
+                    ROOT if parent_id is None
+                    else position.get(parent_id, UNKNOWN)
+                    for parent_id in map(Token.parent_id, tokens)]
+            else:
+                # surface token h is the h-th node
+                self._parents = [ROOT if not h else h - 1 if 0 < h <= n
+                                 else UNKNOWN for h in (t.head for t in tokens)]
         return self._parents
 
     def depth(self, position: int) -> int:
@@ -179,14 +184,15 @@ class Sentence:
         return sum(1 for t in self.tokens if not t.is_empty)
 
     def lines(self) -> list[str]:
+        """The sentence's lines in file order; each range line goes before
+        the node at its offset, and ranges are kept in file order."""
         out = list(self.comments)
-        ranges = dict()
+        start = 0
         for offset, cols in self.mwt_ranges:
-            ranges.setdefault(offset, []).append("\t".join(cols))
-        for i, token in enumerate(self.tokens):
-            out.extend(ranges.get(i, ()))
-            out.append(token.line())
-        out.extend(ranges.get(len(self.tokens), ()))
+            out.extend(map(Token.line, self.tokens[start:offset]))
+            out.append("\t".join(cols))
+            start = offset
+        out.extend(map(Token.line, self.tokens[start:]))
         return out
 
 
@@ -202,11 +208,13 @@ class Mention:
 
     @property
     def start(self) -> tuple[int, int]:
-        return self.span[0].pos
+        token = self.span[0]
+        return (token.sent_index, token.order)
 
     @property
     def end(self) -> tuple[int, int]:
-        return self.span[-1].pos
+        token = self.span[-1]
+        return (token.sent_index, token.order)
 
     @property
     def sent_index(self) -> int:
@@ -252,9 +260,10 @@ def mention_head(mention: Mention, document: Document,
     An explicit head attribute from the entity annotation (1-based position
     within the span) wins when present and ``prefer_annotated`` is set.
     Otherwise the syntactic head: the span token closest to the root, the
-    leftmost on a tie. Depth falls by one along every parent edge, so its
-    parent lies outside the span. A hand-built sentence whose head chain
-    runs into a cycle raises ValueError (see Sentence.depth).
+    leftmost on a tie (span tokens are in document order). Depth falls by
+    one along every parent edge, so its parent lies outside the span. A
+    hand-built sentence whose head chain runs into a cycle raises
+    ValueError (see Sentence.depth).
     """
     span = mention.span
     if len(span) == 1:
@@ -266,8 +275,7 @@ def mention_head(mention: Mention, document: Document,
             if 1 <= i <= len(span):
                 return span[i - 1]
     sentences = document.sentences
-    return min(span, key=lambda t: (sentences[t.sent_index].depth(t.order),
-                                    t.sent_index, t.order))
+    return min(span, key=lambda t: sentences[t.sent_index].depth(t.order))
 
 
 def head_of(mention: Mention, document: Document, head_rule: str) -> Token:

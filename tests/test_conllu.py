@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corefkit import (ParseError, parse_conllu, parse_file, resolve_entities,
-                      serialize)
+from corefkit import (ParseError, Token, parse_conllu, parse_file,
+                      resolve_entities, serialize)
+from corefkit.conllu import _BRACKET, _ENTITY_ITEM
 from corefkit.model import mention_head, parse_kv_items, span_key
 from conftest import DATA, corpus_signature, make_corpus, node, tok
 
@@ -169,6 +171,33 @@ def test_error_names_file_and_line(tmp_path):
     assert "bad.conllu:1" in str(excinfo.value)
 
 
+# The second node line of the sentence is line 4, after a range line.
+@pytest.mark.parametrize("head", ["+1", "0_1", "01", "1 ", "\u0663", "-1"])
+def test_head_other_than_underscore_zero_or_a_number_names_its_line(
+        tmp_path, head):
+    path = tmp_path / "badhead.conllu"
+    path.write_text("\n".join([
+        "# sent_id = s1", "1-2\tdont\t_\t_\t_\t_\t_\t_\t_\t_",
+        tok(1, "do", "AUX", 2, "aux"), tok(2, "go", "VERB", head, "root"),
+        "", ""]), encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == f"{path}:4: malformed HEAD value {head!r}"
+
+
+@pytest.mark.parametrize("index", ["01.1", "00.1", "1.01"])
+def test_empty_node_index_with_a_leading_zero_names_its_line(tmp_path,
+                                                             index):
+    path = tmp_path / "badindex.conllu"
+    path.write_text("\n".join([
+        "# sent_id = s1", tok(1, "go", "VERB", 0, "root"),
+        tok(index, "you", "PRON", "_", "_", deps="1:nsubj"), "", ""]),
+        encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == f"{path}:3: malformed token index {index!r}"
+
+
 def test_out_of_range_head_names_its_own_line(tmp_path):
     path = tmp_path / "badhead.conllu"
     path.write_text("\n".join([
@@ -280,8 +309,14 @@ def test_unsupported_entity_layout_names_its_line(tmp_path):
     # of several faults, the first in token order is reported
     ({"s1-1": "(e1[2/2]-x-1-)", "s2-3": "(e2-x-1-)junk"}, 3,
      "unmatched part indices for entity 'e1': got part 2/2"),
+    # brackets before the fault are read first
+    ({"s2-3": "e9)junk"}, 12,
+     "Entity close 'e9' without matching open (sentence 2)"),
+    ({"s2-3": "(e1-x-1-)|Entity=(e2-x-1-)"}, 12,
+     "2 Entity items in MISC of token 3 (sentence 2)"),
 ], ids=["malformed", "close-without-open", "unclosed", "invalid-part",
-        "unexpected-part", "part-restarts", "parts-missing", "first-fault"])
+        "unexpected-part", "part-restarts", "parts-missing", "first-fault",
+        "fault-before-junk", "two-entity-items"])
 def test_entity_decoding_error_names_line(tmp_path, misc, line, message):
     def entity(key):
         return f"Entity={misc[key]}" if key in misc else "_"
@@ -301,6 +336,86 @@ def test_entity_decoding_error_names_line(tmp_path, misc, line, message):
     with pytest.raises(ParseError) as excinfo:
         parse_file(path)
     assert str(excinfo.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("misc, mentions", [
+    ("Entity=(e1-x-1-)", 1),
+    ("XEntity=(e1-x-1-)", 0),
+    ("EntityX=(e1-x-1-)", 0),
+    ("Entity|SpaceAfter=No", 0),
+    ("SpaceAfter=No|Entity=(e1-x-1-)", 1),
+    ("SpaceAfter=No|Entity=", 0),
+    ("SpaceAfter=No|Entity", 0),
+])
+def test_entity_value_is_the_misc_value_of_its_one_entity_item(misc,
+                                                               mentions):
+    corpus = make_corpus([tok(1, "Rex", "PROPN", 0, "root", misc=misc)])
+    (token,) = corpus.documents[0].sentences[0].tokens
+    assert bool(token.misc_value("Entity")) == bool(mentions)
+    assert sum(len(e.mentions)
+               for e in corpus.documents[0].entities) == mentions
+
+
+_OLD_BRACKET = re.compile(r"\(([^()]+)\)|\(([^()]+)|([^()]+)\)")
+
+
+def _reference_brackets(value: str) -> tuple[list[tuple[str, ...]], bool]:
+    """The brackets read one after another from the start of value, as
+    (self-closing, opening, closing) with "" for the two it is not, and
+    whether they cover all of value."""
+    brackets, consumed = [], 0
+    for match in _OLD_BRACKET.finditer(value):
+        if match.start() != consumed:
+            break
+        consumed = match.end()
+        brackets.append(tuple(group or "" for group in match.groups()))
+    return brackets, consumed == len(value)
+
+
+@given(st.text(alphabet="()e1-x[/2]", max_size=14))
+def test_brackets_are_read_from_the_start_of_the_value(value):
+    found = _BRACKET.findall(value)
+    read = [group[:3] for group in
+            itertools.takewhile(lambda group: not group[3], found)]
+    assert (read, len(read) == len(found)) == _reference_brackets(value)
+
+
+@given(st.lists(st.sampled_from([
+    "Entity=(e1-x-1-)", "Entity", "Entity=", "Entity=a=b", "XEntity=(e2-",
+    "EntityX=1", "SpaceAfter=No", "_"]), min_size=1, max_size=3))
+def test_entity_items_are_the_misc_items_named_entity(items):
+    misc = "|".join(items)
+    found = _ENTITY_ITEM.findall(misc)
+    assert len(found) == sum(item.partition("=")[0] == "Entity"
+                             for item in items)
+    if len(found) == 1:
+        token = tok(1, "Rex", misc=misc).split("\t")
+        value = found[0][1:] if found[0] else None
+        assert value == Token(*token[:6], 0, *token[7:], False).misc_value(
+            "Entity")
+
+
+SHARED_COLUMNS = ("index", "upos", "xpos", "feats_raw", "deprel", "deps_raw")
+
+
+def test_repeated_column_strings_are_shared_within_one_parse():
+    def nodes(path):
+        return [t for d in parse_file(path).documents
+                for s in d.sentences for t in s.tokens]
+
+    path = DATA / "score" / "gold" / "en_pairset-corefud-dev.conllu"
+    first = nodes(path)
+    for name in SHARED_COLUMNS:
+        by_value: dict[str, str] = {}
+        for token in first:
+            value = getattr(token, name)
+            assert value is by_value.setdefault(value, value), name
+        assert len(by_value) < len(first), name
+    # the strings are shared by one parse only
+    second = nodes(path)
+    assert [t.line() for t in second] == [t.line() for t in first]
+    assert not any(a.upos is b.upos for a, b in zip(first, second)
+               if len(a.upos) > 1)
 
 
 def test_redecoding_a_parsed_document_changes_nothing():
