@@ -96,7 +96,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     doc_sentences: list[Sentence] = []
     doc_id: str | None = None
     sentence: Sentence | None = None
-    tokens: list[Token] = []      # the nodes of sentence
+    tokens: list[Token] = []  # the nodes of sentence
     heads = [0]  # HEAD of each surface token of sentence, 0 for root or '_'
     first_line = 0
     prev_empty_minor = 0

@@ -356,7 +356,7 @@ def test_entity_value_is_the_misc_value_of_its_one_entity_item(misc,
                for e in corpus.documents[0].entities) == mentions
 
 
-_OLD_BRACKET = re.compile(r"\(([^()]+)\)|\(([^()]+)|([^()]+)\)")
+_REFERENCE_BRACKET = re.compile(r"\(([^()]+)\)|\(([^()]+)|([^()]+)\)")
 
 
 def _reference_brackets(value: str) -> tuple[list[tuple[str, ...]], bool]:
@@ -364,7 +364,7 @@ def _reference_brackets(value: str) -> tuple[list[tuple[str, ...]], bool]:
     (self-closing, opening, closing) with "" for the two it is not, and
     whether they cover all of value."""
     brackets, consumed = [], 0
-    for match in _OLD_BRACKET.finditer(value):
+    for match in _REFERENCE_BRACKET.finditer(value):
         if match.start() != consumed:
             break
         consumed = match.end()
@@ -389,10 +389,11 @@ def test_entity_items_are_the_misc_items_named_entity(items):
     assert len(found) == sum(item.partition("=")[0] == "Entity"
                              for item in items)
     if len(found) == 1:
-        token = tok(1, "Rex", misc=misc).split("\t")
+        token = Token(index="1", form="Rex", lemma="Rex", upos="PROPN",
+                      xpos="_", feats_raw="_", head=0, deprel="root",
+                      deps_raw="_", misc_raw=misc, is_empty=False)
         value = found[0][1:] if found[0] else None
-        assert value == Token(*token[:6], 0, *token[7:], False).misc_value(
-            "Entity")
+        assert value == token.misc_value("Entity")
 
 
 SHARED_COLUMNS = ("index", "upos", "xpos", "feats_raw", "deprel", "deps_raw")
