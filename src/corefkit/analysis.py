@@ -2,7 +2,7 @@
 
 No operation changes the Corpus it reads; each returns exact counts (see
 reports.StatRow), so per-dataset results can be pooled into language-level
-views. Heads are the ones resolved at parse time, which follow the
+views. Heads are the mentions' own (Mention.head), which follow the
 annotated head attribute when present; pass head_rule="syntactic" to force
 the parent-outside-span rule everywhere (see model.head_of).
 """

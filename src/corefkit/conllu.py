@@ -4,9 +4,9 @@ The Entity MISC attribute uses bracket notation: ``(e1-etype-1-`` opens a
 mention, ``e1)`` closes it, ``(e1-...)`` does both on one token. Brackets of
 different entities may nest or overlap; discontinuous mentions carry a part
 suffix ``e1[2/3]``. Field layout inside an opening bracket follows the
-``# global.Entity`` declaration of the document. One pass over a document's
-tokens builds each mention at its closing bracket; resolve_entities says
-which of several faults is reported.
+file's ``# global.Entity`` declaration, from the document that makes it on.
+One pass over a document's tokens builds each mention at its closing
+bracket; resolve_entities says which of several faults is reported.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .model import (Corpus, DataError, Document, Entity, Mention, Sentence,
-                    Token, mention_head)
+                    Token)
 
 log = logging.getLogger(__name__)
 
@@ -103,6 +103,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     prev_range_end = 0
     seen_sent_ids: set[str] = set()
     seen_doc_ids: set[str] = set()
+    layout: tuple[str, ...] | None = None  # the file's global.Entity
     # Local to this parse, so nothing is kept once it returns: ids[i] is the
     # surface index i, head_values maps each valid HEAD text seen to its
     # value, and shared holds one object per repeated column text.
@@ -112,7 +113,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     share = shared.setdefault
 
     def flush_document() -> None:
-        nonlocal doc_sentences, doc_id, seen_sent_ids
+        nonlocal doc_sentences, doc_id, seen_sent_ids, layout
         if doc_sentences:
             number = len(corpus.documents) + 1
             resolved_id = doc_id or f"{dataset or 'doc'}#{number}"
@@ -123,7 +124,8 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
             document = Document(
                 doc_id=resolved_id,
                 sentences=doc_sentences, language=language, dataset=dataset)
-            document.entities = resolve_entities(document, filename=filename)
+            layout = entity_field_layout(document, filename, layout)
+            document.entities = resolve_entities(document, filename, layout)
             corpus.documents.append(document)
         doc_sentences = []
         doc_id = None
@@ -238,9 +240,9 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
             len(doc_sentences), len(tokens)))
 
     if sentence is not None:
-        if tokens:
+        if tokens or sentence.mwt_ranges:
             flush_sentence(line_no)
-        elif sentence.comments:
+        else:
             raise ParseError("trailing comments without a sentence",
                              filename, line_no)
     flush_document()
@@ -290,26 +292,38 @@ def _cycle_error(sentence: Sentence, index: str, filename: str) -> ParseError:
                       _node_line(sentence, order))
 
 
-def entity_field_layout(document: Document,
-                        filename: str = "") -> tuple[str, ...]:
-    """Field names declared by ``# global.Entity``, defaulting to the
-    CorefUD layout. A layout whose first field is not eid raises ParseError
-    naming the declaration's line."""
+def entity_field_layout(document: Document, filename: str = "",
+                        declared: tuple[str, ...] | None = None,
+                        ) -> tuple[str, ...] | None:
+    """The field names of the ``# global.Entity`` declaration in force in
+    document, None when there is none. Like every CoNLL-U Plus global
+    comment, a declaration holds to the end of its file: declared is the
+    layout an earlier document of the file declared. Repeating it is fine.
+    A declaration that differs from an earlier one, or whose first field is
+    not eid, raises ParseError naming its line."""
     for sentence in document.sentences:
         for k, comment in enumerate(sentence.comments):
-            if comment.startswith("# global.Entity"):
-                value = comment.partition("=")[2].strip()
-                if value:
-                    if value.partition("-")[0] != "eid":
-                        # comments are the lines right before the first node
-                        line = sentence.first_line and (
-                            sentence.first_line - len(sentence.comments) + k)
-                        raise ParseError(
-                            f"unsupported global.Entity layout {value!r} in "
-                            f"document {document.doc_id!r} (first field must "
-                            f"be eid)", filename, line)
-                    return tuple(value.split("-"))
-    return DEFAULT_ENTITY_FIELDS
+            if not comment.startswith("# global.Entity"):
+                continue
+            value = comment.partition("=")[2].strip()
+            fields = tuple(value.split("-"))
+            if not value or fields == declared:
+                continue
+            # comments are the lines right before the first node
+            line = sentence.first_line and (
+                sentence.first_line - len(sentence.comments) + k)
+            if declared is not None:
+                raise ParseError(
+                    f"global.Entity layout {value!r} in document "
+                    f"{document.doc_id!r} differs from the earlier "
+                    f"declaration {'-'.join(declared)!r}", filename, line)
+            if fields[0] != "eid":
+                raise ParseError(
+                    f"unsupported global.Entity layout {value!r} in "
+                    f"document {document.doc_id!r} (first field must "
+                    f"be eid)", filename, line)
+            declared = fields
+    return declared
 
 
 def _node_line(sentence: Sentence, order: int) -> int:
@@ -326,18 +340,23 @@ def _line(document: Document, token: Token) -> int:
     return _node_line(document.sentences[token.sent_index], token.order)
 
 
-def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
+def resolve_entities(document: Document, filename: str = "",
+                     declared: tuple[str, ...] | None = None) -> list[Entity]:
     """Decode Entity bracket annotations into entities in one pass over the
-    tokens: each mention, with its head, is built when its closing bracket
-    is read, a discontinuous one when its parts have closed in order 1..n.
+    tokens: each mention's span is built when its closing bracket is read,
+    a discontinuous one when its parts have closed in order 1..n. Heads are
+    left to Mention.head. declared is the layout an earlier document of the
+    file declared (see entity_field_layout); the CorefUD one is the default.
     Raises ParseError naming the line of the token at fault: the first
     fault met in token order, else an unclosed bracket, else missing parts.
     """
-    layout = entity_field_layout(document, filename)
+    layout = (entity_field_layout(document, filename, declared)
+              or DEFAULT_ENTITY_FIELDS)
     n_extra = len(layout) - 1
     names = layout[1:]
 
-    flat = [t for s in document.sentences for t in s.tokens]
+    sentences = document.sentences
+    flat = [t for s in sentences for t in s.tokens]
     open_stacks: dict[str, list[tuple[int, dict[str, str]]]] = {}
     # eid -> (next part index, part count, positions so far, attributes)
     pending: dict[str, tuple[int, int, list[int], dict[str, str]]] = {}
@@ -407,9 +426,9 @@ def resolve_entities(document: Document, filename: str = "") -> list[Entity]:
                 parts.sort()
                 first, last = parts[0], parts[-1]
                 span = [flat[i] for i in parts]
-            mention = Mention(eid, tuple(span), part_n, attributes)
-            mention.head = mention_head(mention, document)
-            mentions.setdefault(eid, []).append((first, last, mention))
+            mentions.setdefault(eid, []).append(
+                (first, last,
+                 Mention(eid, tuple(span), part_n, attributes, sentences)))
 
     for bracket_id, stack in open_stacks.items():
         if stack:

@@ -5,9 +5,9 @@ candidate spans up to a width cap) with the head-derived categorical
 features and the document's language/word-order, plus a TSV vocabulary
 sidecar listing every categorical value the records hold. Heads follow
 head_rule: syntactic (parent outside the span, the default) or annotated
-(the head resolved at parse time). Candidate spans carry no annotation, so
-their heads are always syntactic. The sidecar header records the rule the
-records followed.
+(the mention's own head, Mention.head). Candidate spans carry no
+annotation, so their heads are always syntactic. The sidecar header records
+the rule the records followed.
 
 A candidate's syntactic head is the running minimum of (depth, position)
 while the span grows by one token, so each candidate costs O(1).

@@ -10,7 +10,7 @@ connected component of the gold/system overlap graph, in plain Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add
 from typing import Hashable, Iterable, Iterator
 
@@ -361,7 +361,13 @@ def remapped_cluster_set(gold: Document, pred: Document, mode: str,
                          ) -> tuple[ClusterSet, ClusterSet]:
     """Gold and system cluster sets over shared keys: system mentions are
     replaced by their aligned gold mention, unmatched ones keep a key of
-    their own."""
+    their own. Under 'exclude', singleton entities of either side are
+    dropped before alignment, so that a mention the policy ignores can
+    neither claim a gold mention nor be claimed."""
+    if singleton_policy == "exclude":
+        gold, pred = (replace(d, entities=[e for e in d.entities
+                                           if not e.is_singleton()])
+                      for d in (gold, pred))
     alignment = align_mentions(gold, pred, mode)
     gold_ids: dict[int, tuple] = {}
     gold_clusters = []

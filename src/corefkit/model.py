@@ -1,7 +1,8 @@
 """Document model for CoNLL-U treebanks with CorefUD entity annotations.
 
 Tokens keep their raw column values so that serialization can reproduce the
-input byte for byte; parsed views (feats, MISC items) are derived on demand.
+input byte for byte; parsed views (feats, enhanced dependencies) are derived
+on demand, and a mention's head on first read.
 """
 from __future__ import annotations
 
@@ -74,12 +75,6 @@ class Token:
         if self._feats is None:
             self._feats = dict(parse_kv_items(self.feats_raw))
         return self._feats
-
-    def misc_value(self, name: str) -> str | None:
-        for key, value in parse_kv_items(self.misc_raw):
-            if key == name:
-                return value
-        return None
 
     def deps_pairs(self) -> list[tuple[str, str]]:
         """Enhanced-dependency (head id, relation) pairs from DEPS."""
@@ -196,15 +191,38 @@ class Sentence:
         return out
 
 
+class _Sentences:
+    """What mention_head reads of a Document."""
+
+    __slots__ = ("sentences",)
+
+    def __init__(self, sentences: list[Sentence] | None) -> None:
+        self.sentences = sentences
+
+
 @dataclass(eq=False, slots=True)
 class Mention:
-    """A coreference span, possibly discontinuous, possibly an empty node."""
+    """A coreference span, possibly discontinuous, possibly an empty node.
+
+    sentences is the sentence list of the document the span lies in, not
+    the Document, so that a parsed corpus holds no reference cycle."""
 
     entity_id: str
     span: tuple[Token, ...]
     n_parts: int = 1
     attributes: dict[str, str] = field(default_factory=dict)
-    head: Token | None = None
+    sentences: list[Sentence] | None = field(default=None, repr=False)
+    _head: Token | None = field(default=None, init=False, repr=False)
+
+    @property
+    def head(self) -> Token:
+        """The head by mention_head's rule, annotated head preferred,
+        resolved on first read and kept. A mention without sentences has
+        one only when it is one token or its annotated head is valid."""
+        head = self._head
+        if head is None:
+            head = self._head = mention_head(self, _Sentences(self.sentences))
+        return head
 
     @property
     def start(self) -> tuple[int, int]:
@@ -279,8 +297,9 @@ def mention_head(mention: Mention, document: Document,
 
 
 def head_of(mention: Mention, document: Document, head_rule: str) -> Token:
-    """The head a ``--head-rule`` picks: the one resolved at parse time for
-    'annotated', the parent-outside-span rule for 'syntactic'."""
+    """The head a ``--head-rule`` picks: the mention's kept head
+    (Mention.head) for 'annotated', the parent-outside-span rule for
+    'syntactic'."""
     if head_rule == "annotated":
         return mention.head
     if head_rule == "syntactic":

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from corefkit import parse_conllu, parse_file
+from corefkit.model import parse_kv_items
 
 DATA = Path(__file__).parent / "data"
 
@@ -20,6 +21,16 @@ def node(sentence, index):
     """The node of a sentence with the given CoNLL-U id."""
     (found,) = [t for t in sentence.tokens if t.index == index]
     return found
+
+
+def misc_value(token, name):
+    """The value of the first MISC item called name, None for an item
+    without '=' or when there is none: the reference for the parser's own
+    Entity lookup."""
+    for key, value in parse_kv_items(token.misc_raw):
+        if key == name:
+            return value
+    return None
 
 
 def make_corpus(*sentence_blocks, dataset="toy", language="xx",

@@ -364,6 +364,21 @@ def test_score_runs_are_byte_identical(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", str(DATA)),
+    ("stats", str(DATA)),
+    ("score", "--gold", GOLD_DIR, "--pred", PRED_DIR, "--match", "exact"),
+], ids=["validate", "stats", "score-exact"])
+def test_commands_that_print_no_head_resolve_none(capsys, monkeypatch, argv):
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+
+    def no_head(*args, **kwargs):
+        raise AssertionError("a head was resolved")
+    monkeypatch.setattr(corefkit.model, "mention_head", no_head)
+    assert run(capsys, *argv)[:2] == (0, expected)
+
+
 # ------------------------------------------- runs in a fresh interpreter
 #
 # The test process has imported every corefkit module already, so what a

@@ -12,7 +12,8 @@ from corefkit import (ParseError, Token, parse_conllu, parse_file,
                       resolve_entities, serialize)
 from corefkit.conllu import _BRACKET, _ENTITY_ITEM
 from corefkit.model import mention_head, parse_kv_items, span_key
-from conftest import DATA, corpus_signature, make_corpus, node, tok
+from conftest import (DATA, corpus_signature, make_corpus, misc_value, node,
+                      tok)
 
 
 def test_empty_stream_gives_empty_corpus():
@@ -34,8 +35,8 @@ def test_comments_and_misc_preserved(basic_corpus):
     assert sentence.sent_id == "doc1-s1"
     assert "# text = The old castle stood on a hill ." in sentence.comments
     hill = node(sentence, "7")
-    assert hill.misc_value("SpaceAfter") == "No"
-    assert hill.misc_value("Entity") == "e2)"
+    assert misc_value(hill, "SpaceAfter") == "No"
+    assert misc_value(hill, "Entity") == "e2)"
 
 
 def test_multiword_ranges_kept_but_not_indexed(basic_corpus):
@@ -286,6 +287,85 @@ def test_unsupported_entity_layout_names_its_line(tmp_path):
         f"in document 'fixture-doc1' (first field must be eid)")
 
 
+RANGE_LINE = "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_"
+SENTENCE = tok(1, "a", "NOUN", 0, "root")
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"{SENTENCE}\n\n{RANGE_LINE}\n\n", 4),
+    (f"{SENTENCE}\n\n{RANGE_LINE}\n", 3),
+    (f"{SENTENCE}\n\n{RANGE_LINE}", 3),
+    (RANGE_LINE, 1),
+    (f"# sent_id = s1\n{RANGE_LINE}", 2),
+], ids=["blank-line-after", "end-of-input", "no-final-newline",
+        "only-line", "after-a-comment"])
+def test_range_lines_without_a_token_line_are_an_error(tmp_path, text,
+                                                       line):
+    # at the end of the input as well as before a blank line
+    path = tmp_path / "range.conllu"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == f"{path}:{line}: sentence without token lines"
+
+
+# The first of two documents declares a layout that is not the default; the
+# second leaves it out, as the CoNLL-U Plus global comments allow.
+LAYOUT_ONCE = [
+    "# newdoc id = d1",
+    "# global.Entity = eid-head-etype",
+    "# sent_id = d1-s1",
+    tok(1, "Ana", "PROPN", 2, "nsubj", misc="Entity=(e1-1-person)"),
+    tok(2, "slept", "VERB", 0, "root"),
+    "",
+    "# newdoc id = d2",
+    "# sent_id = d2-s1",
+    tok(1, "the", "DET", 2, "det", misc="Entity=(e2-2-animal"),
+    tok(2, "dog", "NOUN", 3, "nsubj", misc="Entity=e2)"),
+    tok(3, "barked", "VERB", 0, "root"),
+    "",
+]
+
+
+def _layout_once(*, doc2_declares: str | None = None) -> str:
+    lines = list(LAYOUT_ONCE)
+    if doc2_declares is not None:
+        lines.insert(7, f"# global.Entity = {doc2_declares}")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_global_entity_layout_holds_to_the_end_of_its_file():
+    first, second = parse_conllu(_layout_once()).documents
+    (ana,) = first.entities[0].mentions
+    (dog,) = second.entities[0].mentions
+    assert ana.attributes == {"head": "1", "etype": "person"}
+    assert dog.attributes == {"head": "2", "etype": "animal"}
+    assert dog.head.form == "dog"
+    # repeating the declaration changes nothing
+    again = parse_conllu(_layout_once(doc2_declares="eid-head-etype"))
+    assert corpus_signature(again)[1][2] == corpus_signature(
+        parse_conllu(_layout_once()))[1][2]
+    # documents before the first declaration use the CorefUD layout
+    lines = _layout_once().split("\n")
+    lines.insert(7, lines.pop(1))
+    first, second = parse_conllu("\n".join(lines)).documents
+    assert first.entities[0].mentions[0].attributes == {
+        "etype": "1", "head": "person"}
+    assert second.entities[0].mentions[0].attributes == {
+        "head": "2", "etype": "animal"}
+
+
+def test_a_different_later_global_entity_layout_names_its_line(tmp_path):
+    path = tmp_path / "layouts.conllu"
+    path.write_text(_layout_once(doc2_declares="eid-etype-head-other"),
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == (
+        f"{path}:8: global.Entity layout 'eid-etype-head-other' in document "
+        f"'d2' differs from the earlier declaration 'eid-head-etype'")
+
+
 # The file puts token 1 of sentence 1 on line 3, token 1 of sentence 2 on
 # line 9 (after the range line 8) and its token 3 on line 12 (after the
 # empty node on line 11); misc maps "s<sentence>-<token>" to an Entity value.
@@ -351,7 +431,7 @@ def test_entity_value_is_the_misc_value_of_its_one_entity_item(misc,
                                                                mentions):
     corpus = make_corpus([tok(1, "Rex", "PROPN", 0, "root", misc=misc)])
     (token,) = corpus.documents[0].sentences[0].tokens
-    assert bool(token.misc_value("Entity")) == bool(mentions)
+    assert bool(misc_value(token, "Entity")) == bool(mentions)
     assert sum(len(e.mentions)
                for e in corpus.documents[0].entities) == mentions
 
@@ -393,7 +473,7 @@ def test_entity_items_are_the_misc_items_named_entity(items):
                       xpos="_", feats_raw="_", head=0, deprel="root",
                       deps_raw="_", misc_raw=misc, is_empty=False)
         value = found[0][1:] if found[0] else None
-        assert value == token.misc_value("Entity")
+        assert value == misc_value(token, "Entity")
 
 
 SHARED_COLUMNS = ("index", "upos", "xpos", "feats_raw", "deprel", "deps_raw")

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from corefkit import parse_conllu, serialize
-from conftest import corpus_signature, node, tok
+from conftest import corpus_signature, misc_value, node, tok
 
 
 def build(lines):
@@ -76,8 +76,8 @@ def test_stress_round_trip_and_decoding():
     assert entities["e1"].mentions[0].attributes["other"] == "Ana%20Q."
     # bridging and split-antecedent annotations survive untouched
     neighbours = node(document.sentences[0], "6")
-    assert neighbours.misc_value("SplitAnte") == "e1<e3,e2<e3"
-    assert node(document.sentences[1], "1").misc_value("Bridge") == "e3<e4"
+    assert misc_value(neighbours, "SplitAnte") == "e1<e3,e2<e3"
+    assert misc_value(node(document.sentences[1], "1"), "Bridge") == "e3<e4"
     # the paragraph comment is kept in place
     assert "# newpar" in document.sentences[0].comments
 

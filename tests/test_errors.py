@@ -138,8 +138,7 @@ def test_undetected_profile_single_premodified_mention():
     # a one-token mention is short and leaves the pre-modified share, which
     # is taken over multi-token mentions only
     fell = document.sentences[0].tokens[3]
-    report.undetected += undetected_profile([Mention("e2", (fell,),
-                                                     head=fell)])
+    report.undetected += undetected_profile([Mention("e2", (fell,))])
     assert report.short_pct == 50
     assert report.premodified_pct == 100
     assert report.mean_undetected_length == 2

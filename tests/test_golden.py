@@ -67,6 +67,11 @@ CASES = {
                                 "{pred}"),
     "score-exact-exclude.json": ("score", "--gold", "{gold}", "--pred",
                                  "{pred}", "--format", "json"),
+    "score-head-exclude.tsv": ("score", "--gold", "{gold}", "--pred",
+                               "{pred}", "--match", "head"),
+    "score-head-exclude.json": ("score", "--gold", "{gold}", "--pred",
+                                "{pred}", "--match", "head", "--format",
+                                "json"),
     "score-head-include.tsv": ("score", "--gold", "{gold}", "--pred",
                                "{pred}", "--match", "head",
                                "--singletons", "include"),

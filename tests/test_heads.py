@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corefkit import model, parse_file
 from corefkit.model import (ROOT, UNKNOWN, Document, Mention, Sentence,
                             Token, mention_head)
-from conftest import make_corpus, tok
+from conftest import DATA, make_corpus, tok
+
+FIXTURES = sorted(DATA.rglob("*.conllu"))
 
 
 def _reference_depth(token: Token, sentence: Sentence) -> int:
@@ -159,3 +162,35 @@ def test_parents_are_looked_up_in_their_own_sentence():
     head = mention_head(mention, document, prefer_annotated=False)
     assert head.form == "c"
     assert head is _reference_head(mention.span, document)
+
+
+def _no_head(*args, **kwargs):
+    raise AssertionError("a head was resolved")
+
+
+def test_parsing_resolves_no_head(monkeypatch):
+    monkeypatch.setattr(model, "mention_head", _no_head)
+    for path in FIXTURES:
+        assert parse_file(path).documents
+
+
+def test_a_mention_head_is_resolved_on_first_read_and_kept(monkeypatch):
+    calls = []
+
+    def counted(mention, document, prefer_annotated=True):
+        calls.append(mention)
+        return mention_head(mention, document, prefer_annotated)
+    monkeypatch.setattr(model, "mention_head", counted)
+    for path in FIXTURES:
+        for document in parse_file(path).documents:
+            for entity in document.entities:
+                for mention in entity.mentions:
+                    # the sentence list, not the document: no cycle
+                    assert mention.sentences is document.sentences
+                    assert not calls
+                    head = mention.head
+                    assert calls == [mention]
+                    assert head is mention_head(mention, document)
+                    assert mention.head is head
+                    assert calls == [mention]
+                    calls.clear()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkit import parse_conllu
+from corefkit.model import Entity, Mention
 from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
                               ScoreReport, align_mentions, b_cubed,
                               b_cubed_counts, ceafe, ceafe_counts,
@@ -190,6 +191,88 @@ def test_score_include_policy_keeps_singletons(pair_docs):
     include = score_pairs([(gold, pred)], "exact", "include")
     exclude = score_pairs([(gold, pred)], "exact", "exclude")
     assert include.b_cubed.recall > exclude.b_cubed.recall
+
+
+def _dog_pair(pred_misc):
+    """Gold: 'the big dog' (annotated head 3) and 'it', one entity."""
+    def render(misc):
+        return make_corpus([
+            tok(1, "the", "DET", 3, "det", misc=misc.get(1, "_")),
+            tok(2, "big", "ADJ", 3, "amod", misc=misc.get(2, "_")),
+            tok(3, "dog", "NOUN", 4, "nsubj", misc=misc.get(3, "_")),
+            tok(4, "saw", "VERB", 0, "root"),
+            tok(5, "it", "PRON", 4, "obj", misc=misc.get(5, "_")),
+        ]).documents[0]
+    return (render({1: "Entity=(e1-x-3-", 3: "Entity=e1)",
+                    5: "Entity=(e1-x-1-)"}), render(pred_misc))
+
+
+def test_an_excluded_system_singleton_claims_no_gold_mention():
+    # 'dog' alone would be aligned first, being shorter, and claim the gold
+    # mention that 'big dog' matches by head
+    linked = {2: "Entity=(p1-x-2-", 3: "Entity=p1)", 5: "Entity=(p1-x-1-)"}
+    gold, pred = _dog_pair(linked)
+    assert score_pairs([(gold, pred)], "head", "exclude").conll_f1 == 1.0
+    gold, pred = _dog_pair({**linked, 3: "Entity=(p2-x-1-)p1)"})
+    report = score_pairs([(gold, pred)], "head", "exclude")
+    assert report.muc == Scores(1.0, 1.0, 1.0)
+    assert report.conll_f1 == 1.0
+    # kept under include, the singleton takes the gold mention
+    assert score_pairs([(gold, pred)], "head", "include").muc.f1 == 0.0
+
+
+def _random_document(rng, text, eid):
+    """The one-sentence document parsed from text, its non-singleton and
+    its singleton entities: hand-built mentions of random spans, at most
+    three tokens long."""
+    document = parse_conllu(text).documents[0]
+    tokens = document.sentences[0].tokens
+
+    def mention(name):
+        start = rng.randrange(len(tokens))
+        end = rng.randrange(start, min(start + 3, len(tokens)))
+        return Mention(name, tuple(tokens[start:end + 1]),
+                       sentences=document.sentences)
+
+    linked, singletons = [], []
+    for i in range(rng.randint(0, 3)):
+        name = f"{eid}{i}"
+        linked.append(Entity(name, [mention(name)
+                                    for _ in range(rng.randint(2, 3))]))
+    for i in range(rng.randint(1, 3)):
+        name = f"{eid}s{i}"
+        singletons.append(Entity(name, [mention(name)]))
+    return document, linked, singletons
+
+
+def _with(rng, entities, singletons):
+    """entities, in their order, with singletons put in at random places."""
+    out = list(entities)
+    for singleton in singletons:
+        out.insert(rng.randint(0, len(out)), singleton)
+    return out
+
+
+def test_excluded_singletons_never_move_a_score():
+    rng = random.Random(2022)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        # token 1 is the root, every other token attaches to an earlier one
+        text = "\n".join(["# newdoc id = d"] + [
+            tok(i, f"w{i}", "NOUN", 0 if i == 1 else rng.randint(1, i - 1),
+                "root" if i == 1 else "dep") for i in range(1, n + 1)]) + "\n"
+        gold, gold_linked, gold_singletons = _random_document(rng, text, "g")
+        pred, pred_linked, pred_singletons = _random_document(rng, text, "p")
+        for mode in ("exact", "head"):
+            scores = set()
+            for with_gold, with_pred in ((False, False), (True, False),
+                                         (False, True), (True, True)):
+                gold.entities = _with(rng, gold_linked,
+                                      gold_singletons if with_gold else [])
+                pred.entities = _with(rng, pred_linked,
+                                      pred_singletons if with_pred else [])
+                scores.add(score_pairs([(gold, pred)], mode, "exclude"))
+            assert len(scores) == 1, (mode, text)
 
 
 # ------------------------------------------------------------- properties
