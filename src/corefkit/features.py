@@ -10,7 +10,9 @@ annotation, so their heads are always syntactic. The sidecar header records
 the rule the records followed.
 
 A candidate's syntactic head is the running minimum of (depth, position)
-while the span grows by one token, so each candidate costs O(1).
+while the span grows by one token, so each candidate costs O(1). Candidate
+fields come from one table per export, keyed by the head's UPOS, DEPREL and
+the width bucket, and each written line is joined from cached item pieces.
 """
 from __future__ import annotations
 
@@ -119,6 +121,10 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
     then by start."""
     if target not in EXPORT_TARGETS:
         raise ValueError(f"unknown export target {target!r}")
+    # A candidate head is a surface token, so _span_fields reads only its
+    # UPOS and DEPREL and the width bucket: one table per call keeps the
+    # fields of each such key, and few keys exist.
+    fields_of: dict[tuple[str, str, str], dict] = {}
     for document in corpus.documents:
         doc_id = document.doc_id
         language = document.language
@@ -137,18 +143,28 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                        "language": language, "word_order": word_order,
                        "entity_id": mention.entity_id}
             continue
+        # a record of this document per fields_of key; each candidate's
+        # record is a copy of it, which is cheaper than building a dict
+        templates: dict[tuple[str, str, str], dict] = {}
         for sent_index, sentence in enumerate(document.sentences):
-            fields_of: dict[tuple[Token, str], dict] = {}
             for width, candidates in _candidate_rows(sentence, max_width):
                 bucket = width_bucket(width)
                 for key, head in candidates:
-                    fields = fields_of.get((head, bucket))
-                    if fields is None:
-                        fields = fields_of[head, bucket] = _span_fields(
-                            head, width)
-                    yield {"doc_id": doc_id, "sent_index": sent_index,
-                           "span": key, **fields,
-                           "language": language, "word_order": word_order}
+                    fields_key = (head.upos, head.deprel, bucket)
+                    template = templates.get(fields_key)
+                    if template is None:
+                        fields = fields_of.get(fields_key)
+                        if fields is None:
+                            fields = fields_of[fields_key] = _span_fields(
+                                head, width)
+                        template = templates[fields_key] = {
+                            "doc_id": doc_id, "sent_index": sent_index,
+                            "span": key, **fields,
+                            "language": language, "word_order": word_order}
+                    record = template.copy()
+                    record["sent_index"] = sent_index
+                    record["span"] = key
+                    yield record
 
 
 class _Pieces(dict):
@@ -176,12 +192,12 @@ def export_features(corpus: Corpus, word_order_table: dict[str, str],
     if target == "all_spans":
         head_rule = "syntactic"  # the only rule candidate spans can follow
     pieces = _Pieces()
+    piece = pieces.__getitem__
+    write = records_out.write
     count = 0
     for record in iter_feature_records(corpus, word_order_table, target,
                                        max_width, head_rule):
-        records_out.write("{" + ",".join([pieces[item]
-                                          for item in record.items()])
-                          + "}\n")
+        write("{" + ",".join(map(piece, record.items())) + "}\n")
         count += 1
     vocabulary: dict[str, list[str]] = {name: [] for name in _FEATURE_NAMES}
     for name, value in pieces:

@@ -2,18 +2,19 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkit import ParseError, features, parse_file
-from corefkit.features import (WordOrderError, _span_fields, export_features,
-                               iter_feature_records, load_word_order_table,
-                               width_bucket)
-from corefkit.model import (Corpus, Document, Mention, Sentence, Token,
-                            head_of, span_key)
+from corefkit import ParseError, features, parse_file, taxonomy
+from corefkit.features import (EXPORT_TARGETS, WordOrderError, _span_fields,
+                               export_features, iter_feature_records,
+                               load_word_order_table, width_bucket)
+from corefkit.model import (Corpus, Document, Entity, Mention, Sentence,
+                            Token, head_of, span_key)
 from conftest import DATA, make_corpus, tok
 from test_heads import documents
 
@@ -212,11 +213,10 @@ def test_word_order_error_names_language(basic_corpus):
         list(iter_feature_records(basic_corpus, {"en": "SVO"}, "gold"))
 
 
-# The reference for candidate records: mention_head and span_key on every
-# run of surface tokens, one span at a time.
-def _per_span_records(corpus, word_order_table, max_width):
+def _per_span_candidates(corpus, max_width):
+    """(document, sentence index, span, head) of every run of surface
+    tokens, the head from mention_head, one span at a time."""
     for document in corpus.documents:
-        language = document.language
         for sent_index, sentence in enumerate(document.sentences):
             surface = sentence.surface_tokens()
             n = len(surface)
@@ -224,12 +224,20 @@ def _per_span_records(corpus, word_order_table, max_width):
                 for start in range(n - width + 1):
                     span = tuple(surface[start:start + width])
                     head = head_of(Mention("", span), document, "syntactic")
-                    yield {"doc_id": document.doc_id,
-                           "sent_index": sent_index,
-                           "span": span_key(span),
-                           **_span_fields(head, width),
-                           "language": language,
-                           "word_order": word_order_table[language]}
+                    yield document, sent_index, span, head
+
+
+# The reference for candidate records: _span_fields and span_key on every
+# candidate, one span at a time.
+def _per_span_records(corpus, word_order_table, max_width):
+    for document, sent_index, span, head in _per_span_candidates(corpus,
+                                                                 max_width):
+        yield {"doc_id": document.doc_id,
+               "sent_index": sent_index,
+               "span": span_key(span),
+               **_span_fields(head, len(span)),
+               "language": document.language,
+               "word_order": word_order_table[document.language]}
 
 
 # one tag per node position, so a record's head_upos names its head
@@ -247,6 +255,93 @@ def test_candidate_records_match_the_per_span_loop(document, max_width):
     table = {"": "SVO"}
     assert (list(iter_feature_records(corpus, table, "all_spans", max_width))
             == list(_per_span_records(corpus, table, max_width)))
+
+
+# Small pools, so that one field-table key recurs across sentences and
+# documents: '_' is no label, and taxonomy knows no 'nolabel'.
+POOL_UPOS = ("NOUN", "PRON", "VERB", "_")
+POOL_DEPREL = ("nsubj", "nsubj:pass", "obj", "_", "nolabel")
+
+
+@st.composite
+def corpora(draw) -> Corpus:
+    """One to three documents of test_heads.documents(), in two languages,
+    with pooled UPOS and DEPREL and a few gold mentions of any nodes."""
+    corpus = Corpus(documents=draw(st.lists(documents(), min_size=1,
+                                            max_size=3)))
+    for doc_number, document in enumerate(corpus.documents):
+        document.doc_id = f"d{doc_number}"
+        document.language = draw(st.sampled_from(("xx", "yy")))
+        for sentence in document.sentences:
+            for token in sentence.tokens:
+                token.upos = draw(st.sampled_from(POOL_UPOS))
+                token.deprel = draw(st.sampled_from(POOL_DEPREL))
+        for entity_number in range(draw(st.integers(0, 3))):
+            tokens = draw(st.sampled_from(document.sentences)).tokens
+            start = draw(st.integers(0, len(tokens) - 1))
+            end = draw(st.integers(start, len(tokens) - 1))
+            entity_id = f"e{entity_number}"
+            document.entities.append(Entity(entity_id, [Mention(
+                entity_id, tuple(tokens[start:end + 1]),
+                sentences=document.sentences)]))
+    return corpus
+
+
+@settings(max_examples=200)
+@given(corpora(), st.integers(1, 8))
+def test_one_field_table_serves_every_sentence_and_document(corpus,
+                                                            max_width):
+    table = {"xx": "SVO", "yy": "SOV"}
+    assert (list(iter_feature_records(corpus, table, "all_spans", max_width))
+            == list(_per_span_records(corpus, table, max_width)))
+    for target in EXPORT_TARGETS:
+        records = io.StringIO()
+        export_features(corpus, table, records, io.StringIO(), target,
+                        max_width)
+        assert records.getvalue().splitlines() == [
+            json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+            for record in iter_feature_records(corpus, table, target,
+                                               max_width)]
+
+
+def test_span_fields_run_once_per_candidate_head_key(monkeypatch):
+    corpus = Corpus(documents=[
+        document for path in sorted(DATA.rglob("*.conllu"))
+        for document in parse_file(path).documents])
+    keys = {(head.upos, head.deprel, width_bucket(len(span)))
+            for _, _, span, head in _per_span_candidates(corpus, 10)}
+    calls = []
+
+    def counted(head, width):
+        calls.append((head, width))
+        return _span_fields(head, width)
+
+    monkeypatch.setattr(features, "_span_fields", counted)
+    count = export_features(corpus, {"": "SVO"}, io.StringIO(),
+                            io.StringIO(), "all_spans", 10)
+    assert len(calls) == len(keys)
+    assert count > 2 * len(keys)
+
+
+def test_an_unknown_label_heading_only_candidates_warns_once(monkeypatch,
+                                                             caplog):
+    # no gold mention: the label reaches ud_category through the table only
+    monkeypatch.setattr(taxonomy, "_warned_labels", set())
+    sentence = [tok(1, "a", "NOUN", 2, "amod"),
+                tok(2, "b", "NOUN", 3, "frobnicate:sub"),
+                tok(3, "c", "VERB", 0, "root")]
+    corpus = make_corpus(sentence, sentence)
+    records = io.StringIO()
+    with caplog.at_level(logging.WARNING):
+        export_features(corpus, WORD_ORDER, records, io.StringIO(),
+                        "all_spans", 2)
+    headed = [record for record in map(json.loads,
+                                       records.getvalue().splitlines())
+              if record["head_deprel"] == "frobnicate"]
+    assert [r["span"] for r in headed] == ["2", "1,2"] * 2
+    assert {r["ud_category"] for r in headed} == {"T"}
+    assert [r.getMessage() for r in caplog.records] == [
+        "unknown dependency relation 'frobnicate' mapped to category T"]
 
 
 def _candidate_heads(corpus, max_width=3):
