@@ -36,7 +36,7 @@ def head_position_stats(corpus: Corpus,
                 total += 1
                 if len(mention.span) > 1:
                     multi_token += 1
-                    head = head_of(mention, document, head_rule)
+                    head = head_of(mention, head_rule)
                     if is_premodified(mention, head):
                         premodified += 1
     return DatasetReport(corpus.dataset, "head_position", [
@@ -52,7 +52,7 @@ def mention_type_distribution(corpus: Corpus,
     for document in corpus.documents:
         for entity in document.entities:
             for mention in entity.mentions:
-                head = head_of(mention, document, head_rule)
+                head = head_of(mention, head_rule)
                 counts[classify_mention_type(head)] += 1
                 total += 1
     return DatasetReport(corpus.dataset, "mention_types", [
@@ -68,14 +68,13 @@ def antecedent_category_counts(
         mtype: Counter() for mtype in MentionType}
     for document in corpus.documents:
         for entity in document.entities:
-            previous: Mention | None = None
+            antecedent_head: Token | None = None
             for mention in entity.mentions:
-                head = head_of(mention, document, head_rule)
-                if previous is not None:
-                    antecedent_head = head_of(previous, document, head_rule)
+                head = head_of(mention, head_rule)
+                if antecedent_head is not None:
                     category = ud_category(antecedent_head.effective_deprel())
                     counts[classify_mention_type(head)][category] += 1
-                previous = mention
+                antecedent_head = head
     return counts
 
 
@@ -94,7 +93,7 @@ def first_mention_stats(corpus: Corpus,
             first, *rest = entity.mentions
             if len(first.span) >= max(len(m.span) for m in rest):
                 first_longest += 1
-            head = head_of(first, document, head_rule)
+            head = head_of(first, head_rule)
             if classify_mention_type(head) in (MentionType.NOMINAL_NOUN,
                                                MentionType.PROPER_NOUN):
                 first_nominal += 1
@@ -170,15 +169,16 @@ def competing_antecedents(corpus: Corpus, kind: MentionType,
     total_competitors = 0
     for document in corpus.documents:
         by_sentence: dict[int, list[tuple[Mention, str, Token]]] = defaultdict(list)
+        headed = []
         for entity in document.entities:
-            for mention in entity.mentions:
-                head = head_of(mention, document, head_rule)
+            heads = [head_of(m, head_rule) for m in entity.mentions]
+            headed.append((entity, heads))
+            for mention, head in zip(entity.mentions, heads):
                 by_sentence[mention.sent_index].append(
                     (mention, entity.entity_id, head))
-        for entity in document.entities:
+        for entity, heads in headed:
             previous: Mention | None = None
-            for mention in entity.mentions:
-                head = head_of(mention, document, head_rule)
+            for mention, head in zip(entity.mentions, heads):
                 antecedent = previous
                 previous = mention
                 if classify_mention_type(head) is not kind:
@@ -283,8 +283,9 @@ class MentionVectors:
 
 def load_mention_vectors(path: str | Path) -> MentionVectors:
     """Read a vectors TSV: doc_id, sentence index, span key, then the vector
-    components. '#' lines are comments. Malformed lines, and a file that is
-    not UTF-8, raise ParseError naming the file and line."""
+    components. '#' lines are comments. Malformed lines, a repeated key,
+    and a file that is not UTF-8 raise ParseError naming the file and
+    line."""
     vectors: dict[tuple[str, int, str], tuple[float, ...]] = {}
     dimension: int | None = None
     filename = str(path)
@@ -318,7 +319,10 @@ def load_mention_vectors(path: str | Path) -> MentionVectors:
             elif len(vector) != dimension:
                 raise ParseError(f"dimension {len(vector)} != {dimension}",
                                  filename, line_no)
-            vectors[(fields[0], sent_index, fields[2])] = vector
+            key = (fields[0], sent_index, fields[2])
+            if key in vectors:
+                raise ParseError(f"duplicate key {key!r}", filename, line_no)
+            vectors[key] = vector
     return MentionVectors(vectors, dimension or 0)
 
 

@@ -354,15 +354,19 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------------------- score
 
 def _dataset_pairs(args) -> Iterator[tuple[str, list]]:
-    """(dataset, its (gold, system) document pairs) for each dataset that
-    --gold and --pred share, loading one dataset at a time."""
+    """(dataset, its (gold, system) document pairs) for each gold dataset,
+    loading one dataset at a time. A gold dataset without a system file is
+    a data error; system datasets without gold are ignored."""
     from . import metrics
-    gold = _existing(args.gold)
-    paired = pair_datasets(gold, _existing(args.pred), args.split)
-    if not paired:
-        if not discover_datasets(gold, args.split):
-            raise _no_files(gold, args.split)
-        raise CliError("no dataset names shared between --gold and --pred")
+    gold, pred = _existing(args.gold), _existing(args.pred)
+    names = [d.name for d in discover_datasets(gold, args.split)]
+    if not names:
+        raise _no_files(gold, args.split)
+    paired = pair_datasets(gold, pred, args.split)
+    shared = {name for name, _, _ in paired}
+    for name in names:
+        if name not in shared:
+            raise CliError(f"{name}: no system output file under {pred}")
     for name, gold_files, pred_files in paired:
         yield name, metrics.document_pairs(gold_files.load(),
                                            pred_files.load())

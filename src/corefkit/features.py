@@ -135,7 +135,7 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                 f"(document {doc_id!r})")
         if target == "gold":
             for mention in document.mentions():
-                head = head_of(mention, document, head_rule)
+                head = head_of(mention, head_rule)
                 yield {"doc_id": doc_id,
                        "sent_index": mention.sent_index,
                        "span": span_key(mention.span),

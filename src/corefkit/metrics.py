@@ -65,18 +65,14 @@ def _prf(p_num: float, p_den: float, r_num: float, r_den: float) -> Scores:
 
 @dataclass
 class ClusterSet:
-    """Disjoint clusters of hashable mention keys."""
+    """Disjoint clusters of hashable mention keys; empty ones are dropped.
+    Singletons are kept: remapped_cluster_set applies the singleton
+    policy."""
 
     clusters: list[frozenset[Hashable]]
-    singleton_policy: str = "include"
 
     def __post_init__(self) -> None:
-        if self.singleton_policy not in SINGLETON_POLICIES:
-            raise ValueError(f"unknown singleton policy "
-                             f"{self.singleton_policy!r}")
         clusters = [frozenset(c) for c in self.clusters if c]
-        if self.singleton_policy == "exclude":
-            clusters = [c for c in clusters if len(c) > 1]
         seen: set[Hashable] = set()
         for cluster in clusters:
             if seen & cluster:
@@ -364,6 +360,8 @@ def remapped_cluster_set(gold: Document, pred: Document, mode: str,
     their own. Under 'exclude', singleton entities of either side are
     dropped before alignment, so that a mention the policy ignores can
     neither claim a gold mention nor be claimed."""
+    if singleton_policy not in SINGLETON_POLICIES:
+        raise ValueError(f"unknown singleton policy {singleton_policy!r}")
     if singleton_policy == "exclude":
         gold, pred = (replace(d, entities=[e for e in d.entities
                                            if not e.is_singleton()])
@@ -390,8 +388,7 @@ def remapped_cluster_set(gold: Document, pred: Document, mode: str,
                 cluster.add(("p", unmatched))
                 unmatched += 1
         pred_clusters.append(frozenset(cluster))
-    return (ClusterSet(gold_clusters, singleton_policy),
-            ClusterSet(pred_clusters, singleton_policy))
+    return ClusterSet(gold_clusters), ClusterSet(pred_clusters)
 
 
 def score_pairs(pairs: Iterable[tuple[Document, Document]],

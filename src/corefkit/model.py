@@ -191,15 +191,6 @@ class Sentence:
         return out
 
 
-class _Sentences:
-    """What mention_head reads of a Document."""
-
-    __slots__ = ("sentences",)
-
-    def __init__(self, sentences: list[Sentence] | None) -> None:
-        self.sentences = sentences
-
-
 @dataclass(eq=False, slots=True)
 class Mention:
     """A coreference span, possibly discontinuous, possibly an empty node.
@@ -221,7 +212,7 @@ class Mention:
         one only when it is one token or its annotated head is valid."""
         head = self._head
         if head is None:
-            head = self._head = mention_head(self, _Sentences(self.sentences))
+            head = self._head = mention_head(self, self)
         return head
 
     @property
@@ -271,9 +262,12 @@ class Corpus:
     language: str = ""
 
 
-def mention_head(mention: Mention, document: Document,
+def mention_head(mention: Mention, document: Document | Mention,
                  prefer_annotated: bool = True) -> Token:
     """Resolve the head token of a mention.
+
+    Of document only ``sentences`` is read, so a parsed mention, which
+    holds its document's sentence list, can stand in for its document.
 
     An explicit head attribute from the entity annotation (1-based position
     within the span) wins when present and ``prefer_annotated`` is set.
@@ -296,14 +290,14 @@ def mention_head(mention: Mention, document: Document,
     return min(span, key=lambda t: sentences[t.sent_index].depth(t.order))
 
 
-def head_of(mention: Mention, document: Document, head_rule: str) -> Token:
+def head_of(mention: Mention, head_rule: str) -> Token:
     """The head a ``--head-rule`` picks: the mention's kept head
     (Mention.head) for 'annotated', the parent-outside-span rule for
-    'syntactic'."""
+    'syntactic'. Both read the mention's own sentences."""
     if head_rule == "annotated":
         return mention.head
     if head_rule == "syntactic":
-        return mention_head(mention, document, prefer_annotated=False)
+        return mention_head(mention, mention, prefer_annotated=False)
     raise ValueError(f"unknown head rule {head_rule!r}")
 
 

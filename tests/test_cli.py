@@ -124,6 +124,21 @@ def test_pairing_split_without_gold_files_names_the_split(capsys, command):
     assert out.startswith("dataset\t")
 
 
+@pytest.mark.parametrize("command", ["score", "errors"])
+def test_a_gold_dataset_without_system_file_exits_2(tmp_path, capsys,
+                                                     command):
+    for path in Path(GOLD_DIR).iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "xx_other.conllu").write_bytes(
+        (DATA / "basic.conllu").read_bytes())
+    code, out, err = run(capsys, command, "--gold", str(tmp_path),
+                         "--pred", PRED_DIR)
+    assert code == 2
+    assert out == ""
+    assert err == (f"corefkit: error: xx_other: no system output file "
+                   f"under {PRED_DIR}\n")
+
+
 @pytest.mark.parametrize("sidecar", ["vectors", "word-order"])
 def test_non_utf8_sidecar_names_the_line_and_exits_2(tmp_path, capsys,
                                                     sidecar):
@@ -302,8 +317,10 @@ def test_analyze_missing_vectors_same_error_with_jobs(capsys):
     ("fixture-doc1\t0\t1,2,3\t1.0\tinf", "non-finite component"),
     ("fixture-doc1\t0\t1,2,3\t1e160\t0.0", "vector norm too large"),
     ("fixture-doc1\t0\t1,2,3\t1.0", "dimension 1 != 2"),
+    ("fixture-doc1\t1\t1\t104.0\t6.0",
+     "duplicate key ('fixture-doc1', 1, '1')"),
 ], ids=["columns", "sentence-index", "non-numeric", "nan", "inf",
-        "norm", "dimension"])
+        "norm", "dimension", "duplicate"])
 def test_analyze_malformed_vectors_exit_2(tmp_path, capsys, line, problem):
     vectors = tmp_path / "vectors.tsv"
     vectors.write_text("# doc, sentence, span, components\n"

@@ -223,7 +223,9 @@ def _per_span_candidates(corpus, max_width):
             for width in range(1, min(max_width, n) + 1):
                 for start in range(n - width + 1):
                     span = tuple(surface[start:start + width])
-                    head = head_of(Mention("", span), document, "syntactic")
+                    head = head_of(Mention("", span,
+                                           sentences=document.sentences),
+                                   "syntactic")
                     yield document, sent_index, span, head
 
 

@@ -1,16 +1,23 @@
 """Per-sentence parent positions and head-chain depths, checked against a
 plain walk to the root on arbitrary forests: heads that name no node, empty
 nodes attached through DEPS, spans across sentences. The parser rejects a
-head cycle; a hand-built one raises ValueError."""
+head cycle; a hand-built one raises ValueError. Heads are resolved lazily,
+from the mention alone, and each statistic resolves a mention's head at
+most once per call."""
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkit import model, parse_file
-from corefkit.model import (ROOT, UNKNOWN, Document, Mention, Sentence,
-                            Token, mention_head)
+from corefkit.analysis import antecedent_category_counts, competing_antecedents
+from corefkit.cli import STATISTICS, StatOptions
+from corefkit.model import (HEAD_RULES, ROOT, UNKNOWN, Document, Mention,
+                            Sentence, Token, head_of, mention_head)
+from corefkit.taxonomy import MentionType
 from conftest import DATA, make_corpus, tok
 
 FIXTURES = sorted(DATA.rglob("*.conllu"))
@@ -174,13 +181,19 @@ def test_parsing_resolves_no_head(monkeypatch):
         assert parse_file(path).documents
 
 
-def test_a_mention_head_is_resolved_on_first_read_and_kept(monkeypatch):
+def _count_heads(monkeypatch) -> list[Mention]:
+    """The mentions that model.mention_head is called on, from now on."""
     calls = []
 
     def counted(mention, document, prefer_annotated=True):
         calls.append(mention)
         return mention_head(mention, document, prefer_annotated)
     monkeypatch.setattr(model, "mention_head", counted)
+    return calls
+
+
+def test_a_mention_head_is_resolved_on_first_read_and_kept(monkeypatch):
+    calls = _count_heads(monkeypatch)
     for path in FIXTURES:
         for document in parse_file(path).documents:
             for entity in document.entities:
@@ -194,3 +207,50 @@ def test_a_mention_head_is_resolved_on_first_read_and_kept(monkeypatch):
                     assert mention.head is head
                     assert calls == [mention]
                     calls.clear()
+
+
+@pytest.mark.parametrize("rule", HEAD_RULES)
+def test_head_of_reads_the_mention_alone(rule):
+    for path in FIXTURES:
+        for document in parse_file(path).documents:
+            for mention in document.mentions():
+                assert head_of(mention, rule) is mention_head(
+                    mention, document, rule == "annotated")
+
+
+def test_a_pass_over_mentions_resolves_each_head_once(monkeypatch):
+    calls = _count_heads(monkeypatch)
+    for path in FIXTURES:
+        corpus = parse_file(path)
+        for count in (
+                lambda: antecedent_category_counts(corpus, "syntactic"),
+                lambda: competing_antecedents(
+                    corpus, MentionType.OVERT_PRONOUN, "syntactic"),
+                lambda: competing_antecedents(
+                    corpus, MentionType.ZERO_PRONOUN, "syntactic")):
+            calls.clear()
+            count()
+            assert max(Counter(map(id, calls)).values(), default=1) == 1
+
+
+def test_no_statistic_resolves_more_heads_than_it_reads(monkeypatch):
+    # one head per mention a statistic reads: multi-token mentions for
+    # head-position, first mentions of non-singleton entities for
+    # first-mention, every mention once per pronoun kind for competing
+    entities = [e for path in FIXTURES
+                for d in parse_file(path).documents for e in d.entities]
+    mentions = [m for e in entities for m in e.mentions]
+    reads = {"head-position": sum(len(m.span) > 1 for m in mentions),
+             "mention-types": len(mentions),
+             "anaphor-antecedent": len(mentions),
+             "first-mention": sum(not e.is_singleton() for e in entities),
+             "competing": 2 * len(mentions)}
+    assert all(reads.values())
+    calls = _count_heads(monkeypatch)
+    for name, statistic in STATISTICS.items():
+        if statistic.needs_vectors:
+            continue
+        calls.clear()
+        for path in FIXTURES:
+            statistic.compute(parse_file(path), StatOptions("syntactic"))
+        assert len(calls) <= reads.get(name, 0), name

@@ -17,8 +17,8 @@ from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
 from conftest import make_corpus, tok
 
 
-def clusters(*groups, policy="include"):
-    return ClusterSet([set(g) for g in groups], policy)
+def clusters(*groups):
+    return ClusterSet([set(g) for g in groups])
 
 
 # ------------------------------------------------------------ hand values
@@ -52,13 +52,6 @@ def test_ceafe_worked_example():
     scores = ceafe(gold, pred)
     assert scores.recall == pytest.approx(1 / 3)
     assert scores.precision == pytest.approx(2 / 3)
-
-
-def test_all_singleton_pred_under_exclude_has_zero_recall():
-    gold = clusters("abc")
-    pred = clusters("a", "b", "c", policy="exclude")
-    assert not pred.clusters
-    assert muc(gold, pred).recall == 0.0
 
 
 def test_empty_pred_b_cubed_zero():
@@ -184,6 +177,25 @@ def test_score_fixture_pair_hand_computed(pair_docs):
     assert report.ceafe.recall == pytest.approx(0.65)
     assert report.ceafe.precision == pytest.approx(0.65)
     assert report.conll_f1 == pytest.approx((0.4 + 39 / 71 + 0.65) / 3)
+
+
+def test_all_singleton_pred_under_exclude_has_zero_recall():
+    def render(*entity_ids):
+        return make_corpus([
+            tok(i, f"w{i}", "NOUN", 0 if i == 1 else 1,
+                "root" if i == 1 else "dep", misc=f"Entity=({eid}-x-1-)")
+            for i, eid in enumerate(entity_ids, start=1)]).documents[0]
+    gold, pred = render("e1", "e1", "e1"), render("p1", "p2", "p3")
+    gold_set, pred_set = remapped_cluster_set(gold, pred, "exact", "exclude")
+    assert len(gold_set.clusters) == 1
+    assert not pred_set.clusters
+    assert score_pairs([(gold, pred)], "exact", "exclude").muc.recall == 0.0
+
+
+def test_unknown_singleton_policy_raises(pair_docs):
+    gold, pred = pair_docs
+    with pytest.raises(ValueError, match="unknown singleton policy 'drop'"):
+        remapped_cluster_set(gold, pred, "exact", "drop")
 
 
 def test_score_include_policy_keeps_singletons(pair_docs):
