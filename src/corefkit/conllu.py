@@ -251,9 +251,10 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
 
 def _check_heads(sentence: Sentence, heads: list[int], filename: str) -> None:
     """Raise ParseError naming the node's line when a HEAD names no token,
-    or where the first walk up the parents re-enters its own path: surface
-    HEADs first (a surface parent is a surface token), then empty nodes.
-    heads[i] is the HEAD of surface token i, 0 for the root or '_'."""
+    when an empty node's first DEPS head names no node, or where the first
+    walk up the parents re-enters its own path: surface HEADs first (a
+    surface parent is a surface token), then empty nodes. heads[i] is the
+    HEAD of surface token i, 0 for the root or '_'."""
     n = len(heads) - 1
     tokens = sentence.tokens
     has_empty = len(tokens) > n
@@ -271,11 +272,20 @@ def _check_heads(sentence: Sentence, heads: list[int], filename: str) -> None:
             walked[node] = start
             node = heads[node]
         if node and walked[node] == start:
-            raise _cycle_error(sentence, str(node), filename)
+            raise _node_error(sentence, str(node),
+                              f"token {node} is on a head cycle", filename)
     if not has_empty:
         return
     # empty node id -> parent id
     empty = {t.index: t.parent_id() for t in tokens if t.is_empty}
+    for index, parent in empty.items():
+        # a surface id is a number 1..n without a leading zero
+        if parent is not None and parent not in empty and not (
+                parent.isdigit() and parent.isascii() and parent[0] != "0"
+                and int(parent) <= n):
+            raise _node_error(sentence, index, f"empty node {index} DEPS head "
+                              f"{parent} refers to a nonexistent node",
+                              filename)
     walked_empty: dict[str, str] = {}
     for start in empty:
         node = start
@@ -283,13 +293,15 @@ def _check_heads(sentence: Sentence, heads: list[int], filename: str) -> None:
             walked_empty[node] = start
             node = empty[node]
         if walked_empty.get(node) == start:
-            raise _cycle_error(sentence, node, filename)
+            raise _node_error(sentence, node,
+                              f"token {node} is on a head cycle", filename)
 
 
-def _cycle_error(sentence: Sentence, index: str, filename: str) -> ParseError:
+def _node_error(sentence: Sentence, index: str, message: str,
+                filename: str) -> ParseError:
+    """ParseError naming the line of the node with CoNLL-U id index."""
     order = next(k for k, t in enumerate(sentence.tokens) if t.index == index)
-    return ParseError(f"token {index} is on a head cycle", filename,
-                      _node_line(sentence, order))
+    return ParseError(message, filename, _node_line(sentence, order))
 
 
 def entity_field_layout(document: Document, filename: str = "",

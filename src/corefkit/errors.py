@@ -21,10 +21,6 @@ from .taxonomy import classify_mention_type, is_premodified
 DISTANCE_BUCKETS = ("0", "1", "2", "3+")
 
 
-def _matched_by_gold(alignment: dict[Mention, Mention]) -> dict[int, Mention]:
-    return {id(g): p for p, g in alignment.items()}
-
-
 def unresolved_entities(gold: Document, pred: Document,
                         alignment: dict[Mention, Mention],
                         definition: str = "links") -> list[Entity]:
@@ -37,20 +33,16 @@ def unresolved_entities(gold: Document, pred: Document,
     """
     if definition not in UNRESOLVED_DEFINITIONS:
         raise ValueError(f"unknown definition {definition!r}")
-    matched_by_gold = _matched_by_gold(alignment)
-    cluster_of: dict[int, int] = {}
-    for index, entity in enumerate(pred.entities):
-        for mention in entity.mentions:
-            cluster_of[id(mention)] = index
+    # the system cluster of each gold mention that a system mention claimed
+    cluster_of = {alignment[m]: index
+                  for index, entity in enumerate(pred.entities)
+                  for m in entity.mentions if m in alignment}
     unresolved = []
     for entity in gold.entities:
         if entity.is_singleton():
             continue
-        hits: Counter[int] = Counter()
-        for mention in entity.mentions:
-            pred_mention = matched_by_gold.get(id(mention))
-            if pred_mention is not None:
-                hits[cluster_of[id(pred_mention)]] += 1
+        hits = Counter(cluster_of[m] for m in entity.mentions
+                       if m in cluster_of)
         if definition == "links":
             resolved = any(count >= 2 for count in hits.values())
         else:
@@ -159,17 +151,17 @@ def analyze_document(gold: Document, pred: Document, mode: str = "exact",
     details list is given, one diagnostic record per unresolved entity is
     appended to it from the same alignment."""
     alignment = align_mentions(gold, pred, mode)
-    matched_by_gold = _matched_by_gold(alignment)
+    detected = set(alignment.values())
     unresolved = unresolved_entities(gold, pred, alignment, definition)
     if details is not None:
-        details.extend(_entity_details(gold, unresolved, matched_by_gold))
+        details.extend(_entity_details(gold, unresolved, detected))
     two_mention = [e for e in unresolved if len(e.mentions) == 2]
     undetected = [m for e in two_mention for m in e.mentions
-                  if id(m) not in matched_by_gold]
+                  if m not in detected]
     distance_buckets: Counter = Counter()
     for entity in two_mention:
         first, second = entity.mentions
-        if id(first) in matched_by_gold and id(second) in matched_by_gold:
+        if first in detected and second in detected:
             distance = second.sent_index - first.sent_index
             distance_buckets[str(distance) if distance < 3 else "3+"] += 1
     return ErrorReport(
@@ -202,20 +194,20 @@ def unresolved_entity_details(gold: Document, pred: Document,
 
 
 def _entity_details(gold: Document, unresolved: list[Entity],
-                    matched_by_gold: dict[int, Mention]) -> list[dict]:
+                    detected: set[Mention]) -> list[dict]:
     details = []
     for entity in unresolved:
         mentions = []
         n_undetected = 0
         for mention in entity.mentions:
-            detected = id(mention) in matched_by_gold
-            n_undetected += 0 if detected else 1
+            is_detected = mention in detected
+            n_undetected += 0 if is_detected else 1
             mentions.append({
                 "sent_index": mention.sent_index,
                 "span": span_key(mention.span),
                 "text": " ".join(t.form for t in mention.span),
                 "type": classify_mention_type(mention.head).value,
-                "detected": detected,
+                "detected": is_detected,
             })
         if n_undetected:
             diagnosis = "undetected_mentions"

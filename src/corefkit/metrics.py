@@ -81,13 +81,21 @@ class ClusterSet:
         self.clusters = clusters
 
 
+def _extent(mention: Mention) -> tuple:
+    return (len(mention.span), mention.start, mention.end)
+
+
 def align_mentions(gold: Document, pred: Document,
                    mode: str = "exact") -> dict[Mention, Mention]:
-    """Match system mentions to gold mentions; each gold is claimed at most
-    once, system mentions in span-length order for determinism.
+    """Match system mentions to gold mentions. A node is named by its
+    sentence and CoNLL-U id, so an empty node that only one side has
+    matches nothing and moves no other node.
 
-    exact: identical span token sets. head: the system span contains the
-    gold head and is contained in the gold span.
+    Each system mention, in (length, start, end) order, claims the free
+    gold mention of least (length, start, end) that its mode allows; ties
+    go to the first found. exact allows the same node set (ties: document
+    order). head allows a gold mention that contains the system span and
+    whose head lies in it (ties: the head first in the system span).
     """
     if mode not in MATCH_MODES:
         raise ValueError(f"unknown match mode {mode!r}")
@@ -103,43 +111,32 @@ def align_mentions(gold: Document, pred: Document,
             if len(gold_shape) != len(pred_shape) else
             f"token counts per sentence differ in document {gold.doc_id!r}")
 
-    gold_mentions = gold.mentions()
-    pred_mentions = pred.mentions()
-    claimed: set[int] = set()
+    exact = mode == "exact"
+    nodes_of: dict[Mention, frozenset] = {}
+    index: dict[Hashable, list[Mention]] = {}
+    for mention in gold.mentions():
+        nodes = nodes_of[mention] = frozenset(
+            [(t.sent_index, t.index) for t in mention.span])
+        if exact:
+            key = nodes
+        else:
+            head = mention.head
+            key = (head.sent_index, head.index)
+        index.setdefault(key, []).append(mention)
+    claimed: set[Mention] = set()
     alignment: dict[Mention, Mention] = {}
-
-    if mode == "exact":
-        by_span: dict[frozenset, list[Mention]] = {}
-        for mention in gold_mentions:
-            span = frozenset(t.pos for t in mention.span)
-            by_span.setdefault(span, []).append(mention)
-        for mention in sorted(pred_mentions,
-                              key=lambda m: (len(m.span), m.start, m.end)):
-            span = frozenset(t.pos for t in mention.span)
-            for candidate in by_span.get(span, ()):
-                if id(candidate) not in claimed:
-                    claimed.add(id(candidate))
-                    alignment[mention] = candidate
-                    break
-        return alignment
-
-    by_head: dict[tuple[int, int], list[Mention]] = {}
-    for mention in gold_mentions:
-        by_head.setdefault(mention.head.pos, []).append(mention)
-    for mention in sorted(pred_mentions,
-                          key=lambda m: (len(m.span), m.start, m.end)):
-        span = {t.pos for t in mention.span}
-        candidates = []
-        for pos in span:
-            for candidate in by_head.get(pos, ()):
-                if id(candidate) in claimed:
-                    continue
-                if span <= {t.pos for t in candidate.span}:
-                    candidates.append(candidate)
-        if candidates:
-            best = min(candidates,
-                       key=lambda m: (len(m.span), m.start, m.end))
-            claimed.add(id(best))
+    for mention in sorted(pred.mentions(), key=_extent):
+        nodes = frozenset([(t.sent_index, t.index) for t in mention.span])
+        if exact:
+            candidates = index.get(nodes, ())
+        else:
+            candidates = [g for t in mention.span
+                          for g in index.get((t.sent_index, t.index), ())
+                          if nodes <= nodes_of[g]]
+        free = [g for g in candidates if g not in claimed]
+        if free:
+            best = free[0] if len(free) == 1 else min(free, key=_extent)
+            claimed.add(best)
             alignment[mention] = best
     return alignment
 
@@ -355,9 +352,9 @@ def macro_average(values: list[float]) -> float:
 def remapped_cluster_set(gold: Document, pred: Document, mode: str,
                          singleton_policy: str,
                          ) -> tuple[ClusterSet, ClusterSet]:
-    """Gold and system cluster sets over shared keys: system mentions are
-    replaced by their aligned gold mention, unmatched ones keep a key of
-    their own. Under 'exclude', singleton entities of either side are
+    """Gold and system cluster sets keyed by mention: a system mention that
+    aligned to a gold mention is replaced by it, an unmatched one stands
+    for itself. Under 'exclude', singleton entities of either side are
     dropped before alignment, so that a mention the policy ignores can
     neither claim a gold mention nor be claimed."""
     if singleton_policy not in SINGLETON_POLICIES:
@@ -367,28 +364,9 @@ def remapped_cluster_set(gold: Document, pred: Document, mode: str,
                                            if not e.is_singleton()])
                       for d in (gold, pred))
     alignment = align_mentions(gold, pred, mode)
-    gold_ids: dict[int, tuple] = {}
-    gold_clusters = []
-    for entity in gold.entities:
-        cluster = set()
-        for mention in entity.mentions:
-            key = ("g", len(gold_ids))
-            gold_ids[id(mention)] = key
-            cluster.add(key)
-        gold_clusters.append(frozenset(cluster))
-    pred_clusters = []
-    unmatched = 0
-    for entity in pred.entities:
-        cluster = set()
-        for mention in entity.mentions:
-            matched = alignment.get(mention)
-            if matched is not None:
-                cluster.add(gold_ids[id(matched)])
-            else:
-                cluster.add(("p", unmatched))
-                unmatched += 1
-        pred_clusters.append(frozenset(cluster))
-    return ClusterSet(gold_clusters), ClusterSet(pred_clusters)
+    return (ClusterSet([frozenset(e.mentions) for e in gold.entities]),
+            ClusterSet([frozenset(alignment.get(m, m) for m in e.mentions)
+                        for e in pred.entities]))
 
 
 def score_pairs(pairs: Iterable[tuple[Document, Document]],

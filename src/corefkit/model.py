@@ -66,11 +66,6 @@ class Token:
     _feats: dict[str, str | None] | None = field(default=None, repr=False)
 
     @property
-    def pos(self) -> tuple[int, int]:
-        """Document-wide position: (sentence index, position in sentence)."""
-        return (self.sent_index, self.order)
-
-    @property
     def feats(self) -> dict[str, str | None]:
         if self._feats is None:
             self._feats = dict(parse_kv_items(self.feats_raw))
@@ -270,7 +265,8 @@ def mention_head(mention: Mention, document: Document | Mention,
     holds its document's sentence list, can stand in for its document.
 
     An explicit head attribute from the entity annotation (1-based position
-    within the span) wins when present and ``prefer_annotated`` is set.
+    within the span, in ASCII digits) wins when present and
+    ``prefer_annotated`` is set.
     Otherwise the syntactic head: the span token closest to the root, the
     leftmost on a tie (span tokens are in document order). Depth falls by
     one along every parent edge, so its parent lies outside the span. A
@@ -281,8 +277,8 @@ def mention_head(mention: Mention, document: Document | Mention,
     if len(span) == 1:
         return span[0]
     if prefer_annotated:
-        annotated = mention.attributes.get("head")
-        if annotated is not None and annotated.isdigit():
+        annotated = mention.attributes.get("head", "")
+        if annotated.isdigit() and annotated.isascii():
             i = int(annotated)
             if 1 <= i <= len(span):
                 return span[i - 1]

@@ -159,6 +159,17 @@ def test_non_utf8_sidecar_names_the_line_and_exits_2(tmp_path, capsys,
                    "(invalid continuation byte)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{missing}"],
+    ["score", "--gold", "{missing}", "--pred", PRED_DIR],
+], ids=["validate", "score"])
+def test_a_nonexistent_input_path_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "nowhere"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"corefkit: error: input path {missing} does not exist\n"
+
+
 def test_missing_input_exits_2(capsys, monkeypatch):
     monkeypatch.delenv("COREFUD_DATA", raising=False)
     code, _, err = run(capsys, "stats")
@@ -362,6 +373,41 @@ def test_score_fixture_pair_values(capsys):
     muc_p, muc_r, muc_f1 = row[1:4]
     assert (muc_p, muc_r, muc_f1) == ("0.500000", "0.333333", "0.400000")
     assert row[-1] == f"{(0.4 + 39 / 71 + 0.65) / 3:.6f}"
+
+
+# A pronoun dropped after "saw": the gold file has it as empty node 2.1, the
+# system output does not. No mention contains it, and the mentions after it
+# are the same on both sides.
+_DROPPED = [
+    "# newdoc id = d1", "# global.Entity = eid-etype-head-other",
+    "# sent_id = s1",
+    tok(1, "Pat", "PROPN", 2, "nsubj", misc="Entity=(e1-person-1-)"),
+    tok(2, "saw", "VERB", 0, "root"),
+    tok("2.1", "_", "PRON", "_", "_", deps="2:obj"),
+    tok(3, "the", "DET", 4, "det", misc="Entity=(e2-animal-2-"),
+    tok(4, "dog", "NOUN", 2, "obj", misc="Entity=e2)"), "",
+    "# sent_id = s2",
+    tok(1, "She", "PRON", 2, "nsubj", misc="Entity=(e1-person-1-)"),
+    tok(2, "fed", "VERB", 0, "root"),
+    tok(3, "it", "PRON", 2, "obj", misc="Entity=(e2-animal-1-)"), "", ""]
+
+
+def test_an_empty_node_only_gold_has_moves_no_mention(tmp_path, capsys):
+    for side, lines in (("gold", _DROPPED),
+                        ("pred", [x for x in _DROPPED
+                                  if not x.startswith("2.1\t")])):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "xx_drop.conllu").write_text(
+            "\n".join(lines), encoding="utf-8")
+    dirs = ("--gold", str(tmp_path / "gold"), "--pred", str(tmp_path / "pred"))
+    for mode in ("exact", "head"):
+        code, out, _ = run(capsys, "score", *dirs, "--match", mode)
+        assert code == 0
+        assert out.splitlines()[1].split("\t")[-1] == "1.000000"
+        code, out, _ = run(capsys, "errors", *dirs, "--mode", mode)
+        assert code == 0
+        header, row = (line.split("\t") for line in out.splitlines()[:2])
+        assert dict(zip(header, row))["unresolved_pct"] == "0.00"
 
 
 def test_score_json(capsys):

@@ -263,6 +263,38 @@ def test_head_cycle_names_the_line_where_it_closes(tmp_path, block, line,
     assert str(excinfo.value) == f"{path}:{line}: {message}"
 
 
+@pytest.mark.parametrize("deps, message", [
+    ("9:nsubj", "empty node 1.1 DEPS head 9 refers to a nonexistent node"),
+    ("1.2:nsubj", "empty node 1.1 DEPS head 1.2 refers to a nonexistent "
+                  "node"),
+], ids=["surface", "empty"])
+def test_an_empty_node_deps_head_naming_no_node_names_its_line(tmp_path,
+                                                               deps, message):
+    path = tmp_path / "baddeps.conllu"
+    path.write_text("\n".join([
+        "# sent_id = s1", tok(1, "go", "VERB", 0, "root"),
+        tok("1.1", "you", "PRON", "_", "_", deps=deps),
+        tok(2, "home", "ADV", 1, "advmod"), "", ""]), encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("lines, line, message", [
+    (["# sent_id = s1", tok(1, "go", "VERB", 0, "root"), "# note"], 3,
+     "comment line inside token block"),
+    (["# sent_id = s1", tok(1, "go", "VERB", 0, "root"), "",
+      "# sent_id = s2", "# text = home"], 5,
+     "trailing comments without a sentence"),
+], ids=["comment-in-block", "trailing-comments"])
+def test_misplaced_comments_name_their_line(tmp_path, lines, line, message):
+    path = tmp_path / "comments.conllu"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == f"{path}:{line}: {message}"
+
+
 def test_empty_nodes_may_attach_to_earlier_and_later_empty_nodes():
     corpus = make_corpus([
         tok(1, "go", "VERB", 0, "root"),

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from corefkit import parse_conllu, serialize
 from corefkit.errors import (ErrorReport, analyze_document, analyze_errors,
-                             undetected_profile, unresolved_entities)
+                             undetected_profile, unresolved_entities,
+                             unresolved_entity_details)
 from corefkit.metrics import align_mentions
 from corefkit.model import Corpus, Mention
 from corefkit.taxonomy import MentionType
@@ -34,6 +37,15 @@ def test_fixture_pair_error_tree(pair_docs):
     assert report.two_mention_pct == Fraction(100)
     assert report.undetected_pct == 0
     assert report.distance_buckets == {"2": 1}
+
+
+@pytest.mark.parametrize("mode", ["exact", "head"])
+def test_entity_details_are_those_analyze_errors_appends(pair_docs, mode):
+    gold, pred = pair_docs
+    appended: list[dict] = []
+    analyze_errors([(gold, pred)], mode, details=appended)
+    assert appended
+    assert unresolved_entity_details(gold, pred, mode) == appended
 
 
 def test_membership_definition_differs(pair_docs):

@@ -54,8 +54,8 @@ def _reference_head(span: tuple[Token, ...], document: Document) -> Token:
         parent_id = token.parent_id()
         parent = by_index.get(parent_id) if parent_id is not None else None
         if parent is None or id(parent) not in in_span:
-            candidates.append((_reference_depth(token, sentence), token.pos,
-                               token))
+            candidates.append((_reference_depth(token, sentence),
+                               (token.sent_index, token.order), token))
     if not candidates:
         return span[0]
     return min(candidates, key=lambda c: (c[0], c[1]))[2]
@@ -137,6 +137,22 @@ def test_syntactic_head_matches_a_root_walk(document, data):
     mention = Mention(entity_id="e", span=span, attributes={"head": "1"})
     assert (mention_head(mention, document, prefer_annotated=False)
             is _reference_head(span, document))
+
+
+@pytest.mark.parametrize("annotated, forms", [("\u00b2", "ab"),
+                                              ("\u0663", "abc")],
+                         ids=["superscript-two", "arabic-indic-three"])
+def test_an_annotated_head_of_non_ascii_digits_falls_back(annotated, forms):
+    # "a" governs every other token, so it is the syntactic head
+    n = len(forms)
+    document = make_corpus([
+        tok(1, "a", "NOUN", 0, "root", misc=f"Entity=(e1-x-{annotated}-"),
+        *(tok(i, forms[i - 1], "ADJ", 1, "amod") for i in range(2, n)),
+        tok(n, forms[-1], "ADJ", 1, "amod", misc="Entity=e1)"),
+    ]).documents[0]
+    (mention,) = document.entities[0].mentions
+    assert mention.attributes["head"] == annotated
+    assert mention.head.form == "a"
 
 
 def test_a_hand_built_cycle_raises_value_error():

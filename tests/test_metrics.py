@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkit import parse_conllu
-from corefkit.model import Entity, Mention
+from corefkit.model import Document, Entity, Mention
 from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
                               ScoreReport, align_mentions, b_cubed,
                               b_cubed_counts, ceafe, ceafe_counts,
                               macro_average, muc,
                               remapped_cluster_set, score_pairs)
 from conftest import make_corpus, tok
+from test_heads import documents
 
 
 def clusters(*groups):
@@ -152,6 +153,82 @@ def test_align_rejects_different_segmentation():
                         tok(2, "b", "NOUN", 1, "obj")]).documents[0]
     with pytest.raises(AlignmentError, match="token counts"):
         align_mentions(gold, pred)
+
+
+@st.composite
+def _aligned_sides(draw) -> tuple[Document, Document]:
+    """Gold and system documents over one hand-built sentence list. Each
+    mention takes a span from a small pool, or part of one, so one side
+    often has the same span in two entities and a gold span often holds a
+    system span; some mentions carry an annotated head."""
+    sentences = draw(documents()).sentences
+
+    def span() -> tuple:
+        tokens = draw(st.sampled_from(sentences)).tokens
+        picks = draw(st.sets(st.integers(0, len(tokens) - 1), min_size=1,
+                             max_size=4))
+        return tuple(tokens[i] for i in sorted(picks))
+
+    pool = [span() for _ in range(draw(st.integers(1, 4)))]
+
+    def side(prefix: str) -> Document:
+        entities = []
+        for e in range(draw(st.integers(0, 4))):
+            mentions = []
+            for _ in range(draw(st.integers(1, 3))):
+                tokens = draw(st.sampled_from(pool))
+                if draw(st.booleans()):
+                    keep = draw(st.sets(st.sampled_from(tokens), min_size=1))
+                    tokens = tuple(t for t in tokens if t in keep)
+                head = draw(st.none() | st.integers(1, len(tokens)))
+                mentions.append(Mention(
+                    f"{prefix}{e}", tokens,
+                    attributes={} if head is None else {"head": str(head)},
+                    sentences=sentences))
+            entities.append(Entity(f"{prefix}{e}", mentions))
+        return Document("d", sentences=sentences, entities=entities)
+
+    return side("g"), side("p")
+
+
+def _reference_alignment(gold, pred, mode):
+    """Each system mention, in (length, start, end) order, scans every gold
+    mention and claims the free one its mode allows of least (length,
+    start, end). A tie goes to the earlier in document order; in head mode
+    first to the one whose head comes first in the system span."""
+    def extent(mention):
+        return (len(mention.span), mention.start, mention.end)
+
+    alignment = {}
+    for system in sorted(pred.mentions(), key=extent):
+        nodes = [(t.sent_index, t.index) for t in system.span]
+        best = best_rank = None
+        for candidate in gold.mentions():
+            if candidate in alignment.values():
+                continue
+            gold_nodes = {(t.sent_index, t.index) for t in candidate.span}
+            head = (candidate.head.sent_index, candidate.head.index)
+            if mode == "exact" and gold_nodes == set(nodes):
+                rank = extent(candidate)
+            elif (mode == "head" and head in nodes
+                  and gold_nodes >= set(nodes)):
+                rank = (extent(candidate), nodes.index(head))
+            else:
+                continue
+            if best is None or rank < best_rank:
+                best, best_rank = candidate, rank
+        if best is not None:
+            alignment[system] = best
+    return alignment
+
+
+@settings(max_examples=300, deadline=None)
+@given(_aligned_sides())
+def test_alignment_matches_a_scan_of_every_gold_mention(sides):
+    gold, pred = sides
+    for mode in ("exact", "head"):
+        assert (align_mentions(gold, pred, mode)
+                == _reference_alignment(gold, pred, mode))
 
 
 # -------------------------------------------------- dataset-level scoring
