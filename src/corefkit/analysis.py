@@ -301,8 +301,13 @@ def load_mention_vectors(path: str | Path) -> MentionVectors:
             try:
                 sent_index = int(fields[1])
             except ValueError:
+                sent_index = -1
+            # only the text export-features writes, str() of a count, so
+            # that one sentence has one key: no sign, space, underscore,
+            # leading zero or non-ASCII digit
+            if sent_index < 0 or str(sent_index) != fields[1]:
                 raise ParseError(f"sentence index {fields[1]!r} is not an "
-                                 f"integer", filename, line_no) from None
+                                 f"integer", filename, line_no)
             try:
                 vector = tuple(float(x) for x in fields[3:])
             except ValueError:

@@ -5,32 +5,32 @@ deterministic: percentages with 2 decimals, scores with 6, fixed ordering.
 Logs go to stderr only; the COREFUD_DATA environment variable supplies the
 default corpus root.
 
-Start-up is most of a run on small inputs, so `metrics`, `errors`,
-`features` and the process pool are imported by the code that uses them,
-and each process loads only what its subcommand runs.
+Start-up is most of a run on small inputs, so at import this module loads
+only `model`, whose constants name the choices of every option. Every other
+corefkit module, `json`, `fractions` and the process pool are imported by
+the code that uses them, and each process loads only what its subcommand
+runs: `taxonomy` reads no corpus, and `validate` computes no statistic.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import re
 import sys
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
-from . import analysis, taxonomy
-from .conllu import parse_file
-from .corpora import SPLITS, DatasetFiles, discover_datasets, pair_datasets
 from .model import (DEFAULT_GENRE_PATTERN, HEAD_RULES, MATCH_MODES,
-                    SINGLETON_POLICIES, UNRESOLVED_DEFINITIONS, Corpus,
-                    DataError)
-from .reports import DatasetReport, fixed, ratio, tsv
-from .taxonomy import MentionType
+                    SINGLETON_POLICIES, SPLITS, UNRESOLVED_DEFINITIONS,
+                    Corpus, DataError)
+
+if TYPE_CHECKING:
+    from .analysis import MentionVectors
+    from .corpora import DatasetFiles
+    from .reports import DatasetReport
 
 log = logging.getLogger("corefkit")
 
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isdigit() and text.isascii()) or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
     return int(text)
@@ -77,6 +77,7 @@ def _no_files(root: Path, split: str | None) -> CliError:
 
 
 def _datasets(args) -> list[DatasetFiles]:
+    from .corpora import discover_datasets
     given = args.input or os.environ.get("COREFUD_DATA")
     if not given:
         raise CliError("no input given and COREFUD_DATA is not set")
@@ -98,6 +99,7 @@ def _emit(args, name: str, text: str) -> None:
 
 
 def _json(payload) -> str:
+    import json
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -113,6 +115,7 @@ def _map_files(worker, jobs_args: list, jobs: int) -> list:
 # ---------------------------------------------------------------- validate
 
 def cmd_validate(args) -> int:
+    from .conllu import parse_file
     for dataset in _datasets(args):
         for path in sorted(dataset.files):
             corpus = parse_file(path, dataset=dataset.name,
@@ -146,7 +149,7 @@ class SumsByKey(dict):
 class StatOptions(NamedTuple):
     head_rule: str = "annotated"
     genre_pattern: str = DEFAULT_GENRE_PATTERN
-    vectors: analysis.MentionVectors | None = None
+    vectors: MentionVectors | None = None
 
 
 @dataclass(frozen=True)
@@ -168,11 +171,13 @@ class Table:
         return self.formats.get(column, str)(value)
 
     def to_tsv(self) -> str:
+        from .reports import tsv
         return tsv(self.columns, ([self._text(c, v) for c, v
                                    in zip(self.columns, row)]
                                   for row in self.rows))
 
     def as_json(self) -> list[dict] | dict:
+        from fractions import Fraction
         records = [{c: float(v) if isinstance(v, Fraction) else v
                     for c, v in zip(self.columns, row)} for row in self.rows]
         return records if self.keys else records[0]
@@ -199,11 +204,18 @@ class Statistic:
     needs_vectors: bool = False
 
 
+def _analysis():
+    """The analysis module, imported when a statistic first runs."""
+    from . import analysis
+    return analysis
+
+
 def _labelled(report: DatasetReport, name: str) -> DatasetReport:
     return replace(report, dataset=name)
 
 
 def _ranking_table(counts: dict, name: str) -> Table:
+    from .taxonomy import MentionType
     rows = []
     for mtype in MentionType:
         ranking = sorted(counts[mtype].items(),
@@ -215,6 +227,7 @@ def _ranking_table(counts: dict, name: str) -> Table:
 
 
 def _competing_table(stats: tuple, name: str) -> Table:
+    from .reports import fixed, ratio
     rows = [(s.kind.value, s.n_pronouns, s.n_valid,
              ratio(s.n_valid, s.n_pronouns, 100), s.mean_competitors)
             for s in stats]
@@ -225,48 +238,55 @@ def _competing_table(stats: tuple, name: str) -> Table:
 
 
 def _genre_table(counts: tuple, name: str) -> Table:
+    from .reports import fixed
     return Table(("genre", "pronouns_per_8000"),
-                 analysis.genre_rates(*counts), keys=("genre",),
+                 _analysis().genre_rates(*counts), keys=("genre",),
                  figure=("pronouns_per_8000",),
                  formats={"pronouns_per_8000": fixed})
 
 
 def _distance_table(moments: tuple, name: str) -> Table:
-    mean, variance = analysis.moments_to_mean_variance(*moments)
+    from .reports import fixed
+    mean, variance = _analysis().moments_to_mean_variance(*moments)
     return Table(("pairs", "mean", "variance"),
                  [(moments[0], mean, variance)], figure=("mean", "variance"),
                  formats=dict.fromkeys(("mean", "variance"),
                                        partial(fixed, decimals=6)))
 
 
+def _competing(corpus: Corpus, options: StatOptions) -> Sums:
+    from .taxonomy import MentionType
+    return Sums(_analysis().competing_antecedents(corpus, kind,
+                                                  options.head_rule)
+                for kind in (MentionType.OVERT_PRONOUN,
+                             MentionType.ZERO_PRONOUN))
+
+
 # The analysis functions are looked up when an entry runs, not stored here,
-# so that rebinding a module attribute (as a tracer does) reaches them.
+# so that the analysis module loads only with a statistic, and so that
+# rebinding a module attribute (as a tracer does) reaches them.
 STATISTICS: dict[str, Statistic] = {
     "head-position": Statistic(
-        lambda c, o: analysis.head_position_stats(c, o.head_rule),
+        lambda c, o: _analysis().head_position_stats(c, o.head_rule),
         _labelled),
     "mention-types": Statistic(
-        lambda c, o: analysis.mention_type_distribution(c, o.head_rule),
+        lambda c, o: _analysis().mention_type_distribution(c, o.head_rule),
         _labelled),
     "anaphor-antecedent": Statistic(
         lambda c, o: SumsByKey(
-            analysis.antecedent_category_counts(c, o.head_rule)),
+            _analysis().antecedent_category_counts(c, o.head_rule)),
         _ranking_table),
     "first-mention": Statistic(
-        lambda c, o: analysis.first_mention_stats(c, o.head_rule),
+        lambda c, o: _analysis().first_mention_stats(c, o.head_rule),
         _labelled),
     "entity-size": Statistic(
-        lambda c, o: analysis.entity_size_stats(c), _labelled),
-    "competing": Statistic(
-        lambda c, o: Sums(
-            analysis.competing_antecedents(c, kind, o.head_rule)
-            for kind in (MentionType.OVERT_PRONOUN, MentionType.ZERO_PRONOUN)),
-        _competing_table),
+        lambda c, o: _analysis().entity_size_stats(c), _labelled),
+    "competing": Statistic(_competing, _competing_table),
     "genre": Statistic(
-        lambda c, o: Sums(analysis.genre_counts(c, o.genre_pattern)),
+        lambda c, o: Sums(_analysis().genre_counts(c, o.genre_pattern)),
         _genre_table),
     "semantic-distance": Statistic(
-        lambda c, o: Sums(analysis.distance_moments(c, o.vectors)),
+        lambda c, o: Sums(_analysis().distance_moments(c, o.vectors)),
         _distance_table, needs_vectors=True),
 }
 
@@ -286,6 +306,7 @@ def pool(items: Iterable[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def _parse_and_compute(task: tuple[str, str, str], compute: Callable) -> Any:
+    from .conllu import parse_file
     path, name, language = task
     return compute(parse_file(Path(path), dataset=name, language=language))
 
@@ -306,8 +327,9 @@ def pool_groups(groups: dict[str, list[DatasetFiles]], compute: Callable,
 
 
 def cmd_stats(args) -> int:
+    from .reports import tsv
     pooled = pool_groups({d.name: [d] for d in _datasets(args)},
-                         analysis.corpus_statistics, args.jobs)
+                         _analysis().corpus_statistics, args.jobs)
     reports = list(pooled.values())
     if args.format == "json":
         _emit(args, "stats.json", _json([r.as_json() for r in reports]))
@@ -320,13 +342,15 @@ def cmd_stats(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .reports import tsv
     stats = tuple(dict.fromkeys(args.stat or (
         name for name, s in STATISTICS.items() if not s.needs_vectors)))
     needing = [stat for stat in stats if STATISTICS[stat].needs_vectors]
     if needing and not args.vectors:
         raise CliError(f"--vectors is required for {needing[0]}")
     datasets = _datasets(args)
-    vectors = analysis.load_mention_vectors(args.vectors) if needing else None
+    vectors = (_analysis().load_mention_vectors(args.vectors) if needing
+               else None)
     groups: dict[str, list[DatasetFiles]] = {}
     for dataset in datasets:
         key = dataset.language if args.by_language else dataset.name
@@ -358,6 +382,7 @@ def _dataset_pairs(args) -> Iterator[tuple[str, list]]:
     loading one dataset at a time. A gold dataset without a system file is
     a data error; system datasets without gold are ignored."""
     from . import metrics
+    from .corpora import discover_datasets, pair_datasets
     gold, pred = _existing(args.gold), _existing(args.pred)
     names = [d.name for d in discover_datasets(gold, args.split)]
     if not names:
@@ -379,6 +404,7 @@ _SCORE_COLUMNS = ("dataset", "muc_p", "muc_r", "muc_f1", "b3_p", "b3_r",
 
 def cmd_score(args) -> int:
     from . import metrics
+    from .reports import fixed, tsv
     # A dataset without documents has no score: n/a, and no part in macro.
     rows = [(name, metrics.score_pairs(pairs, args.match, args.singletons)
              if pairs else None)
@@ -414,6 +440,7 @@ _ERROR_COLUMNS = ("unresolved_pct", "two_mention_pct", "undetected_pct",
 
 def cmd_errors(args) -> int:
     from . import errors
+    from .reports import fixed, ratio, tsv
     want_detail = args.detail or bool(args.out)
     details: list[dict] = []
     reports = [errors.analyze_errors(pairs, args.mode, args.definition,
@@ -481,6 +508,8 @@ def cmd_export_features(args) -> int:
 # ---------------------------------------------------------------- taxonomy
 
 def cmd_taxonomy(args) -> int:
+    from . import taxonomy
+    from .reports import tsv
     _emit(args, "taxonomy.tsv", tsv(("category", "name", "relations"),
                                     taxonomy.category_table()))
     return 0

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .conllu import parse_file
-from .model import Corpus
+from .model import SPLITS, Corpus
 
-SPLITS = ("train", "dev", "test")
 _CANONICAL = re.compile(
     rf"^(?P<dataset>[A-Za-z0-9_.]+?)-corefud-(?P<split>{'|'.join(SPLITS)})$")
 

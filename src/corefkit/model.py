@@ -9,9 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 HEAD_RULES = ("annotated", "syntactic")
-# The choices of metrics.align_mentions, metrics.ClusterSet and
-# errors.analyze_errors, and analysis.genre_counts's default. They live here
-# so that the command line can offer them without importing those modules.
+# The choices of corpora.discover_datasets, metrics.align_mentions,
+# metrics.ClusterSet and errors.analyze_errors, and analysis.genre_counts's
+# default. They live here so that the command line can offer them without
+# importing those modules.
+SPLITS = ("train", "dev", "test")
 MATCH_MODES = ("exact", "head")
 SINGLETON_POLICIES = ("include", "exclude")
 UNRESOLVED_DEFINITIONS = ("links", "membership")

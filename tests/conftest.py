@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 
+import corefkit
 from corefkit import parse_conllu, parse_file
 from corefkit.model import parse_kv_items
 
 DATA = Path(__file__).parent / "data"
+
+# The environment of a new interpreter that imports this corefkit. argparse
+# wraps help text at $COLUMNS, else at the width of a terminal.
+FRESH_ENV = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(corefkit.__file__).resolve().parent.parent),
+                  os.environ.get("PYTHONPATH")])))
 
 
 def tok(index, form, upos="NOUN", head=0, deprel="root", feats="_",

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import os
+import logging
 import pickle
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from corefkit.conllu import ParseError
 from corefkit.features import WordOrderError
 from corefkit.metrics import AlignmentError
 from corefkit.model import DataError
-from conftest import DATA, tok
+from conftest import DATA, FRESH_ENV, tok
 
 GOLD_DIR = str(DATA / "score" / "gold")
 PRED_DIR = str(DATA / "score" / "pred")
@@ -323,6 +324,9 @@ def test_analyze_missing_vectors_same_error_with_jobs(capsys):
     ("fixture-doc1\t0\t1,2,3", "expected at least 4 columns, got 3"),
     ("fixture-doc1\tx\t1,2,3\t1.0\t2.0", "sentence index 'x' is not an "
                                           "integer"),
+    *((f"fixture-doc1\t{index}\t1,2,3\t1.0\t2.0",
+       f"sentence index {index!r} is not an integer")
+      for index in ("+1", " 1", "01", "0_1", "\u0661", "-1", "")),
     ("fixture-doc1\t0\t1,2,3\t1.0\tx", "non-numeric component"),
     ("fixture-doc1\t0\t1,2,3\t1.0\tnan", "non-finite component"),
     ("fixture-doc1\t0\t1,2,3\t1.0\tinf", "non-finite component"),
@@ -330,7 +334,9 @@ def test_analyze_missing_vectors_same_error_with_jobs(capsys):
     ("fixture-doc1\t0\t1,2,3\t1.0", "dimension 1 != 2"),
     ("fixture-doc1\t1\t1\t104.0\t6.0",
      "duplicate key ('fixture-doc1', 1, '1')"),
-], ids=["columns", "sentence-index", "non-numeric", "nan", "inf",
+], ids=["columns", "sentence-index", "index-plus", "index-space",
+        "index-leading-zero", "index-underscore", "index-arabic-indic-digit",
+        "index-negative", "index-empty", "non-numeric", "nan", "inf",
         "norm", "dimension", "duplicate"])
 def test_analyze_malformed_vectors_exit_2(tmp_path, capsys, line, problem):
     vectors = tmp_path / "vectors.tsv"
@@ -448,9 +454,6 @@ def test_commands_that_print_no_head_resolve_none(capsys, monkeypatch, argv):
 # subcommand loads, and how an error from a module it loads late is
 # reported, shows only in a new interpreter.
 
-_SRC = str(Path(corefkit.__file__).resolve().parent.parent)
-_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
 # Runs main on its arguments, then prints the loaded module names as the
 # last line of stderr and exits with main's code.
 _PROBE = ("import json, sys\n"
@@ -464,14 +467,15 @@ _PROBE = ("import json, sys\n"
 def fresh(*argv) -> subprocess.CompletedProcess:
     """`python -m corefkit argv` in a new interpreter."""
     return subprocess.run([sys.executable, "-m", "corefkit", *argv],
-                          env=_ENV, capture_output=True, text=True,
+                          env=FRESH_ENV, capture_output=True, text=True,
                           timeout=120)
 
 
 def fresh_modules(*argv) -> set[str]:
     """The modules a new interpreter holds after main(argv) returned 0."""
-    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=_ENV,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv],
+                          env=FRESH_ENV, capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stderr.splitlines()[-1]))
 
@@ -481,34 +485,34 @@ def test_score_imports_neither_scipy_nor_numpy():
     assert "scipy" not in modules and "numpy" not in modules
 
 
-# Every process loads the package, cli and what they import; analysis and
-# reports come with cli, since its statistics table names them.
-_ALWAYS = {"corefkit", "corefkit.cli", "corefkit.corpora", "corefkit.conllu",
-           "corefkit.model", "corefkit.taxonomy", "corefkit.analysis",
-           "corefkit.reports"}
+# The corefkit modules each subcommand loads besides the package itself:
+# cli and model always, the parser stack only to read a corpus, and the
+# statistics only when some are computed.
+_VALIDATE = {"cli", "model", "corpora", "conllu"}
+_STATISTICS = _VALIDATE | {"analysis", "reports", "taxonomy"}
 
 
-@pytest.mark.parametrize("argv, extra, pool", [
-    (["taxonomy"], set(), False),
-    (["validate", str(DATA)], set(), False),
-    (["stats", str(DATA)], set(), False),
-    (["analyze", str(DATA)], set(), False),
+@pytest.mark.parametrize("argv, loaded, pool", [
+    (["taxonomy"], {"cli", "model", "reports", "taxonomy"}, False),
+    (["validate", str(DATA)], _VALIDATE, False),
+    (["stats", str(DATA)], _STATISTICS, False),
+    (["analyze", str(DATA)], _STATISTICS, False),
     (["score", "--gold", GOLD_DIR, "--pred", PRED_DIR],
-     {"corefkit.metrics"}, False),
+     _VALIDATE | {"metrics", "reports"}, False),
     (["errors", "--gold", GOLD_DIR, "--pred", PRED_DIR],
-     {"corefkit.metrics", "corefkit.errors"}, False),
+     _VALIDATE | {"metrics", "errors", "reports", "taxonomy"}, False),
     (["export-features", GOLD_DIR, "--word-order", WORD_ORDER, "--out",
-      "{tmp}"], {"corefkit.features"}, False),
-    (["stats", str(DATA), "--jobs", "2"], set(), True),
-    (["analyze", str(DATA), "--jobs", "2"], set(), True),
-    (["stats", GOLD_DIR, "--jobs", "2"], set(), False),
+      "{tmp}"], _VALIDATE | {"features", "taxonomy"}, False),
+    (["stats", str(DATA), "--jobs", "2"], _STATISTICS, True),
+    (["analyze", str(DATA), "--jobs", "2"], _STATISTICS, True),
+    (["stats", GOLD_DIR, "--jobs", "2"], _STATISTICS, False),
 ], ids=["taxonomy", "validate", "stats", "analyze", "score", "errors",
         "export-features", "stats-jobs", "analyze-jobs",
         "stats-jobs-one-file"])
-def test_subcommand_imports_only_what_it_runs(tmp_path, argv, extra, pool):
+def test_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded, pool):
     modules = fresh_modules(*(a.format(tmp=tmp_path) for a in argv))
     assert {m for m in modules if m.startswith("corefkit")} == \
-        _ALWAYS | extra
+        {"corefkit"} | {f"corefkit.{name}" for name in loaded}
     # the process pool, and multiprocessing with it, only when one starts
     assert ("concurrent.futures.process" in modules) is pool
     assert ("multiprocessing" in modules) is pool
@@ -559,6 +563,74 @@ def test_analyze_jobs_print_the_same_bytes_in_a_fresh_process():
     parallel = fresh("analyze", str(DATA), "--jobs", "2")
     assert sequential.returncode == parallel.returncode == 0
     assert sequential.stdout == parallel.stdout != ""
+
+
+_SUBCOMMANDS = ("validate", "stats", "analyze", "score", "errors",
+                "export-features", "taxonomy")
+_PAIR = ("--gold", GOLD_DIR, "--pred", PRED_DIR)
+_EXPORT = ("export-features", GOLD_DIR, "--word-order", WORD_ORDER,
+           "--out", "{out}")
+
+
+@contextmanager
+def _unconfigured_logging():
+    """The root logger without handlers, as in a new interpreter, so that
+    main's logging.basicConfig takes effect; the handlers come back after."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    try:
+        yield
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+
+
+def _written(out: Path) -> dict[str, bytes]:
+    return ({path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            if out.exists() else {})
+
+
+# Each run once in-process and once in a new interpreter: a module that
+# only a late branch imports is already loaded in the test process.
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    *((name, "--help") for name in _SUBCOMMANDS),
+    ("stats", str(DATA), "--format", "json"),
+    ("stats", str(DATA), "--out", "{out}"),
+    ("stats", str(DATA), "--jobs", "2"),
+    ("analyze", str(DATA), "--format", "json"),
+    ("analyze", str(DATA), "--figure-data", "--out", "{out}"),
+    ("analyze", str(DATA), "--jobs", "2"),
+    ("analyze", str(DATA / "basic.conllu"), "--stat", "semantic-distance",
+     "--vectors", str(DATA / "vectors.tsv")),
+    ("score", *_PAIR),
+    ("score", *_PAIR, "--format", "json"),
+    ("errors", *_PAIR, "--detail"),
+    ("errors", *_PAIR, "--detail", "--format", "json"),
+    _EXPORT,
+    (*_EXPORT, "--target", "spans", "--max-width", "3"),
+    ("taxonomy", "--out", "{out}"),
+], ids=["help", *(f"{name}-help" for name in _SUBCOMMANDS), "stats-json",
+        "stats-out", "stats-jobs", "analyze-json", "analyze-figure-data",
+        "analyze-jobs", "analyze-semantic-distance", "score-tsv",
+        "score-json", "errors-detail-tsv", "errors-detail-json",
+        "export-gold", "export-spans", "taxonomy-out"])
+def test_a_fresh_process_runs_like_main_in_process(tmp_path, capsys,
+                                                   monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", FRESH_ENV["COLUMNS"])
+    here, there = tmp_path / "in-process", tmp_path / "fresh"
+    with _unconfigured_logging():
+        try:
+            code = main([arg.format(out=here) for arg in argv])
+        except SystemExit as exc:  # --help
+            code = exc.code
+    captured = capsys.readouterr()
+    done = fresh(*(arg.format(out=there) for arg in argv))
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (code, captured.out, captured.err)
+    assert code == 0 and (captured.out or _written(here))
+    assert _written(there) == _written(here)
 
 
 @pytest.mark.parametrize("error, base", [
@@ -707,12 +779,18 @@ def test_options_without_effect_are_rejected(tmp_path, capsys, argv):
      "argument --jobs: expected a positive integer, got '-3'"),
     (["stats", GOLD_DIR, "--jobs", "two"],
      "argument --jobs: expected a positive integer, got 'two'"),
+    (["analyze", str(DATA / "basic.conllu"), "--jobs", "\u0662"],
+     "argument --jobs: expected a positive integer, got '\u0662'"),
+    (["export-features", GOLD_DIR, "--word-order", WORD_ORDER,
+      "--out", "{out}", "--target", "spans", "--max-width", "\u0662"],
+     "argument --max-width: expected a positive integer, got '\u0662'"),
     (["analyze", GOLD_DIR, "--stat", "entity-size", "--vectors",
       "{out}/vectors.tsv"],
      "--vectors is only read by semantic-distance"),
 ], ids=["genre-pattern-without-group", "genre-pattern-invalid",
         "max-width-0", "spans-annotated-head", "jobs-0", "jobs-negative",
-        "jobs-not-a-number", "vectors-without-semantic-distance"])
+        "jobs-not-a-number", "jobs-arabic-indic-digit",
+        "max-width-arabic-indic-digit", "vectors-without-semantic-distance"])
 def test_bad_option_values_exit_1(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as excinfo:
