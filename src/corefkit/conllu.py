@@ -18,8 +18,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .model import (Corpus, DataError, Document, Entity, Mention, Sentence,
-                    Token)
+from .model import (MAX_DIGITS, Corpus, DataError, Document, Entity, Mention,
+                    Sentence, Token)
 
 log = logging.getLogger(__name__)
 
@@ -205,8 +205,10 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                 f"non-monotonic token index {index} after {n - 1}",
                 filename, line_no)
         elif match := _RANGE.match(index):
-            start, end = int(match.group(1)), int(match.group(2))
-            if start != n or not prev_range_end < start <= end:
+            start, end = match.groups()
+            # an end of more than MAX_DIGITS digits names no token
+            end = int(end) if len(end) <= MAX_DIGITS else 0
+            if start != ids[n] or not prev_range_end < n <= end:
                 raise ParseError(f"non-monotonic token range {index}",
                                  filename, line_no)
             prev_range_end = end
@@ -214,11 +216,11 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
             sentence.mwt_ranges.append((len(tokens), tuple(cols)))
             continue
         elif match := _EMPTY.match(index):
-            major, minor = int(match.group(1)), int(match.group(2))
-            if major != n - 1 or minor != prev_empty_minor + 1:
+            major, minor = match.groups()
+            if major != ids[n - 1] or minor != str(prev_empty_minor + 1):
                 raise ParseError(f"non-monotonic empty-node index {index}",
                                  filename, line_no)
-            prev_empty_minor = minor
+            prev_empty_minor += 1
             index = share(index, index)
             is_empty = True
         else:
@@ -226,7 +228,8 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                              filename, line_no)
         head_value = head_values.get(head, -1)
         if head_value == -1:
-            if not (head.isdigit() and head.isascii() and head[0] != "0"):
+            if not (head.isdigit() and head.isascii() and head[0] != "0"
+                    and len(head) <= MAX_DIGITS):
                 raise ParseError(f"malformed HEAD value {head!r}",
                                  filename, line_no)
             head_value = head_values[head] = int(head)
@@ -282,7 +285,7 @@ def _check_heads(sentence: Sentence, heads: list[int], filename: str) -> None:
         # a surface id is a number 1..n without a leading zero
         if parent is not None and parent not in empty and not (
                 parent.isdigit() and parent.isascii() and parent[0] != "0"
-                and int(parent) <= n):
+                and len(parent) <= MAX_DIGITS and int(parent) <= n):
             raise _node_error(sentence, index, f"empty node {index} DEPS head "
                               f"{parent} refers to a nonexistent node",
                               filename)
@@ -411,11 +414,12 @@ def resolve_entities(document: Document, filename: str = "",
             span = flat[first:position + 1]
             if bracket_id[-1] == "]" and (
                     suffix := _PART_SUFFIX.match(bracket_id)):
-                eid, part_i, part_n = (suffix.group(1), int(suffix.group(2)),
-                                       int(suffix.group(3)))
-                if not 1 <= part_i <= part_n:
+                eid, i_text, n_text = suffix.groups()
+                if max(len(i_text), len(n_text)) > MAX_DIGITS \
+                        or not 1 <= int(i_text) <= int(n_text):
                     raise ParseError(f"invalid part index in {bracket_id!r}",
                                      filename, _line(document, token))
+                part_i, part_n = int(i_text), int(n_text)
                 state = pending.pop(eid, None)
                 if part_i == 1:
                     if state is not None:

@@ -32,6 +32,12 @@ class DataError(Exception):
 ROOT = -1
 UNKNOWN = -2
 
+# The most digits a numeral that names a node, a HEAD or a part may have.
+# int() reads this many under any limit sys.set_int_max_str_digits allows,
+# and no sentence or document has nodes or parts to need more; so a longer
+# numeral is malformed, and int() is not asked to read it.
+MAX_DIGITS = 640
+
 
 def parse_kv_items(raw: str) -> list[tuple[str, str | None]]:
     """Split a FEATS/MISC column into ordered (name, value) pairs.
@@ -267,7 +273,7 @@ def mention_head(mention: Mention, document: Document | Mention,
     holds its document's sentence list, can stand in for its document.
 
     An explicit head attribute from the entity annotation (1-based position
-    within the span, in ASCII digits) wins when present and
+    within the span, in at most MAX_DIGITS ASCII digits) wins when present and
     ``prefer_annotated`` is set.
     Otherwise the syntactic head: the span token closest to the root, the
     leftmost on a tie (span tokens are in document order). Depth falls by
@@ -280,7 +286,8 @@ def mention_head(mention: Mention, document: Document | Mention,
         return span[0]
     if prefer_annotated:
         annotated = mention.attributes.get("head", "")
-        if annotated.isdigit() and annotated.isascii():
+        if annotated.isdigit() and annotated.isascii() \
+                and len(annotated) <= MAX_DIGITS:
             i = int(annotated)
             if 1 <= i <= len(span):
                 return span[i - 1]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import json
 import logging
 import pickle
@@ -887,3 +888,177 @@ def test_analyze_repeated_stat_runs_once(capsys):
     assert headers == ["## en_pairset.genre.tsv",
                        "## en_pairset.entity-size.tsv", "## figure_data.tsv"]
     assert out.count("genre\ten_pairset\t") == 1
+
+
+# ------------------------------------------------------ oversized numerals
+#
+# int() refuses numerals of more than 4,300 digits by default; each of
+# these used to end in that ValueError's traceback.
+
+_HUGE = "1" * 5000
+
+
+def _empty_node(index, deps="1:nsubj"):
+    return "\t".join((index, "_", "_", "PRON", "_", "_", "_", "_", deps, "_"))
+
+
+@pytest.mark.parametrize("command, block, line, problem", [
+    ("validate", lambda n: [tok(1, "a", head=n)], 3, "malformed HEAD value"),
+    ("validate", lambda n: [f"1-{n}\t_\t_\t_\t_\t_\t_\t_\t_\t_",
+                            tok(1, "a"), tok(2, "b", head=1, deprel="dep")],
+     3, "non-monotonic token range"),
+    ("validate", lambda n: [tok(1, "a"), _empty_node(f"1.{n}")], 4,
+     "non-monotonic empty-node index"),
+    ("validate", lambda n: [tok(1, "a", misc=f"Entity=(e1[1/{n}]-x-1-)")],
+     3, "invalid part index"),
+    ("validate", lambda n: [tok(1, "a"), _empty_node("1.1", f"{n}:nsubj")],
+     4, "empty node 1.1 DEPS head"),
+    # an annotated head falls back to the syntactic head, as 'x' does
+    ("analyze", lambda n: [tok(1, "a", misc=f"Entity=(e1-x-{n}-"),
+                           tok(2, "b", head=1, deprel="dep",
+                               misc="Entity=e1)")], None, None),
+], ids=["head", "range-end", "empty-node-index", "part-count", "deps-head",
+        "annotated-head"])
+def test_an_oversized_numeral_is_a_parse_error_or_falls_back(
+        tmp_path, capsys, command, block, line, problem):
+    def run_on(numeral):
+        path = tmp_path / "big.conllu"
+        path.write_text("\n".join(["# newdoc id = d", "# sent_id = s1",
+                                   *block(numeral), "", ""]),
+                        encoding="utf-8")
+        return path, run(capsys, command, str(path))
+
+    path, (code, out, err) = run_on(_HUGE)
+    if problem is None:
+        assert (code, out, err) == run_on("x")[1]
+        assert code == 0
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"corefkit: error: {path}:{line}: {problem} ")
+
+
+# -------------------------------------------------------------- collector
+#
+# main runs with the cyclic collector off: a parsed corpus holds no
+# reference cycle, so a collection would only re-walk every Token.
+
+def _fixture_runs(root: Path) -> dict[str, tuple[str, ...]]:
+    """One command line per subcommand that reads a corpus, on the fixtures
+    copied under root."""
+    gold, pred = root / "score" / "gold", root / "score" / "pred"
+    pair = ("--gold", str(gold), "--pred", str(pred))
+    export = ("export-features", str(gold), "--word-order", WORD_ORDER,
+              "--out", str(root / "export"))
+    return {
+        "validate": ("validate", str(root / "basic.conllu")),
+        "stats": ("stats", str(root / "basic.conllu")),
+        "analyze": ("analyze", str(root / "basic.conllu")),
+        "score-exact": ("score", *pair),
+        "score-head": ("score", *pair, "--match", "head"),
+        "errors": ("errors", *pair, "--detail"),
+        "export-gold": export,
+        "export-spans": (*export, "--target", "spans"),
+    }
+
+
+def _copy_fixtures(root: Path, copies: int = 1) -> Path:
+    """basic.conllu and the score pair under root, each document repeated
+    copies times under new doc ids."""
+    for name in ("basic.conllu", "score/gold/en_pairset-corefud-dev.conllu",
+                 "score/pred/en_pairset.conllu"):
+        documents = (DATA / name).read_text(encoding="utf-8").split(
+            "# newdoc id = ")[1:]
+        target = root / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text("".join(
+            f"# newdoc id = copy{k}-{document}" for document in documents
+            for k in range(copies)), encoding="utf-8")
+    return root
+
+
+@contextmanager
+def _collector(enabled: bool):
+    """The cyclic collector switched on or off; its state comes back."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+_RUNS = list(_fixture_runs(Path()))  # their names
+
+
+@pytest.mark.parametrize("name", _RUNS)
+def test_main_runs_no_collection(tmp_path, capsys, name):
+    argv = _fixture_runs(_copy_fixtures(tmp_path))[name]
+    during_main: list[int] = []
+
+    def record(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(1)  # the frame whose allocation collects
+        while frame is not None and frame.f_code is not main.__code__:
+            frame = frame.f_back
+        if frame is not None:
+            during_main.append(info["generation"])
+    thresholds = gc.get_threshold()
+    gc.callbacks.append(record)
+    gc.set_threshold(1)  # with the collector on, every allocation collects
+    try:
+        with _collector(True):
+            assert main(list(argv)) == 0
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.callbacks.remove(record)
+    assert during_main == []
+
+
+def _raise_in_command(args):
+    raise RuntimeError("a fault in a command")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, outcome", [
+    (("validate", str(DATA / "basic.conllu")), 0),
+    (("validate", str(DATA / "no-such-file.conllu")), 2),
+    (("validate", "--no-such-flag"), SystemExit),
+    (("analyze", str(DATA), "--vectors", str(DATA / "vectors.tsv")),
+     SystemExit),
+    (("taxonomy", "--help"), SystemExit),
+    (("validate", str(DATA / "basic.conllu")), RuntimeError),
+], ids=["success", "data-error", "usage-error", "parser-error", "help",
+        "exception"])
+def test_main_gives_the_collector_back_as_it_found_it(
+        capsys, monkeypatch, enabled, argv, outcome):
+    if outcome is RuntimeError:
+        monkeypatch.setattr("corefkit.cli.cmd_validate", _raise_in_command)
+    with _collector(enabled):
+        if isinstance(outcome, int):
+            assert main(list(argv)) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(list(argv))
+        assert gc.isenabled() is enabled
+
+
+def _garbage_after(argv: tuple[str, ...]) -> int:
+    """The number of unreachable objects a run of main leaves, with the
+    collector off before, during and after it."""
+    with _collector(False):
+        gc.collect()
+        assert main(list(argv)) == 0
+        return gc.collect()
+
+
+@pytest.mark.parametrize("name", _RUNS)
+def test_a_run_leaves_the_same_cyclic_garbage_on_a_larger_corpus(
+        tmp_path, capsys, name):
+    # a reference cycle made per document, token or mention would leak
+    # while the collector is off; the cycles of argparse's parsers and
+    # json's encoder are the same on any corpus
+    once = _fixture_runs(_copy_fixtures(tmp_path / "once"))[name]
+    thrice = _fixture_runs(_copy_fixtures(tmp_path / "thrice", 3))[name]
+    _garbage_after(once)  # imports and caches of a first run
+    assert _garbage_after(thrice) == _garbage_after(once)
