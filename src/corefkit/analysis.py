@@ -367,10 +367,10 @@ def distance_moments(corpus: Corpus, vectors: MentionVectors,
     return count, Fraction(total, 1 << 1074), Fraction(total_sq, 1 << 2148)
 
 
-def moments_to_mean_variance(count: int, total: Fraction,
-                             total_sq: Fraction) -> tuple[float, float]:
-    """Mean and variance, each rounded once from its exact value."""
-    if count == 0:
-        return (0.0, 0.0)
-    mean = total / count
-    return (float(mean), float(total_sq / count - mean * mean))
+def moments_to_mean_variance(count: int, total: Fraction, total_sq: Fraction,
+                             ) -> tuple[Fraction | None, Fraction | None]:
+    """Mean and variance, exact; None for both when there are no pairs."""
+    mean = ratio(total, count)
+    if mean is None:
+        return None, None
+    return mean, ratio(total_sq, count) - mean * mean

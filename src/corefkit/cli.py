@@ -1,9 +1,10 @@
 """Command-line interface: one executable, one subcommand per pipeline.
 
-Exit codes: 0 success, 1 usage error, 2 data error. All reports are
-deterministic: percentages with 2 decimals, scores with 6, fixed ordering.
-Logs go to stderr only; the COREFUD_DATA environment variable supplies the
-default corpus root.
+Exit codes: 0 success, 1 usage error, 2 data error, 141 (128 + SIGPIPE)
+when the reader of stdout closed it before the report was written. All
+reports are deterministic: percentages with 2 decimals, scores with 6,
+fixed ordering. Logs go to stderr only; the COREFUD_DATA environment
+variable supplies the default corpus root.
 
 Start-up is most of a run on small inputs, so at import this module loads
 only `model`, whose constants name the choices of every option. Every other
@@ -106,7 +107,14 @@ def _emit(args, name: str, text: str) -> None:
 
 def _json(payload) -> str:
     import json
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    from fractions import Fraction
+
+    def exact(value):  # json's hook: a Fraction becomes its nearest float
+        if isinstance(value, Fraction):
+            return float(value)
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return json.dumps(payload, indent=2, ensure_ascii=False,
+                      default=exact) + "\n"
 
 
 def _map_files(worker, jobs_args: list, jobs: int) -> list:
@@ -162,10 +170,9 @@ class StatOptions(NamedTuple):
 class Table:
     """The rows of one pooled statistic, from which its TSV, JSON and figure
     data are all rendered. Cells hold exact values: `formats` gives a
-    column's TSV text (default str), and JSON writes fractions as floats.
-    `keys` are the columns naming a row in figure data and `figure` the
-    columns it exports; a table without keys has one row and renders as
-    one JSON object."""
+    column's TSV text (default str). `keys` are the columns naming a row in
+    figure data and `figure` the columns it exports; a table without keys
+    has one row and renders as one JSON object."""
 
     columns: tuple[str, ...]
     rows: list[tuple]
@@ -183,9 +190,7 @@ class Table:
                                   for row in self.rows))
 
     def as_json(self) -> list[dict] | dict:
-        from fractions import Fraction
-        records = [{c: float(v) if isinstance(v, Fraction) else v
-                    for c, v in zip(self.columns, row)} for row in self.rows]
+        records = [dict(zip(self.columns, row)) for row in self.rows]
         return records if self.keys else records[0]
 
     def figure_rows(self) -> list[tuple[str, str]]:
@@ -456,9 +461,7 @@ def cmd_errors(args) -> int:
 
     if args.format == "json":
         payload = [dict(dataset=r.dataset,
-                        **{c: (None if getattr(r, c) is None
-                               else float(getattr(r, c)))
-                           for c in _ERROR_COLUMNS},
+                        **{c: getattr(r, c) for c in _ERROR_COLUMNS},
                         undetected_types={t.value: n for t, n in sorted(
                             r.undetected.type_counts.items(),
                             key=lambda kv: kv[0].value)},
@@ -645,7 +648,16 @@ def _run(argv: list[str] | None) -> int:
             STATISTICS[stat].needs_vectors for stat in args.stat or ()):
         parser.error("analyze: --vectors is only read by semantic-distance")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout, so nothing is reported; what is still
+        # buffered goes to devnull, or the interpreter's last flush fails.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (DataError, OSError) as exc:
         print(f"corefkit: error: {exc}", file=sys.stderr)
         return 2

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from operator import add
 from typing import Hashable, Iterable, Iterator
 
 from .model import (MATCH_MODES, SINGLETON_POLICIES, Corpus, DataError,
                     Document, Mention)
+from .reports import ratio
 
 
 class AlignmentError(ValueError, DataError):
@@ -50,16 +52,15 @@ def document_pairs(gold: Corpus,
 
 @dataclass(frozen=True)
 class Scores:
-    precision: float
-    recall: float
-    f1: float
+    precision: Fraction
+    recall: Fraction
+    f1: Fraction
 
 
-def _prf(p_num: float, p_den: float, r_num: float, r_den: float) -> Scores:
-    precision = p_num / p_den if p_den > 0 else 0.0
-    recall = r_num / r_den if r_den > 0 else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall > 0 else 0.0)
+def _prf(p_num: Fraction, p_den: int, r_num: Fraction, r_den: int) -> Scores:
+    precision = ratio(p_num, p_den) or Fraction(0)
+    recall = ratio(r_num, r_den) or Fraction(0)
+    f1 = ratio(2 * precision * recall, precision + recall) or Fraction(0)
     return Scores(precision, recall, f1)
 
 
@@ -179,23 +180,20 @@ def muc(gold: ClusterSet, pred: ClusterSet) -> Scores:
 
 
 def _b_cubed_side(clusters: list[frozenset],
-                  other: list[frozenset]) -> tuple[float, int]:
+                  other: list[frozenset]) -> tuple[Fraction, int]:
     """Sum over the keys of |K∩R| / |K|, where K is the key's cluster and R
-    the other side's cluster holding it. The terms are added cluster by
-    cluster and, within one, in ascending index of R, so the float does not
-    depend on set iteration order."""
-    total = 0.0
+    the other side's cluster holding it: Σ_R |K∩R|² / |K| per cluster K."""
+    squares: dict[int, int] = {}
     for cluster, shared in zip(clusters, _overlaps(clusters, other)):
-        for index in sorted(shared):
-            count = shared[index]
-            value = count / len(cluster)
-            for _ in range(count):
-                total += value
-    return total, sum(len(c) for c in clusters)
+        size = len(cluster)
+        squares[size] = squares.get(size, 0) + sum(
+            count * count for count in shared.values())
+    return (sum(Fraction(n, size) for size, n in squares.items()),
+            sum(len(c) for c in clusters))
 
 
 def b_cubed_counts(gold: ClusterSet,
-                   pred: ClusterSet) -> tuple[float, int, float, int]:
+                   pred: ClusterSet) -> tuple[Fraction, int, Fraction, int]:
     return (*_b_cubed_side(pred.clusters, gold.clusters),
             *_b_cubed_side(gold.clusters, pred.clusters))
 
@@ -289,12 +287,10 @@ def _component_matches(rows: list[int], cols: list[int],
 
 
 def ceafe_counts(gold: ClusterSet,
-                 pred: ClusterSet) -> tuple[float, int, float, int]:
+                 pred: ClusterSet) -> tuple[Fraction, int, Fraction, int]:
     """Only clusters that share a key have φ > 0, so the optimal alignment
     is solved separately on each connected component of the gold/system
-    overlap graph. The matched φ are summed in gold cluster order."""
-    if not gold.clusters or not pred.clusters:
-        return (0.0, len(pred.clusters), 0.0, len(gold.clusters))
+    overlap graph. The matched φ are summed exactly."""
     overlaps = _overlaps(gold.clusters, pred.clusters)
     phi = {(g, p): _phi(gold.clusters[g], pred.clusters[p])
            for g, shared in enumerate(overlaps) for p in shared}
@@ -302,7 +298,7 @@ def ceafe_counts(gold: ClusterSet,
     for g, shared in enumerate(overlaps):
         for p in shared:
             golds_of.setdefault(p, []).append(g)
-    matched = [0.0] * len(gold.clusters)
+    matched: dict[int, int] = {}  # |K|+|R| -> Σ 2|K∩R| of matched pairs
     done = [False] * len(gold.clusters)
     for start, shared in enumerate(overlaps):
         if done[start] or not shared:
@@ -320,8 +316,10 @@ def ceafe_counts(gold: ClusterSet,
         for g in rows:
             done[g] = True
         for g, p in _component_matches(sorted(rows), sorted(cols), phi):
-            matched[g] = phi.get((g, p), 0.0)
-    best = sum(matched)
+            if p in overlaps[g]:
+                size = len(gold.clusters[g]) + len(pred.clusters[p])
+                matched[size] = matched.get(size, 0) + 2 * overlaps[g][p]
+    best = sum(Fraction(n, size) for size, n in matched.items())
     return (best, len(pred.clusters), best, len(gold.clusters))
 
 
@@ -338,11 +336,11 @@ class ScoreReport:
     ceafe: Scores
 
     @property
-    def conll_f1(self) -> float:
+    def conll_f1(self) -> Fraction:
         return (self.muc.f1 + self.b_cubed.f1 + self.ceafe.f1) / 3
 
 
-def macro_average(values: list[float]) -> float:
+def macro_average(values: list[Fraction]) -> Fraction:
     """Unweighted mean over datasets."""
     if not values:
         raise ValueError("macro average of an empty list")
@@ -374,7 +372,7 @@ def score_pairs(pairs: Iterable[tuple[Document, Document]],
                 singleton_policy: str = "exclude") -> ScoreReport:
     """Score aligned (gold, system) document pairs, summing the MUC, B³ and
     CEAFe counts of every pair before computing the scores."""
-    totals = [(0.0, 0.0, 0.0, 0.0)] * 3
+    totals = [(0, 0, 0, 0)] * 3
     for gold, pred in pairs:
         gold_set, pred_set = remapped_cluster_set(gold, pred, mode,
                                                   singleton_policy)

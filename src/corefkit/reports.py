@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 
-def ratio(numerator: int | Fraction, denominator: int,
+def ratio(numerator: int | Fraction, denominator: int | Fraction,
           scale: int = 1) -> Fraction | None:
     """numerator / denominator * scale, exact; None when the denominator is
     0, since an empty ratio has no value."""

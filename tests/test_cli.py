@@ -1,24 +1,30 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import gc
+import importlib.util
 import json
 import logging
+import os
 import pickle
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import corefkit
 from corefkit.analysis import MissingVectorError
-from corefkit.cli import CliError, main
+from corefkit.cli import CliError, _json, main
 from corefkit.conllu import ParseError
 from corefkit.features import WordOrderError
 from corefkit.metrics import AlignmentError
-from corefkit.model import DataError
+from corefkit.model import (MATCH_MODES, SINGLETON_POLICIES,
+                            UNRESOLVED_DEFINITIONS, DataError)
 from conftest import DATA, FRESH_ENV, tok
 
 GOLD_DIR = str(DATA / "score" / "gold")
@@ -352,6 +358,31 @@ def test_analyze_malformed_vectors_exit_2(tmp_path, capsys, line, problem):
     assert err == f"corefkit: error: {vectors}:3: {problem}\n"
 
 
+def test_semantic_distance_over_no_pairs_has_no_value(tmp_path, capsys):
+    # The only entity is a singleton, so there is no pair to average over:
+    # n/a and null, like every other ratio with nothing to divide by.
+    corpus = tmp_path / "single.conllu"
+    corpus.write_text("# newdoc id = d1\n# sent_id = d1-s1\n"
+                      + tok(1, "Rex", "PROPN", misc="Entity=(e1-x-1-)")
+                      + "\n\n", encoding="utf-8")
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text("# doc, sentence, span, components\n",
+                       encoding="utf-8")
+    argv = ("analyze", str(corpus), "--stat", "semantic-distance",
+            "--vectors", str(vectors))
+    code, out, err = run(capsys, *argv, "--figure-data")
+    assert (code, err) == (0, "")
+    assert out == ("## single.semantic-distance.tsv\n"
+                   "pairs\tmean\tvariance\n0\tn/a\tn/a\n"
+                   "## figure_data.tsv\n"
+                   "statistic\tdataset\tkey\tvalue\n"
+                   "semantic-distance\tsingle\tmean\tn/a\n"
+                   "semantic-distance\tsingle\tvariance\tn/a\n")
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert json.loads(out.split("\n", 1)[1]) == {
+        "pairs": 0, "mean": None, "variance": None}
+
+
 def test_analyze_by_language_pools(capsys):
     code, out, _ = run(capsys, "analyze", str(DATA), "--stat", "entity-size",
                        "--by-language")
@@ -424,6 +455,13 @@ def test_score_json(capsys):
     payload = json.loads(out)
     assert payload["datasets"][0]["dataset"] == "en_pairset"
     assert payload["macro_conll_f1"] == pytest.approx((0.4 + 39/71 + 0.65) / 3)
+
+
+def test_json_writes_an_exact_value_as_its_nearest_float_and_nothing_else():
+    assert _json({"recall": Fraction(13, 30), "none": None}) == \
+        '{\n  "recall": 0.43333333333333335,\n  "none": null\n}\n'
+    with pytest.raises(TypeError):
+        _json({"keys": {1, 2}})
 
 
 def test_score_runs_are_byte_identical(capsys):
@@ -632,6 +670,30 @@ def test_a_fresh_process_runs_like_main_in_process(tmp_path, capsys,
         (code, captured.out, captured.err)
     assert code == 0 and (captured.out or _written(here))
     assert _written(there) == _written(here)
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("validate", str(DATA)),
+    ("taxonomy",),
+    ("score", *_PAIR),
+], ids=["validate", "taxonomy", "score"])
+def test_a_closed_stdout_exits_141_without_a_message(argv, buffered):
+    # A buffered stdout fails only when it is flushed, an unbuffered one at
+    # the first write; both end the same way, as `corefkit ... | head` does.
+    env = {k: v for k, v in FRESH_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "corefkit", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("error, base", [
@@ -1062,3 +1124,87 @@ def test_a_run_leaves_the_same_cyclic_garbage_on_a_larger_corpus(
     thrice = _fixture_runs(_copy_fixtures(tmp_path / "thrice", 3))[name]
     _garbage_after(once)  # imports and caches of a first run
     assert _garbage_after(thrice) == _garbage_after(once)
+
+
+# ------------------------------------------- document order and file split
+
+def _generated_pair(root: Path) -> Path:
+    """A four-document gold/system pair of one dataset, from the benchmark's
+    corpus generator (only read here, never changed)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(corpus)
+    finally:
+        del sys.modules[spec.name]
+    shape = dataclasses.replace(corpus.WORKLOADS["release"],
+                                datasets=("en_synth",), files_per_dataset=1,
+                                docs_per_file=4)
+    corpus.generate(shape, 5, root)
+    return root
+
+
+def _documents(path: Path) -> list[str]:
+    head, *documents = re.split(r"(?m)^(?=# newdoc)",
+                                path.read_text(encoding="utf-8"))
+    assert head == "" and len(documents) == 4
+    return documents
+
+
+@pytest.fixture(scope="module")
+def arrangements(tmp_path_factory) -> dict[str, tuple[str, str]]:
+    """(gold dir, system dir) of one corpus in three arrangements: as
+    generated, with its documents reversed, and split over two files."""
+    root = _generated_pair(tmp_path_factory.mktemp("generated"))
+    name = "en_synth-corefud-train.conllu"
+    sides = {"gold": root / "gold" / "en_synth" / name,
+             "pred": root / "pred" / name}
+    out = {"generated": (str(root / "gold"), str(root / "pred"))}
+    for arrangement in ("reversed", "two-files"):
+        dirs = []
+        for side, path in sides.items():
+            docs = _documents(path)
+            target = root / arrangement / side
+            target.mkdir(parents=True)
+            if arrangement == "reversed":
+                files = {name: docs[::-1]}
+            else:
+                files = {name: docs[:2],
+                         name.replace("train", "dev"): docs[2:]}
+            for file_name, part in files.items():
+                (target / file_name).write_text("".join(part),
+                                                encoding="utf-8")
+            dirs.append(str(target))
+        out[arrangement] = tuple(dirs)
+    return out
+
+
+def _pair_commands(gold: str, pred: str) -> list[list[str]]:
+    pair = ["--gold", gold, "--pred", pred]
+    return ([["score", *pair, "--match", match, "--singletons", singletons]
+             for match in MATCH_MODES for singletons in SINGLETON_POLICIES]
+            + [["errors", *pair, "--mode", mode, "--definition", definition]
+               for mode in MATCH_MODES
+               for definition in UNRESOLVED_DEFINITIONS])
+
+
+def _gold_commands(gold: str, pred: str) -> list[list[str]]:
+    return [["stats", gold], ["analyze", gold],
+            ["analyze", gold, "--head-rule", "syntactic"]]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("commands", [_pair_commands, _gold_commands],
+                         ids=["score-errors", "stats-analyze"])
+@pytest.mark.parametrize("arrangement", ["reversed", "two-files"])
+def test_reports_do_not_depend_on_document_order_or_file_split(
+        arrangements, capsys, commands, arrangement, fmt):
+    # Per-entity detail lists entities in document order, so it is left out.
+    for generated, arranged in zip(commands(*arrangements["generated"]),
+                                   commands(*arrangements[arrangement])):
+        code, expected, err = run(capsys, *generated, "--format", fmt)
+        assert (code, err) == (0, "")
+        _, out, _ = run(capsys, *arranged, "--format", fmt)
+        assert out == expected, generated

@@ -487,7 +487,7 @@ def test_permutation_invariance(data):
 
 def test_b_cubed_counts_exactly_invariant_under_relabelling():
     # Relabelling the keys changes the order in which sets iterate them;
-    # the float sums must not depend on it.
+    # the sums must not depend on it.
     rng = random.Random(1680)
     for _ in range(300):
         universe = range(rng.randint(1, 40))
