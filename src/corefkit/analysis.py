@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .conllu import ParseError, open_text
 from .model import (DEFAULT_GENRE_PATTERN, Corpus, DataError, Mention, Token,
@@ -122,8 +122,7 @@ def entity_size_stats(corpus: Corpus) -> DatasetReport:
     ])
 
 
-@dataclass(frozen=True)
-class CompetingAntecedentStats:
+class CompetingAntecedentStats(NamedTuple):
     """Ambiguity of pronominal anaphors: how many pronouns can be examined
     (gender+number marked, closest antecedent within one sentence) and how
     many agreeing non-coreferent mentions compete in that window."""
@@ -272,8 +271,7 @@ class MissingVectorError(KeyError, DataError):
     __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
-@dataclass
-class MentionVectors:
+class MentionVectors(NamedTuple):
     """Externally computed mention embeddings, keyed by
     (doc_id, sentence index, span key)."""
 

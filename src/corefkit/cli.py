@@ -11,6 +11,13 @@ only `model`, whose constants name the choices of every option. Every other
 corefkit module, `json`, `fractions` and the process pool are imported by
 the code that uses them, and each process loads only what its subcommand
 runs: `taxonomy` reads no corpus, and `validate` computes no statistic.
+No corefkit class comes from the data-class decorator (the rule is in
+`model`), so no run loads `inspect`, `ast` and `dis`; with the generated
+class code gone, each corefkit module body runs in 0.3-1.2 ms where it
+took 1-4 ms. `logging` (about 6 ms) is still loaded here: `_run`
+configures it before any subcommand, and the parser, the taxonomy and
+`export-features` log through it, so deferring it would need state that
+they all share.
 
 `main` runs with the cyclic garbage collector off and restores the state it
 found: a parsed corpus holds no reference cycle, and a test pins the cyclic
@@ -25,14 +32,13 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .model import (DEFAULT_GENRE_PATTERN, HEAD_RULES, MATCH_MODES,
                     SINGLETON_POLICIES, SPLITS, UNRESOLVED_DEFINITIONS,
-                    Corpus, DataError)
+                    Corpus, DataError, Record)
 
 if TYPE_CHECKING:
     from .analysis import MentionVectors
@@ -166,19 +172,23 @@ class StatOptions(NamedTuple):
     vectors: MentionVectors | None = None
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Record):
     """The rows of one pooled statistic, from which its TSV, JSON and figure
     data are all rendered. Cells hold exact values: `formats` gives a
     column's TSV text (default str). `keys` are the columns naming a row in
     figure data and `figure` the columns it exports; a table without keys
     has one row and renders as one JSON object."""
 
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    keys: tuple[str, ...] = ()
-    figure: tuple[str, ...] = ()
-    formats: dict[str, Callable] = field(default_factory=dict)
+    __slots__ = ("columns", "rows", "keys", "figure", "formats")
+
+    def __init__(self, columns: tuple[str, ...], rows: list[tuple],
+                 keys: tuple[str, ...] = (), figure: tuple[str, ...] = (),
+                 formats: dict[str, Callable] | None = None) -> None:
+        self.columns = columns
+        self.rows = rows
+        self.keys = keys
+        self.figure = figure
+        self.formats = {} if formats is None else formats
 
     def _text(self, column: str, value) -> str:
         return self.formats.get(column, str)(value)
@@ -204,8 +214,7 @@ class Table:
         return out
 
 
-@dataclass(frozen=True)
-class Statistic:
+class Statistic(NamedTuple):
     """One `analyze --stat` choice. `compute` gives the partial result of
     one parsed file; the partials of a group pool with +. `table` turns a
     pooled result and its group name into what the reports render."""
@@ -222,7 +231,8 @@ def _analysis():
 
 
 def _labelled(report: DatasetReport, name: str) -> DatasetReport:
-    return replace(report, dataset=name)
+    from .reports import DatasetReport
+    return DatasetReport(name, report.statistic, report.rows)
 
 
 def _ranking_table(counts: dict, name: str) -> Table:
@@ -425,7 +435,7 @@ def cmd_score(args) -> int:
 
     def metric(r: metrics.ScoreReport | None, name: str) -> dict:
         return (dict.fromkeys(("precision", "recall", "f1"))
-                if r is None else vars(getattr(r, name)))
+                if r is None else getattr(r, name)._asdict())
     datasets = [{"dataset": name, **{m: metric(r, m) for m in _METRICS},
                  "conll_f1": None if r is None else r.conll_f1}
                 for name, r in rows]

@@ -8,11 +8,10 @@ grouped by the dataset name embedded in the filename.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .conllu import parse_file
-from .model import SPLITS, Corpus
+from .model import SPLITS, Corpus, Record
 
 _CANONICAL = re.compile(
     rf"^(?P<dataset>[A-Za-z0-9_.]+?)-corefud-(?P<split>{'|'.join(SPLITS)})$")
@@ -26,10 +25,12 @@ def dataset_of(path: Path) -> tuple[str, str | None]:
     return path.stem, None
 
 
-@dataclass
-class DatasetFiles:
-    name: str
-    files: list[Path] = field(default_factory=list)
+class DatasetFiles(Record):
+    __slots__ = ("name", "files")
+
+    def __init__(self, name: str, files: list[Path] | None = None) -> None:
+        self.name = name
+        self.files = [] if files is None else files
 
     @property
     def language(self) -> str:

@@ -9,12 +9,12 @@ but left unlinked.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable
 
 from .metrics import align_mentions
-from .model import UNRESOLVED_DEFINITIONS, Document, Entity, Mention, span_key
+from .model import (UNRESOLVED_DEFINITIONS, Document, Entity, Mention, Record,
+                    span_key)
 from .reports import ratio
 from .taxonomy import classify_mention_type, is_premodified
 
@@ -52,16 +52,22 @@ def unresolved_entities(gold: Document, pred: Document,
     return unresolved
 
 
-@dataclass
-class UndetectedProfile:
+class UndetectedProfile(Record):
     """What the undetected mentions look like."""
 
-    type_counts: Counter = field(default_factory=Counter)
-    n_mentions: int = 0
-    n_short: int = 0  # one or two tokens
-    n_multi_token: int = 0
-    n_premodified: int = 0
-    total_length: int = 0
+    __slots__ = ("type_counts", "n_mentions", "n_short", "n_multi_token",
+                 "n_premodified", "total_length")
+
+    def __init__(self, type_counts: Counter | None = None,
+                 n_mentions: int = 0, n_short: int = 0,
+                 n_multi_token: int = 0, n_premodified: int = 0,
+                 total_length: int = 0) -> None:
+        self.type_counts = Counter() if type_counts is None else type_counts
+        self.n_mentions = n_mentions
+        self.n_short = n_short  # one or two tokens
+        self.n_multi_token = n_multi_token
+        self.n_premodified = n_premodified
+        self.total_length = total_length
 
     @property
     def premodified_share_of_all(self) -> Fraction | None:
@@ -96,18 +102,26 @@ def undetected_profile(undetected: list[Mention]) -> UndetectedProfile:
     return profile
 
 
-@dataclass
-class ErrorReport:
+class ErrorReport(Record):
     """Aggregated error analysis for one dataset (one gold/system pair)."""
 
-    dataset: str
-    n_entities: int = 0  # non-singleton gold entities
-    n_unresolved: int = 0
-    n_two_mention: int = 0
-    undetected: UndetectedProfile = field(default_factory=UndetectedProfile)
-    # sentence distance between the two mentions of each two-mention
-    # entity whose mentions were both detected but never linked
-    distance_buckets: Counter = field(default_factory=Counter)
+    __slots__ = ("dataset", "n_entities", "n_unresolved", "n_two_mention",
+                 "undetected", "distance_buckets")
+
+    def __init__(self, dataset: str, n_entities: int = 0,
+                 n_unresolved: int = 0, n_two_mention: int = 0,
+                 undetected: UndetectedProfile | None = None,
+                 distance_buckets: Counter | None = None) -> None:
+        self.dataset = dataset
+        self.n_entities = n_entities  # non-singleton gold entities
+        self.n_unresolved = n_unresolved
+        self.n_two_mention = n_two_mention
+        self.undetected = (UndetectedProfile() if undetected is None
+                           else undetected)
+        # sentence distance between the two mentions of each two-mention
+        # entity whose mentions were both detected but never linked
+        self.distance_buckets = (Counter() if distance_buckets is None
+                                 else distance_buckets)
 
     @property
     def unresolved_pct(self) -> Fraction | None:
@@ -136,12 +150,12 @@ class ErrorReport:
 
     def __add__(self, other: "ErrorReport") -> "ErrorReport":
         """Pooled report, labelled like this one."""
-        return replace(
-            self, n_entities=self.n_entities + other.n_entities,
-            n_unresolved=self.n_unresolved + other.n_unresolved,
-            n_two_mention=self.n_two_mention + other.n_two_mention,
-            undetected=self.undetected + other.undetected,
-            distance_buckets=self.distance_buckets + other.distance_buckets)
+        return ErrorReport(
+            self.dataset, self.n_entities + other.n_entities,
+            self.n_unresolved + other.n_unresolved,
+            self.n_two_mention + other.n_two_mention,
+            self.undetected + other.undetected,
+            self.distance_buckets + other.distance_buckets)
 
 
 def analyze_document(gold: Document, pred: Document, mode: str = "exact",

@@ -10,13 +10,12 @@ connected component of the gold/system overlap graph, in plain Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .model import (MATCH_MODES, SINGLETON_POLICIES, Corpus, DataError,
-                    Document, Mention)
+                    Document, Mention, Record)
 from .reports import ratio
 
 
@@ -50,8 +49,7 @@ def document_pairs(gold: Corpus,
     return pairs
 
 
-@dataclass(frozen=True)
-class Scores:
+class Scores(NamedTuple):
     precision: Fraction
     recall: Fraction
     f1: Fraction
@@ -64,16 +62,15 @@ def _prf(p_num: Fraction, p_den: int, r_num: Fraction, r_den: int) -> Scores:
     return Scores(precision, recall, f1)
 
 
-@dataclass
-class ClusterSet:
+class ClusterSet(Record):
     """Disjoint clusters of hashable mention keys; empty ones are dropped.
     Singletons are kept: remapped_cluster_set applies the singleton
     policy."""
 
-    clusters: list[frozenset[Hashable]]
+    __slots__ = ("clusters",)
 
-    def __post_init__(self) -> None:
-        clusters = [frozenset(c) for c in self.clusters if c]
+    def __init__(self, clusters: Iterable[Iterable[Hashable]]) -> None:
+        clusters = [frozenset(c) for c in clusters if c]
         seen: set[Hashable] = set()
         for cluster in clusters:
             if seen & cluster:
@@ -329,8 +326,7 @@ def ceafe(gold: ClusterSet, pred: ClusterSet) -> Scores:
     return _prf(*ceafe_counts(gold, pred))
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     muc: Scores
     b_cubed: Scores
     ceafe: Scores
@@ -358,8 +354,9 @@ def remapped_cluster_set(gold: Document, pred: Document, mode: str,
     if singleton_policy not in SINGLETON_POLICIES:
         raise ValueError(f"unknown singleton policy {singleton_policy!r}")
     if singleton_policy == "exclude":
-        gold, pred = (replace(d, entities=[e for e in d.entities
-                                           if not e.is_singleton()])
+        gold, pred = (Document(d.doc_id, d.sentences,
+                               [e for e in d.entities if not e.is_singleton()],
+                               d.language, d.dataset)
                       for d in (gold, pred))
     alignment = align_mentions(gold, pred, mode)
     return (ClusterSet([frozenset(e.mentions) for e in gold.entities]),

@@ -3,10 +3,17 @@
 Tokens keep their raw column values so that serialization can reproduce the
 input byte for byte; parsed views (feats, enhanced dependencies) are derived
 on demand, and a mention's head on first read.
+
+Every module loads this one, so it states the class rule for all of
+corefkit: no class comes from the standard library's data-class decorator.
+Its module loads `inspect`, `ast` and `dis` (about 6 ms), and each
+decorated class runs generated code as its module loads (1-4 ms a
+module). An immutable result is a `typing.NamedTuple`; any other class
+lists its `__slots__` and writes its `__init__`, where `None` stands for a
+container default so that no two instances share one. The classes below
+compare by identity; a class that compares by value derives from `Record`.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 HEAD_RULES = ("annotated", "syntactic")
 # The choices of corpora.discover_datasets, metrics.align_mentions,
@@ -18,6 +25,25 @@ MATCH_MODES = ("exact", "head")
 SINGLETON_POLICIES = ("include", "exclude")
 UNRESOLVED_DEFINITIONS = ("links", "membership")
 DEFAULT_GENRE_PATTERN = r"^[^_]+_([^_]+)"
+
+
+class Record:
+    """Base of a __slots__ class that compares by value: instances of one
+    class are equal when their slot values are."""
+
+    __slots__ = ()
+    __hash__ = None  # mutable, so unhashable
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._values()!r}"
 
 
 class DataError(Exception):
@@ -54,24 +80,33 @@ def parse_kv_items(raw: str) -> list[tuple[str, str | None]]:
     return items
 
 
-@dataclass(eq=False, slots=True)
 class Token:
     """One CoNLL-U node: a surface token or an empty node (index i.j)."""
 
-    index: str
-    form: str
-    lemma: str
-    upos: str
-    xpos: str
-    feats_raw: str
-    head: int | None
-    deprel: str
-    deps_raw: str
-    misc_raw: str
-    is_empty: bool
-    sent_index: int = -1
-    order: int = -1
-    _feats: dict[str, str | None] | None = field(default=None, repr=False)
+    __slots__ = ("index", "form", "lemma", "upos", "xpos", "feats_raw",
+                 "head", "deprel", "deps_raw", "misc_raw", "is_empty",
+                 "sent_index", "order", "_feats")
+
+    def __init__(self, index: str, form: str, lemma: str, upos: str,
+                 xpos: str, feats_raw: str, head: int | None, deprel: str,
+                 deps_raw: str, misc_raw: str, is_empty: bool,
+                 sent_index: int = -1, order: int = -1,
+                 _feats: dict[str, str | None] | None = None) -> None:
+        # the parser builds one per node: plain assignments only
+        self.index = index
+        self.form = form
+        self.lemma = lemma
+        self.upos = upos
+        self.xpos = xpos
+        self.feats_raw = feats_raw
+        self.head = head
+        self.deprel = deprel
+        self.deps_raw = deps_raw
+        self.misc_raw = misc_raw
+        self.is_empty = is_empty
+        self.sent_index = sent_index
+        self.order = order
+        self._feats = _feats
 
     @property
     def feats(self) -> dict[str, str | None]:
@@ -116,18 +151,26 @@ class Token:
                           self.deps_raw, self.misc_raw))
 
 
-@dataclass(eq=False, slots=True)
 class Sentence:
     """Comment lines plus nodes in file order; multiword-token range lines
     are kept aside with the token offset they precede."""
 
-    comments: list[str] = field(default_factory=list)
-    tokens: list[Token] = field(default_factory=list)
-    mwt_ranges: list[tuple[int, tuple[str, ...]]] = field(default_factory=list)
-    sent_id: str | None = None
-    first_line: int = 0  # file line of the first node line; 0 if unknown
-    _parents: list[int] | None = field(default=None, repr=False)
-    _depths: list[int | None] | None = field(default=None, repr=False)
+    __slots__ = ("comments", "tokens", "mwt_ranges", "sent_id", "first_line",
+                 "_parents", "_depths")
+
+    def __init__(self, comments: list[str] | None = None,
+                 tokens: list[Token] | None = None,
+                 mwt_ranges: list[tuple[int, tuple[str, ...]]] | None = None,
+                 sent_id: str | None = None, first_line: int = 0,
+                 _parents: list[int] | None = None,
+                 _depths: list[int | None] | None = None) -> None:
+        self.comments = [] if comments is None else comments
+        self.tokens = [] if tokens is None else tokens
+        self.mwt_ranges = [] if mwt_ranges is None else mwt_ranges
+        self.sent_id = sent_id
+        self.first_line = first_line  # file line of its first node, or 0
+        self._parents = _parents
+        self._depths = _depths
 
     def parents(self) -> list[int]:
         """Position of each node's parent in this sentence: ROOT when it has
@@ -194,19 +237,24 @@ class Sentence:
         return out
 
 
-@dataclass(eq=False, slots=True)
 class Mention:
     """A coreference span, possibly discontinuous, possibly an empty node.
 
     sentences is the sentence list of the document the span lies in, not
     the Document, so that a parsed corpus holds no reference cycle."""
 
-    entity_id: str
-    span: tuple[Token, ...]
-    n_parts: int = 1
-    attributes: dict[str, str] = field(default_factory=dict)
-    sentences: list[Sentence] | None = field(default=None, repr=False)
-    _head: Token | None = field(default=None, init=False, repr=False)
+    __slots__ = ("entity_id", "span", "n_parts", "attributes", "sentences",
+                 "_head")
+
+    def __init__(self, entity_id: str, span: tuple[Token, ...],
+                 n_parts: int = 1, attributes: dict[str, str] | None = None,
+                 sentences: list[Sentence] | None = None) -> None:
+        self.entity_id = entity_id
+        self.span = span
+        self.n_parts = n_parts
+        self.attributes = {} if attributes is None else attributes
+        self.sentences = sentences
+        self._head = None
 
     @property
     def head(self) -> Token:
@@ -233,24 +281,31 @@ class Mention:
         return self.span[0].sent_index
 
 
-@dataclass(eq=False, slots=True)
 class Entity:
     """All mentions of one coreference cluster, in document order."""
 
-    entity_id: str
-    mentions: list[Mention] = field(default_factory=list)
+    __slots__ = ("entity_id", "mentions")
+
+    def __init__(self, entity_id: str,
+                 mentions: list[Mention] | None = None) -> None:
+        self.entity_id = entity_id
+        self.mentions = [] if mentions is None else mentions
 
     def is_singleton(self) -> bool:
         return len(self.mentions) == 1
 
 
-@dataclass(eq=False, slots=True)
 class Document:
-    doc_id: str
-    sentences: list[Sentence] = field(default_factory=list)
-    entities: list[Entity] = field(default_factory=list)
-    language: str = ""
-    dataset: str = ""
+    __slots__ = ("doc_id", "sentences", "entities", "language", "dataset")
+
+    def __init__(self, doc_id: str, sentences: list[Sentence] | None = None,
+                 entities: list[Entity] | None = None, language: str = "",
+                 dataset: str = "") -> None:
+        self.doc_id = doc_id
+        self.sentences = [] if sentences is None else sentences
+        self.entities = [] if entities is None else entities
+        self.language = language
+        self.dataset = dataset
 
     def mentions(self) -> list[Mention]:
         out = [m for e in self.entities for m in e.mentions]
@@ -258,11 +313,14 @@ class Document:
         return out
 
 
-@dataclass(eq=False, slots=True)
 class Corpus:
-    documents: list[Document] = field(default_factory=list)
-    dataset: str = ""
-    language: str = ""
+    __slots__ = ("documents", "dataset", "language")
+
+    def __init__(self, documents: list[Document] | None = None,
+                 dataset: str = "", language: str = "") -> None:
+        self.documents = [] if documents is None else documents
+        self.dataset = dataset
+        self.language = language
 
 
 def mention_head(mention: Mention, document: Document | Mention,

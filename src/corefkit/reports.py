@@ -8,9 +8,12 @@ in tab-separated lines (`tsv`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
+
+from .model import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def ratio(numerator: int | Fraction, denominator: int | Fraction,
@@ -19,6 +22,7 @@ def ratio(numerator: int | Fraction, denominator: int | Fraction,
     0, since an empty ratio has no value."""
     if denominator == 0:
         return None
+    from fractions import Fraction
     return Fraction(numerator, denominator) * scale
 
 
@@ -34,8 +38,7 @@ def tsv(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
     return "".join("\t".join(cells) + "\n" for cells in [header, *rows])
 
 
-@dataclass(frozen=True)
-class StatRow:
+class StatRow(NamedTuple):
     key: str
     numerator: int
     denominator: int
@@ -45,6 +48,7 @@ class StatRow:
     def value(self) -> Fraction | None:
         """Exact value; None when the denominator is empty (rendered n/a)."""
         if self.kind == "count":
+            from fractions import Fraction
             return Fraction(self.numerator)
         return ratio(self.numerator, self.denominator,
                      100 if self.kind == "percent" else 1)
@@ -66,11 +70,14 @@ class StatRow:
         }
 
 
-@dataclass
-class DatasetReport:
-    dataset: str
-    statistic: str
-    rows: list[StatRow] = field(default_factory=list)
+class DatasetReport(Record):
+    __slots__ = ("dataset", "statistic", "rows")
+
+    def __init__(self, dataset: str, statistic: str,
+                 rows: list[StatRow] | None = None) -> None:
+        self.dataset = dataset
+        self.statistic = statistic
+        self.rows = [] if rows is None else rows
 
     def row(self, key: str) -> StatRow:
         for row in self.rows:

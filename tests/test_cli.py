@@ -555,6 +555,11 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded, pool):
     # the process pool, and multiprocessing with it, only when one starts
     assert ("concurrent.futures.process" in modules) is pool
     assert ("multiprocessing" in modules) is pool
+    # no corefkit class comes from the data-class decorator, and a command
+    # that computes no number loads no Fraction
+    assert "dataclasses" not in modules
+    if argv[0] in ("taxonomy", "validate"):
+        assert "fractions" not in modules
 
 
 def _score_without_the_document(tmp_path):

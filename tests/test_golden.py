@@ -11,7 +11,6 @@ the diff:
 """
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import shutil
@@ -130,8 +129,7 @@ def make_inputs(root: Path) -> dict[str, Path]:
                 export=export)
 
 
-TOKEN_FIELDS = [f.name for f in dataclasses.fields(Token)
-                if not f.name.startswith("_")]
+TOKEN_FIELDS = [name for name in Token.__slots__ if not name.startswith("_")]
 MODEL = GOLDEN / "parsed-model.json"
 
 
