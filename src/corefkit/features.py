@@ -10,13 +10,19 @@ annotation, so their heads are always syntactic. The sidecar header records
 the rule the records followed.
 
 A candidate's syntactic head is the running minimum of (depth, position)
-while the span grows by one token, so each candidate costs O(1). Candidate
-fields come from one table per export, keyed by the head's UPOS, DEPREL and
-the width bucket, and each written line is joined from cached item pieces.
+while the span grows by one token, so each candidate costs O(1). The
+head-and-width fields of a record come from one table per export, keyed by
+everything they read: whether the head is an empty node, its UPOS and label,
+and the width bucket.
+
+A record's one form is its dict; a written line is that dict's JSON, built
+from cached text: a prefix per sentence, the quoted span key and an end per
+fields key and language. Tests pin the lines to ``json.dumps`` of the dicts.
 """
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -115,16 +121,44 @@ def _candidate_rows(sentence: Sentence, max_width: int,
 
 def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                          target: str = "gold", max_width: int = 10,
-                         head_rule: str = "syntactic") -> Iterator[dict]:
+                         head_rule: str = "syntactic",
+                         vocabulary: dict[str, set] | None = None,
+                         ) -> Iterator[dict] | Iterator[str]:
     """Yield one record per span in deterministic document order: gold
     mentions in document order, candidate spans per sentence by width and
-    then by start."""
+    then by start.
+
+    Given vocabulary, a dict from feature name to a set of values, each
+    item is instead the record's JSON line, newline included, as
+    ``json.dumps(record, ensure_ascii=False, separators=(",", ":"))``
+    writes it, and every feature value the lines hold is added to
+    vocabulary."""
     if target not in EXPORT_TARGETS:
         raise ValueError(f"unknown export target {target!r}")
-    # A candidate head is a surface token, so _span_fields reads only its
-    # UPOS and DEPREL and the width bucket: one table per call keeps the
-    # fields of each such key, and few keys exist.
-    fields_of: dict[tuple[str, str, str], dict] = {}
+    lines = vocabulary is not None
+    # A key of everything _span_fields reads from a head and width maps to
+    # those fields; few keys exist. A gold head may be an empty node, whose
+    # label is its first enhanced relation. A candidate head is a surface
+    # token, so its UPOS and DEPREL suffice.
+    fields_of: dict[tuple, dict] = {}
+    # The part of a record after its span, per language (which fixes the
+    # word order) and then per fields key: a template dict, or the JSON
+    # text up to the entity id's value (gold) or to the line's end.
+    ends_of: dict[str, dict[tuple, dict | str]] = {}
+    close = ',"entity_id":' if target == "gold" else "}\n"
+
+    def end_of(fields_key: tuple, head: Token, width: int, language: str,
+               word_order: str) -> dict | str:
+        fields = fields_of.get(fields_key)
+        if fields is None:
+            fields = fields_of[fields_key] = _span_fields(head, width)
+        end = {**fields, "language": language, "word_order": word_order}
+        if vocabulary is None:
+            return {"doc_id": "", "sent_index": 0, "span": "", **end}
+        for name, value in end.items():
+            vocabulary.setdefault(name, set()).add(value)
+        return "," + _ENCODER.encode(end)[1:-1] + close
+
     for document in corpus.documents:
         doc_id = document.doc_id
         language = document.language
@@ -133,48 +167,49 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
             raise WordOrderError(
                 f"no word order configured for language {language!r} "
                 f"(document {doc_id!r})")
+        ends = ends_of.setdefault(language, {})
+        # '{"doc_id":…,"sent_index":'
+        doc_head = _ENCODER.encode({"doc_id": doc_id})[:-1] + \
+            ',"sent_index":'
         if target == "gold":
             for mention in document.mentions():
                 head = head_of(mention, head_rule)
-                yield {"doc_id": doc_id,
-                       "sent_index": mention.sent_index,
-                       "span": span_key(mention.span),
-                       **_span_fields(head, len(mention.span)),
-                       "language": language, "word_order": word_order,
-                       "entity_id": mention.entity_id}
+                width = len(mention.span)
+                fields_key = (head.is_empty, head.upos,
+                              head.effective_deprel(), width_bucket(width))
+                end = ends.get(fields_key)
+                if end is None:
+                    end = ends[fields_key] = end_of(fields_key, head, width,
+                                                    language, word_order)
+                key = span_key(mention.span)
+                if lines:
+                    yield (f'{doc_head}{mention.sent_index},"span":'
+                           + encode_basestring(key) + end
+                           + encode_basestring(mention.entity_id) + "}\n")
+                else:
+                    yield {**end, "doc_id": doc_id,
+                           "sent_index": mention.sent_index, "span": key,
+                           "entity_id": mention.entity_id}
             continue
-        # a record of this document per fields_of key; each candidate's
-        # record is a copy of it, which is cheaper than building a dict
-        templates: dict[tuple[str, str, str], dict] = {}
         for sent_index, sentence in enumerate(document.sentences):
+            prefix = f'{doc_head}{sent_index},"span":'
             for width, candidates in _candidate_rows(sentence, max_width):
                 bucket = width_bucket(width)
                 for key, head in candidates:
                     fields_key = (head.upos, head.deprel, bucket)
-                    template = templates.get(fields_key)
-                    if template is None:
-                        fields = fields_of.get(fields_key)
-                        if fields is None:
-                            fields = fields_of[fields_key] = _span_fields(
-                                head, width)
-                        template = templates[fields_key] = {
-                            "doc_id": doc_id, "sent_index": sent_index,
-                            "span": key, **fields,
-                            "language": language, "word_order": word_order}
-                    record = template.copy()
-                    record["sent_index"] = sent_index
-                    record["span"] = key
-                    yield record
-
-
-class _Pieces(dict):
-    """The JSON text '"key":value' of each (key, value) record item,
-    encoded on first use."""
-
-    def __missing__(self, item: tuple[str, object]) -> str:
-        key, value = item
-        piece = self[item] = f"{_ENCODER.encode(key)}:{_ENCODER.encode(value)}"
-        return piece
+                    end = ends.get(fields_key)
+                    if end is None:
+                        end = ends[fields_key] = end_of(
+                            fields_key, head, width, language, word_order)
+                    if lines:
+                        yield prefix + encode_basestring(key) + end
+                    else:
+                        # cheaper than a dict display that unpacks end
+                        record = end.copy()
+                        record["doc_id"] = doc_id
+                        record["sent_index"] = sent_index
+                        record["span"] = key
+                        yield record
 
 
 def export_features(corpus: Corpus, word_order_table: dict[str, str],
@@ -183,26 +218,20 @@ def export_features(corpus: Corpus, word_order_table: dict[str, str],
                     head_rule: str = "syntactic") -> int:
     """Write the JSONL record stream and the vocabulary sidecar.
 
-    Each line is the record as ``json.dumps(record, ensure_ascii=False,
-    separators=(",", ":"))`` writes it, joined from memoised item pieces;
-    the sidecar lists the feature values among those pieces. Returns the
-    number of records written. Output is a pure function of the inputs:
-    two runs produce identical bytes.
+    Each line is the JSON of one record of iter_feature_records, which
+    builds it; the sidecar lists every feature value the lines hold.
+    Returns the number of records written. Output is a pure function of
+    the inputs: two runs produce identical bytes.
     """
     if target == "all_spans":
         head_rule = "syntactic"  # the only rule candidate spans can follow
-    pieces = _Pieces()
-    piece = pieces.__getitem__
+    vocabulary: dict[str, set] = {name: set() for name in _FEATURE_NAMES}
     write = records_out.write
     count = 0
-    for record in iter_feature_records(corpus, word_order_table, target,
-                                       max_width, head_rule):
-        write("{" + ",".join(map(piece, record.items())) + "}\n")
-        count += 1
-    vocabulary: dict[str, list[str]] = {name: [] for name in _FEATURE_NAMES}
-    for name, value in pieces:
-        if name in vocabulary:
-            vocabulary[name].append(value)
+    for count, line in enumerate(iter_feature_records(
+            corpus, word_order_table, target, max_width, head_rule,
+            vocabulary), start=1):
+        write(line)
     vocab_out.write("# categorical feature vocabulary; values observed in "
                     "the exported records\n")
     vocab_out.write(f"# target={target}"

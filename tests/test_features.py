@@ -21,6 +21,7 @@ from test_heads import documents
 WORD_ORDER = {"xx": "SVO", "en": "SVO"}
 SPAN_FIELDS = ("width_bucket", "head_upos", "head_deprel", "mention_type",
                "ud_category")
+VOCABULARY_FEATURES = SPAN_FIELDS + ("language", "word_order")
 
 
 def span_fields(corpus):
@@ -297,21 +298,35 @@ def test_one_field_table_serves_every_sentence_and_document(corpus,
     assert (list(iter_feature_records(corpus, table, "all_spans", max_width))
             == list(_per_span_records(corpus, table, max_width)))
     for target in EXPORT_TARGETS:
-        records = io.StringIO()
-        export_features(corpus, table, records, io.StringIO(), target,
-                        max_width)
-        assert records.getvalue().splitlines() == [
+        records, vocab = io.StringIO(), io.StringIO()
+        export_features(corpus, table, records, vocab, target, max_width)
+        written = records.getvalue().splitlines()
+        assert written == [
             json.dumps(record, ensure_ascii=False, separators=(",", ":"))
             for record in iter_feature_records(corpus, table, target,
                                                max_width)]
+        # the sidecar rows are the values the written lines hold, each
+        # once, by feature in record order and then sorted
+        used: dict[str, set[str]] = {}
+        for record in map(json.loads, written):
+            for name in VOCABULARY_FEATURES:
+                used.setdefault(name, set()).add(record[name])
+        rows = vocab.getvalue().splitlines()
+        header = rows.index("feature\tvalue")
+        assert rows[header + 1:] == [f"{name}\t{value}"
+                                     for name in VOCABULARY_FEATURES
+                                     for value in sorted(used.get(name, ()))]
 
 
-def test_span_fields_run_once_per_candidate_head_key(monkeypatch):
-    corpus = Corpus(documents=[
+def _fixture_corpus():
+    """Every document of the fixtures, language ''."""
+    return Corpus(documents=[
         document for path in sorted(DATA.rglob("*.conllu"))
         for document in parse_file(path).documents])
-    keys = {(head.upos, head.deprel, width_bucket(len(span)))
-            for _, _, span, head in _per_span_candidates(corpus, 10)}
+
+
+def _count_span_fields(monkeypatch):
+    """The (head, width) of each _span_fields call from now on."""
     calls = []
 
     def counted(head, width):
@@ -319,10 +334,35 @@ def test_span_fields_run_once_per_candidate_head_key(monkeypatch):
         return _span_fields(head, width)
 
     monkeypatch.setattr(features, "_span_fields", counted)
+    return calls
+
+
+def test_span_fields_run_once_per_candidate_head_key(monkeypatch):
+    corpus = _fixture_corpus()
+    keys = {(head.upos, head.deprel, width_bucket(len(span)))
+            for _, _, span, head in _per_span_candidates(corpus, 10)}
+    calls = _count_span_fields(monkeypatch)
     count = export_features(corpus, {"": "SVO"}, io.StringIO(),
                             io.StringIO(), "all_spans", 10)
     assert len(calls) == len(keys)
     assert count > 2 * len(keys)
+
+
+@pytest.mark.parametrize("head_rule", ["syntactic", "annotated"])
+def test_span_fields_run_once_per_gold_head_key(monkeypatch, head_rule):
+    corpus = _fixture_corpus()
+    heads = [(head_of(mention, head_rule), len(mention.span))
+             for document in corpus.documents
+             for mention in document.mentions()]
+    # a zero pronoun: its label is its first enhanced relation
+    assert any(head.is_empty for head, _ in heads)
+    keys = {(head.is_empty, head.upos, head.effective_deprel(),
+             width_bucket(width)) for head, width in heads}
+    calls = _count_span_fields(monkeypatch)
+    count = export_features(corpus, {"": "SVO"}, io.StringIO(),
+                            io.StringIO(), "gold", 10, head_rule)
+    assert count == len(heads)
+    assert len(calls) == len(keys) < len(heads)
 
 
 def test_an_unknown_label_heading_only_candidates_warns_once(monkeypatch,
@@ -397,7 +437,24 @@ def test_written_lines_are_the_json_of_the_records(tmp_path):
     entity_ids = [e.entity_id for d in corpus.documents for e in d.entities]
     assert any('dóc"\\' in d for d in doc_ids)
     assert 'ë"\\1' in entity_ids
-    table = load_word_order_table(DATA / "word_order.tsv")
+    # The parser admits no such token index, so this document is built by
+    # hand: its doc id, language, word order, token indices, UPOS and
+    # entity id each hold a quote, a backslash, a non-ASCII letter and a
+    # control character.
+    odd = '"\\é\x01'
+    tokens = [Token(index=f"{i}{odd}", form="w", lemma="w",
+                    upos=f"NOUN{odd}", xpos="_", feats_raw="_", head=head,
+                    deprel=deprel, deps_raw="_", misc_raw="_",
+                    is_empty=False, sent_index=0, order=i - 1)
+              for i, (head, deprel) in enumerate(
+                  [(2, "nsubj"), (0, "root"), (2, "obj")], start=1)]
+    sentences = [Sentence(tokens=tokens)]
+    corpus.documents.append(Document(
+        f"doc{odd}", sentences, [Entity(f"e{odd}", [Mention(
+            f"e{odd}", tuple(tokens[:2]), sentences=sentences)])],
+        language=f"xx{odd}"))
+    table = {**load_word_order_table(DATA / "word_order.tsv"),
+             f"xx{odd}": f"SVO{odd}"}
     for target, head_rule in (("gold", "syntactic"), ("gold", "annotated"),
                               ("all_spans", "syntactic"),
                               ("all_spans", "annotated")):
