@@ -15,9 +15,9 @@ head-and-width fields of a record come from one table per export, keyed by
 everything they read: whether the head is an empty node, its UPOS and label,
 and the width bucket.
 
-A record's one form is its dict; a written line is that dict's JSON, built
-from cached text: a prefix per sentence, the quoted span key and an end per
-fields key and language. Tests pin the lines to ``json.dumps`` of the dicts.
+A record is its JSON line, built from cached text: a prefix per sentence,
+the quoted span key and an end per fields key and language. Tests pin each
+line to ``json.dumps`` of a record built field by field, one span at a time.
 """
 from __future__ import annotations
 
@@ -123,38 +123,35 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                          target: str = "gold", max_width: int = 10,
                          head_rule: str = "syntactic",
                          vocabulary: dict[str, set] | None = None,
-                         ) -> Iterator[dict] | Iterator[str]:
-    """Yield one record per span in deterministic document order: gold
-    mentions in document order, candidate spans per sentence by width and
-    then by start.
-
-    Given vocabulary, a dict from feature name to a set of values, each
-    item is instead the record's JSON line, newline included, as
+                         ) -> Iterator[str]:
+    """Yield one record's JSON line per span, newline included, as
     ``json.dumps(record, ensure_ascii=False, separators=(",", ":"))``
-    writes it, and every feature value the lines hold is added to
-    vocabulary."""
+    writes it, in deterministic document order: gold mentions in document
+    order, candidate spans per sentence by width and then by start.
+
+    Given vocabulary, a dict from feature name to a set of values, every
+    feature value the lines hold is added to it."""
     if target not in EXPORT_TARGETS:
         raise ValueError(f"unknown export target {target!r}")
-    lines = vocabulary is not None
+    if vocabulary is None:
+        vocabulary = {}
     # A key of everything _span_fields reads from a head and width maps to
     # those fields; few keys exist. A gold head may be an empty node, whose
     # label is its first enhanced relation. A candidate head is a surface
     # token, so its UPOS and DEPREL suffice.
     fields_of: dict[tuple, dict] = {}
-    # The part of a record after its span, per language (which fixes the
-    # word order) and then per fields key: a template dict, or the JSON
-    # text up to the entity id's value (gold) or to the line's end.
-    ends_of: dict[str, dict[tuple, dict | str]] = {}
+    # The JSON text of a record after its span, per language (which fixes
+    # the word order) and then per fields key: up to the entity id's value
+    # (gold) or to the line's end.
+    ends_of: dict[str, dict[tuple, str]] = {}
     close = ',"entity_id":' if target == "gold" else "}\n"
 
     def end_of(fields_key: tuple, head: Token, width: int, language: str,
-               word_order: str) -> dict | str:
+               word_order: str) -> str:
         fields = fields_of.get(fields_key)
         if fields is None:
             fields = fields_of[fields_key] = _span_fields(head, width)
         end = {**fields, "language": language, "word_order": word_order}
-        if vocabulary is None:
-            return {"doc_id": "", "sent_index": 0, "span": "", **end}
         for name, value in end.items():
             vocabulary.setdefault(name, set()).add(value)
         return "," + _ENCODER.encode(end)[1:-1] + close
@@ -181,15 +178,9 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                 if end is None:
                     end = ends[fields_key] = end_of(fields_key, head, width,
                                                     language, word_order)
-                key = span_key(mention.span)
-                if lines:
-                    yield (f'{doc_head}{mention.sent_index},"span":'
-                           + encode_basestring(key) + end
-                           + encode_basestring(mention.entity_id) + "}\n")
-                else:
-                    yield {**end, "doc_id": doc_id,
-                           "sent_index": mention.sent_index, "span": key,
-                           "entity_id": mention.entity_id}
+                yield (f'{doc_head}{mention.sent_index},"span":'
+                       + encode_basestring(span_key(mention.span)) + end
+                       + encode_basestring(mention.entity_id) + "}\n")
             continue
         for sent_index, sentence in enumerate(document.sentences):
             prefix = f'{doc_head}{sent_index},"span":'
@@ -201,15 +192,7 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                     if end is None:
                         end = ends[fields_key] = end_of(
                             fields_key, head, width, language, word_order)
-                    if lines:
-                        yield prefix + encode_basestring(key) + end
-                    else:
-                        # cheaper than a dict display that unpacks end
-                        record = end.copy()
-                        record["doc_id"] = doc_id
-                        record["sent_index"] = sent_index
-                        record["span"] = key
-                        yield record
+                    yield prefix + encode_basestring(key) + end
 
 
 def export_features(corpus: Corpus, word_order_table: dict[str, str],
@@ -218,8 +201,8 @@ def export_features(corpus: Corpus, word_order_table: dict[str, str],
                     head_rule: str = "syntactic") -> int:
     """Write the JSONL record stream and the vocabulary sidecar.
 
-    Each line is the JSON of one record of iter_feature_records, which
-    builds it; the sidecar lists every feature value the lines hold.
+    The lines are those iter_feature_records yields; the sidecar lists
+    every feature value they hold.
     Returns the number of records written. Output is a pure function of
     the inputs: two runs produce identical bytes.
     """

@@ -200,10 +200,6 @@ def b_cubed(gold: ClusterSet, pred: ClusterSet) -> Scores:
     return _prf(*b_cubed_counts(gold, pred))
 
 
-def _phi(a: frozenset, b: frozenset) -> float:
-    return 2 * len(a & b) / (len(a) + len(b))
-
-
 def _max_assignment(weights: list[list[float]]) -> list[int]:
     """Column of each row in a one-to-one assignment of maximal total weight,
     for a dense matrix with no more rows than columns. Shortest augmenting
@@ -289,8 +285,8 @@ def ceafe_counts(gold: ClusterSet,
     is solved separately on each connected component of the gold/system
     overlap graph. The matched φ are summed exactly."""
     overlaps = _overlaps(gold.clusters, pred.clusters)
-    phi = {(g, p): _phi(gold.clusters[g], pred.clusters[p])
-           for g, shared in enumerate(overlaps) for p in shared}
+    phi = {(g, p): 2 * n / (len(gold.clusters[g]) + len(pred.clusters[p]))
+           for g, shared in enumerate(overlaps) for p, n in shared.items()}
     golds_of: dict[int, list[int]] = {}
     for g, shared in enumerate(overlaps):
         for p in shared:

@@ -1,0 +1,71 @@
+"""Shared helpers of the tests: the fixture directory, a fresh
+interpreter's environment and builders of CoNLL-U input. A module of its
+own, since pytest keeps one module named conftest at a time and
+bench/tests has a conftest.py too."""
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+import corefkit
+from corefkit import parse_conllu
+from corefkit.model import parse_kv_items
+
+DATA = Path(__file__).parent / "data"
+
+# The environment of a new interpreter that imports this corefkit. argparse
+# wraps help text at $COLUMNS, else at the width of a terminal.
+FRESH_ENV = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(corefkit.__file__).resolve().parent.parent),
+                  os.environ.get("PYTHONPATH")])))
+
+
+def tok(index, form, upos="NOUN", head=0, deprel="root", feats="_",
+        misc="_", deps="_", lemma=None, xpos="_"):
+    """One CoNLL-U token line."""
+    return "\t".join((str(index), form, lemma if lemma is not None else form,
+                      upos, xpos, feats, str(head), deprel, deps, misc))
+
+
+def node(sentence, index):
+    """The node of a sentence with the given CoNLL-U id."""
+    (found,) = [t for t in sentence.tokens if t.index == index]
+    return found
+
+
+def misc_value(token, name):
+    """The value of the first MISC item called name, None for an item
+    without '=' or when there is none: the reference for the parser's own
+    Entity lookup."""
+    for key, value in parse_kv_items(token.misc_raw):
+        if key == name:
+            return value
+    return None
+
+
+def make_corpus(*sentence_blocks, dataset="toy", language="xx",
+                doc_id="toy-doc1"):
+    """Build a one-document corpus out of token-line blocks."""
+    lines = [f"# newdoc id = {doc_id}",
+             "# global.Entity = eid-etype-head-other"]
+    for i, block in enumerate(sentence_blocks, start=1):
+        lines.append(f"# sent_id = {doc_id}-s{i}")
+        lines.extend(block)
+        lines.append("")
+    return parse_conllu("\n".join(lines) + "\n", dataset=dataset,
+                        language=language)
+
+
+def corpus_signature(corpus):
+    """Structural digest used by round-trip equality tests."""
+    return tuple(
+        (doc.doc_id,
+         tuple((tuple(s.comments),
+                tuple(t.line() for t in s.tokens),
+                tuple(s.mwt_ranges)) for s in doc.sentences),
+         tuple((e.entity_id,
+                tuple((tuple(t.index for t in m.span), m.sent_index,
+                       m.n_parts, tuple(sorted(m.attributes.items())))
+                      for m in e.mentions))
+               for e in doc.entities))
+        for doc in corpus.documents)

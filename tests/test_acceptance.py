@@ -24,7 +24,7 @@ from corefkit.features import export_features, iter_feature_records
 from corefkit.metrics import (ClusterSet, Scores, b_cubed, ceafe,
                               ceafe_counts, muc)
 from corefkit.taxonomy import MentionType
-from conftest import DATA, corpus_signature, make_corpus, tok
+from support import DATA, corpus_signature, make_corpus, tok
 
 
 @contextmanager
@@ -199,14 +199,18 @@ def _random_clustering(rng, universe, max_clusters=6):
     return [set(g) for g in groups if g]
 
 
+def phi(a, b):
+    """CEAFe's entity similarity 2|K∩R| / (|K|+|R|), on the sets."""
+    return 2 * len(a & b) / (len(a) + len(b))
+
+
 def _brute_force_ceafe_total(gold, pred):
-    from corefkit.metrics import _phi
     if not gold or not pred:
         return 0.0
     if len(gold) <= len(pred):
-        return max(sum(_phi(g, p) for g, p in zip(gold, perm))
+        return max(sum(phi(g, p) for g, p in zip(gold, perm))
                    for perm in permutations(pred, len(gold)))
-    return max(sum(_phi(g, p) for g, p in zip(perm, pred))
+    return max(sum(phi(g, p) for g, p in zip(perm, pred))
                for perm in permutations(gold, len(pred)))
 
 

@@ -15,7 +15,7 @@ import acceptance_util as util
 from corefkit.analysis import genre_rates
 from corefkit.metrics import AlignmentError
 from corefkit.taxonomy import MentionType
-from conftest import DATA, tok
+from support import DATA, tok
 
 # Two en_gum documents whose ids carry the genre: one personal pronoun in
 # two vlog tokens, none in the academic ones.

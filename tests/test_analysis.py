@@ -21,7 +21,7 @@ from corefkit.features import EXPORT_TARGETS, export_features
 from corefkit.metrics import MATCH_MODES, score_pairs
 from corefkit.model import HEAD_RULES, Corpus, Document, mention_key
 from corefkit.taxonomy import MentionType, UdCategory
-from conftest import DATA, make_corpus, tok
+from support import DATA, make_corpus, tok
 
 
 def test_head_position_undefined_on_single_token_mentions():

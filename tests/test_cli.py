@@ -25,7 +25,7 @@ from corefkit.features import WordOrderError
 from corefkit.metrics import AlignmentError
 from corefkit.model import (MATCH_MODES, SINGLETON_POLICIES,
                             UNRESOLVED_DEFINITIONS, DataError)
-from conftest import DATA, FRESH_ENV, tok
+from support import DATA, FRESH_ENV, tok
 
 GOLD_DIR = str(DATA / "score" / "gold")
 PRED_DIR = str(DATA / "score" / "pred")

@@ -12,8 +12,8 @@ from corefkit import (ParseError, Token, parse_conllu, parse_file,
                       resolve_entities, serialize)
 from corefkit.conllu import _BRACKET, _ENTITY_ITEM
 from corefkit.model import mention_head, parse_kv_items, span_key
-from conftest import (DATA, corpus_signature, make_corpus, misc_value, node,
-                      tok)
+from support import (DATA, corpus_signature, make_corpus, misc_value, node,
+                     tok)
 
 
 def test_empty_stream_gives_empty_corpus():

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from corefkit import parse_conllu, serialize
-from conftest import corpus_signature, misc_value, node, tok
+from support import corpus_signature, misc_value, node, tok
 
 
 def build(lines):

@@ -11,7 +11,7 @@ from corefkit.errors import (ErrorReport, analyze_document, analyze_errors,
 from corefkit.metrics import align_mentions
 from corefkit.model import Corpus, Mention
 from corefkit.taxonomy import MentionType
-from conftest import make_corpus, tok
+from support import make_corpus, tok
 
 
 def _doc(corpus):

@@ -15,7 +15,7 @@ from corefkit.features import (EXPORT_TARGETS, WordOrderError, _span_fields,
                                load_word_order_table, width_bucket)
 from corefkit.model import (Corpus, Document, Entity, Mention, Sentence,
                             Token, head_of, span_key)
-from conftest import DATA, make_corpus, tok
+from support import DATA, make_corpus, tok
 from test_heads import documents
 
 WORD_ORDER = {"xx": "SVO", "en": "SVO"}
@@ -24,9 +24,15 @@ SPAN_FIELDS = ("width_bucket", "head_upos", "head_deprel", "mention_type",
 VOCABULARY_FEATURES = SPAN_FIELDS + ("language", "word_order")
 
 
+def records_of(*args, **kwargs):
+    """The records of iter_feature_records(*args, **kwargs), parsed."""
+    return [json.loads(line)
+            for line in iter_feature_records(*args, **kwargs)]
+
+
 def span_fields(corpus):
     """The head-and-width fields of the corpus's one gold record."""
-    (record,) = iter_feature_records(corpus, WORD_ORDER, "gold")
+    (record,) = records_of(corpus, WORD_ORDER, "gold")
     return tuple(record[name] for name in SPAN_FIELDS)
 
 
@@ -75,7 +81,7 @@ def test_doc_features_lookup():
     corpus = make_corpus([tok(1, "x", "VERB", 0, "root",
                               misc="Entity=(e1-x-1-)")], language="en")
     corpus.documents[0].language = "en"
-    (record,) = iter_feature_records(corpus, WORD_ORDER, "gold")
+    (record,) = records_of(corpus, WORD_ORDER, "gold")
     assert (record["language"], record["word_order"]) == ("en", "SVO")
 
 
@@ -110,7 +116,7 @@ def test_gold_mode_one_record_per_mention():
         tok(1, "He", "PRON", 2, "nsubj", misc="Entity=(e1-x-1-)"),
         tok(2, "hid", "VERB", 0, "root"),
     ])
-    records = list(iter_feature_records(corpus, WORD_ORDER, "gold"))
+    records = records_of(corpus, WORD_ORDER, "gold")
     assert len(records) == 2
     assert [r["entity_id"] for r in records] == ["e1", "e1"]
     assert records[0]["span"] == "1"
@@ -124,8 +130,7 @@ def test_all_spans_on_four_token_sentence():
         tok(3, "c", "DET", 4, "det"),
         tok(4, "d", "NOUN", 2, "obj"),
     ])
-    records = list(iter_feature_records(corpus, WORD_ORDER, "all_spans",
-                                        max_width=3))
+    records = records_of(corpus, WORD_ORDER, "all_spans", max_width=3)
     assert len(records) == 9  # 4 + 3 + 2
     assert "entity_id" not in records[0]
 
@@ -151,8 +156,7 @@ def test_all_spans_skip_empty_nodes():
         tok("1.1", "_", "PRON", "_", "_", deps="1:nsubj"),
         tok(2, "ayer", "ADV", 1, "advmod"),
     ])
-    records = list(iter_feature_records(corpus, WORD_ORDER, "all_spans",
-                                        max_width=2))
+    records = records_of(corpus, WORD_ORDER, "all_spans", max_width=2)
     spans = [r["span"] for r in records]
     assert spans == ["1", "2", "1,2"]
 
@@ -243,6 +247,31 @@ def _per_span_records(corpus, word_order_table, max_width):
                "word_order": word_order_table[document.language]}
 
 
+# The reference for gold records: the same on every mention, one at a time.
+def _per_mention_records(corpus, word_order_table, head_rule="syntactic"):
+    for document in corpus.documents:
+        for mention in document.mentions():
+            yield {"doc_id": document.doc_id,
+                   "sent_index": mention.sent_index,
+                   "span": span_key(mention.span),
+                   **_span_fields(head_of(mention, head_rule),
+                                  len(mention.span)),
+                   "language": document.language,
+                   "word_order": word_order_table[document.language],
+                   "entity_id": mention.entity_id}
+
+
+def _reference_lines(corpus, word_order_table, target, max_width=10,
+                     head_rule="syntactic"):
+    """The JSON line of each reference record of the export's target."""
+    if target == "gold":
+        records = _per_mention_records(corpus, word_order_table, head_rule)
+    else:
+        records = _per_span_records(corpus, word_order_table, max_width)
+    return [json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+            + "\n" for record in records]
+
+
 # one tag per node position, so a record's head_upos names its head
 UPOS = ("NOUN", "PROPN", "PRON", "VERB", "ADJ", "ADV", "DET", "ADP", "AUX",
         "NUM", "CCONJ", "SCONJ", "PART", "INTJ", "PUNCT", "SYM", "X")
@@ -257,7 +286,7 @@ def test_candidate_records_match_the_per_span_loop(document, max_width):
     corpus = Corpus(documents=[document])
     table = {"": "SVO"}
     assert (list(iter_feature_records(corpus, table, "all_spans", max_width))
-            == list(_per_span_records(corpus, table, max_width)))
+            == _reference_lines(corpus, table, "all_spans", max_width))
 
 
 # Small pools, so that one field-table key recurs across sentences and
@@ -295,16 +324,12 @@ def corpora(draw) -> Corpus:
 def test_one_field_table_serves_every_sentence_and_document(corpus,
                                                             max_width):
     table = {"xx": "SVO", "yy": "SOV"}
-    assert (list(iter_feature_records(corpus, table, "all_spans", max_width))
-            == list(_per_span_records(corpus, table, max_width)))
     for target in EXPORT_TARGETS:
         records, vocab = io.StringIO(), io.StringIO()
         export_features(corpus, table, records, vocab, target, max_width)
+        assert records.getvalue() == "".join(
+            _reference_lines(corpus, table, target, max_width))
         written = records.getvalue().splitlines()
-        assert written == [
-            json.dumps(record, ensure_ascii=False, separators=(",", ":"))
-            for record in iter_feature_records(corpus, table, target,
-                                               max_width)]
         # the sidecar rows are the values the written lines hold, each
         # once, by feature in record order and then sorted
         used: dict[str, set[str]] = {}
@@ -389,10 +414,11 @@ def test_an_unknown_label_heading_only_candidates_warns_once(monkeypatch,
 def _candidate_heads(corpus, max_width=3):
     """span key -> head UPOS of every candidate record, checked against the
     per-span loop."""
-    records = list(iter_feature_records(corpus, WORD_ORDER, "all_spans",
-                                        max_width))
-    assert records == list(_per_span_records(corpus, WORD_ORDER, max_width))
-    return {r["span"]: r["head_upos"] for r in records}
+    lines = list(iter_feature_records(corpus, WORD_ORDER, "all_spans",
+                                      max_width))
+    assert lines == _reference_lines(corpus, WORD_ORDER, "all_spans",
+                                     max_width)
+    return {r["span"]: r["head_upos"] for r in map(json.loads, lines)}
 
 
 def test_a_sentence_with_a_cycle_is_a_parse_error():
@@ -461,13 +487,8 @@ def test_written_lines_are_the_json_of_the_records(tmp_path):
         records = io.StringIO()
         export_features(corpus, table, records, io.StringIO(), target, 4,
                         head_rule)
-        if target == "all_spans":
-            head_rule = "syntactic"
-        expected = "".join(json.dumps(record, ensure_ascii=False,
-                                      separators=(",", ":")) + "\n"
-                           for record in iter_feature_records(
-                               corpus, table, target, 4, head_rule))
-        assert records.getvalue() == expected, target
+        assert records.getvalue() == "".join(_reference_lines(
+            corpus, table, target, 4, head_rule)), (target, head_rule)
 
 
 @pytest.mark.parametrize("target", ["gold", "all_spans"])

@@ -18,7 +18,7 @@ from corefkit.cli import STATISTICS, StatOptions
 from corefkit.model import (HEAD_RULES, ROOT, UNKNOWN, Document, Mention,
                             Sentence, Token, head_of, mention_head)
 from corefkit.taxonomy import MentionType
-from conftest import DATA, make_corpus, tok
+from support import DATA, make_corpus, tok
 
 FIXTURES = sorted(DATA.rglob("*.conllu"))
 

@@ -14,7 +14,7 @@ from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
                               b_cubed_counts, ceafe, ceafe_counts,
                               macro_average, muc,
                               remapped_cluster_set, score_pairs)
-from conftest import make_corpus, tok
+from support import make_corpus, tok
 from test_heads import documents
 
 
@@ -378,15 +378,19 @@ def _random_clustering(rng, universe, max_clusters=6):
     return [set(g) for g in groups if g]
 
 
+def phi(a, b):
+    """CEAFe's entity similarity 2|K∩R| / (|K|+|R|), on the sets."""
+    return 2 * len(a & b) / (len(a) + len(b))
+
+
 def brute_force_ceafe_total(gold, pred):
     """Max total similarity over all one-to-one cluster alignments."""
-    from corefkit.metrics import _phi
     if not gold or not pred:
         return 0.0
     if len(gold) <= len(pred):
-        return max(sum(_phi(g, p) for g, p in zip(gold, perm))
+        return max(sum(phi(g, p) for g, p in zip(gold, perm))
                    for perm in permutations(pred, len(gold)))
-    return max(sum(_phi(g, p) for g, p in zip(perm, pred))
+    return max(sum(phi(g, p) for g, p in zip(perm, pred))
                for perm in permutations(gold, len(pred)))
 
 

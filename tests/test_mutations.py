@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corefkit.cli import main
-from conftest import DATA
+from support import DATA
 
 GOLD = DATA / "score" / "gold" / "en_pairset-corefud-dev.conllu"
 # Each fixture under the name its mutated copy is written as, and the gold

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import corefkit
-from conftest import FRESH_ENV
+from support import FRESH_ENV
 
 _NAMES = sorted(set(corefkit.__all__) - {"__version__"})
 
