@@ -14,10 +14,12 @@ runs: `taxonomy` reads no corpus, and `validate` computes no statistic.
 No corefkit class comes from the data-class decorator (the rule is in
 `model`), so no run loads `inspect`, `ast` and `dis`; with the generated
 class code gone, each corefkit module body runs in 0.3-1.2 ms where it
-took 1-4 ms. `logging` (about 6 ms) is still loaded here: `_run`
-configures it before any subcommand, and the parser, the taxonomy and
-`export-features` log through it, so deferring it would need state that
-they all share.
+took 1-4 ms. `logging` (about 6 ms with what it loads) is loaded only
+when a run emits its first record, a warning of the parser or the
+taxonomy: they log through `model.warn`, and `main` sets the hook that
+configures logging on that first record. `export-features` writes its
+count lines to stderr itself, so a run that warns of nothing loads no
+`logging`.
 
 `main` runs with the cyclic garbage collector off and restores the state it
 found: a parsed corpus holds no reference cycle, and a test pins the cyclic
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import os
 import re
 import sys
@@ -36,6 +37,7 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
+from . import model
 from .model import (DEFAULT_GENRE_PATTERN, HEAD_RULES, MATCH_MODES,
                     SINGLETON_POLICIES, SPLITS, UNRESOLVED_DEFINITIONS,
                     Corpus, DataError, Record)
@@ -44,8 +46,6 @@ if TYPE_CHECKING:
     from .analysis import MentionVectors
     from .corpora import DatasetFiles
     from .reports import DatasetReport
-
-log = logging.getLogger("corefkit")
 
 
 class CliError(DataError):
@@ -144,6 +144,7 @@ def cmd_validate(args) -> int:
             n_sents = sum(len(d.sentences) for d in corpus.documents)
             n_mentions = sum(len(e.mentions) for d in corpus.documents
                              for e in d.entities)
+            del corpus  # so that the next file parses without it in memory
             print(f"ok\t{path}\tdocuments={n_docs}\tsentences={n_sents}"
                   f"\tmentions={n_mentions}")
     return 0
@@ -514,7 +515,8 @@ def cmd_export_features(args) -> int:
                 count = features.export_features(
                     corpus, table, records_out, vocab_out, target=target,
                     max_width=args.max_width, head_rule=args.head_rule)
-            log.info("%s: %d records", dataset.name, count)
+            print(f"INFO corefkit: {dataset.name}: {count} records",
+                  file=sys.stderr)
     except BaseException:
         # a failed run leaves no file behind, not even of the datasets
         # it finished, since those would look like a complete export
@@ -635,19 +637,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command line and return its exit code; a usage error or
     --help raises SystemExit. The cyclic collector is off for the run (see
-    above) and comes back as it was, however the run ends."""
+    above), and logging is configured on the run's first record; both come
+    back as they were, however the run ends."""
     enabled = gc.isenabled()
+    hook = model.before_first_record
     gc.disable()
+    model.before_first_record = _configure_logging
     try:
         return _run(argv)
     finally:
+        model.before_first_record = hook
         if enabled:
             gc.enable()
 
 
-def _run(argv: list[str] | None) -> int:
+def _configure_logging() -> None:
+    import logging
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "export-features" and (args.target, args.head_rule) \

@@ -11,7 +11,6 @@ bracket; resolve_entities says which of several faults is reported.
 from __future__ import annotations
 
 import io
-import logging
 import re
 from contextlib import contextmanager
 from operator import itemgetter
@@ -19,9 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .model import (MAX_DIGITS, Corpus, DataError, Document, Entity, Mention,
-                    Sentence, Token)
-
-log = logging.getLogger(__name__)
+                    Sentence, Token, warn)
 
 DEFAULT_ENTITY_FIELDS = ("eid", "etype", "head", "other")
 
@@ -118,8 +115,8 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
             number = len(corpus.documents) + 1
             resolved_id = doc_id or f"{dataset or 'doc'}#{number}"
             if resolved_id in seen_doc_ids:
-                log.warning("%s: duplicated doc id %r",
-                            filename or "<input>", resolved_id)
+                warn(__name__, "%s: duplicated doc id %r",
+                     filename or "<input>", resolved_id)
             seen_doc_ids.add(resolved_id)
             document = Document(
                 doc_id=resolved_id,
@@ -150,8 +147,8 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
         _check_heads(sentence, heads, filename)
         if sentence.sent_id is not None:
             if sentence.sent_id in seen_sent_ids:
-                log.warning("%s: duplicated sent_id %r within document %r",
-                            filename or "<input>", sentence.sent_id, doc_id)
+                warn(__name__, "%s: duplicated sent_id %r within document %r",
+                     filename or "<input>", sentence.sent_id, doc_id)
             seen_sent_ids.add(sentence.sent_id)
         doc_sentences.append(sentence)
         sentence = None

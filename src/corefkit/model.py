@@ -26,6 +26,23 @@ SINGLETON_POLICIES = ("include", "exclude")
 UNRESOLVED_DEFINITIONS = ("links", "membership")
 DEFAULT_GENRE_PATTERN = r"^[^_]+_([^_]+)"
 
+# Called, then cleared, just before the first record that warn() emits:
+# cli.main sets it for its run to configure logging, so that a run loads
+# and configures `logging` only once it has something to log.
+before_first_record = None
+
+
+def warn(logger: str, message: str, *args) -> None:
+    """Emit a WARNING record on the named logger. `logging` (about 6 ms
+    with what it loads) is imported here, on the first record, so that a
+    run with nothing to warn of never loads it."""
+    global before_first_record
+    import logging
+    hook, before_first_record = before_first_record, None
+    if hook is not None:
+        hook()
+    logging.getLogger(logger).warning(message, *args)
+
 
 class Record:
     """Base of a __slots__ class that compares by value: instances of one
@@ -244,7 +261,7 @@ class Mention:
     the Document, so that a parsed corpus holds no reference cycle."""
 
     __slots__ = ("entity_id", "span", "n_parts", "attributes", "sentences",
-                 "_head")
+                 "_head", "_syntactic_head")
 
     def __init__(self, entity_id: str, span: tuple[Token, ...],
                  n_parts: int = 1, attributes: dict[str, str] | None = None,
@@ -255,6 +272,7 @@ class Mention:
         self.attributes = {} if attributes is None else attributes
         self.sentences = sentences
         self._head = None
+        self._syntactic_head = None
 
     @property
     def head(self) -> Token:
@@ -264,6 +282,16 @@ class Mention:
         head = self._head
         if head is None:
             head = self._head = mention_head(self, self)
+        return head
+
+    @property
+    def syntactic_head(self) -> Token:
+        """The head by mention_head's rule with the annotated head ignored,
+        resolved on first read and kept, as head is."""
+        head = self._syntactic_head
+        if head is None:
+            head = self._syntactic_head = mention_head(
+                self, self, prefer_annotated=False)
         return head
 
     @property
@@ -354,13 +382,13 @@ def mention_head(mention: Mention, document: Document | Mention,
 
 
 def head_of(mention: Mention, head_rule: str) -> Token:
-    """The head a ``--head-rule`` picks: the mention's kept head
-    (Mention.head) for 'annotated', the parent-outside-span rule for
-    'syntactic'. Both read the mention's own sentences."""
+    """The head a ``--head-rule`` picks, kept on the mention: Mention.head
+    for 'annotated', Mention.syntactic_head (the parent-outside-span rule)
+    for 'syntactic'. Both read the mention's own sentences."""
     if head_rule == "annotated":
         return mention.head
     if head_rule == "syntactic":
-        return mention_head(mention, mention, prefer_annotated=False)
+        return mention.syntactic_head
     raise ValueError(f"unknown head rule {head_rule!r}")
 
 

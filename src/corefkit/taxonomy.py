@@ -7,13 +7,12 @@ dependency relations are grouped into 12 categories, one letter each.
 from __future__ import annotations
 
 import enum
-import logging
 from typing import TYPE_CHECKING
+
+from .model import warn
 
 if TYPE_CHECKING:
     from .model import Mention, Token
-
-log = logging.getLogger(__name__)
 
 
 class MentionType(enum.Enum):
@@ -87,8 +86,8 @@ def ud_category(deprel: str | None) -> UdCategory:
     if category is None:
         if base not in _warned_labels:
             _warned_labels.add(base)
-            log.warning("unknown dependency relation %r mapped to category T",
-                        base)
+            warn(__name__,
+                 "unknown dependency relation %r mapped to category T", base)
         return UdCategory.T
     return category
 

@@ -11,6 +11,7 @@ import pickle
 import re
 import subprocess
 import sys
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -18,13 +19,14 @@ from pathlib import Path
 import pytest
 
 import corefkit
+from corefkit import taxonomy
 from corefkit.analysis import MissingVectorError
 from corefkit.cli import CliError, _json, main
 from corefkit.conllu import ParseError
 from corefkit.features import WordOrderError
 from corefkit.metrics import AlignmentError
 from corefkit.model import (MATCH_MODES, SINGLETON_POLICIES,
-                            UNRESOLVED_DEFINITIONS, DataError)
+                            UNRESOLVED_DEFINITIONS, Corpus, DataError)
 from support import DATA, FRESH_ENV, tok
 
 GOLD_DIR = str(DATA / "score" / "gold")
@@ -85,6 +87,27 @@ def test_validate_split_without_files_names_the_split(capsys):
     code, out, _ = run(capsys, "validate", str(DATA), "--split", "dev")
     assert code == 0
     assert out.startswith("ok\t")
+
+
+def test_validate_holds_one_file_at_a_time(tmp_path, capsys, monkeypatch):
+    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
+    for name in ("a", "b", "c"):
+        (tmp_path / f"{name}.conllu").write_text(text, encoding="utf-8")
+    parse = corefkit.conllu.parse_file
+    parsed = []  # a weak reference to each corpus validate was given
+
+    class Watched(Corpus):  # the model classes take no weak reference
+        __slots__ = ("__weakref__",)
+
+    def watched_parse(path, **kwargs):
+        assert all(ref() is None for ref in parsed), "a corpus is alive"
+        corpus = parse(path, **kwargs)
+        watched = Watched(corpus.documents, corpus.dataset, corpus.language)
+        parsed.append(weakref.ref(watched))
+        return watched
+    monkeypatch.setattr(corefkit.conllu, "parse_file", watched_parse)
+    code, out, _ = run(capsys, "validate", str(tmp_path))
+    assert code == 0 and len(parsed) == out.count("ok\t") == 3
 
 
 def test_split_filters_a_file_input(capsys):
@@ -560,6 +583,10 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded, pool):
     assert "dataclasses" not in modules
     if argv[0] in ("taxonomy", "validate"):
         assert "fractions" not in modules
+    # logging loads with the first record, and no fixture run emits one;
+    # a pool loads it through concurrent.futures
+    if not pool:
+        assert "logging" not in modules
 
 
 def _score_without_the_document(tmp_path):
@@ -675,6 +702,51 @@ def test_a_fresh_process_runs_like_main_in_process(tmp_path, capsys,
         (code, captured.out, captured.err)
     assert code == 0 and (captured.out or _written(here))
     assert _written(there) == _written(here)
+
+
+def _doc_ids_twice(tmp_path):
+    twice = tmp_path / "twice.conllu"
+    twice.write_text((DATA / "basic.conllu").read_text(encoding="utf-8") * 2,
+                     encoding="utf-8")
+    return ["validate", str(twice)], "".join(
+        f"WARNING corefkit.conllu: {twice}: duplicated doc id '{doc_id}'\n"
+        for doc_id in ("fixture-doc1", "fixture-doc2"))
+
+
+def _an_unknown_deprel(tmp_path):
+    # "castle", the head of "The old castle", is the antecedent of "It"
+    (tmp_path / "en_x-corefud-dev.conllu").write_text(
+        (DATA / "basic.conllu").read_text(encoding="utf-8").replace(
+            "4\tnsubj\t_\tEntity=e1)", "4\tfrobnicate\t_\tEntity=e1)"),
+        encoding="utf-8")
+    return ["analyze", str(tmp_path), "--stat", "anaphor-antecedent"], (
+        "WARNING corefkit.taxonomy: unknown dependency relation "
+        "'frobnicate' mapped to category T\n")
+
+
+def _a_warning_then_the_count(tmp_path):
+    _, warning = _an_unknown_deprel(tmp_path)
+    return ["export-features", str(tmp_path), "--word-order", WORD_ORDER,
+            "--out", str(tmp_path / "out")], \
+        warning + "INFO corefkit: en_x: 10 records\n"
+
+
+# No other command line in these tests emits a log record, so these pin how
+# one prints: logging configured on the first record, in a fresh process as
+# in main run in-process.
+@pytest.mark.parametrize("make_argv", [
+    _doc_ids_twice, _an_unknown_deprel, _a_warning_then_the_count,
+], ids=["duplicated-doc-ids", "unknown-deprel", "export-count"])
+def test_a_warning_prints_the_same_in_a_fresh_process(tmp_path, capsys,
+                                                      monkeypatch, make_argv):
+    monkeypatch.setattr(taxonomy, "_warned_labels", set())
+    argv, stderr = make_argv(tmp_path)
+    with _unconfigured_logging():
+        code = main(argv)
+    captured = capsys.readouterr()
+    done = fresh(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (code, captured.out, captured.err) == (0, captured.out, stderr)
 
 
 @pytest.mark.parametrize("buffered", [True, False],
@@ -1086,8 +1158,8 @@ def _raise_in_command(args):
     raise RuntimeError("a fault in a command")
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-@pytest.mark.parametrize("argv, outcome", [
+# the ways a run of main ends
+_ENDINGS = [
     (("validate", str(DATA / "basic.conllu")), 0),
     (("validate", str(DATA / "no-such-file.conllu")), 2),
     (("validate", "--no-such-flag"), SystemExit),
@@ -1095,19 +1167,40 @@ def _raise_in_command(args):
      SystemExit),
     (("taxonomy", "--help"), SystemExit),
     (("validate", str(DATA / "basic.conllu")), RuntimeError),
-], ids=["success", "data-error", "usage-error", "parser-error", "help",
-        "exception"])
+]
+_ENDING_IDS = ["success", "data-error", "usage-error", "parser-error", "help",
+               "exception"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, outcome", _ENDINGS, ids=_ENDING_IDS)
 def test_main_gives_the_collector_back_as_it_found_it(
         capsys, monkeypatch, enabled, argv, outcome):
+    with _collector(enabled):
+        _end_main(monkeypatch, argv, outcome)
+        assert gc.isenabled() is enabled
+
+
+def _end_main(monkeypatch, argv: tuple[str, ...], outcome) -> None:
+    """Run main on argv and check that it ends with outcome: an exit code,
+    or an exception that a RuntimeError outcome raises in the command."""
     if outcome is RuntimeError:
         monkeypatch.setattr("corefkit.cli.cmd_validate", _raise_in_command)
-    with _collector(enabled):
-        if isinstance(outcome, int):
-            assert main(list(argv)) == outcome
-        else:
-            with pytest.raises(outcome):
-                main(list(argv))
-        assert gc.isenabled() is enabled
+    if isinstance(outcome, int):
+        assert main(list(argv)) == outcome
+    else:
+        with pytest.raises(outcome):
+            main(list(argv))
+
+
+@pytest.mark.parametrize("argv, outcome", _ENDINGS, ids=_ENDING_IDS)
+def test_main_gives_the_logging_hook_back(capsys, monkeypatch, argv,
+                                          outcome):
+    def callers_hook():
+        raise AssertionError("main's run called its caller's hook")
+    monkeypatch.setattr(corefkit.model, "before_first_record", callers_hook)
+    _end_main(monkeypatch, argv, outcome)
+    assert corefkit.model.before_first_record is callers_hook
 
 
 def _garbage_after(argv: tuple[str, ...]) -> int:

@@ -2,8 +2,8 @@
 plain walk to the root on arbitrary forests: heads that name no node, empty
 nodes attached through DEPS, spans across sentences. The parser rejects a
 head cycle; a hand-built one raises ValueError. Heads are resolved lazily,
-from the mention alone, and each statistic resolves a mention's head at
-most once per call."""
+from the mention alone, and kept on it, so a run resolves each mention's
+head at most once."""
 from __future__ import annotations
 
 from collections import Counter
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from corefkit import model, parse_file
 from corefkit.analysis import antecedent_category_counts, competing_antecedents
-from corefkit.cli import STATISTICS, StatOptions
+from corefkit.cli import STATISTICS, StatOptions, main
 from corefkit.model import (HEAD_RULES, ROOT, UNKNOWN, Document, Mention,
                             Sentence, Token, head_of, mention_head)
 from corefkit.taxonomy import MentionType
@@ -247,6 +247,13 @@ def test_a_pass_over_mentions_resolves_each_head_once(monkeypatch):
             calls.clear()
             count()
             assert max(Counter(map(id, calls)).values(), default=1) == 1
+
+
+def test_a_syntactic_analysis_resolves_each_head_once(monkeypatch, capsys):
+    calls = _count_heads(monkeypatch)  # holds the mentions, so ids stay
+    assert main(["analyze", str(DATA), "--head-rule", "syntactic"]) == 0
+    assert calls
+    assert max(Counter(map(id, calls)).values()) == 1
 
 
 def test_no_statistic_resolves_more_heads_than_it_reads(monkeypatch):
