@@ -17,8 +17,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .model import (MAX_DIGITS, Corpus, DataError, Document, Entity, Mention,
-                    Sentence, Token, warn)
+from .model import (MAX_DIGITS, UNKNOWN, Corpus, DataError, Document, Entity,
+                    Mention, Sentence, Token, parent_positions, warn)
 
 DEFAULT_ENTITY_FIELDS = ("eid", "etype", "head", "other")
 
@@ -94,7 +94,8 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     doc_id: str | None = None
     sentence: Sentence | None = None
     tokens: list[Token] = []  # the nodes of sentence
-    heads = [0]  # HEAD of each surface token of sentence, 0 for root or '_'
+    empty: list[int] = []  # the positions of its empty nodes
+    n = 1  # the index its next surface token must have
     first_line = 0
     prev_empty_minor = 0
     prev_range_end = 0
@@ -104,7 +105,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     # Local to this parse, so nothing is kept once it returns: ids[i] is the
     # surface index i, head_values maps each valid HEAD text seen to its
     # value, and shared holds one object per repeated column text.
-    ids = ["0"]
+    ids = ["0", "1"]
     head_values: dict[str, int | None] = {"_": None, "0": 0}
     shared: dict[str, str] = {}
     share = shared.setdefault
@@ -129,7 +130,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
         seen_sent_ids = set()
 
     def flush_sentence(line_no: int) -> None:
-        nonlocal sentence, tokens, heads, first_line, prev_empty_minor
+        nonlocal sentence, tokens, empty, n, first_line, prev_empty_minor
         nonlocal prev_range_end
         if sentence is None:
             return
@@ -137,14 +138,14 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
             raise ParseError("sentence without token lines", filename, line_no)
         sentence.tokens = tokens
         sentence.first_line = first_line
-        n = len(heads) - 1
-        if prev_range_end > n:
+        if prev_range_end >= n:
             offset, cols = sentence.mwt_ranges[-1]
             raise ParseError(
                 f"token range {cols[0]} ends after the last token "
-                f"{n} of its sentence", filename,
+                f"{n - 1} of its sentence", filename,
                 first_line + offset + len(sentence.mwt_ranges) - 1)
-        _check_heads(sentence, heads, filename)
+        sentence._parents = parent_positions(tokens)
+        _check_heads(sentence, empty, filename)
         if sentence.sent_id is not None:
             if sentence.sent_id in seen_sent_ids:
                 warn(__name__, "%s: duplicated sent_id %r within document %r",
@@ -153,7 +154,8 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
         doc_sentences.append(sentence)
         sentence = None
         tokens = []
-        heads = [0]
+        empty = []
+        n = 1
         first_line = prev_empty_minor = prev_range_end = 0
 
     line_no = 0
@@ -190,11 +192,11 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
             sentence = Sentence()
         if not first_line:
             first_line = line_no
-        n = len(heads)  # the index the next surface token must have
-        if n == len(ids):
-            ids.append(str(n))
         if index == ids[n]:
             index = ids[n]
+            n += 1
+            if n == len(ids):
+                ids.append(str(n))
             prev_empty_minor = 0
             is_empty = False
         elif index.isdigit() and index.isascii() and index[0] != "0":
@@ -218,6 +220,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                 raise ParseError(f"non-monotonic empty-node index {index}",
                                  filename, line_no)
             prev_empty_minor += 1
+            empty.append(len(tokens))
             index = share(index, index)
             is_empty = True
         else:
@@ -230,8 +233,6 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                 raise ParseError(f"malformed HEAD value {head!r}",
                                  filename, line_no)
             head_value = head_values[head] = int(head)
-        if not is_empty:
-            heads.append(head_value or 0)
         # a '# newdoc' line has flushed any previous document by now
         tokens.append(Token(
             index, form, lemma, share(upos, upos), share(xpos, xpos),
@@ -249,59 +250,55 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     return corpus
 
 
-def _check_heads(sentence: Sentence, heads: list[int], filename: str) -> None:
-    """Raise ParseError naming the node's line when a HEAD names no token,
-    when an empty node's first DEPS head names no node, or where the first
-    walk up the parents re-enters its own path: surface HEADs first (a
-    surface parent is a surface token), then empty nodes. heads[i] is the
-    HEAD of surface token i, 0 for the root or '_'."""
-    n = len(heads) - 1
+def _check_heads(sentence: Sentence, empty: list[int],
+                 filename: str) -> None:
+    """Raise ParseError naming the node's line at the first fault of: a HEAD
+    past the last surface token (an empty node's HEAD too), then, on the
+    parent positions, a surface cycle, an empty node whose first DEPS head
+    names no node, an empty-node cycle. empty holds the empty nodes'
+    positions; a surface parent is a surface node, so the walks from
+    surface nodes meet no empty one."""
     tokens = sentence.tokens
-    has_empty = len(tokens) > n
-    if has_empty or max(heads) > n:
+    parents = sentence.parents()
+    n = len(tokens) - len(empty)
+    if UNKNOWN in parents or empty and any(tokens[i].head for i in empty):
         for order, token in enumerate(tokens):
             if token.head is not None and token.head > n:
                 raise ParseError(
                     f"token {token.index} head {token.head} refers to a "
                     f"nonexistent token (sentence has {n})", filename,
                     _node_line(sentence, order))
-    walked = [0] * (n + 1)  # the walk that reached surface token i first
-    for start in range(1, n + 1):
+    walked = [-1] * len(tokens)
+    for order in empty:  # so that no walk starts here before the surface ones
+        walked[order] = len(tokens)
+    node = _cycle(parents, walked, range(len(tokens)))
+    if node is None and empty:
+        for order in empty:
+            if parents[order] == UNKNOWN:
+                raise ParseError(
+                    f"empty node {tokens[order].index} DEPS head "
+                    f"{tokens[order].deps_pairs()[0][0]} refers to a "
+                    f"nonexistent node", filename, _node_line(sentence, order))
+            walked[order] = -1
+        node = _cycle(parents, walked, empty)
+    if node is not None:
+        raise ParseError(f"token {tokens[node].index} is on a head cycle",
+                         filename, _node_line(sentence, node))
+
+
+def _cycle(parents: list[int], walked: list[int],
+           starts: Iterable[int]) -> int | None:
+    """Walk up parents from each start in turn, marking in walked (-1: not
+    yet) the start that reached each node first; return the first node where
+    a walk re-enters its own path, or None."""
+    for start in starts:
         node = start
-        while node and not walked[node]:
+        while node >= 0 and walked[node] < 0:
             walked[node] = start
-            node = heads[node]
-        if node and walked[node] == start:
-            raise _node_error(sentence, str(node),
-                              f"token {node} is on a head cycle", filename)
-    if not has_empty:
-        return
-    # empty node id -> parent id
-    empty = {t.index: t.parent_id() for t in tokens if t.is_empty}
-    for index, parent in empty.items():
-        # a surface id is a number 1..n without a leading zero
-        if parent is not None and parent not in empty and not (
-                parent.isdigit() and parent.isascii() and parent[0] != "0"
-                and len(parent) <= MAX_DIGITS and int(parent) <= n):
-            raise _node_error(sentence, index, f"empty node {index} DEPS head "
-                              f"{parent} refers to a nonexistent node",
-                              filename)
-    walked_empty: dict[str, str] = {}
-    for start in empty:
-        node = start
-        while node in empty and node not in walked_empty:
-            walked_empty[node] = start
-            node = empty[node]
-        if walked_empty.get(node) == start:
-            raise _node_error(sentence, node,
-                              f"token {node} is on a head cycle", filename)
-
-
-def _node_error(sentence: Sentence, index: str, message: str,
-                filename: str) -> ParseError:
-    """ParseError naming the line of the node with CoNLL-U id index."""
-    order = next(k for k, t in enumerate(sentence.tokens) if t.index == index)
-    return ParseError(message, filename, _node_line(sentence, order))
+            node = parents[node]
+        if node >= 0 and walked[node] == start:
+            return node
+    return None
 
 
 def entity_field_layout(document: Document, filename: str = "",

@@ -141,18 +141,6 @@ class Token:
             pairs.append((head_id, rel))
         return pairs
 
-    def parent_id(self) -> str | None:
-        """Id of the governing node: basic head for surface tokens, first
-        enhanced head for empty nodes. None for the root or when unknown."""
-        if self.is_empty:
-            pairs = self.deps_pairs()
-            if pairs and pairs[0][0] != "0":
-                return pairs[0][0]
-            return None
-        if self.head is None or self.head == 0:
-            return None
-        return str(self.head)
-
     def effective_deprel(self) -> str | None:
         """Relation label used by the analyses: DEPREL for surface tokens,
         the first enhanced relation for empty nodes."""
@@ -166,6 +154,31 @@ class Token:
         return "\t".join((self.index, self.form, self.lemma, self.upos,
                           self.xpos, self.feats_raw, head, self.deprel,
                           self.deps_raw, self.misc_raw))
+
+
+def parent_positions(tokens: list[Token]) -> list[int]:
+    """Position of each node's parent among tokens, a sentence's nodes in
+    file order (ROOT: none; UNKNOWN: names no node here). A surface node's
+    parent is the HEAD-th surface node, an empty node's the node its first
+    DEPS head names; HEAD 0 or '_', DEPS head 0 or no DEPS name none."""
+    n = len(tokens)  # if all are surface nodes, token h is the h-th node
+    parents = [ROOT if not (h := t.head) else h - 1 if 0 < h <= n
+               else UNKNOWN for t in tokens if not t.is_empty]
+    if len(parents) == n:
+        return parents
+    position, surface, empty = {}, [], []
+    for i, token in enumerate(tokens):
+        position[token.index] = i
+        (empty if token.is_empty else surface).append(i)
+    n = len(surface)  # the h-th surface node is surface[h - 1]
+    parents = [p if p < 0 else surface[p] if p < n else UNKNOWN
+               for p in parents]
+    for i in empty:
+        deps = tokens[i].deps_raw
+        head_id = deps.partition("|")[0].partition(":")[0]
+        parents.insert(i, ROOT if deps in ("_", "") or head_id == "0"
+                       else position.get(head_id, UNKNOWN))
+    return parents
 
 
 class Sentence:
@@ -190,21 +203,9 @@ class Sentence:
         self._depths = _depths
 
     def parents(self) -> list[int]:
-        """Position of each node's parent in this sentence: ROOT when it has
-        none, UNKNOWN when its parent id names no node here."""
+        """parent_positions of the nodes, set by the parser or on first use."""
         if self._parents is None:
-            tokens = self.tokens
-            n = len(tokens)
-            if any(t.is_empty for t in tokens):
-                position = {t.index: i for i, t in enumerate(tokens)}
-                self._parents = [
-                    ROOT if parent_id is None
-                    else position.get(parent_id, UNKNOWN)
-                    for parent_id in map(Token.parent_id, tokens)]
-            else:
-                # surface token h is the h-th node
-                self._parents = [ROOT if not h else h - 1 if 0 < h <= n
-                                 else UNKNOWN for h in (t.head for t in tokens)]
+            self._parents = parent_positions(self.tokens)
         return self._parents
 
     def depth(self, position: int) -> int:

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import corefkit
-from corefkit import taxonomy
+from corefkit import conllu, taxonomy
 from corefkit.analysis import MissingVectorError
 from corefkit.cli import CliError, _json, main
 from corefkit.conllu import ParseError
@@ -1306,3 +1306,45 @@ def test_reports_do_not_depend_on_document_order_or_file_split(
         assert (code, err) == (0, "")
         _, out, _ = run(capsys, *arranged, "--format", fmt)
         assert out == expected, generated
+
+
+# ------------------------------------------------ parents set by the parse
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "{gold}"],
+    ["score", "--gold", "{gold}", "--pred", "{pred}", "--match", "head"],
+    ["errors", "--gold", "{gold}", "--pred", "{pred}"],
+    ["export-features", "{gold}", "--word-order", "{order}", "--out",
+     "{out}", "--target", "spans"],
+], ids=["analyze", "score-head", "errors", "export-spans"])
+def test_commands_that_read_heads_compute_no_parents_after_the_parse(
+        arrangements, capsys, monkeypatch, tmp_path, command):
+    # the generated corpus has mentions without a head attribute, so these
+    # commands walk head chains
+    gold, pred = arrangements["generated"]
+    argv = [arg.format(gold=gold, pred=pred, out=tmp_path,
+                       order=Path(gold).parent / "word_order.tsv")
+            for arg in command]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    parse_stream = conllu._parse_stream
+    parent_positions = corefkit.model.parent_positions
+    parsing, computed = [], []
+
+    def parse(*args):
+        parsing.append(True)
+        try:
+            return parse_stream(*args)
+        finally:
+            parsing.pop()
+
+    def positions(tokens):
+        if not parsing:
+            raise AssertionError("parent positions computed after the parse")
+        computed.append(tokens)
+        return parent_positions(tokens)
+    monkeypatch.setattr(conllu, "_parse_stream", parse)
+    monkeypatch.setattr(conllu, "parent_positions", positions)
+    monkeypatch.setattr(corefkit.model, "parent_positions", positions)
+    assert run(capsys, *argv)[:2] == (0, expected)
+    assert computed  # by the parser

@@ -5,15 +5,17 @@ import logging
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkit import (ParseError, Token, parse_conllu, parse_file,
                       resolve_entities, serialize)
 from corefkit.conllu import _BRACKET, _ENTITY_ITEM
-from corefkit.model import mention_head, parse_kv_items, span_key
+from corefkit.model import (UNKNOWN, Sentence, mention_head, parse_kv_items,
+                            span_key)
 from support import (DATA, corpus_signature, make_corpus, misc_value, node,
                      tok)
+from test_features import corpora
 
 
 def test_empty_stream_gives_empty_corpus():
@@ -52,7 +54,7 @@ def test_empty_node_parsed(basic_corpus):
     empty = node(sentence, "1.1")
     assert empty.is_empty
     assert empty.head is None
-    assert empty.parent_id() == "1"
+    assert sentence.parents()[empty.order] == node(sentence, "1").order
     assert empty.effective_deprel() == "nsubj"
 
 
@@ -278,6 +280,64 @@ def test_an_empty_node_deps_head_naming_no_node_names_its_line(tmp_path,
     with pytest.raises(ParseError) as excinfo:
         parse_file(path)
     assert str(excinfo.value) == f"{path}:3: {message}"
+
+
+# Each sentence holds two faults. The one checked later sits on an earlier
+# line, so line order alone would report it. The block starts on line 2.
+@pytest.mark.parametrize("block, line, message", [
+    ([tok(1, "do", "AUX", 2, "aux"), tok(2, "go", "VERB", 1, "root"),
+      tok(3, "home", "ADV", 9, "advmod")], 4,
+     "token 3 head 9 refers to a nonexistent token (sentence has 3)"),
+    ([tok(1, "go", "VERB", 0, "root"),
+      tok("1.1", "you", "PRON", "_", "_", deps="9:nsubj"),
+      tok(2, "do", "AUX", 3, "aux"), tok(3, "home", "ADV", 2, "advmod")], 4,
+     "token 2 is on a head cycle"),
+    ([tok(1, "go", "VERB", 0, "root"),
+      tok("1.1", "you", "PRON", "_", "_", deps="1.2:nsubj"),
+      tok("1.2", "me", "PRON", "_", "_", deps="1.1:conj"),
+      tok(2, "home", "ADV", 1, "advmod"),
+      tok("2.1", "it", "PRON", "_", "_", deps="7:obj")], 6,
+     "empty node 2.1 DEPS head 7 refers to a nonexistent node"),
+], ids=["range-before-surface-cycle", "surface-cycle-before-dangling-deps",
+        "dangling-deps-before-empty-cycle"])
+def test_of_two_head_faults_the_earlier_check_is_reported(tmp_path, block,
+                                                          line, message):
+    path = tmp_path / "faults.conllu"
+    path.write_text("\n".join(["# sent_id = s1", *block, "", ""]),
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_file(path)
+    assert str(excinfo.value) == f"{path}:{line}: {message}"
+
+
+def _assert_parents_set_by_the_parser(corpus):
+    for document in corpus.documents:
+        for sentence in document.sentences:
+            assert sentence._parents is not None
+            assert sentence._parents == Sentence(
+                tokens=sentence.tokens).parents()
+
+
+def test_a_parsed_sentence_holds_its_parent_positions():
+    for path in sorted(DATA.rglob("*.conllu")):
+        _assert_parents_set_by_the_parser(parse_file(path))
+
+
+@settings(max_examples=200)
+@given(corpora())
+def test_parsed_parent_positions_match_the_hand_built_sentence(corpus):
+    for document in corpus.documents:
+        for sentence in document.sentences:
+            text = "\n".join(sentence.lines()) + "\n\n"
+            # the strategy draws no cycle, but heads that name no node
+            if UNKNOWN in sentence.parents():
+                with pytest.raises(ParseError, match="nonexistent"):
+                    parse_conllu(text)
+                continue
+            parsed = parse_conllu(text)
+            _assert_parents_set_by_the_parser(parsed)
+            assert parsed.documents[0].sentences[0].parents() == \
+                sentence.parents()
 
 
 @pytest.mark.parametrize("lines, line, message", [

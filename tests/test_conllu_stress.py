@@ -94,8 +94,10 @@ def test_crossing_mentions_decode():
 def test_empty_node_multiple_enhanced_heads():
     corpus = parse_conllu(MULTI_HEAD_DEPS)
     document = corpus.documents[0]
-    empty = node(document.sentences[0], "1.1")
-    assert empty.parent_id() == "1"
+    sentence = document.sentences[0]
+    empty = node(sentence, "1.1")
+    # the first enhanced head governs
+    assert sentence.parents()[empty.order] == node(sentence, "1").order
     assert empty.effective_deprel() == "nsubj"
     (entity,) = document.entities
     assert entity.mentions[0].head is empty

@@ -23,6 +23,21 @@ from support import DATA, make_corpus, tok
 FIXTURES = sorted(DATA.rglob("*.conllu"))
 
 
+def _parent_id(token: Token) -> str | None:
+    """Id of the governing node: HEAD for a surface token, the first DEPS
+    head for an empty node; None for the root or no head. The references
+    look each parent up by this id, where model.parent_positions counts
+    surface nodes, so they do not share its logic."""
+    if token.is_empty:
+        pairs = token.deps_pairs()
+        if pairs and pairs[0][0] != "0":
+            return pairs[0][0]
+        return None
+    if token.head is None or token.head == 0:
+        return None
+    return str(token.head)
+
+
 def _reference_depth(token: Token, sentence: Sentence) -> int:
     """Hops to the root, one walk per call; cycles and unknown parents
     count as the hops taken plus the number of nodes."""
@@ -31,7 +46,7 @@ def _reference_depth(token: Token, sentence: Sentence) -> int:
     seen = {id(token)}
     current = token
     while True:
-        parent_id = current.parent_id()
+        parent_id = _parent_id(current)
         if parent_id is None:
             return depth
         parent = by_index.get(parent_id)
@@ -51,7 +66,7 @@ def _reference_head(span: tuple[Token, ...], document: Document) -> Token:
     for token in span:
         sentence = document.sentences[token.sent_index]
         by_index = {t.index: t for t in sentence.tokens}
-        parent_id = token.parent_id()
+        parent_id = _parent_id(token)
         parent = by_index.get(parent_id) if parent_id is not None else None
         if parent is None or id(parent) not in in_span:
             candidates.append((_reference_depth(token, sentence),
@@ -109,8 +124,8 @@ def documents(draw) -> Document:
 def test_parents_and_depths_match_a_root_walk(document, random):
     for sentence in document.sentences:
         position = {t.index: i for i, t in enumerate(sentence.tokens)}
-        expected = [ROOT if t.parent_id() is None
-                    else position.get(t.parent_id(), UNKNOWN)
+        expected = [ROOT if _parent_id(t) is None
+                    else position.get(_parent_id(t), UNKNOWN)
                     for t in sentence.tokens]
         assert sentence.parents() == expected
         # depths are filled on demand, so ask in any order
