@@ -400,20 +400,14 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------------------- score
 
 def _dataset_pairs(args) -> Iterator[tuple[str, list]]:
-    """(dataset, its (gold, system) document pairs) for each gold dataset,
-    loading one dataset at a time. A gold dataset without a system file is
-    a data error; system datasets without gold are ignored."""
+    """(dataset, its (gold, system) document pairs) for each gold dataset
+    of corpora.pair_datasets, loading one dataset at a time."""
     from . import metrics
-    from .corpora import discover_datasets, pair_datasets
+    from .corpora import pair_datasets
     gold, pred = _existing(args.gold), _existing(args.pred)
-    names = [d.name for d in discover_datasets(gold, args.split)]
-    if not names:
-        raise _no_files(gold, args.split)
     paired = pair_datasets(gold, pred, args.split)
-    shared = {name for name, _, _ in paired}
-    for name in names:
-        if name not in shared:
-            raise CliError(f"{name}: no system output file under {pred}")
+    if not paired:
+        raise _no_files(gold, args.split)
     for name, gold_files, pred_files in paired:
         yield name, metrics.document_pairs(gold_files.load(),
                                            pred_files.load())
@@ -556,6 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: stdout)")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
+    def gold_and_system(p):
+        p.add_argument("--gold", required=True)
+        p.add_argument("--pred", required=True)
+        p.add_argument("--split", choices=SPLITS)
+
     p = sub.add_parser("validate", help="parse inputs and check invariants")
     inputs(p)
     p.set_defaults(func=cmd_validate)
@@ -590,28 +589,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="MUC/B3/CEAFe/CoNLL F1 of system "
                                      "output against gold")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--split", choices=SPLITS)
+    gold_and_system(p)
+    report(p)
     p.add_argument("--match", choices=MATCH_MODES, default="exact")
     p.add_argument("--singletons", choices=SINGLETON_POLICIES,
                    default="exclude")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("errors", help="error analysis of unresolved gold "
                                       "entities")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--split", choices=SPLITS)
+    gold_and_system(p)
+    report(p)
     p.add_argument("--mode", choices=MATCH_MODES, default="exact")
     p.add_argument("--definition", choices=UNRESOLVED_DEFINITIONS,
                    default="links")
     p.add_argument("--detail", action="store_true",
                    help="also dump per-entity JSON diagnostics")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_errors)
 
     p = sub.add_parser("export-features",

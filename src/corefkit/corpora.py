@@ -68,11 +68,18 @@ def discover_datasets(root: str | Path, split: str | None = None,
 def pair_datasets(gold_root: str | Path, pred_root: str | Path,
                   split: str | None = None,
                   ) -> list[tuple[str, DatasetFiles, DatasetFiles]]:
-    """Match gold and system dataset groups by dataset name. With split
-    set, system files named for another split are dropped; those whose name
-    carries no split, like flat ``<dataset>.conllu`` dumps, are kept."""
-    gold = {d.name: d for d in discover_datasets(gold_root, split)}
+    """Each gold dataset, in name order, with the system files of the same
+    dataset name. A gold dataset without a system file raises
+    metrics.AlignmentError; system datasets without gold are ignored. With
+    split set, system files named for another split are dropped; those
+    whose name carries no split, like flat ``<dataset>.conllu`` dumps, are
+    kept."""
+    gold = discover_datasets(gold_root, split)
     pred = {d.name: d for d in discover_datasets(pred_root, split,
                                                  keep_unsplit=True)}
-    common = sorted(set(gold) & set(pred))
-    return [(name, gold[name], pred[name]) for name in common]
+    for dataset in gold:
+        if dataset.name not in pred:
+            from .metrics import AlignmentError
+            raise AlignmentError(
+                f"{dataset.name}: no system output file under {pred_root}")
+    return [(d.name, d, pred[d.name]) for d in gold]

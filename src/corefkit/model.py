@@ -107,8 +107,7 @@ class Token:
     def __init__(self, index: str, form: str, lemma: str, upos: str,
                  xpos: str, feats_raw: str, head: int | None, deprel: str,
                  deps_raw: str, misc_raw: str, is_empty: bool,
-                 sent_index: int = -1, order: int = -1,
-                 _feats: dict[str, str | None] | None = None) -> None:
+                 sent_index: int = -1, order: int = -1) -> None:
         # the parser builds one per node: plain assignments only
         self.index = index
         self.form = form
@@ -123,7 +122,7 @@ class Token:
         self.is_empty = is_empty
         self.sent_index = sent_index
         self.order = order
-        self._feats = _feats
+        self._feats = None
 
     @property
     def feats(self) -> dict[str, str | None]:
@@ -174,10 +173,9 @@ def parent_positions(tokens: list[Token]) -> list[int]:
     parents = [p if p < 0 else surface[p] if p < n else UNKNOWN
                for p in parents]
     for i in empty:
-        deps = tokens[i].deps_raw
-        head_id = deps.partition("|")[0].partition(":")[0]
-        parents.insert(i, ROOT if deps in ("_", "") or head_id == "0"
-                       else position.get(head_id, UNKNOWN))
+        pairs = tokens[i].deps_pairs()
+        parents.insert(i, ROOT if not pairs or pairs[0][0] == "0"
+                       else position.get(pairs[0][0], UNKNOWN))
     return parents
 
 
@@ -191,16 +189,14 @@ class Sentence:
     def __init__(self, comments: list[str] | None = None,
                  tokens: list[Token] | None = None,
                  mwt_ranges: list[tuple[int, tuple[str, ...]]] | None = None,
-                 sent_id: str | None = None, first_line: int = 0,
-                 _parents: list[int] | None = None,
-                 _depths: list[int | None] | None = None) -> None:
+                 sent_id: str | None = None, first_line: int = 0) -> None:
         self.comments = [] if comments is None else comments
         self.tokens = [] if tokens is None else tokens
         self.mwt_ranges = [] if mwt_ranges is None else mwt_ranges
         self.sent_id = sent_id
         self.first_line = first_line  # file line of its first node, or 0
-        self._parents = _parents
-        self._depths = _depths
+        self._parents = None
+        self._depths = None
 
     def parents(self) -> list[int]:
         """parent_positions of the nodes, set by the parser or on first use."""
@@ -283,16 +279,6 @@ class Mention:
         head = self._head
         if head is None:
             head = self._head = mention_head(self, self)
-        return head
-
-    @property
-    def syntactic_head(self) -> Token:
-        """The head by mention_head's rule with the annotated head ignored,
-        resolved on first read and kept, as head is."""
-        head = self._syntactic_head
-        if head is None:
-            head = self._syntactic_head = mention_head(
-                self, self, prefer_annotated=False)
         return head
 
     @property
@@ -384,12 +370,17 @@ def mention_head(mention: Mention, document: Document | Mention,
 
 def head_of(mention: Mention, head_rule: str) -> Token:
     """The head a ``--head-rule`` picks, kept on the mention: Mention.head
-    for 'annotated', Mention.syntactic_head (the parent-outside-span rule)
-    for 'syntactic'. Both read the mention's own sentences."""
+    for 'annotated'; for 'syntactic', mention_head's rule with the annotated
+    head ignored (the parent-outside-span rule), resolved on first use.
+    Both read the mention's own sentences."""
     if head_rule == "annotated":
         return mention.head
     if head_rule == "syntactic":
-        return mention.syntactic_head
+        head = mention._syntactic_head
+        if head is None:
+            head = mention._syntactic_head = mention_head(
+                mention, mention, prefer_annotated=False)
+        return head
     raise ValueError(f"unknown head rule {head_rule!r}")
 
 

@@ -127,10 +127,10 @@ def system_error_reports(system_env: str, mode: str) -> dict[str, object]:
         return _cache[cache_key]
     gold_root = data_root(CRAC22_GOLD_ENV)
     pred_root = data_root(system_env)
+    # a gold dataset without a system file raises AlignmentError
     paired = pair_datasets(gold_root, pred_root)
     if not paired:
-        pytest.skip(f"no dataset names shared between {CRAC22_GOLD_ENV} "
-                    f"and {system_env}")
+        pytest.skip(f"no gold dataset under {CRAC22_GOLD_ENV}")
     tasks = [(gold_files, pred_files, mode)
              for _, gold_files, pred_files in paired]
     with ProcessPoolExecutor(max_workers=jobs()) as pool:

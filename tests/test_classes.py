@@ -111,6 +111,16 @@ def test_keyword_constructors_keep_their_names_and_defaults():
     assert (errors.unresolved_pct, errors.undetected_pct) == (50, 100)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: _token(_feats={}),
+    lambda: Sentence(_parents=[]),
+    lambda: Sentence(_depths=[]),
+], ids=["Token-_feats", "Sentence-_parents", "Sentence-_depths"])
+def test_a_cache_is_no_constructor_keyword(make):
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_model_classes_compare_by_identity():
     for make in (_token, Sentence, lambda: Mention("e1", ()),
                  lambda: Entity("e1"), lambda: Document("d1"), Corpus):

@@ -170,6 +170,43 @@ def test_a_gold_dataset_without_system_file_exits_2(tmp_path, capsys,
                    f"under {PRED_DIR}\n")
 
 
+def test_pair_datasets_requires_a_system_file_for_every_gold_dataset(
+        tmp_path):
+    from corefkit.corpora import pair_datasets
+    gold, pred = tmp_path / "gold", tmp_path / "pred"
+    for root, names in ((gold, ("xx_b", "xx_a", "xx_c")),
+                        (pred, ("xx_b", "xx_d"))):
+        root.mkdir()
+        for name in names:
+            (root / f"{name}.conllu").touch()
+    for missing in ("xx_a", "xx_c"):  # the first in name order
+        with pytest.raises(AlignmentError, match=(
+                f"^{missing}: no system output file under "
+                f"{re.escape(str(pred))}$")):
+            pair_datasets(gold, pred)
+        (pred / f"{missing}.conllu").touch()
+    # every gold dataset, in name order; the system-only xx_d is ignored
+    assert [(name, g.files, p.files)
+            for name, g, p in pair_datasets(gold, pred)] == [
+        (name, [gold / f"{name}.conllu"], [pred / f"{name}.conllu"])
+        for name in ("xx_a", "xx_b", "xx_c")]
+
+
+@pytest.mark.parametrize("command", ["score", "errors"])
+def test_a_scoring_run_walks_each_tree_once(monkeypatch, capsys, command):
+    from corefkit import corpora
+    roots = []
+    discover = corpora.discover_datasets
+
+    def counted(root, *args, **kwargs):
+        roots.append(str(root))
+        return discover(root, *args, **kwargs)
+    monkeypatch.setattr(corpora, "discover_datasets", counted)
+    code, _, _ = run(capsys, command, "--gold", GOLD_DIR, "--pred", PRED_DIR)
+    assert code == 0
+    assert roots == [GOLD_DIR, PRED_DIR]
+
+
 @pytest.mark.parametrize("sidecar", ["vectors", "word-order"])
 def test_non_utf8_sidecar_names_the_line_and_exits_2(tmp_path, capsys,
                                                     sidecar):

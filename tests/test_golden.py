@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import shutil
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -89,6 +91,26 @@ CASES = {
                                     "{pred}", "--detail", "--mode", "head",
                                     "--definition", "membership",
                                     "--format", "json"),
+    # "{emptied}" and "{moved}" are copies of tests/data's CoNLL-U files
+    # with edited Entity head fields (see make_inputs)
+    "analyze-heads-emptied.tsv": ("analyze", "{emptied}"),
+    "analyze-heads-emptied-syntactic.tsv": ("analyze", "{emptied}",
+                                            "--head-rule", "syntactic"),
+    "analyze-heads-moved.tsv": ("analyze", "{moved}"),
+    "analyze-heads-moved-syntactic.tsv": ("analyze", "{moved}",
+                                          "--head-rule", "syntactic"),
+    "score-head-heads-emptied.tsv": (
+        "score", "--gold", "{emptied}/score/gold", "--pred",
+        "{emptied}/score/pred", "--match", "head"),
+    "score-head-heads-moved.tsv": (
+        "score", "--gold", "{moved}/score/gold", "--pred",
+        "{moved}/score/pred", "--match", "head"),
+    "errors-head-heads-emptied.tsv": (
+        "errors", "--gold", "{emptied}/score/gold", "--pred",
+        "{emptied}/score/pred", "--mode", "head", "--detail"),
+    "errors-head-heads-moved.tsv": (
+        "errors", "--gold", "{moved}/score/gold", "--pred",
+        "{moved}/score/pred", "--mode", "head", "--detail"),
 }
 
 # Snapshot directory -> export-features arguments. Each directory holds the
@@ -104,6 +126,41 @@ EXPORTS = {
                               "annotated"),
     "export-spans": ("--target", "spans", "--max-width", "3"),
 }
+
+
+# Every Entity head field of the fixtures names the syntactic head, so on
+# them the two head rules agree and no command walks a head chain. Two
+# edited copies tell the rules apart: "{emptied}" has every head field
+# emptied, so each head of a longer mention is found on the tree, and
+# "{moved}" has head fields that name another token of the span.
+HEAD_FIELD = re.compile(rb"(\([^()|-]+-[^()|-]*-)[0-9]+")
+MOVED_HEADS = (
+    (b"(e1-thing-3-", b"(e1-thing-1-"),          # The old castle: The
+    (b"(e11-place-2-", b"(e11-place-1-"),        # el castillo: el
+    (b"(e12[1/2]-thing-2-", b"(e12[1/2]-thing-1-"),  # la torre ... alta: la
+    (b"(g1-person-2-", b"(g1-person-1-"),        # gold: the man: the
+    (b"(g2-animal-2-", b"(g2-animal-1-"),        # gold: a dog: a
+    (b"(s2-person-2-", b"(s2-person-1-"),        # system: the man: the
+)
+
+
+def empty_heads(text: bytes) -> bytes:
+    return HEAD_FIELD.sub(rb"\1", text)
+
+
+def move_heads(text: bytes) -> bytes:
+    for old, new in MOVED_HEADS:
+        text = text.replace(old, new)
+    return text
+
+
+def copy_fixtures(root: Path, edit: Callable[[bytes], bytes]) -> Path:
+    """tests/data's CoNLL-U files copied under root, each edited."""
+    for path in DATA.rglob("*.conllu"):
+        target = root / path.relative_to(DATA)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(edit(path.read_bytes()))
+    return root
 
 
 def make_inputs(root: Path) -> dict[str, Path]:
@@ -126,7 +183,9 @@ def make_inputs(root: Path) -> dict[str, Path]:
     shutil.copy(DATA / "score" / "gold" / "en_pairset-corefud-dev.conllu",
                 export)
     return dict(data=DATA, release=release, gold=gold, pred=pred,
-                export=export)
+                export=export,
+                emptied=copy_fixtures(root / "emptied", empty_heads),
+                moved=copy_fixtures(root / "moved", move_heads))
 
 
 TOKEN_FIELDS = [name for name in Token.__slots__ if not name.startswith("_")]
@@ -208,6 +267,21 @@ def test_export_snapshots_of_the_two_head_rules_differ():
     annotated = snapshot("export-gold-annotated")
     name = "es_basic.features.jsonl"
     assert syntactic[name] != annotated[name]
+
+
+def test_emptied_head_fields_analyze_as_the_syntactic_rule(inputs):
+    annotated = run(CASES["analyze-heads-emptied.tsv"], inputs)
+    syntactic = run(CASES["analyze-heads-emptied-syntactic.tsv"], inputs)
+    assert annotated == syntactic
+    assert annotated == (GOLDEN / "analyze-syntactic.tsv").read_bytes()
+
+
+def test_moved_head_fields_analyze_apart_under_the_two_rules(inputs):
+    annotated = run(CASES["analyze-heads-moved.tsv"], inputs)
+    syntactic = run(CASES["analyze-heads-moved-syntactic.tsv"], inputs)
+    assert annotated != syntactic
+    # the syntactic rule ignores head fields
+    assert syntactic == (GOLDEN / "analyze-syntactic.tsv").read_bytes()
 
 
 def test_parsed_model_matches_snapshot():
