@@ -101,14 +101,13 @@ def _datasets(args) -> list[DatasetFiles]:
     return datasets
 
 
-def _emit(args, name: str, text: str) -> None:
+def _emit(args, name: str, text: str, header: bool = False) -> None:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / name).write_text(text, encoding="utf-8")
     else:
-        header = f"## {name}\n" if getattr(args, "_multi", False) else ""
-        sys.stdout.write(header + text)
+        sys.stdout.write(f"## {name}\n{text}" if header else text)
 
 
 def _json(payload) -> str:
@@ -381,19 +380,19 @@ def cmd_analyze(args) -> int:
     pooled = pool_groups(groups, partial(compute_stats, stats=stats,
                                          options=options), args.jobs)
 
-    args._multi = True
     figure_rows: list[tuple[str, ...]] = []
     for group, results in pooled.items():
         for stat, result in zip(stats, results):
             table = STATISTICS[stat].table(result, group)
             _emit(args, f"{group}.{stat}.{args.format}",
                   _json(table.as_json()) if args.format == "json"
-                  else table.to_tsv())
+                  else table.to_tsv(), header=True)
             figure_rows += [(stat, group, key, value)
                             for key, value in table.figure_rows()]
     if args.figure_data:
         _emit(args, "figure_data.tsv",
-              tsv(("statistic", "dataset", "key", "value"), figure_rows))
+              tsv(("statistic", "dataset", "key", "value"), figure_rows),
+              header=True)
     return 0
 
 

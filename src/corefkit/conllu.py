@@ -50,6 +50,7 @@ def parse_conllu(text: str, dataset: str = "", language: str = "",
     preserved verbatim for round-tripping; entity annotations are decoded
     per document. filename names the source in errors and warnings.
     """
+    _refuse_bom(text, filename)
     return _parse_stream(io.StringIO(text), dataset, language, filename)
 
 
@@ -62,14 +63,25 @@ def parse_file(path: str | Path, dataset: str = "", language: str = "") -> Corpu
 
 @contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
-    """Open the UTF-8 text file at path for reading. A byte that is not
-    UTF-8, met while the block reads the file, raises ParseError naming
-    str(path) and the line that does not decode."""
+    """Open the UTF-8 text file at path for reading. A byte-order mark, or
+    a byte that is not UTF-8 met while the block reads the file, raises
+    ParseError naming str(path) and the line."""
     try:
         with open(path, encoding="utf-8") as handle:
+            # peeked, not read, so that a pipe loses nothing
+            _refuse_bom(handle.buffer.peek(3)[:3].decode("utf-8", "ignore"),
+                       str(path))
             yield handle
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
+
+
+def _refuse_bom(start: str, filename: str) -> None:
+    """Raise ParseError on line 1 of filename when start, the beginning of
+    its text, is a byte-order mark, which would hide a first column or '#'."""
+    if start.startswith("\ufeff"):
+        raise ParseError("file starts with a UTF-8 byte-order mark; save it "
+                         "without one", filename, 1)
 
 
 def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ParseError:

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
-from .metrics import align_mentions
+from .metrics import align_mentions, overlaps
 from .model import (UNRESOLVED_DEFINITIONS, Document, Entity, Mention, Record,
                     span_key)
 from .reports import ratio
@@ -24,32 +24,24 @@ DISTANCE_BUCKETS = ("0", "1", "2", "3+")
 def unresolved_entities(gold: Document, pred: Document,
                         alignment: dict[Mention, Mention],
                         definition: str = "links") -> list[Entity]:
-    """Non-singleton gold entities for which the system recovered nothing,
-    given the alignment of system to gold mentions (metrics.align_mentions).
+    """Non-singleton gold entities, in gold order, for which the system
+    recovered nothing, given the alignment of system to gold mentions
+    (metrics.align_mentions); a system mention that claimed a gold mention
+    stands for it.
 
-    links (default): no system cluster contains matches of two or more of
-    the entity's mentions. membership: no system cluster contains a match
-    of any of them.
+    links (default): no system cluster holds two or more of the entity's
+    mentions, so the entity has no MUC-correct link (MUC recall zero).
+    membership: no system cluster holds any of them.
     """
     if definition not in UNRESOLVED_DEFINITIONS:
         raise ValueError(f"unknown definition {definition!r}")
-    # the system cluster of each gold mention that a system mention claimed
-    cluster_of = {alignment[m]: index
-                  for index, entity in enumerate(pred.entities)
-                  for m in entity.mentions if m in alignment}
-    unresolved = []
-    for entity in gold.entities:
-        if entity.is_singleton():
-            continue
-        hits = Counter(cluster_of[m] for m in entity.mentions
-                       if m in cluster_of)
-        if definition == "links":
-            resolved = any(count >= 2 for count in hits.values())
-        else:
-            resolved = bool(hits)
-        if not resolved:
-            unresolved.append(entity)
-    return unresolved
+    entities = [e for e in gold.entities if not e.is_singleton()]
+    rows, _ = overlaps([e.mentions for e in entities],
+                       [[alignment[m] for m in e.mentions if m in alignment]
+                        for e in pred.entities])
+    least = 2 if definition == "links" else 1  # matches in one cluster
+    return [e for e, row in zip(entities, rows)
+            if max(row.values(), default=0) < least]
 
 
 class UndetectedProfile(Record):
@@ -209,29 +201,17 @@ def unresolved_entity_details(gold: Document, pred: Document,
 
 def _entity_details(gold: Document, unresolved: list[Entity],
                     detected: set[Mention]) -> list[dict]:
-    details = []
-    for entity in unresolved:
-        mentions = []
-        n_undetected = 0
-        for mention in entity.mentions:
-            is_detected = mention in detected
-            n_undetected += 0 if is_detected else 1
-            mentions.append({
-                "sent_index": mention.sent_index,
-                "span": span_key(mention.span),
-                "text": " ".join(t.form for t in mention.span),
-                "type": classify_mention_type(mention.head).value,
-                "detected": is_detected,
-            })
-        if n_undetected:
-            diagnosis = "undetected_mentions"
-        else:
-            diagnosis = "missing_link"
-        details.append({
-            "doc_id": gold.doc_id,
-            "entity_id": entity.entity_id,
-            "n_mentions": len(entity.mentions),
-            "diagnosis": diagnosis,
-            "mentions": mentions,
-        })
-    return details
+    return [{
+        "doc_id": gold.doc_id,
+        "entity_id": entity.entity_id,
+        "n_mentions": len(entity.mentions),
+        "diagnosis": ("missing_link" if detected.issuperset(entity.mentions)
+                      else "undetected_mentions"),
+        "mentions": [{
+            "sent_index": mention.sent_index,
+            "span": span_key(mention.span),
+            "text": " ".join(t.form for t in mention.span),
+            "type": classify_mention_type(mention.head).value,
+            "detected": mention in detected,
+        } for mention in entity.mentions],
+    } for entity in unresolved]

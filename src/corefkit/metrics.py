@@ -139,36 +139,41 @@ def align_mentions(gold: Document, pred: Document,
     return alignment
 
 
-def _overlaps(clusters: list[frozenset],
-              other: list[frozenset]) -> list[dict[int, int]]:
-    """For each cluster, how many of its keys lie in each cluster of the
-    other side, by that cluster's index. Unmatched keys are not counted."""
+Overlap = list[dict[int, int]]  # per cluster: {other side's index: shared}
+
+
+def overlaps(clusters: Iterable[Iterable[Hashable]],
+             other: list[Iterable[Hashable]]) -> tuple[Overlap, Overlap]:
+    """The overlap rows of clusters and of other (its transpose), from one
+    membership pass over other. Keys of one side only are not counted."""
     membership = {key: index for index, cluster in enumerate(other)
                   for key in cluster}
-    overlaps = []
-    for cluster in clusters:
+    rows: Overlap = []
+    cols: Overlap = [{} for _ in other]
+    for row, cluster in enumerate(clusters):
         shared: dict[int, int] = {}
         for key in cluster:
             index = membership.get(key)
             if index is not None:
                 shared[index] = shared.get(index, 0) + 1
-        overlaps.append(shared)
-    return overlaps
+        for index, count in shared.items():
+            cols[index][row] = count
+        rows.append(shared)
+    return rows, cols
 
 
-def _muc_side(clusters: list[frozenset],
-              other: list[frozenset]) -> tuple[int, int]:
+def _muc_side(overlap: Overlap, clusters: list[frozenset]) -> tuple[int, int]:
     """Correct and total links: a cluster of n keys that the other side
     splits into b blocks (an unmatched key is a block of its own) has
     n - b of its n - 1 links right."""
-    correct = sum(sum(shared.values()) - len(shared)
-                  for shared in _overlaps(clusters, other))
+    correct = sum(sum(shared.values()) - len(shared) for shared in overlap)
     return correct, sum(len(c) - 1 for c in clusters)
 
 
 def muc_counts(gold: ClusterSet, pred: ClusterSet) -> tuple[int, int, int, int]:
-    return (*_muc_side(pred.clusters, gold.clusters),
-            *_muc_side(gold.clusters, pred.clusters))
+    gold_rows, pred_rows = overlaps(gold.clusters, pred.clusters)
+    return (*_muc_side(pred_rows, pred.clusters),
+            *_muc_side(gold_rows, gold.clusters))
 
 
 def muc(gold: ClusterSet, pred: ClusterSet) -> Scores:
@@ -176,12 +181,12 @@ def muc(gold: ClusterSet, pred: ClusterSet) -> Scores:
     return _prf(*muc_counts(gold, pred))
 
 
-def _b_cubed_side(clusters: list[frozenset],
-                  other: list[frozenset]) -> tuple[Fraction, int]:
+def _b_cubed_side(overlap: Overlap,
+                  clusters: list[frozenset]) -> tuple[Fraction, int]:
     """Sum over the keys of |K∩R| / |K|, where K is the key's cluster and R
     the other side's cluster holding it: Σ_R |K∩R|² / |K| per cluster K."""
     squares: dict[int, int] = {}
-    for cluster, shared in zip(clusters, _overlaps(clusters, other)):
+    for cluster, shared in zip(clusters, overlap):
         size = len(cluster)
         squares[size] = squares.get(size, 0) + sum(
             count * count for count in shared.values())
@@ -191,8 +196,9 @@ def _b_cubed_side(clusters: list[frozenset],
 
 def b_cubed_counts(gold: ClusterSet,
                    pred: ClusterSet) -> tuple[Fraction, int, Fraction, int]:
-    return (*_b_cubed_side(pred.clusters, gold.clusters),
-            *_b_cubed_side(gold.clusters, pred.clusters))
+    gold_rows, pred_rows = overlaps(gold.clusters, pred.clusters)
+    return (*_b_cubed_side(pred_rows, pred.clusters),
+            *_b_cubed_side(gold_rows, gold.clusters))
 
 
 def b_cubed(gold: ClusterSet, pred: ClusterSet) -> Scores:
@@ -284,22 +290,18 @@ def ceafe_counts(gold: ClusterSet,
     """Only clusters that share a key have φ > 0, so the optimal alignment
     is solved separately on each connected component of the gold/system
     overlap graph. The matched φ are summed exactly."""
-    overlaps = _overlaps(gold.clusters, pred.clusters)
+    shared_of, golds_of = overlaps(gold.clusters, pred.clusters)
     phi = {(g, p): 2 * n / (len(gold.clusters[g]) + len(pred.clusters[p]))
-           for g, shared in enumerate(overlaps) for p, n in shared.items()}
-    golds_of: dict[int, list[int]] = {}
-    for g, shared in enumerate(overlaps):
-        for p in shared:
-            golds_of.setdefault(p, []).append(g)
+           for g, shared in enumerate(shared_of) for p, n in shared.items()}
     matched: dict[int, int] = {}  # |K|+|R| -> Σ 2|K∩R| of matched pairs
     done = [False] * len(gold.clusters)
-    for start, shared in enumerate(overlaps):
+    for start, shared in enumerate(shared_of):
         if done[start] or not shared:
             continue
         rows, cols = {start}, set()
         frontier = [start]
         while frontier:
-            for p in overlaps[frontier.pop()]:
+            for p in shared_of[frontier.pop()]:
                 if p not in cols:
                     cols.add(p)
                     for g in golds_of[p]:
@@ -309,9 +311,9 @@ def ceafe_counts(gold: ClusterSet,
         for g in rows:
             done[g] = True
         for g, p in _component_matches(sorted(rows), sorted(cols), phi):
-            if p in overlaps[g]:
+            if p in shared_of[g]:
                 size = len(gold.clusters[g]) + len(pred.clusters[p])
-                matched[size] = matched.get(size, 0) + 2 * overlaps[g][p]
+                matched[size] = matched.get(size, 0) + 2 * shared_of[g][p]
     best = sum(Fraction(n, size) for size, n in matched.items())
     return (best, len(pred.clusters), best, len(gold.clusters))
 

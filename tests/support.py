@@ -4,7 +4,10 @@ own, since pytest keeps one module named conftest at a time and
 bench/tests has a conftest.py too."""
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import corefkit
@@ -69,3 +72,21 @@ def corpus_signature(corpus):
                       for m in e.mentions))
                for e in doc.entities))
         for doc in corpus.documents)
+
+
+def generated_pair(root: Path) -> Path:
+    """A four-document gold/system pair of one dataset, from the benchmark's
+    corpus generator (only read here, never changed)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(corpus)
+    finally:
+        del sys.modules[spec.name]
+    shape = dataclasses.replace(corpus.WORKLOADS["release"],
+                                datasets=("en_synth",), files_per_dataset=1,
+                                docs_per_file=4)
+    corpus.generate(shape, 5, root)
+    return root

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import gc
-import importlib.util
 import json
 import logging
 import os
@@ -27,7 +25,7 @@ from corefkit.features import WordOrderError
 from corefkit.metrics import AlignmentError
 from corefkit.model import (MATCH_MODES, SINGLETON_POLICIES,
                             UNRESOLVED_DEFINITIONS, Corpus, DataError)
-from support import DATA, FRESH_ENV, tok
+from support import DATA, FRESH_ENV, generated_pair, tok
 
 GOLD_DIR = str(DATA / "score" / "gold")
 PRED_DIR = str(DATA / "score" / "pred")
@@ -225,6 +223,28 @@ def test_non_utf8_sidecar_names_the_line_and_exits_2(tmp_path, capsys,
     assert out == ""
     assert err == (f"corefkit: error: {path}:2: byte 0xe9 is not UTF-8 "
                    "(invalid continuation byte)\n")
+
+
+@pytest.mark.parametrize("reader", ["conllu", "vectors", "word-order"])
+def test_a_byte_order_mark_is_named_and_exits_2(tmp_path, capsys, reader):
+    source = {"conllu": DATA / "basic.conllu",
+              "vectors": DATA / "vectors.tsv",
+              "word-order": DATA / "word_order.tsv"}[reader]
+    path = tmp_path / f"bom{source.suffix}"
+    argv = {"conllu": ["validate", str(path)],
+            "vectors": ["analyze", str(DATA / "basic.conllu"), "--stat",
+                        "semantic-distance", "--vectors", str(path)],
+            "word-order": ["export-features", str(DATA / "score" / "gold"),
+                           "--word-order", str(path),
+                           "--out", str(tmp_path / "out")]}[reader]
+    path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"corefkit: error: {path}:1: file starts with a UTF-8 "
+                   "byte-order mark; save it without one\n")
+    # the same file without the mark reads
+    path.write_bytes(source.read_bytes())
+    assert run(capsys, *argv)[0] == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -1263,24 +1283,6 @@ def test_a_run_leaves_the_same_cyclic_garbage_on_a_larger_corpus(
 
 # ------------------------------------------- document order and file split
 
-def _generated_pair(root: Path) -> Path:
-    """A four-document gold/system pair of one dataset, from the benchmark's
-    corpus generator (only read here, never changed)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = corpus  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(corpus)
-    finally:
-        del sys.modules[spec.name]
-    shape = dataclasses.replace(corpus.WORKLOADS["release"],
-                                datasets=("en_synth",), files_per_dataset=1,
-                                docs_per_file=4)
-    corpus.generate(shape, 5, root)
-    return root
-
-
 def _documents(path: Path) -> list[str]:
     head, *documents = re.split(r"(?m)^(?=# newdoc)",
                                 path.read_text(encoding="utf-8"))
@@ -1292,7 +1294,7 @@ def _documents(path: Path) -> list[str]:
 def arrangements(tmp_path_factory) -> dict[str, tuple[str, str]]:
     """(gold dir, system dir) of one corpus in three arrangements: as
     generated, with its documents reversed, and split over two files."""
-    root = _generated_pair(tmp_path_factory.mktemp("generated"))
+    root = generated_pair(tmp_path_factory.mktemp("generated"))
     name = "en_synth-corefud-train.conllu"
     sides = {"gold": root / "gold" / "en_synth" / name,
              "pred": root / "pred" / name}

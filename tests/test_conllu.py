@@ -748,3 +748,15 @@ def test_kv_items_roundtrip(items):
 
     rendered = render(items)
     assert render(parse_kv_items(rendered)) == rendered
+
+
+def test_a_byte_order_mark_is_refused_on_line_1(tmp_path):
+    text = "\ufeff" + (DATA / "basic.conllu").read_text(encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^<input>:1: file starts with a "
+                                         r"UTF-8 byte-order mark"):
+        parse_conllu(text)
+    path = tmp_path / "bom.conllu"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match="byte-order mark") as info:
+        parse_file(path)
+    assert (info.value.filename, info.value.line) == (str(path), 1)

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from corefkit import parse_conllu, serialize
+from corefkit import errors, metrics, parse_conllu, parse_file, serialize
 from corefkit.errors import (ErrorReport, analyze_document, analyze_errors,
                              undetected_profile, unresolved_entities,
                              unresolved_entity_details)
-from corefkit.metrics import align_mentions
-from corefkit.model import Corpus, Mention
+from corefkit.metrics import align_mentions, document_pairs
+from corefkit.model import (MATCH_MODES, UNRESOLVED_DEFINITIONS, Corpus,
+                            Mention)
 from corefkit.taxonomy import MentionType
-from support import make_corpus, tok
+from support import generated_pair, make_corpus, tok
 
 
 def _doc(corpus):
@@ -225,3 +228,99 @@ def test_error_report_addition_pools(pair_docs):
     empty = analyze_errors([], "head", "membership", dataset="none")
     assert empty == ErrorReport("none")
     assert empty.unresolved_pct is None
+
+
+# ------------------------------------------- the unresolved-entity rule
+
+def reference_unresolved(gold, pred, alignment, definition):
+    """The rule counted on its own: the system cluster of each claimed gold
+    mention, then one Counter of those clusters per gold entity."""
+    cluster_of = {alignment[m]: index
+                  for index, entity in enumerate(pred.entities)
+                  for m in entity.mentions if m in alignment}
+    unresolved = []
+    for entity in gold.entities:
+        if entity.is_singleton():
+            continue
+        hits = Counter(cluster_of[m] for m in entity.mentions
+                       if m in cluster_of)
+        if definition == "links":
+            resolved = any(count >= 2 for count in hits.values())
+        else:
+            resolved = bool(hits)
+        if not resolved:
+            unresolved.append(entity)
+    return unresolved
+
+
+def has_muc_correct_link(entity, pred, alignment):
+    """Whether two of the entity's mentions were claimed by system mentions
+    of one system entity: a link that MUC counts as correct."""
+    entity_of = {}  # each claimed gold mention -> its claimant's entity
+    for index, system in enumerate(pred.entities):
+        for mention in system.mentions:
+            if mention in alignment:
+                entity_of[alignment[mention]] = index
+    return any(a in entity_of and entity_of.get(b) == entity_of[a]
+               for a, b in combinations(entity.mentions, 2))
+
+
+@pytest.fixture(scope="module")
+def rule_pairs(pair_docs, tmp_path_factory):
+    """(gold, system) document pairs: the fixture pair, the four pairs of
+    a generated corpus, and a pair with an entity that the system misses
+    altogether."""
+    root = generated_pair(tmp_path_factory.mktemp("generated"))
+    name = "en_synth-corefud-train.conllu"
+    generated = document_pairs(parse_file(root / "gold" / "en_synth" / name),
+                               parse_file(root / "pred" / name))
+    assert len(generated) == 4
+    return [pair_docs, *generated, _undetected_corpus_pair()]
+
+
+@pytest.mark.parametrize("definition", UNRESOLVED_DEFINITIONS)
+@pytest.mark.parametrize("mode", MATCH_MODES)
+def test_unresolved_entities_match_the_reference(rule_pairs, mode,
+                                                 definition):
+    found = 0
+    for gold, pred in rule_pairs:
+        alignment = align_mentions(gold, pred, mode)
+        unresolved = unresolved_entities(gold, pred, alignment, definition)
+        assert unresolved == reference_unresolved(gold, pred, alignment,
+                                                  definition)
+        found += len(unresolved)
+    assert found  # the pairs exercise the rule
+
+
+@pytest.mark.parametrize("mode", MATCH_MODES)
+def test_unresolved_under_links_means_no_muc_correct_link(rule_pairs, mode):
+    for gold, pred in rule_pairs:
+        alignment = align_mentions(gold, pred, mode)
+        unresolved = unresolved_entities(gold, pred, alignment, "links")
+        expected = [e for e in gold.entities if not e.is_singleton()
+                    and not has_muc_correct_link(e, pred, alignment)]
+        assert unresolved == expected
+
+
+def test_an_unknown_definition_is_refused_first(pair_docs):
+    gold, pred = pair_docs
+    with pytest.raises(ValueError, match="unknown definition 'any'"):
+        unresolved_entities(gold, pred, {}, "any")
+
+
+def test_one_overlap_table_per_document_pair(pair_docs, monkeypatch):
+    calls = []
+    overlaps = metrics.overlaps
+
+    def counted(clusters, other):
+        calls.append(1)
+        return overlaps(clusters, other)
+    monkeypatch.setattr(metrics, "overlaps", counted)
+    monkeypatch.setattr(errors, "overlaps", counted)
+    for mode in MATCH_MODES:
+        calls.clear()
+        metrics.score_pairs([pair_docs], mode)
+        assert len(calls) == 3  # MUC, B³ and CEAFe once each
+        calls.clear()
+        analyze_errors([pair_docs], mode)
+        assert len(calls) == 1

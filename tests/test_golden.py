@@ -111,6 +111,21 @@ CASES = {
     "errors-head-heads-moved.tsv": (
         "errors", "--gold", "{moved}/score/gold", "--pred",
         "{moved}/score/pred", "--mode", "head", "--detail"),
+    # "{shrunk}" is the system file of tests/data/score with two mentions
+    # shrunk inside their gold mentions (see SHRUNK_SPANS), scored against
+    # the gold file as it is and against its "{moved}" copy
+    "score-head-shrunk.tsv": (
+        "score", "--gold", "{data}/score/gold", "--pred", "{shrunk}",
+        "--match", "head"),
+    "score-head-shrunk-heads-moved.tsv": (
+        "score", "--gold", "{moved}/score/gold", "--pred", "{shrunk}",
+        "--match", "head"),
+    "errors-head-shrunk.tsv": (
+        "errors", "--gold", "{data}/score/gold", "--pred", "{shrunk}",
+        "--mode", "head", "--detail"),
+    "errors-head-shrunk-heads-moved.tsv": (
+        "errors", "--gold", "{moved}/score/gold", "--pred", "{shrunk}",
+        "--mode", "head", "--detail"),
 }
 
 # Snapshot directory -> export-features arguments. Each directory holds the
@@ -144,12 +159,32 @@ MOVED_HEADS = (
 )
 
 
+# Every system mention of tests/data/score has the span of a gold mention,
+# so there head matching never depends on which token a gold head is. The
+# "{shrunk}" copy shrinks two system mentions inside their gold mentions:
+# "the man" to "man", which holds the gold head, and "a dog" to "a", which
+# holds the head that "{moved}" gives it instead.
+SHRUNK_SPANS = (
+    (b"\tEntity=(s2-person-2-\n", b"\t_\n"),            # the
+    (b"\tEntity=s2)\n", b"\tEntity=(s2-person-1-)\n"),   # man
+    (b"\tEntity=(s3-animal-2-\n", b"\tEntity=(s3-animal-1-)\n"),  # a
+    (b"\tEntity=s3)|SpaceAfter=No", b"\tSpaceAfter=No"),  # dog
+)
+
+
 def empty_heads(text: bytes) -> bytes:
     return HEAD_FIELD.sub(rb"\1", text)
 
 
 def move_heads(text: bytes) -> bytes:
     for old, new in MOVED_HEADS:
+        text = text.replace(old, new)
+    return text
+
+
+def shrink_spans(text: bytes) -> bytes:
+    for old, new in SHRUNK_SPANS:
+        assert text.count(old) == 1, old
         text = text.replace(old, new)
     return text
 
@@ -182,8 +217,12 @@ def make_inputs(root: Path) -> dict[str, Path]:
         b"Entity=(e1-thing-3-", b"Entity=(e1-thing-1-"))
     shutil.copy(DATA / "score" / "gold" / "en_pairset-corefud-dev.conllu",
                 export)
+    shrunk = root / "shrunk"
+    shrunk.mkdir()
+    (shrunk / "en_pairset.conllu").write_bytes(shrink_spans(
+        (DATA / "score" / "pred" / "en_pairset.conllu").read_bytes()))
     return dict(data=DATA, release=release, gold=gold, pred=pred,
-                export=export,
+                export=export, shrunk=shrunk,
                 emptied=copy_fixtures(root / "emptied", empty_heads),
                 moved=copy_fixtures(root / "moved", move_heads))
 
@@ -282,6 +321,15 @@ def test_moved_head_fields_analyze_apart_under_the_two_rules(inputs):
     assert annotated != syntactic
     # the syntactic rule ignores head fields
     assert syntactic == (GOLDEN / "analyze-syntactic.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["score", "errors"])
+def test_shrunk_system_spans_follow_the_gold_heads(command, inputs):
+    # with the gold heads as they are, "man" claims "the man" and "a"
+    # claims nothing; with the moved heads, "a" claims "a dog" instead
+    as_is = run(CASES[f"{command}-head-shrunk.tsv"], inputs)
+    moved = run(CASES[f"{command}-head-shrunk-heads-moved.tsv"], inputs)
+    assert as_is != moved
 
 
 def test_parsed_model_matches_snapshot():

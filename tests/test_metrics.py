@@ -12,7 +12,7 @@ from corefkit.model import Document, Entity, Mention
 from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
                               ScoreReport, align_mentions, b_cubed,
                               b_cubed_counts, ceafe, ceafe_counts,
-                              macro_average, muc,
+                              macro_average, muc, overlaps,
                               remapped_cluster_set, score_pairs)
 from support import make_corpus, tok
 from test_heads import documents
@@ -376,6 +376,22 @@ def _random_clustering(rng, universe, max_clusters=6):
     for i, member in enumerate(members):
         groups[i % n_clusters].append(member)
     return [set(g) for g in groups if g]
+
+
+def test_overlaps_count_shared_keys_both_ways():
+    rng = random.Random(29)
+    for _ in range(300):
+        universe = range(rng.randint(0, 30))
+        gold = _random_clustering(rng, universe, max_clusters=8)
+        pred = _random_clustering(rng, universe, max_clusters=8)
+        rows, cols = overlaps(gold, pred)
+        # each count is |K∩R|; a pair that shares nothing has no entry
+        assert rows == [{r: len(k & o) for r, o in enumerate(pred) if k & o}
+                        for k in gold]
+        # the second direction is the transpose of the first
+        assert cols == [{g: row[r] for g, row in enumerate(rows) if r in row}
+                        for r in range(len(pred))]
+        assert overlaps(pred, gold) == (cols, rows)
 
 
 def phi(a, b):
