@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 141 (128 + SIGPIPE)
 when the reader of stdout closed it before the report was written. All
 reports are deterministic: percentages with 2 decimals, scores with 6,
 fixed ordering. Logs go to stderr only; the COREFUD_DATA environment
-variable supplies the default corpus root.
+variable supplies the default corpus root. Every subcommand reads its
+datasets through `corpora.DatasetFiles`: `validate` and the `--jobs` tasks
+of `stats` and `analyze` are one-file datasets, parsed one at a time.
 
 Start-up is most of a run on small inputs, so at import this module loads
 only `model`, whose constants name the choices of every option. Every other
@@ -24,7 +26,7 @@ count lines to stderr itself, so a run that warns of nothing loads no
 `main` runs with the cyclic garbage collector off and restores the state it
 found: a parsed corpus holds no reference cycle, and a test pins the cyclic
 garbage of a run to a constant. Forked `--jobs` workers inherit the off
-state; library calls such as `parse_file` leave the collector alone.
+state; library calls leave the collector alone.
 """
 from __future__ import annotations
 
@@ -134,18 +136,16 @@ def _map_files(worker, jobs_args: list, jobs: int) -> list:
 # ---------------------------------------------------------------- validate
 
 def cmd_validate(args) -> int:
-    from .conllu import parse_file
     for dataset in _datasets(args):
-        for path in sorted(dataset.files):
-            corpus = parse_file(path, dataset=dataset.name,
-                                language=dataset.language)
+        for one_file in dataset.per_file():
+            corpus = one_file.load()
             n_docs = len(corpus.documents)
             n_sents = sum(len(d.sentences) for d in corpus.documents)
             n_mentions = sum(len(e.mentions) for d in corpus.documents
                              for e in d.entities)
             del corpus  # so that the next file parses without it in memory
-            print(f"ok\t{path}\tdocuments={n_docs}\tsentences={n_sents}"
-                  f"\tmentions={n_mentions}")
+            print(f"ok\t{one_file.files[0]}\tdocuments={n_docs}"
+                  f"\tsentences={n_sents}\tmentions={n_mentions}")
     return 0
 
 
@@ -326,25 +326,19 @@ def pool(items: Iterable[tuple[str, Any]]) -> dict[str, Any]:
     return pooled
 
 
-def _parse_and_compute(task: tuple[str, str, str], compute: Callable) -> Any:
-    from .conllu import parse_file
-    path, name, language = task
-    return compute(parse_file(Path(path), dataset=name, language=language))
+def _load_and_compute(one_file: DatasetFiles, compute: Callable) -> Any:
+    return compute(one_file.load())
 
 
 def pool_groups(groups: dict[str, list[DatasetFiles]], compute: Callable,
                 jobs: int) -> dict[str, Any]:
     """Parse every file of every group, compute its partial result and pool
     the partials of each group in file order; groups come out sorted."""
-    tasks, owners = [], []
-    for group in sorted(groups):
-        for dataset in groups[group]:
-            for path in sorted(dataset.files):
-                tasks.append((str(path), dataset.name, dataset.language))
-                owners.append(group)
-    parts = _map_files(partial(_parse_and_compute, compute=compute), tasks,
-                       jobs)
-    return pool(zip(owners, parts))
+    owned = [(group, one_file) for group in sorted(groups)
+             for dataset in groups[group] for one_file in dataset.per_file()]
+    parts = _map_files(partial(_load_and_compute, compute=compute),
+                       [one_file for _, one_file in owned], jobs)
+    return pool(zip([group for group, _ in owned], parts))
 
 
 def cmd_stats(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .conllu import parse_file
+from . import conllu
 from .model import SPLITS, Corpus, Record
 
 _CANONICAL = re.compile(
@@ -26,21 +26,31 @@ def dataset_of(path: Path) -> tuple[str, str | None]:
 
 
 class DatasetFiles(Record):
+    """The files of one dataset, sorted; the one reader of a dataset. `load`
+    parses them in that order, each with the dataset's name and language,
+    through `conllu.parse_file` as bound when it runs, into the first
+    file's corpus. `per_file` splits it into one-file datasets."""
+
     __slots__ = ("name", "files")
 
     def __init__(self, name: str, files: list[Path] | None = None) -> None:
         self.name = name
-        self.files = [] if files is None else files
+        self.files = sorted(files or ())
 
     @property
     def language(self) -> str:
         return self.name.split("_", 1)[0]
 
+    def per_file(self) -> list[DatasetFiles]:
+        return [DatasetFiles(self.name, [path]) for path in self.files]
+
     def load(self) -> Corpus:
-        corpus = Corpus(dataset=self.name, language=self.language)
-        for path in sorted(self.files):
-            part = parse_file(path, dataset=self.name,
-                              language=self.language)
+        parts = (conllu.parse_file(path, dataset=self.name,
+                                   language=self.language)
+                 for path in self.files)
+        corpus = next(parts, None) or Corpus(dataset=self.name,
+                                             language=self.language)
+        for part in parts:
             corpus.documents.extend(part.documents)
         return corpus
 
@@ -56,13 +66,13 @@ def discover_datasets(root: str | Path, split: str | None = None,
     """
     root = Path(root)
     kept = {split, None} if keep_unsplit else {split}
-    grouped: dict[str, DatasetFiles] = {}
-    for path in [root] if root.is_file() else sorted(root.rglob("*.conllu")):
+    grouped: dict[str, list[Path]] = {}
+    for path in [root] if root.is_file() else root.rglob("*.conllu"):
         name, file_split = dataset_of(path)
         if split is not None and file_split not in kept:
             continue
-        grouped.setdefault(name, DatasetFiles(name)).files.append(path)
-    return [grouped[name] for name in sorted(grouped)]
+        grouped.setdefault(name, []).append(path)
+    return [DatasetFiles(name, grouped[name]) for name in sorted(grouped)]
 
 
 def pair_datasets(gold_root: str | Path, pred_root: str | Path,

@@ -10,14 +10,14 @@ annotation, so their heads are always syntactic. The sidecar header records
 the rule the records followed.
 
 A candidate's syntactic head is the running minimum of (depth, position)
-while the span grows by one token, so each candidate costs O(1). The
-head-and-width fields of a record come from one table per export, keyed by
-everything they read: whether the head is an empty node, its UPOS and label,
-and the width bucket.
+while the span grows by one token, so each candidate costs O(1).
 
 A record is its JSON line, built from cached text: a prefix per sentence,
-the quoted span key and an end per fields key and language. Tests pin each
-line to ``json.dumps`` of a record built field by field, one span at a time.
+the quoted span key and an end per language and fields key. A fields key
+holds all the head-and-width fields read (whether the head is an empty
+node, its UPOS and label, the width bucket), so they are worked out once
+per language and key. Tests pin each line to ``json.dumps`` of a record
+built field by field, one span at a time.
 """
 from __future__ import annotations
 
@@ -135,23 +135,19 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
         raise ValueError(f"unknown export target {target!r}")
     if vocabulary is None:
         vocabulary = {}
-    # A key of everything _span_fields reads from a head and width maps to
-    # those fields; few keys exist. A gold head may be an empty node, whose
-    # label is its first enhanced relation. A candidate head is a surface
-    # token, so its UPOS and DEPREL suffice.
-    fields_of: dict[tuple, dict] = {}
     # The JSON text of a record after its span, per language (which fixes
     # the word order) and then per fields key: up to the entity id's value
-    # (gold) or to the line's end.
+    # (gold) or to the line's end. A fields key holds everything
+    # _span_fields reads from a head and width; few keys exist. A gold head
+    # may be an empty node, whose label is its first enhanced relation. A
+    # candidate head is a surface token, so its UPOS and DEPREL suffice.
     ends_of: dict[str, dict[tuple, str]] = {}
     close = ',"entity_id":' if target == "gold" else "}\n"
 
-    def end_of(fields_key: tuple, head: Token, width: int, language: str,
+    def end_of(head: Token, width: int, language: str,
                word_order: str) -> str:
-        fields = fields_of.get(fields_key)
-        if fields is None:
-            fields = fields_of[fields_key] = _span_fields(head, width)
-        end = {**fields, "language": language, "word_order": word_order}
+        end = {**_span_fields(head, width), "language": language,
+               "word_order": word_order}
         for name, value in end.items():
             vocabulary.setdefault(name, set()).add(value)
         return "," + _ENCODER.encode(end)[1:-1] + close
@@ -176,8 +172,8 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                               head.effective_deprel(), width_bucket(width))
                 end = ends.get(fields_key)
                 if end is None:
-                    end = ends[fields_key] = end_of(fields_key, head, width,
-                                                    language, word_order)
+                    end = ends[fields_key] = end_of(head, width, language,
+                                                    word_order)
                 yield (f'{doc_head}{mention.sent_index},"span":'
                        + encode_basestring(span_key(mention.span)) + end
                        + encode_basestring(mention.entity_id) + "}\n")
@@ -190,8 +186,8 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                     fields_key = (head.upos, head.deprel, bucket)
                     end = ends.get(fields_key)
                     if end is None:
-                        end = ends[fields_key] = end_of(
-                            fields_key, head, width, language, word_order)
+                        end = ends[fields_key] = end_of(head, width,
+                                                        language, word_order)
                     yield prefix + encode_basestring(key) + end
 
 

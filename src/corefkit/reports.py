@@ -59,13 +59,13 @@ class StatRow(NamedTuple):
         return fixed(self.value)
 
     def as_json(self) -> dict:
-        value = self.value
+        """The row for JSON; its value stays exact, a Fraction or None."""
         return {
             "key": self.key,
             "numerator": self.numerator,
             "denominator": self.denominator,
             "kind": self.kind,
-            "value": None if value is None else float(value),
+            "value": self.value,
             "rendered": self.rendered(),
         }
 

@@ -18,13 +18,15 @@ import pytest
 
 import corefkit
 from corefkit import conllu, taxonomy
-from corefkit.analysis import MissingVectorError
-from corefkit.cli import CliError, _json, main
+from corefkit.analysis import MissingVectorError, corpus_statistics
+from corefkit.cli import CliError, _json, main, pool_groups
 from corefkit.conllu import ParseError
+from corefkit.corpora import DatasetFiles, discover_datasets
 from corefkit.features import WordOrderError
 from corefkit.metrics import AlignmentError
 from corefkit.model import (MATCH_MODES, SINGLETON_POLICIES,
                             UNRESOLVED_DEFINITIONS, Corpus, DataError)
+from corefkit.reports import StatRow
 from support import DATA, FRESH_ENV, generated_pair, tok
 
 GOLD_DIR = str(DATA / "score" / "gold")
@@ -106,6 +108,102 @@ def test_validate_holds_one_file_at_a_time(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(corefkit.conllu, "parse_file", watched_parse)
     code, out, _ = run(capsys, "validate", str(tmp_path))
     assert code == 0 and len(parsed) == out.count("ok\t") == 3
+
+
+def _in_process_pool(monkeypatch) -> list[int]:
+    """Make every pool map in-process what it would send to its workers,
+    pickled; returns the size of each pool started from now on."""
+    started = []
+
+    class Executor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(pickle.loads(pickle.dumps(fn)),
+                       [pickle.loads(pickle.dumps(item)) for item in items])
+
+    # cli._map_files imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    return started
+
+
+@pytest.fixture
+def two_file_dataset(tmp_path):
+    """Gold and system directories, each holding the dataset es_basic (the
+    documents of basic.conllu) in two files."""
+    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
+    second = text.index("# newdoc", 1)
+    for side in ("gold", "pred"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "es_basic-corefud-train.conllu").write_text(
+            text[:second], "utf-8")
+        (tmp_path / side / "es_basic-corefud-dev.conllu").write_text(
+            text[second:], "utf-8")
+    return tmp_path
+
+
+def _watch_reads(monkeypatch) -> list[tuple[str, str, dict]]:
+    """(side, file name, keywords) of each parse_file call from now on."""
+    parse, reads = conllu.parse_file, []
+
+    def watched(path, **kwargs):
+        reads.append((Path(path).parent.name, Path(path).name, kwargs))
+        return parse(path, **kwargs)
+    monkeypatch.setattr(conllu, "parse_file", watched)
+    return reads
+
+
+def _reads_of(*sides: str) -> list[tuple[str, str, dict]]:
+    return [(side, f"es_basic-corefud-{split}.conllu",
+             {"dataset": "es_basic", "language": "es"})
+            for side in sides for split in ("dev", "train")]
+
+
+@pytest.mark.parametrize("command, sides", [
+    (["validate", "{gold}"], ["gold"]),
+    (["stats", "{gold}"], ["gold"]),
+    (["stats", "{gold}", "--jobs", "2"], ["gold"]),
+    (["analyze", "{gold}"], ["gold"]),
+    (["analyze", "{gold}", "--jobs", "2"], ["gold"]),
+    (["score", "--gold", "{gold}", "--pred", "{pred}"], ["gold", "pred"]),
+    (["errors", "--gold", "{gold}", "--pred", "{pred}"], ["gold", "pred"]),
+    (["export-features", "{gold}", "--word-order", WORD_ORDER, "--out",
+      "{out}"], ["gold"]),
+], ids=["validate", "stats", "stats-jobs-2", "analyze", "analyze-jobs-2",
+        "score", "errors", "export-features"])
+def test_every_command_reads_each_file_once_sorted_and_labelled(
+        two_file_dataset, capsys, monkeypatch, command, sides):
+    started = _in_process_pool(monkeypatch)
+    reads = _watch_reads(monkeypatch)
+    argv = [arg.format(gold=two_file_dataset / "gold",
+                       pred=two_file_dataset / "pred",
+                       out=two_file_dataset / "out") for arg in command]
+    assert run(capsys, *argv)[0] == 0
+    assert reads == _reads_of(*sides)
+    assert started == ([2] if "--jobs" in command else [])
+
+
+def test_a_dataset_sorts_its_files_and_loads_them_in_that_order(
+        two_file_dataset, monkeypatch):
+    files = sorted((two_file_dataset / "gold").iterdir(), reverse=True)
+    dataset = DatasetFiles("es_basic", files)
+    assert dataset.files == files[::-1]
+    assert [one.files for one in dataset.per_file()] == \
+        [[path] for path in files[::-1]]
+    reads = _watch_reads(monkeypatch)
+    corpus = dataset.load()
+    assert reads == _reads_of("gold")
+    assert (corpus.dataset, corpus.language) == ("es_basic", "es")
+    parts = [conllu.parse_file(path) for path in files[::-1]]
+    assert [d.doc_id for d in corpus.documents] == \
+        [d.doc_id for part in parts for d in part.documents]
 
 
 def test_split_filters_a_file_input(capsys):
@@ -339,23 +437,7 @@ def test_stats_jobs_do_not_change_output(capsys):
 
 def test_jobs_beyond_the_file_count_start_one_worker_per_file(
         capsys, monkeypatch):
-    started = []
-
-    class Executor:  # records the pool size and maps in-process
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # cli._map_files imports the pool class when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    started = _in_process_pool(monkeypatch)
     _, capped, _ = run(capsys, "stats", str(DATA), "--jobs", "64")
     _, sequential, _ = run(capsys, "stats", str(DATA))
     assert started == [3]  # basic.conllu and the two en_pairset files
@@ -542,6 +624,19 @@ def test_json_writes_an_exact_value_as_its_nearest_float_and_nothing_else():
         '{\n  "recall": 0.43333333333333335,\n  "none": null\n}\n'
     with pytest.raises(TypeError):
         _json({"keys": {1, 2}})
+
+
+def test_a_stat_row_stays_exact_until_the_json_writer(capsys):
+    assert StatRow("n", 5, 1, "count").as_json()["value"] == Fraction(5)
+    assert StatRow("x", 0, 0).as_json()["value"] is None
+    reports = pool_groups({d.name: [d] for d in discover_datasets(DATA)},
+                          corpus_statistics, 1).values()
+    payload = [report.as_json() for report in reports]
+    assert {type(row["value"]) for report in payload
+            for row in report["rows"]} == {Fraction}
+    golden = (DATA / "golden" / "stats.json").read_text(encoding="utf-8")
+    assert _json(payload) == golden
+    assert run(capsys, "stats", str(DATA), "--format", "json")[1] == golden
 
 
 def test_score_runs_are_byte_identical(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -12,7 +13,7 @@ from corefkit.model import Document, Entity, Mention
 from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
                               ScoreReport, align_mentions, b_cubed,
                               b_cubed_counts, ceafe, ceafe_counts,
-                              macro_average, muc, overlaps,
+                              macro_average, muc, muc_counts, overlaps,
                               remapped_cluster_set, score_pairs)
 from support import make_corpus, tok
 from test_heads import documents
@@ -392,6 +393,49 @@ def test_overlaps_count_shared_keys_both_ways():
         assert cols == [{g: row[r] for g, row in enumerate(rows) if r in row}
                         for r in range(len(pred))]
         assert overlaps(pred, gold) == (cols, rows)
+
+
+def textbook_muc(keys, response):
+    """Σ(|K| − |p(K)|) and Σ(|K| − 1) over the key clusters K, where p(K)
+    is the partition of K by the response clusters; a key that no response
+    cluster holds is a part of its own."""
+    correct = total = 0
+    for key in keys:
+        parts = [key & other for other in response if key & other]
+        n_parts = len(parts) + len(key - set().union(*parts))
+        correct += len(key) - n_parts
+        total += len(key) - 1
+    return correct, total
+
+
+def textbook_b_cubed(keys, response):
+    """The sum over every key k of |K∩R| / |K|, where K is the key cluster
+    holding k and R the response cluster holding k (none: empty), and the
+    number of keys."""
+    total = Fraction(0)
+    for key in keys:
+        for k in key:
+            other = next((o for o in response if k in o), set())
+            total += Fraction(len(key & other), len(key))
+    return total, sum(len(key) for key in keys)
+
+
+def test_muc_and_b_cubed_follow_their_textbook_definitions():
+    rng = random.Random(30)
+    one_sided = 0
+    for _ in range(300):
+        universe = range(rng.randint(0, 30))
+        gold = _random_clustering(rng, universe, max_clusters=8)
+        pred = _random_clustering(rng, universe, max_clusters=8)
+        gold_keys, pred_keys = set().union(*gold), set().union(*pred)
+        one_sided += bool(gold_keys - pred_keys and pred_keys - gold_keys)
+        sets = ClusterSet(gold), ClusterSet(pred)
+        # precision reads the system clusters as the keys, against gold
+        assert muc_counts(*sets) == (*textbook_muc(pred, gold),
+                                     *textbook_muc(gold, pred))
+        assert b_cubed_counts(*sets) == (*textbook_b_cubed(pred, gold),
+                                         *textbook_b_cubed(gold, pred))
+    assert one_sided > 100  # each side holds keys the other lacks
 
 
 def phi(a, b):
