@@ -11,14 +11,16 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus", "Document", "Entity", "Mention", "MentionType", "ParseError",
     "Sentence", "Token", "UdCategory", "__version__", "classify_mention_type",
-    "mention_head", "mention_key", "parse_conllu", "parse_file",
+    "iter_documents", "mention_head", "mention_key", "parse_conllu",
+    "parse_file",
     "resolve_entities", "serialize", "span_key", "ud_category",
 ]
 
 # The module that defines each re-exported name.
 _HOMES = {
-    **dict.fromkeys(("ParseError", "parse_conllu", "parse_file",
-                     "resolve_entities", "serialize"), "conllu"),
+    **dict.fromkeys(("ParseError", "iter_documents", "parse_conllu",
+                     "parse_file", "resolve_entities", "serialize"),
+                    "conllu"),
     **dict.fromkeys(("Corpus", "Document", "Entity", "Mention", "Sentence",
                      "Token", "mention_head", "mention_key", "span_key"),
                     "model"),

@@ -5,8 +5,11 @@ when the reader of stdout closed it before the report was written. All
 reports are deterministic: percentages with 2 decimals, scores with 6,
 fixed ordering. Logs go to stderr only; the COREFUD_DATA environment
 variable supplies the default corpus root. Every subcommand reads its
-datasets through `corpora.DatasetFiles`: `validate` and the `--jobs` tasks
-of `stats` and `analyze` are one-file datasets, parsed one at a time.
+datasets through `corpora.DatasetFiles`. `validate`, `score`, `errors` and
+`export-features` take each document as its parse ends and hold one
+document of a file at a time (`score` and `errors` also hold the system
+documents that come before their gold turn); `stats` and `analyze` parse
+one-file datasets, one at a time or as `--jobs` tasks.
 
 Start-up is most of a run on small inputs, so at import this module loads
 only `model`, whose constants name the choices of every option. Every other
@@ -26,7 +29,9 @@ count lines to stderr itself, so a run that warns of nothing loads no
 `main` runs with the cyclic garbage collector off and restores the state it
 found: a parsed corpus holds no reference cycle, and a test pins the cyclic
 garbage of a run to a constant. Forked `--jobs` workers inherit the off
-state; library calls leave the collector alone.
+state; library calls leave the collector alone. With no collection, a
+document stream that a traceback cycle kept alive would keep its file
+open, so each command closes the streams it opens however it ends.
 """
 from __future__ import annotations
 
@@ -138,14 +143,14 @@ def _map_files(worker, jobs_args: list, jobs: int) -> list:
 def cmd_validate(args) -> int:
     for dataset in _datasets(args):
         for one_file in dataset.per_file():
-            corpus = one_file.load()
-            n_docs = len(corpus.documents)
-            n_sents = sum(len(d.sentences) for d in corpus.documents)
-            n_mentions = sum(len(e.mentions) for d in corpus.documents
-                             for e in d.entities)
-            del corpus  # so that the next file parses without it in memory
-            print(f"ok\t{one_file.files[0]}\tdocuments={n_docs}"
-                  f"\tsentences={n_sents}\tmentions={n_mentions}")
+            # (sentences, mentions) per document: no document outlives the
+            # parse of the next one, nor a file the parse of the next file
+            sizes = [(len(d.sentences), sum(len(e.mentions)
+                                            for e in d.entities))
+                     for d in one_file.documents()]
+            print(f"ok\t{one_file.files[0]}\tdocuments={len(sizes)}"
+                  f"\tsentences={sum(s for s, _ in sizes)}"
+                  f"\tmentions={sum(m for _, m in sizes)}")
     return 0
 
 
@@ -392,18 +397,26 @@ def cmd_analyze(args) -> int:
 
 # ------------------------------------------------------------------- score
 
-def _dataset_pairs(args) -> Iterator[tuple[str, list]]:
-    """(dataset, its (gold, system) document pairs) for each gold dataset
-    of corpora.pair_datasets, loading one dataset at a time."""
+def _per_dataset(args, consume: Callable[[str, Iterator], Any]) -> list:
+    """consume(dataset, its (gold, system) document pairs) for each gold
+    dataset of corpora.pair_datasets, in order. The pairs are parsed as
+    consume takes them, and the files they are read from are closed however
+    consume ends."""
+    from contextlib import closing
+
     from . import metrics
     from .corpora import pair_datasets
     gold, pred = _existing(args.gold), _existing(args.pred)
     paired = pair_datasets(gold, pred, args.split)
     if not paired:
         raise _no_files(gold, args.split)
+    results = []
     for name, gold_files, pred_files in paired:
-        yield name, metrics.document_pairs(gold_files.load(),
-                                           pred_files.load())
+        with closing(gold_files.documents()) as gold_documents, \
+                closing(pred_files.documents()) as pred_documents:
+            results.append(consume(name, metrics.document_pairs(
+                gold_documents, pred_documents, name)))
+    return results
 
 
 _METRICS = ("muc", "b_cubed", "ceafe")
@@ -415,9 +428,8 @@ def cmd_score(args) -> int:
     from . import metrics
     from .reports import fixed, tsv
     # A dataset without documents has no score: n/a, and no part in macro.
-    rows = [(name, metrics.score_pairs(pairs, args.match, args.singletons)
-             if pairs else None)
-            for name, pairs in _dataset_pairs(args)]
+    rows = _per_dataset(args, lambda name, pairs: (name, metrics.score_pairs(
+        pairs, args.match, args.singletons)))
     scored = [r.conll_f1 for _, r in rows if r is not None]
     macro = metrics.macro_average(scored) if scored else None
 
@@ -452,10 +464,9 @@ def cmd_errors(args) -> int:
     from .reports import fixed, ratio, tsv
     want_detail = args.detail or bool(args.out)
     details: list[dict] = []
-    reports = [errors.analyze_errors(pairs, args.mode, args.definition,
-                                     dataset=name,
-                                     details=details if want_detail else None)
-               for name, pairs in _dataset_pairs(args)]
+    reports = _per_dataset(args, lambda name, pairs: errors.analyze_errors(
+        pairs, args.mode, args.definition, dataset=name,
+        details=details if want_detail else None))
 
     if args.format == "json":
         payload = [dict(dataset=r.dataset,
@@ -484,6 +495,8 @@ def cmd_errors(args) -> int:
 # -------------------------------------------------------- export-features
 
 def cmd_export_features(args) -> int:
+    from contextlib import closing
+
     from . import features
     datasets = _datasets(args)
     table = features.load_word_order_table(args.word_order)
@@ -493,14 +506,14 @@ def cmd_export_features(args) -> int:
     written: list[Path] = []
     try:
         for dataset in datasets:
-            corpus = dataset.load()
             records_path = out_dir / f"{dataset.name}.features.jsonl"
             vocab_path = out_dir / f"{dataset.name}.vocab.tsv"
             written += (records_path, vocab_path)
             with open(records_path, "w", encoding="utf-8") as records_out, \
-                    open(vocab_path, "w", encoding="utf-8") as vocab_out:
+                    open(vocab_path, "w", encoding="utf-8") as vocab_out, \
+                    closing(dataset.documents()) as documents:
                 count = features.export_features(
-                    corpus, table, records_out, vocab_out, target=target,
+                    documents, table, records_out, vocab_out, target=target,
                     max_width=args.max_width, head_rule=args.head_rule)
             print(f"INFO corefkit: {dataset.name}: {count} records",
                   file=sys.stderr)

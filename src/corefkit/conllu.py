@@ -6,7 +6,9 @@ different entities may nest or overlap; discontinuous mentions carry a part
 suffix ``e1[2/3]``. Field layout inside an opening bracket follows the
 file's ``# global.Entity`` declaration, from the document that makes it on.
 One pass over a document's tokens builds each mention at its closing
-bracket; resolve_entities says which of several faults is reported.
+bracket; resolve_entities says which of several faults is reported. A
+file's documents come out one at a time, each once it has been read
+(iter_documents); parse_file and parse_conllu collect them into a Corpus.
 """
 from __future__ import annotations
 
@@ -51,14 +53,26 @@ def parse_conllu(text: str, dataset: str = "", language: str = "",
     per document. filename names the source in errors and warnings.
     """
     _refuse_bom(text, filename)
-    return _parse_stream(io.StringIO(text), dataset, language, filename)
+    return Corpus(list(_parse_stream(io.StringIO(text), dataset, language,
+                                     filename)), dataset, language)
 
 
 def parse_file(path: str | Path, dataset: str = "", language: str = "") -> Corpus:
     """Parse the CoNLL-U file at path; parse errors name it."""
+    return Corpus(list(iter_documents(path, dataset=dataset,
+                                      language=language)), dataset, language)
+
+
+def iter_documents(path: str | Path, dataset: str = "",
+                   language: str = "") -> Iterator[Document]:
+    """The documents of the CoNLL-U file at path, as parse_file parses
+    them, each yielded once the next '# newdoc' line or the end of the file
+    is read. A fault raises ParseError naming the file when the parse
+    reaches it, after the documents before it have been yielded. The file
+    stays open until the last document is out or the generator is closed."""
     path = Path(path)
     with open_text(path) as handle:
-        return _parse_stream(handle, dataset, language, str(path))
+        yield from _parse_stream(handle, dataset, language, str(path))
 
 
 @contextmanager
@@ -100,8 +114,8 @@ def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ParseError:
 
 
 def _parse_stream(stream: Iterable[str], dataset: str, language: str,
-                  filename: str) -> Corpus:
-    corpus = Corpus(dataset=dataset, language=language)
+                  filename: str) -> Iterator[Document]:
+    n_documents = 0  # the documents built so far
     doc_sentences: list[Sentence] = []
     doc_id: str | None = None
     sentence: Sentence | None = None
@@ -114,7 +128,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     seen_sent_ids: set[str] = set()
     seen_doc_ids: set[str] = set()
     layout: tuple[str, ...] | None = None  # the file's global.Entity
-    # Local to this parse, so nothing is kept once it returns: ids[i] is the
+    # Local to this parse, so nothing is kept once it ends: ids[i] is the
     # surface index i, head_values maps each valid HEAD text seen to its
     # value, and shared holds one object per repeated column text.
     ids = ["0", "1"]
@@ -122,11 +136,14 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     shared: dict[str, str] = {}
     share = shared.setdefault
 
-    def flush_document() -> None:
-        nonlocal doc_sentences, doc_id, seen_sent_ids, layout
+    def flush_document() -> Document | None:
+        """The document read so far, None when it has no sentence; the
+        next one starts empty."""
+        nonlocal doc_sentences, doc_id, seen_sent_ids, layout, n_documents
+        document = None
         if doc_sentences:
-            number = len(corpus.documents) + 1
-            resolved_id = doc_id or f"{dataset or 'doc'}#{number}"
+            n_documents += 1
+            resolved_id = doc_id or f"{dataset or 'doc'}#{n_documents}"
             if resolved_id in seen_doc_ids:
                 warn(__name__, "%s: duplicated doc id %r",
                      filename or "<input>", resolved_id)
@@ -136,10 +153,10 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                 sentences=doc_sentences, language=language, dataset=dataset)
             layout = entity_field_layout(document, filename, layout)
             document.entities = resolve_entities(document, filename, layout)
-            corpus.documents.append(document)
         doc_sentences = []
         doc_id = None
         seen_sent_ids = set()
+        return document
 
     def flush_sentence(line_no: int) -> None:
         nonlocal sentence, tokens, empty, n, first_line, prev_empty_minor
@@ -179,7 +196,9 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                                  filename, line_no)
             is_newdoc = line == "# newdoc" or line.startswith("# newdoc ")
             if is_newdoc and (doc_sentences or doc_id is not None):
-                flush_document()
+                document = flush_document()
+                if document is not None:
+                    yield document
             if sentence is None:
                 sentence = Sentence()
             sentence.comments.append(line)
@@ -258,8 +277,9 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
         else:
             raise ParseError("trailing comments without a sentence",
                              filename, line_no)
-    flush_document()
-    return corpus
+    document = flush_document()
+    if document is not None:
+        yield document
 
 
 def _check_heads(sentence: Sentence, empty: list[int],

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import Iterator
 
 from . import conllu
-from .model import SPLITS, Corpus, Record
+from .model import SPLITS, Corpus, Document, Record
 
 _CANONICAL = re.compile(
     rf"^(?P<dataset>[A-Za-z0-9_.]+?)-corefud-(?P<split>{'|'.join(SPLITS)})$")
@@ -26,10 +27,12 @@ def dataset_of(path: Path) -> tuple[str, str | None]:
 
 
 class DatasetFiles(Record):
-    """The files of one dataset, sorted; the one reader of a dataset. `load`
-    parses them in that order, each with the dataset's name and language,
-    through `conllu.parse_file` as bound when it runs, into the first
-    file's corpus. `per_file` splits it into one-file datasets."""
+    """The files of one dataset, sorted; the one reader of a dataset. Each
+    file is read in that order with the dataset's name and language, through
+    `conllu.iter_documents` as bound when it runs: `documents` yields the
+    documents one at a time, `load` parses them (through `conllu.parse_file`)
+    into the first file's corpus. `per_file` splits it into one-file
+    datasets."""
 
     __slots__ = ("name", "files")
 
@@ -43,6 +46,13 @@ class DatasetFiles(Record):
 
     def per_file(self) -> list[DatasetFiles]:
         return [DatasetFiles(self.name, [path]) for path in self.files]
+
+    def documents(self) -> Iterator[Document]:
+        """The documents of load(), each parsed when it is asked for; the
+        file being read stays open until the generator ends or is closed."""
+        for path in self.files:
+            yield from conllu.iter_documents(path, dataset=self.name,
+                                             language=self.language)
 
     def load(self) -> Corpus:
         parts = (conllu.parse_file(path, dataset=self.name,

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .conllu import ParseError, open_text
-from .model import Corpus, DataError, Sentence, Token, head_of, span_key
+from .model import DataError, Document, Sentence, Token, head_of, span_key
 from .taxonomy import base_relation, classify_mention_type, ud_category
 
 WORD_ORDERS = ("SOV", "SVO", "VSO", "VOS", "OVS", "OSV", "NoDominant")
@@ -119,7 +119,8 @@ def _candidate_rows(sentence: Sentence, max_width: int,
         yield width, zip(keys[:n_runs], heads)
 
 
-def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
+def iter_feature_records(corpus: Iterable[Document],
+                         word_order_table: dict[str, str],
                          target: str = "gold", max_width: int = 10,
                          head_rule: str = "syntactic",
                          vocabulary: dict[str, set] | None = None,
@@ -127,7 +128,8 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
     """Yield one record's JSON line per span, newline included, as
     ``json.dumps(record, ensure_ascii=False, separators=(",", ":"))``
     writes it, in deterministic document order: gold mentions in document
-    order, candidate spans per sentence by width and then by start.
+    order, candidate spans per sentence by width and then by start. corpus
+    is a Corpus or any stream of documents, read one document at a time.
 
     Given vocabulary, a dict from feature name to a set of values, every
     feature value the lines hold is added to it."""
@@ -152,7 +154,7 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
             vocabulary.setdefault(name, set()).add(value)
         return "," + _ENCODER.encode(end)[1:-1] + close
 
-    for document in corpus.documents:
+    for document in corpus:
         doc_id = document.doc_id
         language = document.language
         word_order = word_order_table.get(language)
@@ -191,7 +193,8 @@ def iter_feature_records(corpus: Corpus, word_order_table: dict[str, str],
                     yield prefix + encode_basestring(key) + end
 
 
-def export_features(corpus: Corpus, word_order_table: dict[str, str],
+def export_features(corpus: Iterable[Document],
+                    word_order_table: dict[str, str],
                     records_out: TextIO, vocab_out: TextIO,
                     target: str = "gold", max_width: int = 10,
                     head_rule: str = "syntactic") -> int:

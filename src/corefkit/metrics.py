@@ -14,8 +14,8 @@ from fractions import Fraction
 from operator import add
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
-from .model import (MATCH_MODES, SINGLETON_POLICIES, Corpus, DataError,
-                    Document, Mention, Record)
+from .model import (MATCH_MODES, SINGLETON_POLICIES, DataError, Document,
+                    Mention, Record)
 from .reports import ratio
 
 
@@ -23,30 +23,55 @@ class AlignmentError(ValueError, DataError):
     """Gold and system documents cannot be aligned."""
 
 
-def document_pairs(gold: Corpus,
-                   pred: Corpus) -> list[tuple[Document, Document]]:
+def document_pairs(gold: Iterable[Document], pred: Iterable[Document],
+                   dataset: str = "") -> Iterator[tuple[Document, Document]]:
     """(gold, system) documents of one dataset paired by doc id, in gold
-    order. Every gold document needs exactly one system document and every
-    system document a gold one; otherwise AlignmentError names the first
-    that does not pair."""
-    name = gold.dataset
-    pred_docs = {d.doc_id: d for d in pred.documents}
-    if len(pred_docs) != len(pred.documents):
-        raise AlignmentError(f"{name}: duplicate doc ids in system output")
-    if len({d.doc_id for d in gold.documents}) != len(gold.documents):
-        raise AlignmentError(f"{name}: duplicate doc ids in gold")
-    pairs = []
-    for document in gold.documents:
-        match = pred_docs.pop(document.doc_id, None)
-        if match is None:
-            raise AlignmentError(f"{name}: system output misses document "
-                                 f"{document.doc_id!r}")
-        pairs.append((document, match))
-    if pred_docs:
-        extra = next(iter(pred_docs))
-        raise AlignmentError(f"{name}: system output has unknown document "
+    order, each pair yielded as soon as both are read. Gold order drives
+    the walk: a system document read before its gold one is held by id
+    until then, so system output in gold order is held one document at a
+    time, and only ids are kept to find repeats. Every gold document needs
+    exactly one system document and every system document a gold one;
+    otherwise AlignmentError names dataset and the first fault the walk
+    meets. Closing the two streams is left to whoever opened them."""
+    pred = iter(pred)
+    early: dict[str, Document] = {}  # system documents read ahead, by id
+    gold_ids: set[str] = set()
+    pred_ids: set[str] = set()
+
+    def next_pred() -> Document | None:
+        document = next(pred, None)
+        if document is not None:
+            if document.doc_id in pred_ids:
+                raise AlignmentError(
+                    f"{dataset}: duplicate doc ids in system output")
+            pred_ids.add(document.doc_id)
+        return document
+
+    for document in gold:
+        doc_id = document.doc_id
+        if doc_id in gold_ids:
+            raise AlignmentError(f"{dataset}: duplicate doc ids in gold")
+        gold_ids.add(doc_id)
+        match = early.pop(doc_id, None)
+        while match is None:
+            match = next_pred()
+            if match is None:
+                raise AlignmentError(f"{dataset}: system output misses "
+                                     f"document {doc_id!r}")
+            if match.doc_id != doc_id:
+                early[match.doc_id] = match
+                match = None
+        yield document, match
+    # gold is done: each system document left, early or not, lacks gold;
+    # the first is named once the rest is checked for repeats
+    extra = next(iter(early), None)
+    early.clear()
+    while (document := next_pred()) is not None:
+        if extra is None:
+            extra = document.doc_id
+    if extra is not None:
+        raise AlignmentError(f"{dataset}: system output has unknown document "
                              f"{extra!r}")
-    return pairs
 
 
 class Scores(NamedTuple):
@@ -364,16 +389,18 @@ def remapped_cluster_set(gold: Document, pred: Document, mode: str,
 
 def score_pairs(pairs: Iterable[tuple[Document, Document]],
                 mode: str = "exact",
-                singleton_policy: str = "exclude") -> ScoreReport:
+                singleton_policy: str = "exclude") -> ScoreReport | None:
     """Score aligned (gold, system) document pairs, summing the MUC, B³ and
-    CEAFe counts of every pair before computing the scores."""
-    totals = [(0, 0, 0, 0)] * 3
+    CEAFe counts of every pair before computing the scores. No pairs have
+    no score: None."""
+    totals = None
     for gold, pred in pairs:
         gold_set, pred_set = remapped_cluster_set(gold, pred, mode,
                                                   singleton_policy)
         counts = (muc_counts(gold_set, pred_set),
                   b_cubed_counts(gold_set, pred_set),
                   ceafe_counts(gold_set, pred_set))
-        totals = [tuple(map(add, total, part))
-                  for total, part in zip(totals, counts)]
-    return ScoreReport(*(_prf(*total) for total in totals))
+        totals = counts if totals is None else [
+            tuple(map(add, total, part)) for total, part in zip(totals, counts)]
+    return None if totals is None else ScoreReport(
+        *(_prf(*total) for total in totals))

@@ -15,6 +15,8 @@ compare by identity; a class that compares by value derives from `Record`.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 HEAD_RULES = ("annotated", "syntactic")
 # The choices of corpora.discover_datasets, metrics.align_mentions,
 # metrics.ClusterSet and errors.analyze_errors, and analysis.genre_counts's
@@ -336,6 +338,11 @@ class Corpus:
         self.documents = [] if documents is None else documents
         self.dataset = dataset
         self.language = language
+
+    def __iter__(self) -> Iterator[Document]:
+        """The documents, in order: a corpus stands where a stream of
+        documents is read."""
+        return iter(self.documents)
 
 
 def mention_head(mention: Mention, document: Document | Mention,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -116,8 +117,10 @@ def by_language(per_dataset: dict[str, dict], key: str) -> dict[str, object]:
 
 def _error_task(task):
     gold_files, pred_files, mode = task
-    pairs = document_pairs(gold_files.load(), pred_files.load())
-    return analyze_errors(pairs, mode=mode, dataset=gold_files.name)
+    with closing(gold_files.documents()) as gold, \
+            closing(pred_files.documents()) as pred:
+        return analyze_errors(document_pairs(gold, pred, gold_files.name),
+                              mode=mode, dataset=gold_files.name)
 
 
 def system_error_reports(system_env: str, mode: str) -> dict[str, object]:

@@ -221,6 +221,30 @@ def test_competing_antecedents_hand_case():
     assert stats.mean_competitors == 1
 
 
+def test_a_candidate_starting_on_the_pronoun_does_not_compete():
+    # e3, another entity's mention, starts on the pronoun itself and its
+    # head agrees with it, but it does not start before the anaphor
+    corpus = make_corpus([
+        tok(1, "Maria", "PROPN", 2, "nsubj", feats="Gender=Fem|Number=Sing",
+            misc="Entity=(e1-person-1-)"),
+        tok(2, "vio", "VERB", 0, "root"),
+        tok(3, "la", "DET", 4, "det", misc="Entity=(e2-x-2-"),
+        tok(4, "casa", "NOUN", 2, "obj", feats="Gender=Fem|Number=Sing",
+            misc="Entity=e2)"),
+    ], [
+        tok(1, "Ella", "PRON", 2, "nsubj", feats=FEM,
+            misc="Entity=(e3-x-1-(e1-person-1-)"),
+        tok(2, "sonrió", "VERB", 0, "root", misc="Entity=e3)"),
+    ])
+    (document,) = corpus.documents
+    starts = {e.entity_id: e.mentions[-1].start for e in document.entities}
+    assert starts["e3"] == starts["e1"]
+    stats = competing_antecedents(corpus, MentionType.OVERT_PRONOUN)
+    # Ella twice (e1's anaphor and e3's head); la casa competes
+    assert (stats.n_pronouns, stats.n_valid, stats.total_competitors) \
+        == (2, 1, 1)
+
+
 def test_competing_antecedent_too_far_is_invalid():
     stats = competing_antecedents(_competing_corpus(antecedent_gap=2),
                                   MentionType.OVERT_PRONOUN)
@@ -285,6 +309,22 @@ def test_genre_rates():
     rates = dict(genre_rates(*genre_counts(corpus)))
     assert rates["academic"] == 0
     assert rates["vlog"] == Fraction(8000 * 1, 2)
+
+
+def test_genre_counts_need_both_pron_and_prontype_prs():
+    corpus = parse_conllu("\n".join([
+        "# newdoc id = GUM_vlog_hello",
+        "# sent_id = v1",
+        tok(1, "I", "PRON", 2, "nsubj", feats="Number=Sing|PronType=Prs"),
+        tok(2, "this", "PRON", 3, "nsubj", feats="PronType=Dem"),
+        tok(3, "saw", "VERB", 0, "root"),
+        tok(4, "who", "PRON", 3, "obj"),
+        tok(5, "my", "DET", 3, "obj", feats="PronType=Prs"),
+        "",
+    ]) + "\n")
+    pronouns, tokens = genre_counts(corpus)
+    assert pronouns == {"vlog": 1}
+    assert tokens == {"vlog": 5}
 
 
 def test_genre_unknown_bucket():

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import corefkit
-from corefkit import conllu, taxonomy
+from corefkit import conllu, errors, metrics, taxonomy
 from corefkit.analysis import MissingVectorError, corpus_statistics
 from corefkit.cli import CliError, _json, main, pool_groups
 from corefkit.conllu import ParseError
@@ -25,7 +25,7 @@ from corefkit.corpora import DatasetFiles, discover_datasets
 from corefkit.features import WordOrderError
 from corefkit.metrics import AlignmentError
 from corefkit.model import (MATCH_MODES, SINGLETON_POLICIES,
-                            UNRESOLVED_DEFINITIONS, Corpus, DataError)
+                            UNRESOLVED_DEFINITIONS, DataError, Document)
 from corefkit.reports import StatRow
 from support import DATA, FRESH_ENV, generated_pair, tok
 
@@ -89,25 +89,164 @@ def test_validate_split_without_files_names_the_split(capsys):
     assert out.startswith("ok\t")
 
 
+class WeakDocument(Document):  # the model classes take no weak reference
+    __slots__ = ("__weakref__",)
+
+
 def test_validate_holds_one_file_at_a_time(tmp_path, capsys, monkeypatch):
     text = (DATA / "basic.conllu").read_text(encoding="utf-8")
     for name in ("a", "b", "c"):
         (tmp_path / f"{name}.conllu").write_text(text, encoding="utf-8")
-    parse = corefkit.conllu.parse_file
-    parsed = []  # a weak reference to each corpus validate was given
+    read = corefkit.conllu.iter_documents
+    files = []  # each file validate read
+    parsed = []  # a weak reference to each document it was given
 
-    class Watched(Corpus):  # the model classes take no weak reference
-        __slots__ = ("__weakref__",)
-
-    def watched_parse(path, **kwargs):
-        assert all(ref() is None for ref in parsed), "a corpus is alive"
-        corpus = parse(path, **kwargs)
-        watched = Watched(corpus.documents, corpus.dataset, corpus.language)
-        parsed.append(weakref.ref(watched))
-        return watched
-    monkeypatch.setattr(corefkit.conllu, "parse_file", watched_parse)
+    def watched_read(path, **kwargs):
+        assert all(ref() is None for ref in parsed), "a document is alive"
+        files.append(path)
+        for document in read(path, **kwargs):
+            watched = WeakDocument(document.doc_id, document.sentences,
+                                   document.entities, document.language,
+                                   document.dataset)
+            parsed.append(weakref.ref(watched))
+            yield watched
+    monkeypatch.setattr(corefkit.conllu, "iter_documents", watched_read)
     code, out, _ = run(capsys, "validate", str(tmp_path))
-    assert code == 0 and len(parsed) == out.count("ok\t") == 3
+    assert code == 0 and len(files) == out.count("ok\t") == 3
+    assert len(parsed) == 6
+
+
+def _documents_text(copies: range) -> str:
+    """basic.conllu once per number in copies, each copy's doc ids prefixed
+    with its number."""
+    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
+    return "".join(text.replace("# newdoc id = ", f"# newdoc id = {k}-")
+                   for k in copies)
+
+
+def _reversed_documents(text: str) -> str:
+    """text with its documents in reverse order."""
+    starts = [m.start() for m in re.finditer(r"^# newdoc", text, re.M)]
+    return "".join(text[a:b] for a, b in reversed(list(
+        zip(starts, starts[1:] + [len(text)]))))
+
+
+@pytest.fixture
+def many_documents(tmp_path):
+    """Gold: the dataset es_many in two files of four documents each.
+    System: the same eight documents in one flat file, in gold order
+    (in-order/) and in reverse order (reversed/)."""
+    gold = [_documents_text(range(2)), _documents_text(range(2, 4))]
+    (tmp_path / "gold").mkdir()
+    for split, text in zip(("dev", "train"), gold):
+        (tmp_path / "gold" / f"es_many-corefud-{split}.conllu").write_text(
+            text, "utf-8")
+    for name, text in (("in-order", "".join(gold)),
+                       ("reversed", _reversed_documents("".join(gold)))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "es_many.conllu").write_text(text, "utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "{gold}"],
+    ["score", "--gold", "{gold}", "--pred", "{in_order}"],
+    ["score", "--gold", "{gold}", "--pred", "{reversed}", "--match", "head"],
+    ["errors", "--gold", "{gold}", "--pred", "{in_order}", "--detail"],
+    ["errors", "--gold", "{gold}", "--pred", "{reversed}"],
+    ["export-features", "{gold}", "--word-order", WORD_ORDER, "--out",
+     "{out}"],
+    ["export-features", "{gold}", "--word-order", WORD_ORDER, "--out",
+     "{out}", "--target", "spans"],
+], ids=["validate", "score", "score-head-reversed", "errors",
+        "errors-reversed", "export-gold", "export-spans"])
+def test_streaming_commands_hold_one_gold_document(
+        many_documents, capsys, monkeypatch, command):
+    # Documents are parsed as WeakDocument; each is checked in just before
+    # its entities are decoded, the last step of its parse.
+    resolve = conllu.resolve_entities
+    parsed: list[tuple[str, weakref.ref]] = []
+    most_alive = {}
+
+    def watched_resolve(document, filename="", declared=None):
+        side = Path(filename).parent.name
+        alive = sum(1 for s, ref in parsed if s == side and ref() is not None)
+        most_alive[side] = max(most_alive.get(side, 0), alive)
+        parsed.append((side, weakref.ref(document)))
+        return resolve(document, filename, declared)
+    monkeypatch.setattr(conllu, "Document", WeakDocument)
+    monkeypatch.setattr(conllu, "resolve_entities", watched_resolve)
+    argv = [arg.format(gold=many_documents / "gold",
+                       in_order=many_documents / "in-order",
+                       reversed=many_documents / "reversed",
+                       out=many_documents / "out") for arg in command]
+    assert run(capsys, *argv)[0] == 0
+    assert sum(1 for side, _ in parsed if side == "gold") == 8
+    # when a gold document is parsed, at most the one before it is alive
+    assert most_alive["gold"] <= 1
+    if "{in_order}" in command:
+        assert most_alive["in-order"] <= 1
+    if "{reversed}" in command:  # every other system document came early
+        assert most_alive["reversed"] == 7
+
+
+@pytest.mark.parametrize("command", [
+    ["score"], ["score", "--match", "head", "--format", "json"],
+    ["errors", "--detail"], ["errors", "--mode", "head", "--format", "json"],
+], ids=["score", "score-head-json", "errors", "errors-head-json"])
+def test_system_documents_out_of_gold_order_still_pair(
+        many_documents, capsys, command):
+    reports = [run(capsys, *command, "--gold", str(many_documents / "gold"),
+                   "--pred", str(many_documents / order))
+               for order in ("in-order", "reversed")]
+    assert reports[0][0] == 0 and reports[0][1]
+    assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("command", ["score", "errors"])
+@pytest.mark.parametrize("fault", ["alignment", "parse"])
+def test_a_run_stopped_mid_dataset_leaves_no_file_open(
+        many_documents, capsys, monkeypatch, command, fault):
+    gold, pred = many_documents / "gold", many_documents / "in-order"
+    if fault == "parse":  # in the last gold document
+        path = gold / "es_many-corefud-train.conllu"
+        path.write_text(path.read_text("utf-8") + "1\tx\n", "utf-8")
+    else:  # a sentence fewer in the system's fifth document
+        path = pred / "es_many.conllu"
+        text = path.read_text("utf-8")
+        fifth = text.index("# newdoc id = 2-fixture-doc1")
+        cut = text.index("# sent_id", text.index("# sent_id", fifth) + 1)
+        path.write_text(text[:cut] + text[text.index("# newdoc", cut):],
+                        "utf-8")
+    opened = []
+
+    def recorded_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+    monkeypatch.setattr(conllu, "open", recorded_open, raising=False)
+    # Keeping the run's exception keeps every frame it passed through, and
+    # so every stream those frames hold, as a reference cycle would with
+    # the collector off: the files must be closed all the same.
+    kept = []
+    module, name = ((metrics, "score_pairs") if command == "score"
+                    else (errors, "analyze_errors"))
+    consume = getattr(module, name)
+
+    def keeping(*args, **kwargs):
+        try:
+            return consume(*args, **kwargs)
+        except DataError as exc:
+            kept.append(exc)
+            raise
+    monkeypatch.setattr(module, name, keeping)
+    code, out, err = run(capsys, command, "--gold", str(gold),
+                         "--pred", str(pred))
+    assert (code, out) == (2, "")
+    assert isinstance(kept[0], ParseError if fault == "parse"
+                      else AlignmentError), err
+    assert len(opened) == 3  # both gold files and the system file
+    assert [handle.closed for handle in opened] == [True] * 3
+    kept.clear()
 
 
 def _in_process_pool(monkeypatch) -> list[int]:
@@ -150,13 +289,14 @@ def two_file_dataset(tmp_path):
 
 
 def _watch_reads(monkeypatch) -> list[tuple[str, str, dict]]:
-    """(side, file name, keywords) of each parse_file call from now on."""
-    parse, reads = conllu.parse_file, []
+    """(side, file name, keywords) of each file the one reader,
+    conllu.iter_documents, is asked for from now on."""
+    read, reads = conllu.iter_documents, []
 
     def watched(path, **kwargs):
         reads.append((Path(path).parent.name, Path(path).name, kwargs))
-        return parse(path, **kwargs)
-    monkeypatch.setattr(conllu, "parse_file", watched)
+        return read(path, **kwargs)
+    monkeypatch.setattr(conllu, "iter_documents", watched)
     return reads
 
 
@@ -186,7 +326,9 @@ def test_every_command_reads_each_file_once_sorted_and_labelled(
                        pred=two_file_dataset / "pred",
                        out=two_file_dataset / "out") for arg in command]
     assert run(capsys, *argv)[0] == 0
-    assert reads == _reads_of(*sides)
+    # score and errors read gold and system files in step; each side in turn
+    assert sorted(reads, key=lambda read: sides.index(read[0])) \
+        == _reads_of(*sides)
     assert started == ([2] if "--jobs" in command else [])
 
 
@@ -1465,12 +1607,17 @@ def test_commands_that_read_heads_compute_no_parents_after_the_parse(
     parent_positions = corefkit.model.parent_positions
     parsing, computed = [], []
 
-    def parse(*args):
-        parsing.append(True)
-        try:
-            return parse_stream(*args)
-        finally:
-            parsing.pop()
+    def parse(*args):  # the parse runs while its generator does
+        documents = parse_stream(*args)
+        while True:
+            parsing.append(True)
+            try:
+                document = next(documents, None)
+            finally:
+                parsing.pop()
+            if document is None:
+                return
+            yield document
 
     def positions(tokens):
         if not parsing:

@@ -230,6 +230,67 @@ def test_error_report_addition_pools(pair_docs):
     assert empty.unresolved_pct is None
 
 
+def _unlinked_pair(spans: list[tuple[int, int]], n_sentences: int):
+    """A gold document whose entity k has one-token mentions in the two
+    sentences spans[k], and a system document that detects every mention
+    but links none."""
+    blocks = [[] for _ in range(n_sentences)]
+    for k, sentences in enumerate(spans):
+        for sentence in sentences:
+            blocks[sentence].append(f"Entity=(e{k}-x-1-)")
+    blocks = [[tok(i, f"N{i}", "PROPN", len(misc) + 1, "nsubj", misc=m)
+               for i, m in enumerate(misc, start=1)]
+              + [tok(len(misc) + 1, "v", "VERB", 0, "root")]
+              for misc in blocks]
+    gold = make_corpus(*blocks)
+    text = serialize(gold)
+    for k in range(len(spans)):
+        text = text.replace(f"(e{k}-", f"(p{k}a-", 1) \
+                   .replace(f"(e{k}-", f"(p{k}b-", 1)
+    return _doc(gold), _doc(parse_conllu(text))
+
+
+def test_distance_buckets_follow_the_sentence_indices():
+    spans = [(1, 1), (1, 2), (2, 4), (2, 5), (3, 8)]  # distances 0 1 2 3 5
+    gold, pred = _unlinked_pair(spans, 9)
+    reference = Counter()
+    for entity in gold.entities:
+        first, second = (m.sent_index for m in entity.mentions)
+        distance = second - first
+        reference["3+" if distance >= 3 else str(distance)] += 1
+    assert [tuple(m.sent_index for m in e.mentions)
+            for e in gold.entities] == spans
+    report = analyze_document(gold, pred)
+    assert report.n_two_mention == report.n_unresolved == len(spans)
+    assert report.distance_buckets == reference \
+        == {"0": 1, "1": 1, "2": 1, "3+": 2}
+    assert set(report.distance_buckets) <= set(errors.DISTANCE_BUCKETS)
+
+
+def _undetected_second_mentions(ks, doc_id):
+    """Gold: entity e{k} for each k, a proper noun in two sentences; system:
+    only its first mention, as a singleton."""
+    blocks = [[tok(1, f"A{k}", "PROPN", 2, "nsubj",
+                   misc=f"Entity=(e{k}-x-1-)"), tok(2, "v", "VERB", 0, "root")]
+              for k in ks for _ in range(2)]
+    gold = make_corpus(*blocks, doc_id=doc_id)
+    text = serialize(gold)
+    for k in ks:
+        text = text.replace(f"Entity=(e{k}-x-1-)", f"Entity=(p{k}-x-1-)", 1) \
+                   .replace(f"Entity=(e{k}-x-1-)", "_")
+    return _doc(gold), _doc(parse_conllu(text))
+
+
+def test_pooled_reports_equal_one_run_over_the_concatenated_documents():
+    pooled = analyze_errors([_undetected_second_mentions([k], f"doc{k}")
+                             for k in range(3)], dataset="toy")
+    whole = analyze_document(*_undetected_second_mentions(range(3), "doc"))
+    assert pooled == whole
+    assert whole.undetected.n_mentions == 3
+    (mention_type,) = whole.undetected.type_counts
+    assert pooled.undetected.type_counts == {mention_type: 3}
+
+
 # ------------------------------------------- the unresolved-entity rule
 
 def reference_unresolved(gold, pred, alignment, definition):
@@ -272,8 +333,9 @@ def rule_pairs(pair_docs, tmp_path_factory):
     altogether."""
     root = generated_pair(tmp_path_factory.mktemp("generated"))
     name = "en_synth-corefud-train.conllu"
-    generated = document_pairs(parse_file(root / "gold" / "en_synth" / name),
-                               parse_file(root / "pred" / name))
+    generated = list(document_pairs(
+        parse_file(root / "gold" / "en_synth" / name),
+        parse_file(root / "pred" / name)))
     assert len(generated) == 4
     return [pair_docs, *generated, _undetected_corpus_pair()]
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from corefkit import parse_conllu
 from corefkit.model import Document, Entity, Mention
 from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
-                              ScoreReport, align_mentions, b_cubed,
-                              b_cubed_counts, ceafe, ceafe_counts,
-                              macro_average, muc, muc_counts, overlaps,
-                              remapped_cluster_set, score_pairs)
+                              ScoreReport, _max_assignment, align_mentions,
+                              b_cubed, b_cubed_counts, ceafe, ceafe_counts,
+                              document_pairs, macro_average, muc, muc_counts,
+                              overlaps, remapped_cluster_set, score_pairs)
 from support import make_corpus, tok
 from test_heads import documents
 
@@ -466,6 +466,28 @@ def test_ceafe_matches_brute_force_on_random_instances():
         assert best2 == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("weight", ["integer", "real"])
+def test_max_assignment_matches_brute_force_on_dense_matrices(weight):
+    # Dense matrices of arbitrary weights, where most cells compete: the
+    # overlap matrices CEAFe builds are sparse and rarely wider than 3×3.
+    rng = random.Random(f"max-assignment-{weight}")
+    draw = ((lambda: rng.randint(0, 9)) if weight == "integer"
+            else (lambda: rng.uniform(-5.0, 5.0)))
+    for n_rows in range(2, 7):
+        for n_cols in range(n_rows, 8):
+            for _ in range(12 if n_rows * n_cols < 30 else 4):
+                weights = [[draw() for _ in range(n_cols)]
+                           for _ in range(n_rows)]
+                cols = _max_assignment(weights)
+                assert sorted(cols) == sorted(set(cols))
+                assert len(cols) == n_rows and 0 <= min(cols) \
+                    and max(cols) < n_cols
+                best = max(sum(row[c] for row, c in zip(weights, perm))
+                           for perm in permutations(range(n_cols), n_rows))
+                assert sum(row[c] for row, c in zip(weights, cols)) \
+                    == pytest.approx(best, abs=1e-9), weights
+
+
 SHAPES = ("free", "blocks", "ties", "merged", "same", "empty")
 
 
@@ -596,3 +618,63 @@ def test_scores_bounded_fuzz():
             for value in (scores.precision, scores.recall, scores.f1):
                 assert 0.0 <= value <= 1.0
             assert scores.f1 <= max(scores.precision, scores.recall) + 1e-12
+
+
+# ---------------------------------------------------- pairing documents
+
+def _docs(*ids):
+    return [Document(doc_id) for doc_id in ids]
+
+
+def _pair_ids(gold, pred):
+    return [(g.doc_id, p.doc_id)
+            for g, p in document_pairs(gold, pred, "xx")]
+
+
+@pytest.mark.parametrize("pred_ids", [
+    "abcd", "dcba", "badc", "cdab",
+], ids=["in-order", "reversed", "swapped", "rotated"])
+def test_document_pairs_pair_system_documents_in_any_order(pred_ids):
+    assert _pair_ids(_docs(*"abcd"), _docs(*pred_ids)) == \
+        [(d, d) for d in "abcd"]
+
+
+def test_document_pairs_read_as_they_pair():
+    read = []
+
+    def stream(side, ids):
+        for document in _docs(*ids):
+            read.append((side, document.doc_id))
+            yield document
+    pairs = document_pairs(stream("gold", "abc"), stream("pred", "acb"), "xx")
+    assert [g.doc_id for g, _ in [next(pairs)]] == ["a"]
+    assert read == [("gold", "a"), ("pred", "a")]
+    assert next(pairs)[0].doc_id == "b"  # c came early and waits for its turn
+    assert read[2:] == [("gold", "b"), ("pred", "c"), ("pred", "b")]
+    assert next(pairs)[1].doc_id == "c"
+    assert read[5:] == [("gold", "c")]
+    assert next(pairs, None) is None
+
+
+@pytest.mark.parametrize("gold, pred, message", [
+    ("ab", "a", "system output misses document 'b'"),
+    ("a", "ab", "system output has unknown document 'b'"),
+    ("a", "ba", "system output has unknown document 'b'"),
+    ("a", "cab", "system output has unknown document 'c'"),
+    ("ab", "aab", "duplicate doc ids in system output"),
+    ("ab", "baa", "duplicate doc ids in system output"),
+    ("aab", "ab", "duplicate doc ids in gold"),
+    ("", "", None),
+])
+def test_document_pairs_name_the_first_fault_of_the_walk(gold, pred,
+                                                         message):
+    if message is None:
+        assert _pair_ids(_docs(*gold), _docs(*pred)) == []
+        return
+    with pytest.raises(AlignmentError, match=f"^xx: {message}$"):
+        _pair_ids(_docs(*gold), _docs(*pred))
+
+
+def test_score_pairs_of_no_pairs_is_none():
+    assert score_pairs([], "exact", "exclude") is None
+    assert score_pairs(iter(()), "head", "include") is None
