@@ -6,10 +6,12 @@ reports are deterministic: percentages with 2 decimals, scores with 6,
 fixed ordering. Logs go to stderr only; the COREFUD_DATA environment
 variable supplies the default corpus root. Every subcommand reads its
 datasets through `corpora.DatasetFiles`. `validate`, `score`, `errors` and
-`export-features` take each document as its parse ends and hold one
-document of a file at a time (`score` and `errors` also hold the system
-documents that come before their gold turn); `stats` and `analyze` parse
-one-file datasets, one at a time or as `--jobs` tasks.
+`export-features` take each document as its parse ends and keep no
+reference to it once they are done with it, so they hold one document per
+side at a time: the one being parsed, or the one being used (`score` and
+`errors` also hold the system documents that come before their gold turn).
+`stats` and `analyze` parse one-file datasets, one at a time or as `--jobs`
+tasks.
 
 Start-up is most of a run on small inputs, so at import this module loads
 only `model`, whose constants name the choices of every option. Every other
@@ -143,14 +145,14 @@ def _map_files(worker, jobs_args: list, jobs: int) -> list:
 def cmd_validate(args) -> int:
     for dataset in _datasets(args):
         for one_file in dataset.per_file():
-            # (sentences, mentions) per document: no document outlives the
-            # parse of the next one, nor a file the parse of the next file
-            sizes = [(len(d.sentences), sum(len(e.mentions)
-                                            for e in d.entities))
-                     for d in one_file.documents()]
-            print(f"ok\t{one_file.files[0]}\tdocuments={len(sizes)}"
-                  f"\tsentences={sum(s for s, _ in sizes)}"
-                  f"\tmentions={sum(m for _, m in sizes)}")
+            n_documents = n_sentences = n_mentions = 0
+            for document in one_file.documents():
+                n_documents += 1
+                n_sentences += len(document.sentences)
+                n_mentions += sum(len(e.mentions) for e in document.entities)
+                del document  # freed before the next one is parsed
+            print(f"ok\t{one_file.files[0]}\tdocuments={n_documents}"
+                  f"\tsentences={n_sentences}\tmentions={n_mentions}")
     return 0
 
 

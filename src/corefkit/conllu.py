@@ -67,9 +67,11 @@ def iter_documents(path: str | Path, dataset: str = "",
                    language: str = "") -> Iterator[Document]:
     """The documents of the CoNLL-U file at path, as parse_file parses
     them, each yielded once the next '# newdoc' line or the end of the file
-    is read. A fault raises ParseError naming the file when the parse
-    reaches it, after the documents before it have been yielded. The file
-    stays open until the last document is out or the generator is closed."""
+    is read. No reference to a yielded document is kept, so once the caller
+    drops it, it is freed before the next one is parsed. A fault raises
+    ParseError naming the file when the parse reaches it, after the
+    documents before it have been yielded. The file stays open until the
+    last document is out or the generator is closed."""
     path = Path(path)
     with open_text(path) as handle:
         yield from _parse_stream(handle, dataset, language, str(path))
@@ -130,11 +132,15 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
     layout: tuple[str, ...] | None = None  # the file's global.Entity
     # Local to this parse, so nothing is kept once it ends: ids[i] is the
     # surface index i, head_values maps each valid HEAD text seen to its
-    # value, and shared holds one object per repeated column text.
+    # value, and shared holds one object per repeated column text. LEMMA
+    # has a vocabulary as large as a file's, so lemmas holds its texts for
+    # the current document only.
     ids = ["0", "1"]
     head_values: dict[str, int | None] = {"_": None, "0": 0}
     shared: dict[str, str] = {}
     share = shared.setdefault
+    lemmas: dict[str, str] = {}
+    share_lemma = lemmas.setdefault
 
     def flush_document() -> Document | None:
         """The document read so far, None when it has no sentence; the
@@ -156,6 +162,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
         doc_sentences = []
         doc_id = None
         seen_sent_ids = set()
+        lemmas.clear()
         return document
 
     def flush_sentence(line_no: int) -> None:
@@ -199,6 +206,8 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                 document = flush_document()
                 if document is not None:
                     yield document
+                    # not held while the next document is parsed
+                    del document
             if sentence is None:
                 sentence = Sentence()
             sentence.comments.append(line)
@@ -266,10 +275,10 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
             head_value = head_values[head] = int(head)
         # a '# newdoc' line has flushed any previous document by now
         tokens.append(Token(
-            index, form, lemma, share(upos, upos), share(xpos, xpos),
-            share(feats, feats), head_value, share(deprel, deprel),
-            share(deps, deps), misc.rstrip("\r\n"), is_empty,
-            len(doc_sentences), len(tokens)))
+            index, form, share_lemma(lemma, lemma), share(upos, upos),
+            share(xpos, xpos), share(feats, feats), head_value,
+            share(deprel, deprel), share(deps, deps), misc.rstrip("\r\n"),
+            is_empty, len(doc_sentences), len(tokens)))
 
     if sentence is not None:
         if tokens or sentence.mwt_ranges:

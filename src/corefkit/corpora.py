@@ -30,9 +30,8 @@ class DatasetFiles(Record):
     """The files of one dataset, sorted; the one reader of a dataset. Each
     file is read in that order with the dataset's name and language, through
     `conllu.iter_documents` as bound when it runs: `documents` yields the
-    documents one at a time, `load` parses them (through `conllu.parse_file`)
-    into the first file's corpus. `per_file` splits it into one-file
-    datasets."""
+    documents one at a time, `load` collects them into one corpus.
+    `per_file` splits it into one-file datasets."""
 
     __slots__ = ("name", "files")
 
@@ -55,14 +54,7 @@ class DatasetFiles(Record):
                                              language=self.language)
 
     def load(self) -> Corpus:
-        parts = (conllu.parse_file(path, dataset=self.name,
-                                   language=self.language)
-                 for path in self.files)
-        corpus = next(parts, None) or Corpus(dataset=self.name,
-                                             language=self.language)
-        for part in parts:
-            corpus.documents.extend(part.documents)
-        return corpus
+        return Corpus(list(self.documents()), self.name, self.language)
 
 
 def discover_datasets(root: str | Path, split: str | None = None,

@@ -186,8 +186,11 @@ def analyze_errors(pairs: Iterable[tuple[Document, Document]],
     """Pool the error analysis of aligned document pairs into one report
     labelled with dataset, appending per-entity detail records to details
     when it is given. No pairs give an empty report."""
-    return sum((analyze_document(g, p, mode, definition, details)
-                for g, p in pairs), ErrorReport(dataset))
+    report = ErrorReport(dataset)
+    for gold, pred in pairs:
+        report += analyze_document(gold, pred, mode, definition, details)
+        del gold, pred  # the pair goes before the next one is parsed
+    return report
 
 
 def unresolved_entity_details(gold: Document, pred: Document,

@@ -129,7 +129,8 @@ def iter_feature_records(corpus: Iterable[Document],
     ``json.dumps(record, ensure_ascii=False, separators=(",", ":"))``
     writes it, in deterministic document order: gold mentions in document
     order, candidate spans per sentence by width and then by start. corpus
-    is a Corpus or any stream of documents, read one document at a time.
+    is a Corpus or any stream of documents, read one document at a time;
+    nothing of a document is held once its last line is out.
 
     Given vocabulary, a dict from feature name to a set of values, every
     feature value the lines hold is added to it."""
@@ -179,18 +180,20 @@ def iter_feature_records(corpus: Iterable[Document],
                 yield (f'{doc_head}{mention.sent_index},"span":'
                        + encode_basestring(span_key(mention.span)) + end
                        + encode_basestring(mention.entity_id) + "}\n")
-            continue
-        for sent_index, sentence in enumerate(document.sentences):
-            prefix = f'{doc_head}{sent_index},"span":'
-            for width, candidates in _candidate_rows(sentence, max_width):
-                bucket = width_bucket(width)
-                for key, head in candidates:
-                    fields_key = (head.upos, head.deprel, bucket)
-                    end = ends.get(fields_key)
-                    if end is None:
-                        end = ends[fields_key] = end_of(head, width,
-                                                        language, word_order)
-                    yield prefix + encode_basestring(key) + end
+        else:
+            for sent_index, sentence in enumerate(document.sentences):
+                prefix = f'{doc_head}{sent_index},"span":'
+                for width, candidates in _candidate_rows(sentence, max_width):
+                    bucket = width_bucket(width)
+                    for key, head in candidates:
+                        fields_key = (head.upos, head.deprel, bucket)
+                        end = ends.get(fields_key)
+                        if end is None:
+                            end = ends[fields_key] = end_of(
+                                head, width, language, word_order)
+                        yield prefix + encode_basestring(key) + end
+        # nothing of the document is held while the next one is parsed
+        document = mention = sentence = candidates = None
 
 
 def export_features(corpus: Iterable[Document],

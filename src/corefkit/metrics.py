@@ -29,10 +29,12 @@ def document_pairs(gold: Iterable[Document], pred: Iterable[Document],
     order, each pair yielded as soon as both are read. Gold order drives
     the walk: a system document read before its gold one is held by id
     until then, so system output in gold order is held one document at a
-    time, and only ids are kept to find repeats. Every gold document needs
-    exactly one system document and every system document a gold one;
-    otherwise AlignmentError names dataset and the first fault the walk
-    meets. Closing the two streams is left to whoever opened them."""
+    time, and only ids are kept to find repeats. No reference to a yielded
+    pair is kept: once the caller drops it, both documents are freed before
+    the next pair is parsed. Every gold document needs exactly one system
+    document and every system document a gold one; otherwise AlignmentError
+    names dataset and the first fault the walk meets. Closing the two
+    streams is left to whoever opened them."""
     pred = iter(pred)
     early: dict[str, Document] = {}  # system documents read ahead, by id
     gold_ids: set[str] = set()
@@ -62,6 +64,7 @@ def document_pairs(gold: Iterable[Document], pred: Iterable[Document],
                 early[match.doc_id] = match
                 match = None
         yield document, match
+        del document, match  # not held while the next pair is parsed
     # gold is done: each system document left, early or not, lacks gold;
     # the first is named once the rest is checked for repeats
     extra = next(iter(early), None)
@@ -400,6 +403,8 @@ def score_pairs(pairs: Iterable[tuple[Document, Document]],
         counts = (muc_counts(gold_set, pred_set),
                   b_cubed_counts(gold_set, pred_set),
                   ceafe_counts(gold_set, pred_set))
+        # the pair goes before the next one is parsed
+        del gold, pred, gold_set, pred_set
         totals = counts if totals is None else [
             tuple(map(add, total, part)) for total, part in zip(totals, counts)]
     return None if totals is None else ScoreReport(

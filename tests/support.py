@@ -8,11 +8,12 @@ import dataclasses
 import importlib.util
 import os
 import sys
+import weakref
 from pathlib import Path
 
 import corefkit
-from corefkit import parse_conllu
-from corefkit.model import parse_kv_items
+from corefkit import conllu, parse_conllu
+from corefkit.model import Document, Sentence, parse_kv_items
 
 DATA = Path(__file__).parent / "data"
 
@@ -90,3 +91,46 @@ def generated_pair(root: Path) -> Path:
                                 docs_per_file=4)
     corpus.generate(shape, 5, root)
     return root
+
+
+def documents_text(copies: range) -> str:
+    """basic.conllu once per number in copies, each copy's doc ids prefixed
+    with its number."""
+    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
+    return "".join(text.replace("# newdoc id = ", f"# newdoc id = {k}-")
+                   for k in copies)
+
+
+class WeakDocument(Document):  # the model classes take no weak reference
+    __slots__ = ("__weakref__",)
+
+
+class WeakSentence(Sentence):
+    __slots__ = ("__weakref__",)
+
+
+def watch_parses(monkeypatch) -> tuple[list[str], dict[str, int]]:
+    """From now on conllu parses each document as a WeakDocument of
+    WeakSentences. Returns the name of the directory of the file of each
+    document parsed, in order, and per such name the most earlier documents
+    of that directory of which anything, the document or one of its
+    sentences, was alive when one of them reached resolve_entities, the
+    last step of its parse."""
+    resolve = conllu.resolve_entities
+    parsed: list[tuple[str, list[weakref.ref]]] = []
+    sides: list[str] = []
+    most_alive: dict[str, int] = {}
+
+    def watched_resolve(document, filename="", declared=None):
+        side = Path(filename).parent.name
+        alive = sum(1 for s, refs in parsed
+                    if s == side and any(ref() is not None for ref in refs))
+        most_alive[side] = max(most_alive.get(side, 0), alive)
+        parsed.append((side, [weakref.ref(document)] + [
+            weakref.ref(sentence) for sentence in document.sentences]))
+        sides.append(side)
+        return resolve(document, filename, declared)
+    monkeypatch.setattr(conllu, "Document", WeakDocument)
+    monkeypatch.setattr(conllu, "Sentence", WeakSentence)
+    monkeypatch.setattr(conllu, "resolve_entities", watched_resolve)
+    return sides, most_alive

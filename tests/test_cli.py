@@ -25,9 +25,10 @@ from corefkit.corpora import DatasetFiles, discover_datasets
 from corefkit.features import WordOrderError
 from corefkit.metrics import AlignmentError
 from corefkit.model import (MATCH_MODES, SINGLETON_POLICIES,
-                            UNRESOLVED_DEFINITIONS, DataError, Document)
+                            UNRESOLVED_DEFINITIONS, DataError)
 from corefkit.reports import StatRow
-from support import DATA, FRESH_ENV, generated_pair, tok
+from support import (DATA, FRESH_ENV, WeakDocument, documents_text,
+                     generated_pair, tok, watch_parses)
 
 GOLD_DIR = str(DATA / "score" / "gold")
 PRED_DIR = str(DATA / "score" / "pred")
@@ -89,16 +90,14 @@ def test_validate_split_without_files_names_the_split(capsys):
     assert out.startswith("ok\t")
 
 
-class WeakDocument(Document):  # the model classes take no weak reference
-    __slots__ = ("__weakref__",)
-
-
-def test_validate_holds_one_file_at_a_time(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["validate", "stats", "analyze"])
+def test_commands_hold_one_file_at_a_time(tmp_path, capsys, monkeypatch,
+                                          command):
     text = (DATA / "basic.conllu").read_text(encoding="utf-8")
     for name in ("a", "b", "c"):
         (tmp_path / f"{name}.conllu").write_text(text, encoding="utf-8")
     read = corefkit.conllu.iter_documents
-    files = []  # each file validate read
+    files = []  # each file the command read
     parsed = []  # a weak reference to each document it was given
 
     def watched_read(path, **kwargs):
@@ -111,17 +110,11 @@ def test_validate_holds_one_file_at_a_time(tmp_path, capsys, monkeypatch):
             parsed.append(weakref.ref(watched))
             yield watched
     monkeypatch.setattr(corefkit.conllu, "iter_documents", watched_read)
-    code, out, _ = run(capsys, "validate", str(tmp_path))
-    assert code == 0 and len(files) == out.count("ok\t") == 3
+    code, out, _ = run(capsys, command, str(tmp_path))
+    assert code == 0 and len(files) == 3
+    if command == "validate":
+        assert out.count("ok\t") == 3
     assert len(parsed) == 6
-
-
-def _documents_text(copies: range) -> str:
-    """basic.conllu once per number in copies, each copy's doc ids prefixed
-    with its number."""
-    text = (DATA / "basic.conllu").read_text(encoding="utf-8")
-    return "".join(text.replace("# newdoc id = ", f"# newdoc id = {k}-")
-                   for k in copies)
 
 
 def _reversed_documents(text: str) -> str:
@@ -136,7 +129,7 @@ def many_documents(tmp_path):
     """Gold: the dataset es_many in two files of four documents each.
     System: the same eight documents in one flat file, in gold order
     (in-order/) and in reverse order (reversed/)."""
-    gold = [_documents_text(range(2)), _documents_text(range(2, 4))]
+    gold = [documents_text(range(2)), documents_text(range(2, 4))]
     (tmp_path / "gold").mkdir()
     for split, text in zip(("dev", "train"), gold):
         (tmp_path / "gold" / f"es_many-corefud-{split}.conllu").write_text(
@@ -162,30 +155,17 @@ def many_documents(tmp_path):
         "errors-reversed", "export-gold", "export-spans"])
 def test_streaming_commands_hold_one_gold_document(
         many_documents, capsys, monkeypatch, command):
-    # Documents are parsed as WeakDocument; each is checked in just before
-    # its entities are decoded, the last step of its parse.
-    resolve = conllu.resolve_entities
-    parsed: list[tuple[str, weakref.ref]] = []
-    most_alive = {}
-
-    def watched_resolve(document, filename="", declared=None):
-        side = Path(filename).parent.name
-        alive = sum(1 for s, ref in parsed if s == side and ref() is not None)
-        most_alive[side] = max(most_alive.get(side, 0), alive)
-        parsed.append((side, weakref.ref(document)))
-        return resolve(document, filename, declared)
-    monkeypatch.setattr(conllu, "Document", WeakDocument)
-    monkeypatch.setattr(conllu, "resolve_entities", watched_resolve)
+    sides, most_alive = watch_parses(monkeypatch)
     argv = [arg.format(gold=many_documents / "gold",
                        in_order=many_documents / "in-order",
                        reversed=many_documents / "reversed",
                        out=many_documents / "out") for arg in command]
     assert run(capsys, *argv)[0] == 0
-    assert sum(1 for side, _ in parsed if side == "gold") == 8
-    # when a gold document is parsed, at most the one before it is alive
-    assert most_alive["gold"] <= 1
+    assert sides.count("gold") == 8
+    # when a gold document is parsed, no earlier one is alive
+    assert most_alive["gold"] == 0
     if "{in_order}" in command:
-        assert most_alive["in-order"] <= 1
+        assert most_alive["in-order"] == 0
     if "{reversed}" in command:  # every other system document came early
         assert most_alive["reversed"] == 7
 

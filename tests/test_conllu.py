@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkit import (ParseError, Token, parse_conllu, parse_file,
+from corefkit import (ParseError, Token, conllu, parse_conllu, parse_file,
                       resolve_entities, serialize)
 from corefkit.conllu import _BRACKET, _ENTITY_ITEM
 from corefkit.model import (UNKNOWN, Sentence, mention_head, parse_kv_items,
                             span_key)
-from support import (DATA, corpus_signature, make_corpus, misc_value, node,
-                     tok)
+from support import (DATA, corpus_signature, documents_text, make_corpus,
+                     misc_value, node, tok, watch_parses)
 from test_features import corpora
 
 
@@ -589,6 +589,39 @@ def test_repeated_column_strings_are_shared_within_one_parse():
     assert [t.line() for t in second] == [t.line() for t in first]
     assert not any(a.upos is b.upos for a, b in zip(first, second)
                if len(a.upos) > 1)
+
+
+def test_equal_lemmas_are_one_string_within_a_document():
+    sentence = [tok(1, "Los", "DET", head=2, deprel="det", lemma="el"),
+                tok(2, "perros", head=0, deprel="root", lemma="perro"),
+                tok(3, "perro", "NOUN", head=2, deprel="appos")]
+    text = "".join(
+        (f"# newdoc id = d{k}\n" if i == 1 else "")
+        + f"# sent_id = d{k}-s{i}\n" + "\n".join(sentence) + "\n\n"
+        for k in (1, 2) for i in (1, 2))
+    corpus = parse_conllu(text)
+    assert serialize(corpus) == text
+    lemmas = [[t.lemma for s in d.sentences for t in s.tokens]
+              for d in corpus.documents]
+    for document in lemmas:
+        assert document == ["el", "perro", "perro"] * 2
+        by_text: dict[str, str] = {}
+        assert all(lemma is by_text.setdefault(lemma, lemma)
+                   for lemma in document)
+    # shared by one document only, so a stream's table holds one at a time
+    assert not any(a is b for a, b in zip(*lemmas))
+
+
+def test_iter_documents_keeps_no_document_it_yielded(tmp_path, monkeypatch):
+    path = tmp_path / "four.conllu"
+    path.write_text(documents_text(range(2)), "utf-8")
+    sides, most_alive = watch_parses(monkeypatch)
+    documents = conllu.iter_documents(path)
+    while next(documents, None) is not None:  # the caller drops each one
+        pass
+    assert len(sides) == 4 and most_alive == {tmp_path.name: 0}
+    kept = list(conllu.iter_documents(path))  # what the caller keeps lives
+    assert len(kept) == 4 and most_alive == {tmp_path.name: 3}
 
 
 def test_redecoding_a_parsed_document_changes_nothing():

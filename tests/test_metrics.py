@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkit import parse_conllu
+from corefkit import conllu, parse_conllu
 from corefkit.model import Document, Entity, Mention
 from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
                               ScoreReport, _max_assignment, align_mentions,
                               b_cubed, b_cubed_counts, ceafe, ceafe_counts,
                               document_pairs, macro_average, muc, muc_counts,
                               overlaps, remapped_cluster_set, score_pairs)
-from support import make_corpus, tok
+from support import documents_text, make_corpus, tok, watch_parses
 from test_heads import documents
 
 
@@ -654,6 +654,21 @@ def test_document_pairs_read_as_they_pair():
     assert next(pairs)[1].doc_id == "c"
     assert read[5:] == [("gold", "c")]
     assert next(pairs, None) is None
+
+
+def test_document_pairs_keeps_no_pair_it_yielded(tmp_path, monkeypatch):
+    for side in ("gold", "pred"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "x.conllu").write_text(documents_text(range(2)),
+                                                  "utf-8")
+    sides, most_alive = watch_parses(monkeypatch)
+    gold, pred = (conllu.iter_documents(tmp_path / side / "x.conllu")
+                  for side in ("gold", "pred"))
+    pairs = document_pairs(gold, pred, "xx")
+    while next(pairs, None) is not None:  # the caller drops each pair
+        pass
+    assert sides.count("gold") == sides.count("pred") == 4
+    assert most_alive == {"gold": 0, "pred": 0}
 
 
 @pytest.mark.parametrize("gold, pred, message", [
