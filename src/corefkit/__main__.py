@@ -1,6 +1,22 @@
+"""`python -m corefkit`: one command line per process. `entry` is also the
+target of the `corefkit` console script."""
+import gc
 import sys
 
 from .cli import main
 
+
+def entry() -> int:
+    """Run this process's command line and return its exit code. The
+    objects the run leaves are then frozen out of the cyclic collector, so
+    the interpreter's shutdown collections do not walk them: every file the
+    command wrote is closed by now, and atexit handlers, stream flushes and
+    reference-count frees still run. Only a process's entry does this;
+    `cli.main`, which library callers and tests call, never freezes."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

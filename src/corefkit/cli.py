@@ -16,17 +16,19 @@ tasks.
 Start-up is most of a run on small inputs, so at import this module loads
 only `model`, whose constants name the choices of every option. Every other
 corefkit module, `json`, `fractions` and the process pool are imported by
-the code that uses them, and each process loads only what its subcommand
-runs: `taxonomy` reads no corpus, and `validate` computes no statistic.
-No corefkit class comes from the data-class decorator (the rule is in
-`model`), so no run loads `inspect`, `ast` and `dis`; with the generated
-class code gone, each corefkit module body runs in 0.3-1.2 ms where it
-took 1-4 ms. `logging` (about 6 ms with what it loads) is loaded only
-when a run emits its first record, a warning of the parser or the
-taxonomy: they log through `model.warn`, and `main` sets the hook that
-configures logging on that first record. `export-features` writes its
-count lines to stderr itself, so a run that warns of nothing loads no
-`logging`.
+the code that uses them, and each process compiles only what its
+subcommand runs: `taxonomy` reads no corpus, `validate` computes no
+statistic, and the stats and analyze code (pooling, tables, the two
+commands' bodies) is in `stats`, which only those two subcommands import;
+`STATISTICS` reaches it by name at call time. No corefkit class comes from
+the data-class decorator (the rule is in `model`), so no run loads
+`inspect`, `ast` and `dis`; with the generated class code gone, each
+corefkit module body runs in 0.3-1.2 ms where it took 1-4 ms. `logging`
+(about 6 ms with what it loads) is loaded only when a run emits its first
+record, a warning of the parser or the taxonomy: they log through
+`model.warn`, and `main` sets the hook that configures logging on that
+first record. `export-features` writes its count lines to stderr itself,
+so a run that warns of nothing loads no `logging`.
 
 `main` runs with the cyclic garbage collector off and restores the state it
 found: a parsed corpus holds no reference cycle, and a test pins the cyclic
@@ -34,6 +36,16 @@ garbage of a run to a constant. Forked `--jobs` workers inherit the off
 state; library calls leave the collector alone. With no collection, a
 document stream that a traceback cycle kept alive would keep its file
 open, so each command closes the streams it opens however it ends.
+
+A process's entry (`corefkit.__main__.entry`, which `python -m corefkit`
+and the `corefkit` script run) calls `gc.freeze()` once `main` has
+returned, so the interpreter's collections at shutdown skip every object
+the run leaves, 6-10 ms of a process that would only re-walk the loaded
+modules. That is safe because nothing is left to flush through a cycle:
+every file a command writes is closed before `main` returns, and atexit
+handlers, the flush of the standard streams and reference-count frees
+still run. `main` itself never freezes, so tests and library callers get
+their collector back as they gave it.
 """
 from __future__ import annotations
 
@@ -42,19 +54,19 @@ import gc
 import os
 import re
 import sys
-from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from . import model
 from .model import (DEFAULT_GENRE_PATTERN, HEAD_RULES, MATCH_MODES,
                     SINGLETON_POLICIES, SPLITS, UNRESOLVED_DEFINITIONS,
-                    Corpus, DataError, Record)
+                    DataError)
 
 if TYPE_CHECKING:
-    from .analysis import MentionVectors
     from .corpora import DatasetFiles
+    from .model import Corpus
     from .reports import DatasetReport
+    from .stats import StatOptions, Table
 
 
 class CliError(DataError):
@@ -131,15 +143,6 @@ def _json(payload) -> str:
                       default=exact) + "\n"
 
 
-def _map_files(worker, jobs_args: list, jobs: int) -> list:
-    if jobs <= 1 or len(jobs_args) <= 1:
-        return [worker(a) for a in jobs_args]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(jobs_args))) \
-            as executor:
-        return list(executor.map(worker, jobs_args))
-
-
 # ---------------------------------------------------------------- validate
 
 def cmd_validate(args) -> int:
@@ -156,70 +159,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-# -------------------------------------------------------------- statistics
-
-class Sums(tuple):
-    """Partial result that pools with + position by position."""
-
-    def __add__(self, other: tuple) -> "Sums":
-        return Sums(a + b for a, b in zip(self, other, strict=True))
-
-
-class SumsByKey(dict):
-    """Partial result that pools with + key by key."""
-
-    def __add__(self, other: dict) -> "SumsByKey":
-        return SumsByKey({key: value + other[key]
-                          for key, value in self.items()})
-
-
-class StatOptions(NamedTuple):
-    head_rule: str = "annotated"
-    genre_pattern: str = DEFAULT_GENRE_PATTERN
-    vectors: MentionVectors | None = None
-
-
-class Table(Record):
-    """The rows of one pooled statistic, from which its TSV, JSON and figure
-    data are all rendered. Cells hold exact values: `formats` gives a
-    column's TSV text (default str). `keys` are the columns naming a row in
-    figure data and `figure` the columns it exports; a table without keys
-    has one row and renders as one JSON object."""
-
-    __slots__ = ("columns", "rows", "keys", "figure", "formats")
-
-    def __init__(self, columns: tuple[str, ...], rows: list[tuple],
-                 keys: tuple[str, ...] = (), figure: tuple[str, ...] = (),
-                 formats: dict[str, Callable] | None = None) -> None:
-        self.columns = columns
-        self.rows = rows
-        self.keys = keys
-        self.figure = figure
-        self.formats = {} if formats is None else formats
-
-    def _text(self, column: str, value) -> str:
-        return self.formats.get(column, str)(value)
-
-    def to_tsv(self) -> str:
-        from .reports import tsv
-        return tsv(self.columns, ([self._text(c, v) for c, v
-                                   in zip(self.columns, row)]
-                                  for row in self.rows))
-
-    def as_json(self) -> list[dict] | dict:
-        records = [dict(zip(self.columns, row)) for row in self.rows]
-        return records if self.keys else records[0]
-
-    def figure_rows(self) -> list[tuple[str, str]]:
-        out = []
-        for row in self.rows:
-            cells = dict(zip(self.columns, row))
-            name = [str(cells[k]) for k in self.keys]
-            for column in self.figure:
-                key = name + [column] if len(self.figure) > 1 else name
-                out.append((":".join(key), self._text(column, cells[column])))
-        return out
-
+# ------------------------------------------------------- stats and analyze
 
 class Statistic(NamedTuple):
     """One `analyze --stat` choice. `compute` gives the partial result of
@@ -231,170 +171,30 @@ class Statistic(NamedTuple):
     needs_vectors: bool = False
 
 
-def _analysis():
-    """The analysis module, imported when a statistic first runs."""
-    from . import analysis
-    return analysis
+def _late(name: str) -> Callable:
+    """The function `name` of the `stats` module, looked up when called, so
+    that the module loads only when `stats` or `analyze` runs."""
+    def call(*args):
+        from . import stats
+        return getattr(stats, name)(*args)
+    return call
 
 
-def _labelled(report: DatasetReport, name: str) -> DatasetReport:
-    from .reports import DatasetReport
-    return DatasetReport(name, report.statistic, report.rows)
-
-
-def _ranking_table(counts: dict, name: str) -> Table:
-    from .taxonomy import MentionType
-    rows = []
-    for mtype in MentionType:
-        ranking = sorted(counts[mtype].items(),
-                         key=lambda kv: (-kv[1], kv[0].name))
-        rows += [(mtype.value, rank, category.name, count)
-                 for rank, (category, count) in enumerate(ranking, start=1)]
-    return Table(("anaphor_type", "rank", "category", "count"), rows,
-                 keys=("anaphor_type", "category"), figure=("count",))
-
-
-def _competing_table(stats: tuple, name: str) -> Table:
-    from .reports import fixed, ratio
-    rows = [(s.kind.value, s.n_pronouns, s.n_valid,
-             ratio(s.n_valid, s.n_pronouns, 100), s.mean_competitors)
-            for s in stats]
-    percent = ("valid_pct", "mean_competitors")
-    return Table(("kind", "pronouns", "valid") + percent, rows,
-                 keys=("kind",), figure=percent,
-                 formats=dict.fromkeys(percent, fixed))
-
-
-def _genre_table(counts: tuple, name: str) -> Table:
-    from .reports import fixed
-    return Table(("genre", "pronouns_per_8000"),
-                 _analysis().genre_rates(*counts), keys=("genre",),
-                 figure=("pronouns_per_8000",),
-                 formats={"pronouns_per_8000": fixed})
-
-
-def _distance_table(moments: tuple, name: str) -> Table:
-    from .reports import fixed
-    mean, variance = _analysis().moments_to_mean_variance(*moments)
-    return Table(("pairs", "mean", "variance"),
-                 [(moments[0], mean, variance)], figure=("mean", "variance"),
-                 formats=dict.fromkeys(("mean", "variance"),
-                                       partial(fixed, decimals=6)))
-
-
-def _competing(corpus: Corpus, options: StatOptions) -> Sums:
-    from .taxonomy import MentionType
-    return Sums(_analysis().competing_antecedents(corpus, kind,
-                                                  options.head_rule)
-                for kind in (MentionType.OVERT_PRONOUN,
-                             MentionType.ZERO_PRONOUN))
-
-
-# The analysis functions are looked up when an entry runs, not stored here,
-# so that the analysis module loads only with a statistic, and so that
-# rebinding a module attribute (as a tracer does) reaches them.
+# The one registry of statistics: the parser reads its names, and `stats`
+# computes and renders each entry through the functions named here.
 STATISTICS: dict[str, Statistic] = {
-    "head-position": Statistic(
-        lambda c, o: _analysis().head_position_stats(c, o.head_rule),
-        _labelled),
-    "mention-types": Statistic(
-        lambda c, o: _analysis().mention_type_distribution(c, o.head_rule),
-        _labelled),
-    "anaphor-antecedent": Statistic(
-        lambda c, o: SumsByKey(
-            _analysis().antecedent_category_counts(c, o.head_rule)),
-        _ranking_table),
-    "first-mention": Statistic(
-        lambda c, o: _analysis().first_mention_stats(c, o.head_rule),
-        _labelled),
-    "entity-size": Statistic(
-        lambda c, o: _analysis().entity_size_stats(c), _labelled),
-    "competing": Statistic(_competing, _competing_table),
-    "genre": Statistic(
-        lambda c, o: Sums(_analysis().genre_counts(c, o.genre_pattern)),
-        _genre_table),
-    "semantic-distance": Statistic(
-        lambda c, o: Sums(_analysis().distance_moments(c, o.vectors)),
-        _distance_table, needs_vectors=True),
+    "head-position": Statistic(_late("head_position"), _late("labelled")),
+    "mention-types": Statistic(_late("mention_types"), _late("labelled")),
+    "anaphor-antecedent": Statistic(_late("anaphor_antecedent"),
+                                    _late("ranking_table")),
+    "first-mention": Statistic(_late("first_mention"), _late("labelled")),
+    "entity-size": Statistic(_late("entity_size"), _late("labelled")),
+    "competing": Statistic(_late("competing"), _late("competing_table")),
+    "genre": Statistic(_late("genre"), _late("genre_table")),
+    "semantic-distance": Statistic(_late("semantic_distance"),
+                                   _late("distance_table"),
+                                   needs_vectors=True),
 }
-
-
-def compute_stats(corpus: Corpus, stats: tuple[str, ...],
-                  options: StatOptions) -> Sums:
-    """Partial results of the named statistics on one parsed file."""
-    return Sums(STATISTICS[stat].compute(corpus, options) for stat in stats)
-
-
-def pool(items: Iterable[tuple[str, Any]]) -> dict[str, Any]:
-    """Pool (group, partial result) pairs with +, in the order given."""
-    pooled: dict[str, Any] = {}
-    for group, part in items:
-        pooled[group] = pooled[group] + part if group in pooled else part
-    return pooled
-
-
-def _load_and_compute(one_file: DatasetFiles, compute: Callable) -> Any:
-    return compute(one_file.load())
-
-
-def pool_groups(groups: dict[str, list[DatasetFiles]], compute: Callable,
-                jobs: int) -> dict[str, Any]:
-    """Parse every file of every group, compute its partial result and pool
-    the partials of each group in file order; groups come out sorted."""
-    owned = [(group, one_file) for group in sorted(groups)
-             for dataset in groups[group] for one_file in dataset.per_file()]
-    parts = _map_files(partial(_load_and_compute, compute=compute),
-                       [one_file for _, one_file in owned], jobs)
-    return pool(zip([group for group, _ in owned], parts))
-
-
-def cmd_stats(args) -> int:
-    from .reports import tsv
-    pooled = pool_groups({d.name: [d] for d in _datasets(args)},
-                         _analysis().corpus_statistics, args.jobs)
-    reports = list(pooled.values())
-    if args.format == "json":
-        _emit(args, "stats.json", _json([r.as_json() for r in reports]))
-        return 0
-    header = ["dataset"] + [row.key for row in reports[0].rows]
-    _emit(args, "stats.tsv", tsv(header, (
-        [report.dataset] + [row.rendered() for row in report.rows]
-        for report in reports)))
-    return 0
-
-
-def cmd_analyze(args) -> int:
-    from .reports import tsv
-    stats = tuple(dict.fromkeys(args.stat or (
-        name for name, s in STATISTICS.items() if not s.needs_vectors)))
-    needing = [stat for stat in stats if STATISTICS[stat].needs_vectors]
-    if needing and not args.vectors:
-        raise CliError(f"--vectors is required for {needing[0]}")
-    datasets = _datasets(args)
-    vectors = (_analysis().load_mention_vectors(args.vectors) if needing
-               else None)
-    groups: dict[str, list[DatasetFiles]] = {}
-    for dataset in datasets:
-        key = dataset.language if args.by_language else dataset.name
-        groups.setdefault(key, []).append(dataset)
-    options = StatOptions(args.head_rule, args.genre_pattern, vectors)
-    pooled = pool_groups(groups, partial(compute_stats, stats=stats,
-                                         options=options), args.jobs)
-
-    figure_rows: list[tuple[str, ...]] = []
-    for group, results in pooled.items():
-        for stat, result in zip(stats, results):
-            table = STATISTICS[stat].table(result, group)
-            _emit(args, f"{group}.{stat}.{args.format}",
-                  _json(table.as_json()) if args.format == "json"
-                  else table.to_tsv(), header=True)
-            figure_rows += [(stat, group, key, value)
-                            for key, value in table.figure_rows()]
-    if args.figure_data:
-        _emit(args, "figure_data.tsv",
-              tsv(("statistic", "dataset", "key", "value"), figure_rows),
-              header=True)
-    return 0
 
 
 # ------------------------------------------------------------------- score
@@ -571,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs(p)
     report(p)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=_late("cmd_stats"))
 
     p = sub.add_parser("analyze", help="gold-annotation statistics")
     inputs(p)
@@ -593,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure-data", action="store_true",
                    help="also emit plot-ready long-format TSV")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=_late("cmd_analyze"))
 
     p = sub.add_parser("score", help="MUC/B3/CEAFe/CoNLL F1 of system "
                                      "output against gold")

@@ -72,6 +72,7 @@ def document_pairs(gold: Iterable[Document], pred: Iterable[Document],
     while (document := next_pred()) is not None:
         if extra is None:
             extra = document.doc_id
+        del document  # not held while the next one is parsed
     if extra is not None:
         raise AlignmentError(f"{dataset}: system output has unknown document "
                              f"{extra!r}")

@@ -15,11 +15,12 @@ from corefkit.analysis import (MentionVectors, MissingVectorError,
                                head_position_stats, load_mention_vectors,
                                mention_type_distribution,
                                moments_to_mean_variance)
-from corefkit.cli import STATISTICS, StatOptions
+from corefkit.cli import STATISTICS
 from corefkit.errors import analyze_errors
 from corefkit.features import EXPORT_TARGETS, export_features
 from corefkit.metrics import MATCH_MODES, score_pairs
 from corefkit.model import HEAD_RULES, Corpus, Document, mention_key
+from corefkit.stats import StatOptions
 from corefkit.taxonomy import MentionType, UdCategory
 from support import DATA, make_corpus, tok
 

@@ -10,12 +10,13 @@ from fractions import Fraction
 import pytest
 
 from corefkit.analysis import CompetingAntecedentStats, MentionVectors
-from corefkit.cli import Statistic, Table
+from corefkit.cli import Statistic
 from corefkit.corpora import DatasetFiles
 from corefkit.errors import ErrorReport, UndetectedProfile
 from corefkit.metrics import ClusterSet, ScoreReport, Scores
 from corefkit.model import Corpus, Document, Entity, Mention, Sentence, Token
 from corefkit.reports import DatasetReport, StatRow
+from corefkit.stats import Table
 from corefkit.taxonomy import MentionType
 
 

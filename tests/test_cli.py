@@ -19,7 +19,7 @@ import pytest
 import corefkit
 from corefkit import conllu, errors, metrics, taxonomy
 from corefkit.analysis import MissingVectorError, corpus_statistics
-from corefkit.cli import CliError, _json, main, pool_groups
+from corefkit.cli import CliError, _json, main
 from corefkit.conllu import ParseError
 from corefkit.corpora import DatasetFiles, discover_datasets
 from corefkit.features import WordOrderError
@@ -27,6 +27,7 @@ from corefkit.metrics import AlignmentError
 from corefkit.model import (MATCH_MODES, SINGLETON_POLICIES,
                             UNRESOLVED_DEFINITIONS, DataError)
 from corefkit.reports import StatRow
+from corefkit.stats import pool_groups
 from support import (DATA, FRESH_ENV, WeakDocument, documents_text,
                      generated_pair, tok, watch_parses)
 
@@ -248,7 +249,7 @@ def _in_process_pool(monkeypatch) -> list[int]:
             return map(pickle.loads(pickle.dumps(fn)),
                        [pickle.loads(pickle.dumps(item)) for item in items])
 
-    # cli._map_files imports the pool class when it starts a pool
+    # stats._map_files imports the pool class when it starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
     return started
 
@@ -823,9 +824,9 @@ def test_score_imports_neither_scipy_nor_numpy():
 
 # The corefkit modules each subcommand loads besides the package itself:
 # cli and model always, the parser stack only to read a corpus, and the
-# statistics only when some are computed.
+# statistics, with the stats and analyze code, only when some are computed.
 _VALIDATE = {"cli", "model", "corpora", "conllu"}
-_STATISTICS = _VALIDATE | {"analysis", "reports", "taxonomy"}
+_STATISTICS = _VALIDATE | {"analysis", "reports", "stats", "taxonomy"}
 
 
 @pytest.mark.parametrize("argv, loaded, pool", [
@@ -849,6 +850,8 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded, pool):
     modules = fresh_modules(*(a.format(tmp=tmp_path) for a in argv))
     assert {m for m in modules if m.startswith("corefkit")} == \
         {"corefkit"} | {f"corefkit.{name}" for name in loaded}
+    # the stats and analyze code compiles only in their processes
+    assert ("corefkit.stats" in modules) is (argv[0] in ("stats", "analyze"))
     # the process pool, and multiprocessing with it, only when one starts
     assert ("concurrent.futures.process" in modules) is pool
     assert ("multiprocessing" in modules) is pool
@@ -1475,6 +1478,20 @@ def test_main_gives_the_logging_hook_back(capsys, monkeypatch, argv,
     monkeypatch.setattr(corefkit.model, "before_first_record", callers_hook)
     _end_main(monkeypatch, argv, outcome)
     assert corefkit.model.before_first_record is callers_hook
+
+
+@pytest.mark.parametrize("name", [*_RUNS, "taxonomy"])
+def test_main_freezes_nothing_and_gives_the_collector_back(tmp_path, capsys,
+                                                           name):
+    # only a process's entry freezes what its run leaves, after main
+    argv = {**_fixture_runs(_copy_fixtures(tmp_path)),
+            "taxonomy": ("taxonomy",)}[name]
+    for enabled in (True, False):
+        with _collector(enabled):
+            frozen = gc.get_freeze_count()
+            assert main(list(argv)) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == \
+                (frozen, enabled)
 
 
 def _garbage_after(argv: tuple[str, ...]) -> int:

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from corefkit import model, parse_file
 from corefkit.analysis import antecedent_category_counts, competing_antecedents
-from corefkit.cli import STATISTICS, StatOptions, main
+from corefkit.cli import STATISTICS, main
 from corefkit.model import (HEAD_RULES, ROOT, UNKNOWN, Document, Mention,
                             Sentence, Token, head_of, mention_head)
+from corefkit.stats import StatOptions
 from corefkit.taxonomy import MentionType
 from support import DATA, make_corpus, tok
 

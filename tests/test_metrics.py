@@ -671,6 +671,25 @@ def test_document_pairs_keeps_no_pair_it_yielded(tmp_path, monkeypatch):
     assert most_alive == {"gold": 0, "pred": 0}
 
 
+def test_document_pairs_keeps_no_system_document_left_after_gold(
+        tmp_path, monkeypatch):
+    for side, copies in (("gold", range(1)), ("pred", range(3))):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "x.conllu").write_text(documents_text(copies),
+                                                  "utf-8")
+    sides, most_alive = watch_parses(monkeypatch)
+    gold, pred = (conllu.iter_documents(tmp_path / side / "x.conllu")
+                  for side in ("gold", "pred"))
+    pairs = document_pairs(gold, pred, "xx")
+    with pytest.raises(AlignmentError, match="^xx: system output has "
+                       "unknown document '1-fixture-doc1'$"):
+        while next(pairs, None) is not None:
+            pass
+    # the four system documents without gold are read one at a time
+    assert (sides.count("gold"), sides.count("pred")) == (2, 6)
+    assert most_alive == {"gold": 0, "pred": 0}
+
+
 @pytest.mark.parametrize("gold, pred, message", [
     ("ab", "a", "system output misses document 'b'"),
     ("a", "ab", "system output has unknown document 'b'"),

@@ -2,15 +2,17 @@
 first access, so that `import corefkit` loads no submodule."""
 from __future__ import annotations
 
+import gc
 import importlib
 import json
+import runpy
 import subprocess
 import sys
 
 import pytest
 
 import corefkit
-from support import FRESH_ENV
+from support import DATA, FRESH_ENV
 
 _NAMES = sorted(set(corefkit.__all__) - {"__version__"})
 
@@ -61,3 +63,33 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError,
                        match="^module 'corefkit' has no attribute 'x'$"):
         corefkit.x
+
+
+def test_the_console_script_runs_the_function_python_m_corefkit_runs(
+        monkeypatch):
+    # Python 3.10 has no tomllib: the one [project.scripts] line, as text
+    text = (DATA.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    name, target = scripts.strip().replace('"', "").split(" = ")
+    assert name == "corefkit"
+    calls = []
+
+    def main():
+        calls.append(sys._getframe(1).f_code)  # the function calling main
+        return 3
+    monkeypatch.setattr("corefkit.cli.main", main)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    # each import of corefkit.__main__ binds the main above
+    monkeypatch.delitem(sys.modules, "corefkit.__main__", raising=False)
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("corefkit", run_name="__main__")
+        module_name, function_name = target.split(":")
+        function = getattr(importlib.import_module(module_name),
+                           function_name)
+        assert (exit_.value.code, function()) == (3, 3)
+    finally:
+        sys.modules.pop("corefkit.__main__", None)
+    # python -m corefkit and the script each freeze after main returned,
+    # in the same function
+    assert calls == [function.__code__, "freeze"] * 2
