@@ -7,12 +7,10 @@ from .cli import main
 
 
 def entry() -> int:
-    """Run this process's command line and return its exit code. The
-    objects the run leaves are then frozen out of the cyclic collector, so
-    the interpreter's shutdown collections do not walk them: every file the
-    command wrote is closed by now, and atexit handlers, stream flushes and
-    reference-count frees still run. Only a process's entry does this;
-    `cli.main`, which library callers and tests call, never freezes."""
+    """Run this process's command line, then freeze what the run leaves
+    out of the cyclic collector so that shutdown does not walk it (why that
+    is safe is in `cli`'s docstring); returns the exit code. `cli.main`,
+    which library callers and tests call, never freezes."""
     code = main()
     gc.freeze()
     return code
