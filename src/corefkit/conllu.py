@@ -6,15 +6,20 @@ different entities may nest or overlap; discontinuous mentions carry a part
 suffix ``e1[2/3]``. Field layout inside an opening bracket follows the
 file's ``# global.Entity`` declaration, from the document that makes it on.
 One pass over a document's tokens builds each mention at its closing
-bracket; resolve_entities says which of several faults is reported. A
-file's documents come out one at a time, each once it has been read
-(iter_documents); parse_file and parse_conllu collect them into a Corpus.
+bracket, keeping its opening bracket's text for Mention.attributes to read
+on first use; one stable sort by (first position, last position, eid) then
+orders the mentions, and grouping them by eid in that order gives the
+entities. resolve_entities says how ties go and which of several faults is
+reported. A file's documents come out one at a time, each once it has been
+read (iter_documents); parse_file and parse_conllu collect them into a
+Corpus.
 """
 from __future__ import annotations
 
 import io
 import re
 from contextlib import contextmanager
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -395,28 +400,43 @@ def resolve_entities(document: Document, filename: str = "",
     """Decode Entity bracket annotations into entities in one pass over the
     tokens: each mention's span is built when its closing bracket is read,
     a discontinuous one when its parts have closed in order 1..n. Heads are
-    left to Mention.head. declared is the layout an earlier document of the
-    file declared (see entity_field_layout); the CorefUD one is the default.
+    left to Mention.head, and attributes to Mention.attributes, which
+    builds them from the opening bracket's text on first read. declared is
+    the layout an earlier document of the file declared (see
+    entity_field_layout); the CorefUD one is the default.
+
+    Mentions are sorted once, by (first position, last position, eid), a
+    stable sort, then grouped by eid in that order: an entity's mentions
+    come by first then last position, mentions of one span in the order
+    they closed, and entities by the (first, last, eid) of their first
+    mention. A discontinuous mention is placed by its first part's start
+    and its last part's end.
+
     Raises ParseError naming the line of the token at fault: the first
     fault met in token order, else an unclosed bracket, else missing parts.
     """
     layout = (entity_field_layout(document, filename, declared)
               or DEFAULT_ENTITY_FIELDS)
-    n_extra = len(layout) - 1
     names = layout[1:]
+    # eid is the bracket's text up to the first '-', the whole of it when
+    # the layout has no other field
+    eid_cut = 1 if names else 0
 
     sentences = document.sentences
-    flat = [t for s in sentences for t in s.tokens]
-    open_stacks: dict[str, list[tuple[int, dict[str, str]]]] = {}
-    # eid -> (next part index, part count, positions so far, attributes)
-    pending: dict[str, tuple[int, int, list[int], dict[str, str]]] = {}
-    # eid -> (first position, last position, mention) of each mention
-    mentions: dict[str, list[tuple[int, int, Mention]]] = {}
+    flat = tuple(chain.from_iterable(s.tokens for s in sentences))
+    find_items = _ENTITY_ITEM.findall
+    find_brackets = _BRACKET.findall
+    # eid -> (first position, opening bracket text) of each open bracket
+    open_stacks: dict[str, list[tuple[int, str]]] = {}
+    # eid -> (next part index, part count, positions so far, part 1's text)
+    pending: dict[str, tuple[int, int, list[int], str]] = {}
+    # (first position, last position, eid, mention) of each mention
+    closed: list[tuple[int, int, str, Mention]] = []
 
     for position, token in enumerate(flat):
         if "Entity" not in token.misc_raw:
             continue
-        items = _ENTITY_ITEM.findall(token.misc_raw)
+        items = find_items(token.misc_raw)
         if len(items) > 1:
             raise ParseError(
                 f"{len(items)} Entity items in MISC of token {token.index} "
@@ -425,28 +445,30 @@ def resolve_entities(document: Document, filename: str = "",
         value = items[0][1:] if items else ""
         if not value:
             continue
-        for both, opened, bracket_id, junk in _BRACKET.findall(value):
+        for both, opened, bracket_id, junk in find_brackets(value):
             if junk:
                 raise ParseError(
                     f"malformed Entity annotation {value!r} on token "
                     f"{token.index} (sentence {token.sent_index + 1})",
                     filename, _line(document, token))
             if not bracket_id:
-                fields = (both or opened).split("-", n_extra)
-                open_stacks.setdefault(fields[0], []).append(
-                    (position, dict(zip(names, fields[1:]))))
+                text = both or opened
+                bracket_id = text.split("-", eid_cut)[0]
+                stack = open_stacks.get(bracket_id)
+                if stack is None:
+                    open_stacks[bracket_id] = [(position, text)]
+                else:
+                    stack.append((position, text))
                 if opened:
                     continue
-                bracket_id = fields[0]
             stack = open_stacks.get(bracket_id)
             if not stack:
                 raise ParseError(
                     f"Entity close {bracket_id!r} without matching open "
                     f"(sentence {token.sent_index + 1})",
                     filename, _line(document, token))
-            first, attributes = stack.pop()
+            first, text = stack.pop()
             eid, last, part_n = bracket_id, position, 1
-            span = flat[first:position + 1]
             if bracket_id[-1] == "]" and (
                     suffix := _PART_SUFFIX.match(bracket_id)):
                 eid, i_text, n_text = suffix.groups()
@@ -463,23 +485,24 @@ def resolve_entities(document: Document, filename: str = "",
                             f"mention starts while part {state[0]}/"
                             f"{state[1]} is expected",
                             filename, _line(document, token))
-                    state = (1, part_n, [], attributes)
+                    state = (1, part_n, [], text)
                 if state is None or state[:2] != (part_i, part_n):
                     raise ParseError(
                         f"unmatched part indices for entity {eid!r}: got "
                         f"part {part_i}/{part_n}",
                         filename, _line(document, token))
-                _, _, parts, attributes = state
+                _, _, parts, text = state
                 parts.extend(range(first, position + 1))
                 if part_i < part_n:
-                    pending[eid] = (part_i + 1, part_n, parts, attributes)
+                    pending[eid] = (part_i + 1, part_n, parts, text)
                     continue
                 parts.sort()
                 first, last = parts[0], parts[-1]
-                span = [flat[i] for i in parts]
-            mentions.setdefault(eid, []).append(
-                (first, last,
-                 Mention(eid, tuple(span), part_n, attributes, sentences)))
+                span = tuple([flat[i] for i in parts])
+            else:
+                span = flat[first:position + 1]
+            closed.append((first, last, eid, Mention(
+                eid, span, part_n, None, sentences, text, names)))
 
     for bracket_id, stack in open_stacks.items():
         if stack:
@@ -495,14 +518,11 @@ def resolve_entities(document: Document, filename: str = "",
             f"{next_part - 1}/{part_n} missing at end of document",
             filename, _line(document, flat[parts[-1]]))
 
-    # mentions by first then last position, entities by their first mention
-    entities = []
-    for eid, group in mentions.items():
-        group.sort(key=itemgetter(0, 1))
-        entities.append((*group[0][:2], eid,
-                         Entity(eid, [mention for *_, mention in group])))
-    entities.sort(key=itemgetter(0, 1, 2))
-    return [entity for *_, entity in entities]
+    closed.sort(key=itemgetter(0, 1, 2))
+    groups: dict[str, list[Mention]] = {}
+    for _, _, eid, mention in closed:
+        groups.setdefault(eid, []).append(mention)
+    return [Entity(eid, group) for eid, group in groups.items()]
 
 
 def serialize(corpus: Corpus) -> str:

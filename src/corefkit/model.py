@@ -2,7 +2,7 @@
 
 Tokens keep their raw column values so that serialization can reproduce the
 input byte for byte; parsed views (feats, enhanced dependencies) are derived
-on demand, and a mention's head on first read.
+on demand, and a mention's head and attributes on first read.
 
 Every module loads this one, so it states the class rule for all of
 corefkit: no class comes from the standard library's data-class decorator.
@@ -257,21 +257,42 @@ class Mention:
     """A coreference span, possibly discontinuous, possibly an empty node.
 
     sentences is the sentence list of the document the span lies in, not
-    the Document, so that a parsed corpus holds no reference cycle."""
+    the Document, so that a parsed corpus holds no reference cycle.
 
-    __slots__ = ("entity_id", "span", "n_parts", "attributes", "sentences",
-                 "_head", "_syntactic_head")
+    attributes maps the ``# global.Entity`` field names after eid to the
+    values of the mention's opening bracket; a discontinuous mention takes
+    part 1's. The parser passes the bracket's text and the document's field
+    names instead of a dict, and the dict is built from them on first read
+    (bracket_attributes) and kept; assigning one replaces it."""
+
+    __slots__ = ("entity_id", "span", "n_parts", "_attributes", "sentences",
+                 "_head", "_syntactic_head", "_bracket", "_field_names")
 
     def __init__(self, entity_id: str, span: tuple[Token, ...],
                  n_parts: int = 1, attributes: dict[str, str] | None = None,
-                 sentences: list[Sentence] | None = None) -> None:
+                 sentences: list[Sentence] | None = None, bracket: str = "",
+                 field_names: tuple[str, ...] = ()) -> None:
         self.entity_id = entity_id
         self.span = span
         self.n_parts = n_parts
-        self.attributes = {} if attributes is None else attributes
+        self._attributes = attributes  # None: not built yet
         self.sentences = sentences
         self._head = None
         self._syntactic_head = None
+        self._bracket = bracket
+        self._field_names = field_names
+
+    @property
+    def attributes(self) -> dict[str, str]:
+        attributes = self._attributes
+        if attributes is None:
+            attributes = self._attributes = bracket_attributes(
+                self._bracket, self._field_names)
+        return attributes
+
+    @attributes.setter
+    def attributes(self, attributes: dict[str, str]) -> None:
+        self._attributes = attributes
 
     @property
     def head(self) -> Token:
@@ -296,6 +317,14 @@ class Mention:
     @property
     def sent_index(self) -> int:
         return self.span[0].sent_index
+
+
+def bracket_attributes(bracket: str, field_names: tuple[str, ...]
+                       ) -> dict[str, str]:
+    """The attributes of an opening Entity bracket's text, such as
+    ``e1-person-2``: field_names, the layout's names after eid, zipped with
+    the values after eid, the last value keeping any further '-'."""
+    return dict(zip(field_names, bracket.split("-", len(field_names))[1:]))
 
 
 class Entity:

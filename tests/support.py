@@ -5,6 +5,7 @@ bench/tests has a conftest.py too."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib.util
 import os
 import sys
@@ -75,9 +76,10 @@ def corpus_signature(corpus):
         for doc in corpus.documents)
 
 
-def generated_pair(root: Path) -> Path:
-    """A four-document gold/system pair of one dataset, from the benchmark's
-    corpus generator (only read here, never changed)."""
+@functools.cache
+def bench_corpus():
+    """The benchmark's corpus generator, bench/corpus.py, loaded as a
+    module of its own (only read here, never changed)."""
     path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("bench_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
@@ -86,6 +88,13 @@ def generated_pair(root: Path) -> Path:
         spec.loader.exec_module(corpus)
     finally:
         del sys.modules[spec.name]
+    return corpus
+
+
+def generated_pair(root: Path) -> Path:
+    """A four-document gold/system pair of one dataset, from the benchmark's
+    corpus generator."""
+    corpus = bench_corpus()
     shape = dataclasses.replace(corpus.WORKLOADS["release"],
                                 datasets=("en_synth",), files_per_dataset=1,
                                 docs_per_file=4)

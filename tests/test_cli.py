@@ -785,6 +785,28 @@ def test_commands_that_print_no_head_resolve_none(capsys, monkeypatch, argv):
     assert run(capsys, *argv)[:2] == (0, expected)
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", str(DATA)),
+    ("stats", str(DATA)),
+    ("score", "--gold", GOLD_DIR, "--pred", PRED_DIR, "--match", "exact"),
+    ("export-features", GOLD_DIR, "--word-order", WORD_ORDER, "--out",
+     "{out}", "--target", "spans"),
+], ids=["validate", "stats", "score-exact", "export-spans"])
+def test_commands_that_read_no_attribute_build_none(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    def outputs(out):
+        code, printed, _ = run(capsys, *(a.format(out=out) for a in argv))
+        return code, printed, {path.name: path.read_bytes()
+                               for path in sorted(out.glob("*"))}
+    expected = outputs(tmp_path / "first")
+    assert expected[0] == 0
+
+    def no_attributes(*args, **kwargs):
+        raise AssertionError("a mention's attributes were built")
+    monkeypatch.setattr(corefkit.model, "bracket_attributes", no_attributes)
+    assert outputs(tmp_path / "second") == expected
+
+
 # ------------------------------------------- runs in a fresh interpreter
 #
 # The test process has imported every corefkit module already, so what a
