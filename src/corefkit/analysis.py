@@ -144,10 +144,8 @@ class CompetingAntecedentStats(NamedTuple):
                 ) -> "CompetingAntecedentStats":
         if other.kind is not self.kind:
             raise ValueError("cannot pool stats for different pronoun kinds")
-        return CompetingAntecedentStats(
-            self.kind, self.n_pronouns + other.n_pronouns,
-            self.n_valid + other.n_valid,
-            self.total_competitors + other.total_competitors)
+        return CompetingAntecedentStats(self.kind, *(
+            mine + theirs for mine, theirs in zip(self[1:], other[1:])))
 
 
 def competing_antecedents(corpus: Corpus, kind: MentionType,

@@ -274,7 +274,7 @@ def cmd_errors(args) -> int:
         payload = [dict(dataset=r.dataset,
                         **{c: getattr(r, c) for c in _ERROR_COLUMNS},
                         undetected_types={t.value: n for t, n in sorted(
-                            r.undetected.type_counts.items(),
+                            r.undetected_types.items(),
                             key=lambda kv: kv[0].value)},
                         distance_buckets={b: r.distance_buckets[b]
                                           for b in errors.DISTANCE_BUCKETS})
@@ -465,9 +465,12 @@ def _run(argv: list[str] | None) -> int:
             == ("spans", "annotated"):
         parser.error("export-features: --head-rule annotated needs --target "
                      "gold; candidate spans carry no annotated head")
-    if args.command == "analyze" and args.vectors and not any(
+    # --vectors is given exactly when a statistic asked for reads it
+    if args.command == "analyze" and bool(args.vectors) != any(
             STATISTICS[stat].needs_vectors for stat in args.stat or ()):
-        parser.error("analyze: --vectors is only read by semantic-distance")
+        parser.error("analyze: --vectors is only read by semantic-distance"
+                     if args.vectors else
+                     "analyze: --stat semantic-distance needs --vectors")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit

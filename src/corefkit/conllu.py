@@ -163,7 +163,8 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                 doc_id=resolved_id,
                 sentences=doc_sentences, language=language, dataset=dataset)
             layout = entity_field_layout(document, filename, layout)
-            document.entities = resolve_entities(document, filename, layout)
+            document.entities = resolve_entities(
+                document, filename, layout or DEFAULT_ENTITY_FIELDS)
         doc_sentences = []
         doc_id = None
         seen_sent_ids = set()
@@ -396,14 +397,14 @@ def _line(document: Document, token: Token) -> int:
 
 
 def resolve_entities(document: Document, filename: str = "",
-                     declared: tuple[str, ...] | None = None) -> list[Entity]:
+                     layout: tuple[str, ...] | None = None) -> list[Entity]:
     """Decode Entity bracket annotations into entities in one pass over the
     tokens: each mention's span is built when its closing bracket is read,
     a discontinuous one when its parts have closed in order 1..n. Heads are
     left to Mention.head, and attributes to Mention.attributes, which
-    builds them from the opening bracket's text on first read. declared is
-    the layout an earlier document of the file declared (see
-    entity_field_layout); the CorefUD one is the default.
+    builds them from the opening bracket's text on first read. layout is
+    the ``# global.Entity`` layout in force; None reads the document's own
+    declaration (see entity_field_layout), else the CorefUD one.
 
     Mentions are sorted once, by (first position, last position, eid), a
     stable sort, then grouped by eid in that order: an entity's mentions
@@ -415,8 +416,9 @@ def resolve_entities(document: Document, filename: str = "",
     Raises ParseError naming the line of the token at fault: the first
     fault met in token order, else an unclosed bracket, else missing parts.
     """
-    layout = (entity_field_layout(document, filename, declared)
-              or DEFAULT_ENTITY_FIELDS)
+    if layout is None:
+        layout = (entity_field_layout(document, filename)
+                  or DEFAULT_ENTITY_FIELDS)
     names = layout[1:]
     # eid is the bracket's text up to the first '-', the whole of it when
     # the layout has no other field

@@ -5,6 +5,13 @@ Starting from gold entities whose links the system completely missed
 those mentions were never detected, what the undetected mentions look like,
 and how many sentences apart the two mentions are when both were detected
 but left unlinked.
+
+One record, `ErrorReport`, holds every count of one dataset: the
+non-singleton, unresolved and two-mention entities, the distance buckets,
+and the undetected mentions' number, short, multi-token and pre-modified
+counts, summed token length and mention types. Its ratio columns are
+properties over those counts, and reports of several documents or datasets
+pool with `+`, which adds every field after the dataset label.
 """
 from __future__ import annotations
 
@@ -44,76 +51,38 @@ def unresolved_entities(gold: Document, pred: Document,
             if max(row.values(), default=0) < least]
 
 
-class UndetectedProfile(Record):
-    """What the undetected mentions look like."""
-
-    __slots__ = ("type_counts", "n_mentions", "n_short", "n_multi_token",
-                 "n_premodified", "total_length")
-
-    def __init__(self, type_counts: Counter | None = None,
-                 n_mentions: int = 0, n_short: int = 0,
-                 n_multi_token: int = 0, n_premodified: int = 0,
-                 total_length: int = 0) -> None:
-        self.type_counts = Counter() if type_counts is None else type_counts
-        self.n_mentions = n_mentions
-        self.n_short = n_short  # one or two tokens
-        self.n_multi_token = n_multi_token
-        self.n_premodified = n_premodified
-        self.total_length = total_length
-
-    @property
-    def premodified_share_of_all(self) -> Fraction | None:
-        return ratio(self.n_premodified, self.n_mentions)
-
-    def __add__(self, other: "UndetectedProfile") -> "UndetectedProfile":
-        return UndetectedProfile(
-            self.type_counts + other.type_counts,
-            self.n_mentions + other.n_mentions,
-            self.n_short + other.n_short,
-            self.n_multi_token + other.n_multi_token,
-            self.n_premodified + other.n_premodified,
-            self.total_length + other.total_length)
-
-
-def undetected_profile(undetected: list[Mention]) -> UndetectedProfile:
-    """Type distribution, short-mention share, pre-modification share, and
-    mean token length of undetected mentions."""
-    profile = UndetectedProfile()
-    for mention in undetected:
-        head = mention.head
-        profile.type_counts[classify_mention_type(head)] += 1
-        profile.n_mentions += 1
-        length = len(mention.span)
-        profile.total_length += length
-        if length <= 2:
-            profile.n_short += 1
-        if length > 1:
-            profile.n_multi_token += 1
-        if is_premodified(mention, head):
-            profile.n_premodified += 1
-    return profile
-
-
 class ErrorReport(Record):
     """Aggregated error analysis for one dataset (one gold/system pair)."""
 
     __slots__ = ("dataset", "n_entities", "n_unresolved", "n_two_mention",
-                 "undetected", "distance_buckets")
+                 "distance_buckets", "n_undetected", "n_short",
+                 "n_multi_token", "n_premodified", "undetected_length",
+                 "undetected_types")
 
     def __init__(self, dataset: str, n_entities: int = 0,
                  n_unresolved: int = 0, n_two_mention: int = 0,
-                 undetected: UndetectedProfile | None = None,
-                 distance_buckets: Counter | None = None) -> None:
+                 distance_buckets: Counter | None = None,
+                 n_undetected: int = 0, n_short: int = 0,
+                 n_multi_token: int = 0, n_premodified: int = 0,
+                 undetected_length: int = 0,
+                 undetected_types: Counter | None = None) -> None:
         self.dataset = dataset
         self.n_entities = n_entities  # non-singleton gold entities
         self.n_unresolved = n_unresolved
         self.n_two_mention = n_two_mention
-        self.undetected = (UndetectedProfile() if undetected is None
-                           else undetected)
         # sentence distance between the two mentions of each two-mention
         # entity whose mentions were both detected but never linked
         self.distance_buckets = (Counter() if distance_buckets is None
                                  else distance_buckets)
+        # the two-mention entities' undetected mentions; a short one has
+        # one or two tokens
+        self.n_undetected = n_undetected
+        self.n_short = n_short
+        self.n_multi_token = n_multi_token
+        self.n_premodified = n_premodified
+        self.undetected_length = undetected_length
+        self.undetected_types = (Counter() if undetected_types is None
+                                 else undetected_types)
 
     @property
     def unresolved_pct(self) -> Fraction | None:
@@ -125,29 +94,30 @@ class ErrorReport(Record):
 
     @property
     def undetected_pct(self) -> Fraction | None:
-        return ratio(self.undetected.n_mentions, 2 * self.n_two_mention, 100)
+        return ratio(self.n_undetected, 2 * self.n_two_mention, 100)
 
     @property
     def short_pct(self) -> Fraction | None:
-        return ratio(self.undetected.n_short, self.undetected.n_mentions, 100)
+        return ratio(self.n_short, self.n_undetected, 100)
 
     @property
     def premodified_pct(self) -> Fraction | None:
-        return ratio(self.undetected.n_premodified,
-                     self.undetected.n_multi_token, 100)
+        return ratio(self.n_premodified, self.n_multi_token, 100)
+
+    @property
+    def premodified_share_of_all(self) -> Fraction | None:
+        return ratio(self.n_premodified, self.n_undetected)
 
     @property
     def mean_undetected_length(self) -> Fraction | None:
-        return ratio(self.undetected.total_length, self.undetected.n_mentions)
+        return ratio(self.undetected_length, self.n_undetected)
 
     def __add__(self, other: "ErrorReport") -> "ErrorReport":
-        """Pooled report, labelled like this one."""
-        return ErrorReport(
-            self.dataset, self.n_entities + other.n_entities,
-            self.n_unresolved + other.n_unresolved,
-            self.n_two_mention + other.n_two_mention,
-            self.undetected + other.undetected,
-            self.distance_buckets + other.distance_buckets)
+        """Pooled report, labelled like this one: the constructor takes the
+        fields in slot order, and each one after dataset adds."""
+        return ErrorReport(self.dataset, *(
+            mine + theirs for mine, theirs
+            in zip(self._values()[1:], other._values()[1:])))
 
 
 def analyze_document(gold: Document, pred: Document, mode: str = "exact",
@@ -162,21 +132,32 @@ def analyze_document(gold: Document, pred: Document, mode: str = "exact",
     if details is not None:
         details.extend(_entity_details(gold, unresolved, detected))
     two_mention = [e for e in unresolved if len(e.mentions) == 2]
-    undetected = [m for e in two_mention for m in e.mentions
-                  if m not in detected]
-    distance_buckets: Counter = Counter()
+    report = ErrorReport(
+        gold.dataset,
+        n_entities=sum(1 for e in gold.entities if not e.is_singleton()),
+        n_unresolved=len(unresolved), n_two_mention=len(two_mention))
     for entity in two_mention:
         first, second = entity.mentions
         if first in detected and second in detected:
             distance = second.sent_index - first.sent_index
-            distance_buckets[str(distance) if distance < 3 else "3+"] += 1
-    return ErrorReport(
-        dataset=gold.dataset,
-        n_entities=sum(1 for e in gold.entities if not e.is_singleton()),
-        n_unresolved=len(unresolved),
-        n_two_mention=len(two_mention),
-        undetected=undetected_profile(undetected),
-        distance_buckets=distance_buckets)
+            report.distance_buckets[str(distance) if distance < 3
+                                    else "3+"] += 1
+            continue
+        for mention in entity.mentions:
+            if mention in detected:
+                continue
+            head = mention.head
+            report.undetected_types[classify_mention_type(head)] += 1
+            report.n_undetected += 1
+            length = len(mention.span)
+            report.undetected_length += length
+            if length <= 2:
+                report.n_short += 1
+            if length > 1:
+                report.n_multi_token += 1
+            if is_premodified(mention, head):
+                report.n_premodified += 1
+    return report
 
 
 def analyze_errors(pairs: Iterable[tuple[Document, Document]],

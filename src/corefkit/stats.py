@@ -12,7 +12,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from . import analysis
-from .cli import STATISTICS, CliError, _datasets, _emit, _json
+from .cli import STATISTICS, _datasets, _emit, _json
 from .model import DEFAULT_GENRE_PATTERN, Corpus, Record
 from .reports import DatasetReport, fixed, ratio, tsv
 from .taxonomy import MentionType
@@ -223,11 +223,8 @@ def cmd_stats(args) -> int:
 def cmd_analyze(args) -> int:
     stats = tuple(dict.fromkeys(args.stat or (
         name for name, s in STATISTICS.items() if not s.needs_vectors)))
-    needing = [stat for stat in stats if STATISTICS[stat].needs_vectors]
-    if needing and not args.vectors:
-        raise CliError(f"--vectors is required for {needing[0]}")
     datasets = _datasets(args)
-    vectors = (analysis.load_mention_vectors(args.vectors) if needing
+    vectors = (analysis.load_mention_vectors(args.vectors) if args.vectors
                else None)
     groups: dict[str, list[DatasetFiles]] = {}
     for dataset in datasets:

@@ -130,7 +130,7 @@ def watch_parses(monkeypatch) -> tuple[list[str], dict[str, int]]:
     sides: list[str] = []
     most_alive: dict[str, int] = {}
 
-    def watched_resolve(document, filename="", declared=None):
+    def watched_resolve(document, filename="", layout=None):
         side = Path(filename).parent.name
         alive = sum(1 for s, refs in parsed
                     if s == side and any(ref() is not None for ref in refs))
@@ -138,7 +138,7 @@ def watch_parses(monkeypatch) -> tuple[list[str], dict[str, int]]:
         parsed.append((side, [weakref.ref(document)] + [
             weakref.ref(sentence) for sentence in document.sentences]))
         sides.append(side)
-        return resolve(document, filename, declared)
+        return resolve(document, filename, layout)
     monkeypatch.setattr(conllu, "Document", WeakDocument)
     monkeypatch.setattr(conllu, "Sentence", WeakSentence)
     monkeypatch.setattr(conllu, "resolve_entities", watched_resolve)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import random
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -20,6 +21,7 @@ import acceptance_util as util
 from corefkit import parse_conllu, parse_file, serialize
 from corefkit.analysis import genre_rates
 from corefkit.corpora import discover_datasets
+from corefkit.errors import ErrorReport, analyze_document
 from corefkit.features import export_features, iter_feature_records
 from corefkit.metrics import (ClusterSet, Scores, b_cubed, ceafe,
                               ceafe_counts, muc)
@@ -269,11 +271,29 @@ _COLUMNS = ("unresolved", "two_mention", "undetected", "short",
 
 def _report_columns(report, premod_variant: str):
     premod = (report.premodified_pct if premod_variant == "multitoken"
-              else None if report.undetected.premodified_share_of_all is None
-              else report.undetected.premodified_share_of_all * 100)
+              else None if report.premodified_share_of_all is None
+              else report.premodified_share_of_all * 100)
     return (report.unresolved_pct, report.two_mention_pct,
             report.undetected_pct, report.short_pct, premod,
             report.mean_undetected_length)
+
+
+def test_report_columns_read_an_error_report(pair_docs):
+    # the fixture pair: {dog, it} is unresolved, both mentions detected
+    report = analyze_document(*pair_docs)
+    for variant in ("multitoken", "all"):
+        assert _report_columns(report, variant) == (50, 100, 0, None, None,
+                                                    None)
+    # two unresolved two-mention entities, none of whose four mentions was
+    # detected: two have several tokens, and one of those is pre-modified
+    report = ErrorReport("toy", 4, 2, 2, n_undetected=4, n_short=3,
+                         n_multi_token=2, n_premodified=1,
+                         undetected_length=6)
+    mean_length = Fraction(3, 2)
+    assert _report_columns(report, "multitoken") == (50, 100, 100, 75, 50,
+                                                     mean_length)
+    assert _report_columns(report, "all") == (50, 100, 100, 75, 25,
+                                              mean_length)
 
 
 def _columns_match(ours, published) -> bool:

@@ -442,7 +442,7 @@ def test_scoring_errors_and_export_leave_the_corpora_unchanged():
         score_pairs(pairs, mode, "include")
         details = []
         report = analyze_errors(pairs, mode, details=details)
-        assert report.undetected.n_mentions and sum(
+        assert report.n_undetected and sum(
             report.distance_buckets.values())
         assert details
     for target in EXPORT_TARGETS:

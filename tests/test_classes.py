@@ -12,7 +12,7 @@ import pytest
 from corefkit.analysis import CompetingAntecedentStats, MentionVectors
 from corefkit.cli import Statistic
 from corefkit.corpora import DatasetFiles
-from corefkit.errors import ErrorReport, UndetectedProfile
+from corefkit.errors import ErrorReport
 from corefkit.metrics import ClusterSet, ScoreReport, Scores
 from corefkit.model import Corpus, Document, Entity, Mention, Sentence, Token
 from corefkit.reports import DatasetReport, StatRow
@@ -38,8 +38,8 @@ _CONTAINER_DEFAULTS = [
     (DatasetFiles, dict(name="en_x"), ("files",)),
     (DatasetReport, dict(dataset="en_x", statistic="s"), ("rows",)),
     (Table, dict(columns=("a",), rows=[]), ("formats",)),
-    (UndetectedProfile, {}, ("type_counts",)),
-    (ErrorReport, dict(dataset="en_x"), ("undetected", "distance_buckets")),
+    (ErrorReport, dict(dataset="en_x"),
+     ("distance_buckets", "undetected_types")),
 ]
 
 
@@ -100,16 +100,16 @@ def test_keyword_constructors_keep_their_names_and_defaults():
                                      n_pronouns=2, n_valid=1,
                                      total_competitors=3)
     assert (stats + stats).mean_competitors == 3
+    assert stats + stats == (MentionType.OVERT_PRONOUN, 4, 2, 6)
     vectors = MentionVectors(vectors={}, dimension=2)
     assert vectors.dimension == 2
-    profile = UndetectedProfile(type_counts=Counter(), n_mentions=2,
-                                n_short=1, n_multi_token=1, n_premodified=1,
-                                total_length=3)
-    assert profile.premodified_share_of_all == Fraction(1, 2)
     errors = ErrorReport(dataset="en_x", n_entities=2, n_unresolved=1,
-                         n_two_mention=1, undetected=profile,
-                         distance_buckets=Counter({"0": 1}))
+                         n_two_mention=1, distance_buckets=Counter({"0": 1}),
+                         n_undetected=2, n_short=1, n_multi_token=1,
+                         n_premodified=1, undetected_length=3,
+                         undetected_types=Counter())
     assert (errors.unresolved_pct, errors.undetected_pct) == (50, 100)
+    assert errors.premodified_share_of_all == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("make", [
@@ -133,7 +133,7 @@ def test_model_classes_compare_by_identity():
 def test_records_compare_by_value_and_survive_pickling():
     records = [DatasetFiles("en_x"), DatasetReport("en_x", "s"),
                Table(("a",), [(1,)]), ClusterSet([{"a"}]),
-               UndetectedProfile(n_mentions=1), ErrorReport("en_x", 2),
+               ErrorReport("en_x", 2, n_undetected=1),
                StatRow("k", 1, 2), Scores(1, 1, 1)]
     for record in records:
         copy = pickle.loads(pickle.dumps(record))

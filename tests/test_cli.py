@@ -590,10 +590,12 @@ def test_analyze_stdout_single_stat(capsys):
 
 
 def test_analyze_semantic_distance_requires_vectors(capsys):
-    code, _, err = run(capsys, "analyze", GOLD_DIR, "--stat",
-                       "semantic-distance")
-    assert code == 2
-    assert "--vectors" in err
+    # a usage error, like its mirror: --vectors without the statistic
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", GOLD_DIR, "--stat", "semantic-distance"])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "error: analyze: --stat semantic-distance needs --vectors\n")
 
 
 def test_analyze_missing_vectors_same_error_with_jobs(capsys):

@@ -8,11 +8,9 @@ import pytest
 
 from corefkit import errors, metrics, parse_conllu, parse_file, serialize
 from corefkit.errors import (ErrorReport, analyze_document, analyze_errors,
-                             undetected_profile, unresolved_entities,
-                             unresolved_entity_details)
+                             unresolved_entities, unresolved_entity_details)
 from corefkit.metrics import align_mentions, document_pairs
-from corefkit.model import (MATCH_MODES, UNRESOLVED_DEFINITIONS, Corpus,
-                            Mention)
+from corefkit.model import MATCH_MODES, UNRESOLVED_DEFINITIONS, Corpus
 from corefkit.taxonomy import MentionType
 from support import generated_pair, make_corpus, tok
 
@@ -124,7 +122,7 @@ def test_undetected_share_hand_count():
     assert report.n_unresolved == 2
     assert report.two_mention_pct == 100
     assert report.undetected_pct == Fraction(75)
-    assert report.undetected.n_mentions == 3
+    assert report.n_undetected == 3
 
 
 def test_all_spans_detected_gives_zero_undetected(pair_docs):
@@ -132,31 +130,36 @@ def test_all_spans_detected_gives_zero_undetected(pair_docs):
     report = analyze_document(gold, pred)
     assert report.n_two_mention > 0
     assert report.undetected_pct == 0
-    assert report.undetected.n_mentions == 0
+    assert report.n_undetected == 0
 
 
 def test_undetected_profile_single_premodified_mention():
-    corpus = make_corpus([
-        tok(1, "the", "DET", 3, "det", misc="Entity=(e1-x-3-"),
-        tok(2, "old", "ADJ", 3, "amod"),
-        tok(3, "castle", "NOUN", 4, "nsubj", misc="Entity=e1)"),
-        tok(4, "fell", "VERB", 0, "root"),
-    ])
-    document = _doc(corpus)
-    (mention,) = document.entities[0].mentions
-    profile = undetected_profile([mention])
-    assert profile.type_counts == {MentionType.NOMINAL_NOUN: 1}
-    report = ErrorReport("toy", undetected=profile)
-    assert report.short_pct == 0
-    assert report.premodified_pct == 100
-    assert report.mean_undetected_length == 3
-    # a one-token mention is short and leaves the pre-modified share, which
-    # is taken over multi-token mentions only
-    fell = document.sentences[0].tokens[3]
-    report.undetected += undetected_profile([Mention("e2", (fell,))])
+    def sentences(np, pronoun):
+        return ([tok(1, "the", "DET", 3, "det", misc=np[0]),
+                 tok(2, "old", "ADJ", 3, "amod"),
+                 tok(3, "castle", "NOUN", 4, "nsubj", misc=np[1]),
+                 tok(4, "fell", "VERB", 0, "root")],
+                [tok(1, "It", "PRON", 2, "nsubj", misc=pronoun),
+                 tok(2, "crumbled", "VERB", 0, "root")])
+
+    gold = _doc(make_corpus(*sentences(("Entity=(e1-x-3-", "Entity=e1)"),
+                                       "Entity=(e1-x-1-)")))
+    # the system detects neither the noun phrase nor the pronoun
+    pred = _doc(make_corpus(*sentences(("_", "_"), "_")))
+    report = analyze_document(gold, pred)
+    assert (report.n_two_mention, report.n_undetected) == (1, 2)
+    assert report.undetected_types == {MentionType.NOMINAL_NOUN: 1,
+                                       MentionType.OVERT_PRONOUN: 1}
+    # the one-token pronoun is short and leaves the pre-modified share,
+    # which is taken over multi-token mentions only; the share of all
+    # undetected mentions counts it
+    assert (report.n_short, report.n_multi_token,
+            report.n_premodified) == (1, 1, 1)
     assert report.short_pct == 50
     assert report.premodified_pct == 100
+    assert report.premodified_share_of_all == Fraction(1, 2)
     assert report.mean_undetected_length == 2
+    assert report.distance_buckets == {}
 
 
 def test_missing_link_same_sentence_bucket_zero():
@@ -174,13 +177,13 @@ def test_missing_link_same_sentence_bucket_zero():
         "Entity=(e1-x-1-)", "Entity=(p2-x-1-)")))
     report = analyze_document(gold, pred)
     assert report.n_two_mention == 1
-    assert report.undetected.n_mentions == 0
+    assert report.n_undetected == 0
     assert report.distance_buckets == {"0": 1}
     # with one of the two mentions undetected, the entity has no bucket
     pred = _doc(parse_conllu(serialize(corpus).replace(
         "Entity=(e1-x-1-)", "_", 1)))
     report = analyze_document(gold, pred)
-    assert report.undetected.n_mentions == 1
+    assert report.n_undetected == 1
     assert report.distance_buckets == {}
 
 
@@ -204,17 +207,17 @@ def test_cluster_id_renaming_is_invisible(pair_docs):
     base = analyze_document(gold, pred)
     other = analyze_document(gold, renamed)
     assert base.unresolved_pct == other.unresolved_pct
-    assert base.undetected.type_counts == other.undetected.type_counts
+    assert base.undetected_types == other.undetected_types
     assert base.distance_buckets == other.distance_buckets
 
 
 def test_undetected_partition_invariant(pair_docs):
     gold, pred = pair_docs
     report = analyze_document(gold, pred)
-    assert report.undetected.n_mentions <= 2 * report.n_two_mention
+    assert report.n_undetected <= 2 * report.n_two_mention
     # detected + undetected partition the two-mention entities' mentions
     both_detected = sum(report.distance_buckets.values())
-    assert (2 * both_detected + report.undetected.n_mentions
+    assert (2 * both_detected + report.n_undetected
             <= 2 * report.n_two_mention)
 
 
@@ -228,6 +231,26 @@ def test_error_report_addition_pools(pair_docs):
     empty = analyze_errors([], "head", "membership", dataset="none")
     assert empty == ErrorReport("none")
     assert empty.unresolved_pct is None
+
+
+def test_pooling_adds_every_field_after_the_label():
+    left = ErrorReport("left", 1, 2, 3, Counter({"0": 4}), 5, 6, 7, 8, 9,
+                       Counter({MentionType.NOMINAL_NOUN: 10}))
+    right = ErrorReport("right", 11, 12, 13, Counter({"0": 14, "3+": 15}),
+                        16, 17, 18, 19, 20,
+                        Counter({MentionType.NOMINAL_NOUN: 21,
+                                 MentionType.OVERT_PRONOUN: 22}))
+    pooled = left + right
+    assert (pooled.dataset, pooled.n_entities, pooled.n_unresolved,
+            pooled.n_two_mention, pooled.distance_buckets,
+            pooled.n_undetected, pooled.n_short, pooled.n_multi_token,
+            pooled.n_premodified, pooled.undetected_length,
+            pooled.undetected_types) == (
+        "left", 12, 14, 16, {"0": 18, "3+": 15}, 21, 23, 25, 27, 29,
+        {MentionType.NOMINAL_NOUN: 31, MentionType.OVERT_PRONOUN: 22})
+    # the operands are left as they were
+    assert left == ErrorReport("left", 1, 2, 3, Counter({"0": 4}), 5, 6, 7,
+                               8, 9, Counter({MentionType.NOMINAL_NOUN: 10}))
 
 
 def _unlinked_pair(spans: list[tuple[int, int]], n_sentences: int):
@@ -286,9 +309,9 @@ def test_pooled_reports_equal_one_run_over_the_concatenated_documents():
                              for k in range(3)], dataset="toy")
     whole = analyze_document(*_undetected_second_mentions(range(3), "doc"))
     assert pooled == whole
-    assert whole.undetected.n_mentions == 3
-    (mention_type,) = whole.undetected.type_counts
-    assert pooled.undetected.type_counts == {mention_type: 3}
+    assert whole.n_undetected == 3
+    (mention_type,) = whole.undetected_types
+    assert pooled.undetected_types == {mention_type: 3}
 
 
 # ------------------------------------------- the unresolved-entity rule
