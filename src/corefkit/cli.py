@@ -18,17 +18,15 @@ only `model`, whose constants name the choices of every option. Every other
 corefkit module, `json`, `fractions` and the process pool are imported by
 the code that uses them, and each process compiles only what its
 subcommand runs: `taxonomy` reads no corpus, `validate` computes no
-statistic, and the stats and analyze code (pooling, tables, the two
-commands' bodies) is in `stats`, which only those two subcommands import;
-`STATISTICS` reaches it by name at call time. No corefkit class comes from
-the data-class decorator (the rule is in `model`), so no run loads
-`inspect`, `ast` and `dis`; with the generated class code gone, each
-corefkit module body runs in 0.3-1.2 ms where it took 1-4 ms. `logging`
-(about 6 ms with what it loads) is loaded only when a run emits its first
-record, a warning of the parser or the taxonomy: they log through
-`model.warn`, and `main` sets the hook that configures logging on that
-first record. `export-features` writes its count lines to stderr itself,
-so a run that warns of nothing loads no `logging`.
+statistic, and only `stats` and `analyze` load `analysis`, which holds the
+statistics with their pooling and tables. No corefkit class comes from the
+data-class decorator (the rule is in `model`), so no run loads `inspect`,
+`ast` and `dis`. `logging` (about 6 ms with what it loads) is loaded only
+when a run emits its first record, a warning of the parser or the
+taxonomy: they log through `model.warn`, and `main` sets the hook that
+configures logging on that first record. `export-features` writes its
+count lines to stderr itself, so a run that warns of nothing loads no
+`logging`.
 
 `main` runs with the cyclic garbage collector off and restores the state it
 found: a parsed corpus holds no reference cycle, and a test pins the cyclic
@@ -55,18 +53,15 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import model
 from .model import (DEFAULT_GENRE_PATTERN, HEAD_RULES, MATCH_MODES,
-                    SINGLETON_POLICIES, SPLITS, UNRESOLVED_DEFINITIONS,
-                    DataError)
+                    SINGLETON_POLICIES, SPLITS, STATISTICS,
+                    UNRESOLVED_DEFINITIONS, VECTOR_STATISTICS, DataError)
 
 if TYPE_CHECKING:
     from .corpora import DatasetFiles
-    from .model import Corpus
-    from .reports import DatasetReport
-    from .stats import StatOptions, Table
 
 
 class CliError(DataError):
@@ -161,40 +156,55 @@ def cmd_validate(args) -> int:
 
 # ------------------------------------------------------- stats and analyze
 
-class Statistic(NamedTuple):
-    """One `analyze --stat` choice. `compute` gives the partial result of
-    one parsed file; the partials of a group pool with +. `table` turns a
-    pooled result and its group name into what the reports render."""
-
-    compute: Callable[[Corpus, StatOptions], Any]
-    table: Callable[[Any, str], Table | DatasetReport]
-    needs_vectors: bool = False
-
-
-def _late(name: str) -> Callable:
-    """The function `name` of the `stats` module, looked up when called, so
-    that the module loads only when `stats` or `analyze` runs."""
-    def call(*args):
-        from . import stats
-        return getattr(stats, name)(*args)
-    return call
+def cmd_stats(args) -> int:
+    from . import analysis
+    from .reports import tsv
+    pooled = analysis.pool_groups({d.name: [d] for d in _datasets(args)},
+                                  analysis.corpus_statistics, args.jobs)
+    reports = list(pooled.values())
+    if args.format == "json":
+        _emit(args, "stats.json", _json([r.as_json() for r in reports]))
+        return 0
+    header = ["dataset"] + [row.key for row in reports[0].rows]
+    _emit(args, "stats.tsv", tsv(header, (
+        [report.dataset] + [row.rendered() for row in report.rows]
+        for report in reports)))
+    return 0
 
 
-# The one registry of statistics: the parser reads its names, and `stats`
-# computes and renders each entry through the functions named here.
-STATISTICS: dict[str, Statistic] = {
-    "head-position": Statistic(_late("head_position"), _late("labelled")),
-    "mention-types": Statistic(_late("mention_types"), _late("labelled")),
-    "anaphor-antecedent": Statistic(_late("anaphor_antecedent"),
-                                    _late("ranking_table")),
-    "first-mention": Statistic(_late("first_mention"), _late("labelled")),
-    "entity-size": Statistic(_late("entity_size"), _late("labelled")),
-    "competing": Statistic(_late("competing"), _late("competing_table")),
-    "genre": Statistic(_late("genre"), _late("genre_table")),
-    "semantic-distance": Statistic(_late("semantic_distance"),
-                                   _late("distance_table"),
-                                   needs_vectors=True),
-}
+def cmd_analyze(args) -> int:
+    from functools import partial
+
+    from . import analysis
+    from .reports import tsv
+    stats = tuple(dict.fromkeys(args.stat or (
+        name for name in STATISTICS if name not in VECTOR_STATISTICS)))
+    datasets = _datasets(args)
+    vectors = (analysis.load_mention_vectors(args.vectors) if args.vectors
+               else None)
+    groups: dict[str, list[DatasetFiles]] = {}
+    for dataset in datasets:
+        key = dataset.language if args.by_language else dataset.name
+        groups.setdefault(key, []).append(dataset)
+    options = analysis.StatOptions(args.head_rule, args.genre_pattern,
+                                   vectors)
+    pooled = analysis.pool_groups(groups, partial(
+        analysis.compute_stats, stats=stats, options=options), args.jobs)
+
+    figure_rows: list[tuple[str, ...]] = []
+    for group, results in pooled.items():
+        for stat, result in zip(stats, results):
+            table = analysis.STATISTICS[stat].table(result, group)
+            _emit(args, f"{group}.{stat}.{args.format}",
+                  _json(table.as_json()) if args.format == "json"
+                  else table.to_tsv(), header=True)
+            figure_rows += [(stat, group, key, value)
+                            for key, value in table.figure_rows()]
+    if args.figure_data:
+        _emit(args, "figure_data.tsv",
+              tsv(("statistic", "dataset", "key", "value"), figure_rows),
+              header=True)
+    return 0
 
 
 # ------------------------------------------------------------------- score
@@ -371,16 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     inputs(p)
     report(p)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.set_defaults(func=_late("cmd_stats"))
+    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("analyze", help="gold-annotation statistics")
     inputs(p)
     report(p)
-    p.add_argument("--stat", action="append", choices=list(STATISTICS),
+    p.add_argument("--stat", action="append", choices=STATISTICS,
                    help="statistic to compute (repeatable; default: all "
-                        "except " + ", ".join(
-                            name for name, s in STATISTICS.items()
-                            if s.needs_vectors) + ")")
+                        "except " + ", ".join(VECTOR_STATISTICS) + ")")
     p.add_argument("--head-rule", choices=HEAD_RULES, default="annotated")
     p.add_argument("--by-language", action="store_true",
                    help="pool datasets of the same language")
@@ -393,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure-data", action="store_true",
                    help="also emit plot-ready long-format TSV")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.set_defaults(func=_late("cmd_analyze"))
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("score", help="MUC/B3/CEAFe/CoNLL F1 of system "
                                      "output against gold")
@@ -467,7 +475,7 @@ def _run(argv: list[str] | None) -> int:
                      "gold; candidate spans carry no annotated head")
     # --vectors is given exactly when a statistic asked for reads it
     if args.command == "analyze" and bool(args.vectors) != any(
-            STATISTICS[stat].needs_vectors for stat in args.stat or ()):
+            stat in VECTOR_STATISTICS for stat in args.stat or ()):
         parser.error("analyze: --vectors is only read by semantic-distance"
                      if args.vectors else
                      "analyze: --stat semantic-distance needs --vectors")

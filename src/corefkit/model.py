@@ -17,11 +17,16 @@ from __future__ import annotations
 
 from typing import Iterator
 
+# The choices of head_of, corpora.discover_datasets, metrics.align_mentions,
+# metrics.ClusterSet and errors.analyze_errors, the keys of
+# analysis.STATISTICS in report order (those that read mention vectors
+# apart), and analysis.genre_counts's default. They live here so that the
+# command line can offer them without importing those modules.
 HEAD_RULES = ("annotated", "syntactic")
-# The choices of corpora.discover_datasets, metrics.align_mentions,
-# metrics.ClusterSet and errors.analyze_errors, and analysis.genre_counts's
-# default. They live here so that the command line can offer them without
-# importing those modules.
+STATISTICS = ("head-position", "mention-types", "anaphor-antecedent",
+              "first-mention", "entity-size", "competing", "genre",
+              "semantic-distance")
+VECTOR_STATISTICS = ("semantic-distance",)
 SPLITS = ("train", "dev", "test")
 MATCH_MODES = ("exact", "head")
 SINGLETON_POLICIES = ("include", "exclude")
@@ -196,7 +201,8 @@ class Sentence:
         self.tokens = [] if tokens is None else tokens
         self.mwt_ranges = [] if mwt_ranges is None else mwt_ranges
         self.sent_id = sent_id
-        self.first_line = first_line  # file line of its first node, or 0
+        # file line of its first node or range line, or 0
+        self.first_line = first_line
         self._parents = None
         self._depths = None
 

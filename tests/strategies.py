@@ -17,18 +17,19 @@ _SHARES = st.floats(0.0, 1.0)
 
 
 @st.composite
-def shapes(draw):
-    """A bench/corpus.Shape of one dataset, one file and at most two
-    documents of at most six short sentences, with every corner case of
-    the format (nested, crossing and discontinuous mentions, empty nodes,
-    multiword tokens, singletons, annotated heads) drawn at some rate."""
+def shapes(draw, documents: tuple[int, int] = (1, 2)):
+    """A bench/corpus.Shape of one dataset, one file and a number of
+    documents in the inclusive range given, each of at most six short
+    sentences, with every corner case of the format (nested, crossing and
+    discontinuous mentions, empty nodes, multiword tokens, singletons,
+    annotated heads) drawn at some rate."""
     corpus = bench_corpus()
     fewest = draw(st.integers(1, 4))
     shortest = draw(st.integers(2, 8))  # a multiword token needs two nodes
     return corpus.Shape(
         datasets=(draw(st.sampled_from(sorted(corpus.WORD_ORDER)))
                   + "_synth",),
-        files_per_dataset=1, docs_per_file=draw(st.integers(1, 2)),
+        files_per_dataset=1, docs_per_file=draw(st.integers(*documents)),
         sentences=(fewest, fewest + draw(st.integers(0, 2))),
         tokens=(shortest, shortest + draw(st.integers(0, 8))),
         chain=draw(_SHARES),

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from corefkit import parse_conllu, serialize
-from corefkit.analysis import (MentionVectors, MissingVectorError,
+from corefkit import model, parse_conllu, serialize
+from corefkit.analysis import (STATISTICS, MentionVectors,
+                               MissingVectorError, StatOptions,
                                antecedent_category_counts,
                                competing_antecedents, corpus_statistics,
                                distance_moments, entity_size_stats,
@@ -15,12 +16,10 @@ from corefkit.analysis import (MentionVectors, MissingVectorError,
                                head_position_stats, load_mention_vectors,
                                mention_type_distribution,
                                moments_to_mean_variance)
-from corefkit.cli import STATISTICS
 from corefkit.errors import analyze_errors
 from corefkit.features import EXPORT_TARGETS, export_features
 from corefkit.metrics import MATCH_MODES, score_pairs
 from corefkit.model import HEAD_RULES, Corpus, Document, mention_key
-from corefkit.stats import StatOptions
 from corefkit.taxonomy import MentionType, UdCategory
 from support import DATA, make_corpus, tok
 
@@ -468,3 +467,8 @@ def test_report_addition_pools_counts():
     assert pooled.row("premodified_of_multitoken").denominator == 2
     with pytest.raises(ValueError, match="cannot pool row"):
         report_a + mention_type_distribution(corpus_b)
+
+
+def test_the_registry_holds_the_command_line_choices_in_their_order():
+    assert tuple(STATISTICS) == model.STATISTICS
+    assert set(model.VECTOR_STATISTICS) <= set(model.STATISTICS)

@@ -9,14 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from corefkit.analysis import CompetingAntecedentStats, MentionVectors
-from corefkit.cli import Statistic
+from corefkit.analysis import (CompetingAntecedentStats, MentionVectors,
+                               Statistic, Table)
 from corefkit.corpora import DatasetFiles
 from corefkit.errors import ErrorReport
 from corefkit.metrics import ClusterSet, ScoreReport, Scores
 from corefkit.model import Corpus, Document, Entity, Mention, Sentence, Token
 from corefkit.reports import DatasetReport, StatRow
-from corefkit.stats import Table
 from corefkit.taxonomy import MentionType
 
 
@@ -89,7 +88,7 @@ def test_keyword_constructors_keep_their_names_and_defaults():
                  formats={"a": hex}).figure_rows() == [("1", "0x1")]
     assert (Table(("a",), [(1,)]).keys, Table(("a",), [(1,)]).figure) == \
         ((), ())
-    assert Statistic(compute=len, table=str).needs_vectors is False
+    assert Statistic(compute=len, table=str) == (len, str)
     scores = Scores(precision=1, recall=Fraction(1, 2), f1=Fraction(2, 3))
     assert ScoreReport(muc=scores, b_cubed=scores, ceafe=scores).conll_f1 \
         == Fraction(2, 3)

@@ -18,7 +18,8 @@ import pytest
 
 import corefkit
 from corefkit import conllu, errors, metrics, taxonomy
-from corefkit.analysis import MissingVectorError, corpus_statistics
+from corefkit.analysis import (MissingVectorError, corpus_statistics,
+                               pool_groups)
 from corefkit.cli import CliError, _json, main
 from corefkit.conllu import ParseError
 from corefkit.corpora import DatasetFiles, discover_datasets
@@ -27,7 +28,6 @@ from corefkit.metrics import AlignmentError
 from corefkit.model import (MATCH_MODES, SINGLETON_POLICIES,
                             UNRESOLVED_DEFINITIONS, DataError)
 from corefkit.reports import StatRow
-from corefkit.stats import pool_groups
 from support import (DATA, FRESH_ENV, WeakDocument, documents_text,
                      generated_pair, tok, watch_parses)
 
@@ -249,7 +249,7 @@ def _in_process_pool(monkeypatch) -> list[int]:
             return map(pickle.loads(pickle.dumps(fn)),
                        [pickle.loads(pickle.dumps(item)) for item in items])
 
-    # stats._map_files imports the pool class when it starts a pool
+    # analysis._map_files imports the pool class when it starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
     return started
 
@@ -848,9 +848,9 @@ def test_score_imports_neither_scipy_nor_numpy():
 
 # The corefkit modules each subcommand loads besides the package itself:
 # cli and model always, the parser stack only to read a corpus, and the
-# statistics, with the stats and analyze code, only when some are computed.
+# statistics, with their pooling and tables, only when some are computed.
 _VALIDATE = {"cli", "model", "corpora", "conllu"}
-_STATISTICS = _VALIDATE | {"analysis", "reports", "stats", "taxonomy"}
+_STATISTICS = _VALIDATE | {"analysis", "reports", "taxonomy"}
 
 
 @pytest.mark.parametrize("argv, loaded, pool", [
@@ -874,8 +874,9 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded, pool):
     modules = fresh_modules(*(a.format(tmp=tmp_path) for a in argv))
     assert {m for m in modules if m.startswith("corefkit")} == \
         {"corefkit"} | {f"corefkit.{name}" for name in loaded}
-    # the stats and analyze code compiles only in their processes
-    assert ("corefkit.stats" in modules) is (argv[0] in ("stats", "analyze"))
+    # the statistics compile only in the stats and analyze processes
+    assert ("corefkit.analysis" in modules) is \
+        (argv[0] in ("stats", "analyze"))
     # the process pool, and multiprocessing with it, only when one starts
     assert ("concurrent.futures.process" in modules) is pool
     assert ("multiprocessing" in modules) is pool

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from corefkit import (ParseError, Token, conllu, parse_conllu, parse_file,
                       resolve_entities, serialize)
 from corefkit.conllu import _BRACKET, _ENTITY_ITEM
-from corefkit.model import (UNKNOWN, Sentence, mention_head, parse_kv_items,
-                            span_key)
+from corefkit.model import (UNKNOWN, Corpus, Sentence, mention_head,
+                            parse_kv_items, span_key)
 from support import (DATA, corpus_signature, documents_text, make_corpus,
                      misc_value, node, tok, watch_parses)
 from test_features import corpora
@@ -20,6 +20,11 @@ from test_features import corpora
 
 def test_empty_stream_gives_empty_corpus():
     assert parse_conllu("").documents == []
+
+
+def test_a_corpus_without_documents_serializes_to_no_text():
+    assert serialize(Corpus()) == ""
+    assert serialize(parse_conllu("")) == ""
 
 
 def test_fixture_counts(basic_corpus):

@@ -108,6 +108,16 @@ def test_word_order_table_loading(tmp_path):
         load_word_order_table(invalid)
 
 
+def test_a_word_order_line_of_three_columns_names_its_file_and_line(
+        tmp_path):
+    path = tmp_path / "orders.tsv"
+    path.write_text("# language\torder\nen\tSVO\ncs\tSVO\tfree\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_word_order_table(path)
+    assert str(excinfo.value) == f"{path}:3: expected 2 columns, got 3"
+
+
 def test_gold_mode_one_record_per_mention():
     corpus = make_corpus([
         tok(1, "Rex", "PROPN", 2, "nsubj", misc="Entity=(e1-x-1-)"),

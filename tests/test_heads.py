@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkit import model, parse_file
-from corefkit.analysis import antecedent_category_counts, competing_antecedents
-from corefkit.cli import STATISTICS, main
+from corefkit.analysis import (STATISTICS, StatOptions,
+                               antecedent_category_counts,
+                               competing_antecedents)
+from corefkit.cli import main
 from corefkit.model import (HEAD_RULES, ROOT, UNKNOWN, Document, Mention,
                             Sentence, Token, head_of, mention_head)
-from corefkit.stats import StatOptions
 from corefkit.taxonomy import MentionType
 from support import DATA, make_corpus, tok
 
@@ -287,7 +288,7 @@ def test_no_statistic_resolves_more_heads_than_it_reads(monkeypatch):
     assert all(reads.values())
     calls = _count_heads(monkeypatch)
     for name, statistic in STATISTICS.items():
-        if statistic.needs_vectors:
+        if name in model.VECTOR_STATISTICS:
             continue
         calls.clear()
         for path in FIXTURES:

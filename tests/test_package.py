@@ -1,13 +1,16 @@
 """The package's public names: each is imported from its home module on
-first access, so that `import corefkit` loads no submodule."""
+first access, so that `import corefkit` loads no submodule. Only the entry
+module imports the command line."""
 from __future__ import annotations
 
+import ast
 import gc
 import importlib
 import json
 import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +96,24 @@ def test_the_console_script_runs_the_function_python_m_corefkit_runs(
     # python -m corefkit and the script each freeze after main returned,
     # in the same function
     assert calls == [function.__code__, "freeze"] * 2
+
+
+def _imported(path: Path) -> set[str]:
+    """The full names of the modules, and of the names from them, that a
+    module of the package (which has no subpackage) imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, (
+                "corefkit" if node.level else "", node.module)))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_entry_module_imports_the_command_line():
+    package = Path(corefkit.__file__).parent
+    assert {path.stem for path in package.glob("*.py")
+            if "corefkit.cli" in _imported(path)} == {"__main__"}
