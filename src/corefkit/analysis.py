@@ -1,6 +1,6 @@
-"""Corpus statistics over gold coreference annotations, and the pooling
-and tables of the `stats` and `analyze` subcommands, the only ones that
-import this module.
+"""Corpus statistics over gold coreference annotations, and the partial
+results and tables of the `analyze` subcommand, the only one that imports
+this module (`stats` counts with corpora.count_documents).
 
 No operation changes the Corpus it reads; each returns exact counts (see
 reports.StatRow), so per-dataset results can be pooled into language-level
@@ -20,11 +20,13 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .conllu import ParseError, open_text
+from .corpora import count_documents
 from .model import (DEFAULT_GENRE_PATTERN, Corpus, DataError, Mention, Record,
                     Token, head_of, mention_key)
+from .pooling import pool_files, size_report
 from .reports import DatasetReport, StatRow, fixed, ratio, tsv
 from .taxonomy import (MentionType, UdCategory, classify_mention_type,
                        is_premodified, ud_category)
@@ -244,22 +246,9 @@ def genre_rates(pronouns: Counter[str], tokens: Counter[str],
 
 def corpus_statistics(corpus: Corpus) -> DatasetReport:
     """Size overview: documents, sentences per document, surface tokens per
-    sentence, entities, mentions, mentions per entity."""
-    n_docs = len(corpus.documents)
-    n_sents = sum(len(d.sentences) for d in corpus.documents)
-    n_tokens = sum(s.n_surface() for d in corpus.documents
-                   for s in d.sentences)
-    n_entities = sum(len(d.entities) for d in corpus.documents)
-    n_mentions = sum(len(e.mentions) for d in corpus.documents
-                     for e in d.entities)
-    return DatasetReport(corpus.dataset, "corpus_statistics", [
-        StatRow("documents", n_docs, 1, "count"),
-        StatRow("sentences_per_document", n_sents, n_docs, "mean"),
-        StatRow("tokens_per_sentence", n_tokens, n_sents, "mean"),
-        StatRow("entities", n_entities, 1, "count"),
-        StatRow("mentions", n_mentions, 1, "count"),
-        StatRow("mentions_per_entity", n_mentions, n_entities, "mean"),
-    ])
+    sentence, entities, mentions, mentions per entity. It is the report of
+    corpora.count_documents that `stats` prints per dataset."""
+    return size_report(corpus.dataset, count_documents(corpus.documents))
 
 
 class MissingVectorError(KeyError, DataError):
@@ -553,23 +542,6 @@ def compute_stats(corpus: Corpus, stats: tuple[str, ...],
     return Sums(STATISTICS[stat].compute(corpus, options) for stat in stats)
 
 
-def pool(items: Iterable[tuple[str, Any]]) -> dict[str, Any]:
-    """Pool (group, partial result) pairs with +, in the order given."""
-    pooled: dict[str, Any] = {}
-    for group, part in items:
-        pooled[group] = pooled[group] + part if group in pooled else part
-    return pooled
-
-
-def _map_files(worker, jobs_args: list, jobs: int) -> list:
-    if jobs <= 1 or len(jobs_args) <= 1:
-        return [worker(a) for a in jobs_args]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(jobs_args))) \
-            as executor:
-        return list(executor.map(worker, jobs_args))
-
-
 def _load_and_compute(one_file: DatasetFiles, compute: Callable) -> Any:
     return compute(one_file.load())
 
@@ -577,9 +549,7 @@ def _load_and_compute(one_file: DatasetFiles, compute: Callable) -> Any:
 def pool_groups(groups: dict[str, list[DatasetFiles]], compute: Callable,
                 jobs: int) -> dict[str, Any]:
     """Parse every file of every group, compute its partial result and pool
-    the partials of each group in file order; groups come out sorted."""
-    owned = [(group, one_file) for group in sorted(groups)
-             for dataset in groups[group] for one_file in dataset.per_file()]
-    parts = _map_files(partial(_load_and_compute, compute=compute),
-                       [one_file for _, one_file in owned], jobs)
-    return pool(zip([group for group, _ in owned], parts))
+    the partials of each group in file order (pooling.pool_files); groups
+    come out sorted."""
+    return pool_files(groups, partial(_load_and_compute, compute=compute),
+                      jobs)

@@ -5,28 +5,29 @@ when the reader of stdout closed it before the report was written. All
 reports are deterministic: percentages with 2 decimals, scores with 6,
 fixed ordering. Logs go to stderr only; the COREFUD_DATA environment
 variable supplies the default corpus root. Every subcommand reads its
-datasets through `corpora.DatasetFiles`. `validate`, `score`, `errors` and
-`export-features` take each document as its parse ends and keep no
-reference to it once they are done with it, so they hold one document per
-side at a time: the one being parsed, or the one being used (`score` and
-`errors` also hold the system documents that come before their gold turn).
-`stats` and `analyze` parse one-file datasets, one at a time or as `--jobs`
-tasks.
+datasets through `corpora.DatasetFiles`. `validate`, `stats`, `score`,
+`errors` and `export-features` take each document as its parse ends and
+keep no reference to it once they are done with it, so they hold one
+document per side at a time: the one being parsed, or the one being used
+(`score` and `errors` also hold the system documents that come before their
+gold turn). `validate` and `stats` print from one count of each file
+(`DatasetFiles.count`), which `stats` pools per dataset. `stats` and
+`analyze` take one-file datasets as tasks, one at a time or in `--jobs`
+workers (`pooling.pool_files`); `analyze` parses each task's file whole.
 
 Start-up is most of a run on small inputs, so at import this module loads
 only `model`, whose constants name the choices of every option. Every other
 corefkit module, `json`, `fractions` and the process pool are imported by
 the code that uses them, and each process compiles only what its
-subcommand runs: `taxonomy` reads no corpus, `validate` computes no
-statistic, and only `stats` and `analyze` load `analysis`, which holds the
-statistics with their pooling and tables. No corefkit class comes from the
-data-class decorator (the rule is in `model`), so no run loads `inspect`,
-`ast` and `dis`. `logging` (about 6 ms with what it loads) is loaded only
-when a run emits its first record, a warning of the parser or the
-taxonomy: they log through `model.warn`, and `main` sets the hook that
-configures logging on that first record. `export-features` writes its
-count lines to stderr itself, so a run that warns of nothing loads no
-`logging`.
+subcommand runs: `taxonomy` reads no corpus, `validate` and `stats` only
+count, and only `analyze` loads `analysis`, which holds the statistics
+with their tables. No corefkit class comes from the data-class decorator
+(the rule is in `model`), so no run loads `inspect`, `ast` and `dis`.
+`logging` (about 6 ms with what it loads) is loaded only when a run emits
+its first record, a warning of the parser or the taxonomy: they log
+through `model.warn`, and `main` sets the hook that configures logging on
+that first record. `export-features` writes its count lines to stderr
+itself, so a run that warns of nothing loads no `logging`.
 
 `main` runs with the cyclic garbage collector off and restores the state it
 found: a parsed corpus holds no reference cycle, and a test pins the cyclic
@@ -143,25 +144,21 @@ def _json(payload) -> str:
 def cmd_validate(args) -> int:
     for dataset in _datasets(args):
         for one_file in dataset.per_file():
-            n_documents = n_sentences = n_mentions = 0
-            for document in one_file.documents():
-                n_documents += 1
-                n_sentences += len(document.sentences)
-                n_mentions += sum(len(e.mentions) for e in document.entities)
-                del document  # freed before the next one is parsed
-            print(f"ok\t{one_file.files[0]}\tdocuments={n_documents}"
-                  f"\tsentences={n_sentences}\tmentions={n_mentions}")
+            count = one_file.count()
+            print(f"ok\t{one_file.files[0]}\tdocuments={count.documents}"
+                  f"\tsentences={count.sentences}\tmentions={count.mentions}")
     return 0
 
 
 # ------------------------------------------------------- stats and analyze
 
 def cmd_stats(args) -> int:
-    from . import analysis
+    from .corpora import DatasetFiles
+    from .pooling import pool_files, size_report
     from .reports import tsv
-    pooled = analysis.pool_groups({d.name: [d] for d in _datasets(args)},
-                                  analysis.corpus_statistics, args.jobs)
-    reports = list(pooled.values())
+    pooled = pool_files({d.name: [d] for d in _datasets(args)},
+                        DatasetFiles.count, args.jobs)
+    reports = [size_report(name, count) for name, count in pooled.items()]
     if args.format == "json":
         _emit(args, "stats.json", _json([r.as_json() for r in reports]))
         return 0

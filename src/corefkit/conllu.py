@@ -187,6 +187,7 @@ def _parse_stream(stream: Iterable[str], dataset: str, language: str,
                 f"{n - 1} of its sentence", filename,
                 first_line + offset + len(sentence.mwt_ranges) - 1)
         sentence._parents = parent_positions(tokens)
+        sentence._n_surface = n - 1
         _check_heads(sentence, empty, filename)
         if sentence.sent_id is not None:
             if sentence.sent_id in seen_sent_ids:

@@ -1,18 +1,21 @@
-"""Locating and loading dataset files from a CorefUD-style directory tree.
+"""Locating, loading and counting dataset files from a CorefUD-style
+directory tree.
 
 Release layouts keep one directory per dataset with files named like
 ``ca_ancora-corefud-train.conllu``; system-output dumps are often flat
 directories of ``<dataset>.conllu`` files. Both are handled: files are
-grouped by the dataset name embedded in the filename.
+grouped by the dataset name embedded in the filename. `DatasetFiles.count`
+is what `validate` prints and `stats` pools, one document at a time.
 """
 from __future__ import annotations
 
 import re
+from operator import add
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import conllu
-from .model import SPLITS, Corpus, Document, Record
+from .model import SPLITS, Corpus, Document, Record, Sentence
 
 _CANONICAL = re.compile(
     rf"^(?P<dataset>[A-Za-z0-9_.]+?)-corefud-(?P<split>{'|'.join(SPLITS)})$")
@@ -26,12 +29,46 @@ def dataset_of(path: Path) -> tuple[str, str | None]:
     return path.stem, None
 
 
+class DocumentCount(Record):
+    """The size of a stream of documents; tokens are surface tokens, so
+    empty nodes are not counted. Counts pool with +, field by field."""
+
+    __slots__ = ("documents", "sentences", "tokens", "entities", "mentions")
+
+    def __init__(self, documents: int, sentences: int, tokens: int,
+                 entities: int, mentions: int) -> None:
+        self.documents = documents
+        self.sentences = sentences
+        self.tokens = tokens
+        self.entities = entities
+        self.mentions = mentions
+
+    def __add__(self, other: DocumentCount) -> DocumentCount:
+        return DocumentCount(*map(add, self._values(), other._values()))
+
+
+def count_documents(documents: Iterable[Document]) -> DocumentCount:
+    """The size of documents, read once. No reference to a document is
+    kept past its turn, so a stream is counted one document at a time."""
+    n_documents = n_sentences = n_tokens = n_entities = n_mentions = 0
+    for document in documents:
+        n_documents += 1
+        n_sentences += len(document.sentences)
+        n_tokens += sum(map(Sentence.n_surface, document.sentences))
+        n_entities += len(document.entities)
+        n_mentions += sum(len(e.mentions) for e in document.entities)
+        del document  # freed before the next one is parsed
+    return DocumentCount(n_documents, n_sentences, n_tokens, n_entities,
+                         n_mentions)
+
+
 class DatasetFiles(Record):
     """The files of one dataset, sorted; the one reader of a dataset. Each
     file is read in that order with the dataset's name and language, through
     `conllu.iter_documents` as bound when it runs: `documents` yields the
-    documents one at a time, `load` collects them into one corpus.
-    `per_file` splits it into one-file datasets."""
+    documents one at a time, `count` counts them as they come, `load`
+    collects them into one corpus. `per_file` splits it into one-file
+    datasets."""
 
     __slots__ = ("name", "files")
 
@@ -52,6 +89,9 @@ class DatasetFiles(Record):
         for path in self.files:
             yield from conllu.iter_documents(path, dataset=self.name,
                                              language=self.language)
+
+    def count(self) -> DocumentCount:
+        return count_documents(self.documents())
 
     def load(self) -> Corpus:
         return Corpus(list(self.documents()), self.name, self.language)

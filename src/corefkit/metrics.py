@@ -109,7 +109,11 @@ class ClusterSet(Record):
 
 
 def _extent(mention: Mention) -> tuple:
-    return (len(mention.span), mention.start, mention.end)
+    """(length, start, end) of the span, positions flattened."""
+    span = mention.span
+    first, last = span[0], span[-1]
+    return (len(span), first.sent_index, first.order, last.sent_index,
+            last.order)
 
 
 def align_mentions(gold: Document, pred: Document,
@@ -138,10 +142,13 @@ def align_mentions(gold: Document, pred: Document,
             if len(gold_shape) != len(pred_shape) else
             f"token counts per sentence differ in document {gold.doc_id!r}")
 
+    # Each side's mentions in entity order: a key's gold mentions, and
+    # system mentions of one extent, keep the order that ties go by, that of
+    # Document.mentions(), whose sort is stable over entity order.
     exact = mode == "exact"
     nodes_of: dict[Mention, frozenset] = {}
     index: dict[Hashable, list[Mention]] = {}
-    for mention in gold.mentions():
+    for mention in [m for e in gold.entities for m in e.mentions]:
         nodes = nodes_of[mention] = frozenset(
             [(t.sent_index, t.index) for t in mention.span])
         if exact:
@@ -152,7 +159,8 @@ def align_mentions(gold: Document, pred: Document,
         index.setdefault(key, []).append(mention)
     claimed: set[Mention] = set()
     alignment: dict[Mention, Mention] = {}
-    for mention in sorted(pred.mentions(), key=_extent):
+    for mention in sorted([m for e in pred.entities for m in e.mentions],
+                          key=_extent):
         nodes = frozenset([(t.sent_index, t.index) for t in mention.span])
         if exact:
             candidates = index.get(nodes, ())

@@ -191,7 +191,7 @@ class Sentence:
     are kept aside with the token offset they precede."""
 
     __slots__ = ("comments", "tokens", "mwt_ranges", "sent_id", "first_line",
-                 "_parents", "_depths")
+                 "_parents", "_depths", "_n_surface")
 
     def __init__(self, comments: list[str] | None = None,
                  tokens: list[Token] | None = None,
@@ -205,6 +205,7 @@ class Sentence:
         self.first_line = first_line
         self._parents = None
         self._depths = None
+        self._n_surface = None
 
     def parents(self) -> list[int]:
         """parent_positions of the nodes, set by the parser or on first use."""
@@ -244,7 +245,11 @@ class Sentence:
         return [t for t in self.tokens if not t.is_empty]
 
     def n_surface(self) -> int:
-        return sum(1 for t in self.tokens if not t.is_empty)
+        """Number of surface nodes, set by the parser or counted on first
+        use."""
+        if self._n_surface is None:
+            self._n_surface = sum(1 for t in self.tokens if not t.is_empty)
+        return self._n_surface
 
     def lines(self) -> list[str]:
         """The sentence's lines in file order; each range line goes before

@@ -18,11 +18,12 @@ from pathlib import Path
 import pytest
 
 from corefkit import analysis
-from corefkit.analysis import (STATISTICS, StatOptions, SumsByKey, pool,
+from corefkit.analysis import (STATISTICS, StatOptions, SumsByKey,
                                pool_groups)
 from corefkit.corpora import discover_datasets, pair_datasets
 from corefkit.errors import analyze_errors
 from corefkit.metrics import document_pairs
+from corefkit.pooling import pool
 
 COREFUD_ENV = "COREFUD_DATA"
 CRAC22_GOLD_ENV = "CRAC22_GOLD"

@@ -11,7 +11,7 @@ import pytest
 
 from corefkit.analysis import (CompetingAntecedentStats, MentionVectors,
                                Statistic, Table)
-from corefkit.corpora import DatasetFiles
+from corefkit.corpora import DatasetFiles, DocumentCount
 from corefkit.errors import ErrorReport
 from corefkit.metrics import ClusterSet, ScoreReport, Scores
 from corefkit.model import Corpus, Document, Entity, Mention, Sentence, Token
@@ -80,6 +80,9 @@ def test_keyword_constructors_keep_their_names_and_defaults():
     assert (corpus.documents, corpus.dataset, corpus.language) == \
         ([document], "en_x", "en")
     assert DatasetFiles(name="en_x", files=[]).language == "en"
+    count = DocumentCount(documents=1, sentences=2, tokens=3, entities=4,
+                          mentions=5)
+    assert count + DocumentCount(1, 1, 1, 1, 1) == DocumentCount(2, 3, 4, 5, 6)
     row = StatRow(key="k", numerator=1, denominator=4)
     assert (row.kind, row.value) == ("percent", 25)
     report = DatasetReport(dataset="en_x", statistic="s", rows=[row])
@@ -115,7 +118,9 @@ def test_keyword_constructors_keep_their_names_and_defaults():
     lambda: _token(_feats={}),
     lambda: Sentence(_parents=[]),
     lambda: Sentence(_depths=[]),
-], ids=["Token-_feats", "Sentence-_parents", "Sentence-_depths"])
+    lambda: Sentence(_n_surface=0),
+], ids=["Token-_feats", "Sentence-_parents", "Sentence-_depths",
+        "Sentence-_n_surface"])
 def test_a_cache_is_no_constructor_keyword(make):
     with pytest.raises(TypeError):
         make()
@@ -133,7 +138,8 @@ def test_records_compare_by_value_and_survive_pickling():
     records = [DatasetFiles("en_x"), DatasetReport("en_x", "s"),
                Table(("a",), [(1,)]), ClusterSet([{"a"}]),
                ErrorReport("en_x", 2, n_undetected=1),
-               StatRow("k", 1, 2), Scores(1, 1, 1)]
+               StatRow("k", 1, 2), Scores(1, 1, 1),
+               DocumentCount(1, 2, 3, 4, 5)]
     for record in records:
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and copy is not record

@@ -144,6 +144,7 @@ def many_documents(tmp_path):
 
 @pytest.mark.parametrize("command", [
     ["validate", "{gold}"],
+    ["stats", "{gold}"],
     ["score", "--gold", "{gold}", "--pred", "{in_order}"],
     ["score", "--gold", "{gold}", "--pred", "{reversed}", "--match", "head"],
     ["errors", "--gold", "{gold}", "--pred", "{in_order}", "--detail"],
@@ -152,7 +153,7 @@ def many_documents(tmp_path):
      "{out}"],
     ["export-features", "{gold}", "--word-order", WORD_ORDER, "--out",
      "{out}", "--target", "spans"],
-], ids=["validate", "score", "score-head-reversed", "errors",
+], ids=["validate", "stats", "score", "score-head-reversed", "errors",
         "errors-reversed", "export-gold", "export-spans"])
 def test_streaming_commands_hold_one_gold_document(
         many_documents, capsys, monkeypatch, command):
@@ -249,7 +250,7 @@ def _in_process_pool(monkeypatch) -> list[int]:
             return map(pickle.loads(pickle.dumps(fn)),
                        [pickle.loads(pickle.dumps(item)) for item in items])
 
-    # analysis._map_files imports the pool class when it starts a pool
+    # pooling.pool_files imports the pool class when it starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
     return started
 
@@ -848,15 +849,18 @@ def test_score_imports_neither_scipy_nor_numpy():
 
 # The corefkit modules each subcommand loads besides the package itself:
 # cli and model always, the parser stack only to read a corpus, and the
-# statistics, with their pooling and tables, only when some are computed.
+# statistics, with their tables, only when some are computed; `stats`
+# counts what `validate` counts, and it shares with `analyze` only the
+# pooling of per-file results.
 _VALIDATE = {"cli", "model", "corpora", "conllu"}
-_STATISTICS = _VALIDATE | {"analysis", "reports", "taxonomy"}
+_STATS = _VALIDATE | {"pooling", "reports"}
+_STATISTICS = _VALIDATE | {"analysis", "pooling", "reports", "taxonomy"}
 
 
 @pytest.mark.parametrize("argv, loaded, pool", [
     (["taxonomy"], {"cli", "model", "reports", "taxonomy"}, False),
     (["validate", str(DATA)], _VALIDATE, False),
-    (["stats", str(DATA)], _STATISTICS, False),
+    (["stats", str(DATA)], _STATS, False),
     (["analyze", str(DATA)], _STATISTICS, False),
     (["score", "--gold", GOLD_DIR, "--pred", PRED_DIR],
      _VALIDATE | {"metrics", "reports"}, False),
@@ -864,9 +868,9 @@ _STATISTICS = _VALIDATE | {"analysis", "reports", "taxonomy"}
      _VALIDATE | {"metrics", "errors", "reports", "taxonomy"}, False),
     (["export-features", GOLD_DIR, "--word-order", WORD_ORDER, "--out",
       "{tmp}"], _VALIDATE | {"features", "taxonomy"}, False),
-    (["stats", str(DATA), "--jobs", "2"], _STATISTICS, True),
+    (["stats", str(DATA), "--jobs", "2"], _STATS, True),
     (["analyze", str(DATA), "--jobs", "2"], _STATISTICS, True),
-    (["stats", GOLD_DIR, "--jobs", "2"], _STATISTICS, False),
+    (["stats", GOLD_DIR, "--jobs", "2"], _STATS, False),
 ], ids=["taxonomy", "validate", "stats", "analyze", "score", "errors",
         "export-features", "stats-jobs", "analyze-jobs",
         "stats-jobs-one-file"])
@@ -874,9 +878,11 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded, pool):
     modules = fresh_modules(*(a.format(tmp=tmp_path) for a in argv))
     assert {m for m in modules if m.startswith("corefkit")} == \
         {"corefkit"} | {f"corefkit.{name}" for name in loaded}
-    # the statistics compile only in the stats and analyze processes
-    assert ("corefkit.analysis" in modules) is \
-        (argv[0] in ("stats", "analyze"))
+    # the statistics compile only in the analyze process, and the
+    # taxonomy never where only sizes are counted
+    assert ("corefkit.analysis" in modules) is (argv[0] == "analyze")
+    if argv[0] in ("validate", "stats"):
+        assert "corefkit.taxonomy" not in modules
     # the process pool, and multiprocessing with it, only when one starts
     assert ("concurrent.futures.process" in modules) is pool
     assert ("multiprocessing" in modules) is pool

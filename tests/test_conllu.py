@@ -61,6 +61,10 @@ def test_empty_node_parsed(basic_corpus):
     assert empty.head is None
     assert sentence.parents()[empty.order] == node(sentence, "1").order
     assert empty.effective_deprel() == "nsubj"
+    # the parser's surface count leaves the empty node out, as a count of
+    # the nodes does
+    assert sentence.n_surface() == len(sentence.tokens) - 1 == \
+        Sentence(tokens=sentence.tokens).n_surface()
 
 
 def test_nested_pair_decodes_to_contained_spans():

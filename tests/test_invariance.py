@@ -2,8 +2,10 @@
 On generated gold of two or three documents, reordering the documents, or
 splitting them over two files of one dataset, leaves every byte that
 `stats`, `analyze`, `score` and `errors` print as it was; and gold scored
-against itself scores 1 in every column. Each command runs in-process
-through cli.main."""
+against itself scores 1 in every column. `stats` counts what `validate`
+counts file by file, and reports what `analysis.corpus_statistics` reports
+of the parsed files, whatever the number of workers. Each command runs
+in-process through cli.main."""
 from __future__ import annotations
 
 import io
@@ -14,8 +16,9 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 
 from corefkit import parse_file
-from corefkit.cli import main
-from corefkit.model import HEAD_RULES
+from corefkit.analysis import corpus_statistics
+from corefkit.cli import _json, main
+from corefkit.model import HEAD_RULES, Corpus
 from strategies import generated, seeds, shapes
 
 _FORMATS = ("tsv", "json")
@@ -78,3 +81,47 @@ def test_reports_do_not_depend_on_the_layout_and_gold_scores_one(shape,
             for row in rows:
                 assert {cell for cell in row.split("\t")[1:] if cell} \
                     == {"1.000000"}, row
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shapes(documents=(2, 3)), seeds)
+def test_stats_pools_what_validate_counts_per_file(shape, seed):
+    with generated(shape, seed) as manifest:
+        (path,) = map(Path, manifest.files)
+        text = path.read_text(encoding="utf-8")
+        second = text.index("# newdoc", 1)
+        # the generated dataset in two files, and a copy of it in one
+        root = manifest.gold_root.parent / "files"
+        _write(root / path.name.replace("-train.", "-dev."), [text[:second]])
+        _write(root / path.name, [text[second:]])
+        _write(root / "zz_copy-corefud-train.conllu", [text])
+        files = {}  # dataset -> its files, in the order they are read
+        for one in sorted(root.iterdir()):
+            files.setdefault(one.name.split("-")[0], []).append(one)
+
+        totals = {name: dict.fromkeys(("documents", "sentences",
+                                       "mentions"), 0) for name in files}
+        for line in _printed("validate", root).splitlines():
+            ok, one, *counts = line.split("\t")
+            assert ok == "ok"
+            for key, value in (c.split("=") for c in counts):
+                totals[Path(one).name.split("-")[0]][key] += int(value)
+        reports = [corpus_statistics(Corpus(
+            [d for one in paths for d in parse_file(one).documents], name))
+            for name, paths in sorted(files.items())]
+        assert [totals[r.dataset] for r in reports] == [
+            {"documents": r.row("documents").numerator,
+             "sentences": r.row("sentences_per_document").numerator,
+             "mentions": r.row("mentions").numerator} for r in reports]
+
+        for jobs in ("1", "2"):
+            printed = _printed("stats", root, "--jobs", jobs, "--format",
+                               "json")
+            assert printed == _json([r.as_json() for r in reports])
+            header, *rows = (line.split("\t") for line in _printed(
+                "stats", root, "--jobs", jobs).splitlines())
+            assert [dict(zip(header, row)) for row in rows] == [
+                {"dataset": r.dataset,
+                 **{row.key: row.rendered() for row in r.rows}}
+                for r in reports]

@@ -223,6 +223,34 @@ def _reference_alignment(gold, pred, mode):
     return alignment
 
 
+@pytest.mark.parametrize("mode", ["exact", "head"])
+def test_identical_spans_in_two_entities_align_in_document_order(mode):
+    # "the castle" is a mention of two entities on each side. Its two gold
+    # mentions tie on every key, as do its two system mentions, so on each
+    # side the tie goes by entity order: the system mention of the entity
+    # listed first claims the gold mention of the entity listed first.
+    gold, _ = _doc_pair({}, {})
+    sentences = gold.sentences
+    tokens = sentences[0].tokens
+
+    def mention(eid, *positions):
+        return Mention(eid, tuple(tokens[i] for i in positions),
+                       attributes={}, sentences=sentences)
+
+    def document(*entities):
+        return Document("d1", sentences=sentences,
+                        entities=[Entity(eid, list(mentions))
+                                  for eid, mentions in entities])
+    early, late = mention("g1", 0, 1), mention("g2", 0, 1)
+    gold = document(("g1", [early, mention("g1", 2)]), ("g2", [late]))
+    first, second = mention("p1", 0, 1), mention("p2", 0, 1)
+    pred = document(("p1", [first]), ("p2", [second, mention("p2", 3)]))
+    assert gold.mentions()[:2] == [early, late]
+    alignment = align_mentions(gold, pred, mode)
+    assert alignment == _reference_alignment(gold, pred, mode)
+    assert (alignment[first], alignment[second]) == (early, late)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_aligned_sides())
 def test_alignment_matches_a_scan_of_every_gold_mention(sides):
