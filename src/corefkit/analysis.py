@@ -11,6 +11,8 @@ the parent-outside-span rule everywhere (see model.head_of).
 `STATISTICS` holds the functions of each `analyze --stat` choice (see
 `Statistic`). Its compute functions call the statistics through this
 module's globals, so rebinding one (as a tracer does) reaches them.
+`compute_stats` is the one-file task that `analyze` maps with
+pooling.pool_files; its reports.Sums pool per group with +.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ from .conllu import ParseError, open_text
 from .corpora import count_documents
 from .model import (DEFAULT_GENRE_PATTERN, Corpus, DataError, Mention, Record,
                     Token, head_of, mention_key)
-from .pooling import pool_files, size_report
-from .reports import DatasetReport, StatRow, fixed, ratio, tsv
+from .pooling import size_report
+from .reports import DatasetReport, StatRow, Sums, fixed, ratio, tsv
 from .taxonomy import (MentionType, UdCategory, classify_mention_type,
                        is_premodified, ud_category)
 
@@ -373,13 +375,6 @@ def moments_to_mean_variance(count: int, total: Fraction, total_sq: Fraction,
 
 # ---------------------------------------------------- partial results, tables
 
-class Sums(tuple):
-    """Partial result that pools with + position by position."""
-
-    def __add__(self, other: tuple) -> "Sums":
-        return Sums(a + b for a, b in zip(self, other, strict=True))
-
-
 class SumsByKey(dict):
     """Partial result that pools with + key by key."""
 
@@ -534,22 +529,11 @@ STATISTICS: dict[str, Statistic] = {
 }
 
 
-# ------------------------------------------------------------------ pooling
+# ------------------------------------------------------------ one file's task
 
-def compute_stats(corpus: Corpus, stats: tuple[str, ...],
+def compute_stats(one_file: DatasetFiles, stats: tuple[str, ...],
                   options: StatOptions) -> Sums:
-    """Partial results of the named statistics on one parsed file."""
+    """Partial results of the named statistics on a one-file dataset, parsed
+    whole: the task that `analyze` maps with pooling.pool_files."""
+    corpus = one_file.load()
     return Sums(STATISTICS[stat].compute(corpus, options) for stat in stats)
-
-
-def _load_and_compute(one_file: DatasetFiles, compute: Callable) -> Any:
-    return compute(one_file.load())
-
-
-def pool_groups(groups: dict[str, list[DatasetFiles]], compute: Callable,
-                jobs: int) -> dict[str, Any]:
-    """Parse every file of every group, compute its partial result and pool
-    the partials of each group in file order (pooling.pool_files); groups
-    come out sorted."""
-    return pool_files(groups, partial(_load_and_compute, compute=compute),
-                      jobs)

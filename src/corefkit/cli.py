@@ -12,8 +12,11 @@ document per side at a time: the one being parsed, or the one being used
 (`score` and `errors` also hold the system documents that come before their
 gold turn). `validate` and `stats` print from one count of each file
 (`DatasetFiles.count`), which `stats` pools per dataset. `stats` and
-`analyze` take one-file datasets as tasks, one at a time or in `--jobs`
-workers (`pooling.pool_files`); `analyze` parses each task's file whole.
+`analyze` map their task over one-file datasets with `pooling.pool_files`,
+one at a time or in `--jobs` workers: `DatasetFiles.count`, and
+`analysis.compute_stats`, which parses the file whole. Partial results pool
+with +; `score`'s macro, like `errors`' average row, is the unweighted mean
+over the datasets that have a value (`reports.ratio`).
 
 Start-up is most of a run on small inputs, so at import this module loads
 only `model`, whose constants name the choices of every option. Every other
@@ -173,6 +176,7 @@ def cmd_analyze(args) -> int:
     from functools import partial
 
     from . import analysis
+    from .pooling import pool_files
     from .reports import tsv
     stats = tuple(dict.fromkeys(args.stat or (
         name for name in STATISTICS if name not in VECTOR_STATISTICS)))
@@ -185,7 +189,7 @@ def cmd_analyze(args) -> int:
         groups.setdefault(key, []).append(dataset)
     options = analysis.StatOptions(args.head_rule, args.genre_pattern,
                                    vectors)
-    pooled = analysis.pool_groups(groups, partial(
+    pooled = pool_files(groups, partial(
         analysis.compute_stats, stats=stats, options=options), args.jobs)
 
     figure_rows: list[tuple[str, ...]] = []
@@ -228,24 +232,25 @@ def _per_dataset(args, consume: Callable[[str, Iterator], Any]) -> list:
     return results
 
 
-_METRICS = ("muc", "b_cubed", "ceafe")
 _SCORE_COLUMNS = ("dataset", "muc_p", "muc_r", "muc_f1", "b3_p", "b3_r",
                   "b3_f1", "ceafe_p", "ceafe_r", "ceafe_f1", "conll_f1")
 
 
 def cmd_score(args) -> int:
     from . import metrics
-    from .reports import fixed, tsv
-    # A dataset without documents has no score: n/a, and no part in macro.
+    from .reports import fixed, ratio, tsv
+    # A dataset without documents has no score: n/a, and no part in macro,
+    # the unweighted mean of the others, as in `errors`' average row.
     rows = _per_dataset(args, lambda name, pairs: (name, metrics.score_pairs(
         pairs, args.match, args.singletons)))
     scored = [r.conll_f1 for _, r in rows if r is not None]
-    macro = metrics.macro_average(scored) if scored else None
+    macro = ratio(sum(scored), len(scored))
+    names = metrics.ScoreReport._fields
 
     def metric(r: metrics.ScoreReport | None, name: str) -> dict:
         return (dict.fromkeys(("precision", "recall", "f1"))
                 if r is None else getattr(r, name)._asdict())
-    datasets = [{"dataset": name, **{m: metric(r, m) for m in _METRICS},
+    datasets = [{"dataset": name, **{m: metric(r, m) for m in names},
                  "conll_f1": None if r is None else r.conll_f1}
                 for name, r in rows]
     if args.format == "json":
@@ -255,7 +260,7 @@ def cmd_score(args) -> int:
         return 0
     lines = []
     for d in datasets:
-        values = [v for m in _METRICS for v in d[m].values()] + [d["conll_f1"]]
+        values = [v for m in names for v in d[m].values()] + [d["conll_f1"]]
         lines.append([d["dataset"]] + [fixed(v, 6) for v in values])
     lines.append(["macro"] + [""] * 9 + [fixed(macro, 6)])
     _emit(args, "scores.tsv", tsv(_SCORE_COLUMNS, lines))

@@ -1,22 +1,23 @@
-"""Coreference evaluation: MUC, B³, CEAFe, CoNLL F1, macro average.
+"""Coreference evaluation: MUC, B³, CEAFe and CoNLL F1.
 
 Each metric is computed from cumulative numerator/denominator counts so
 document pairs can be pooled into one dataset score, matching the usual
-scorer behavior. Cluster alignment for CEAFe is the exact optimal one-to-one
-assignment, not a greedy approximation. Only clusters that share a mention
-have a similarity above zero, so it is solved exactly and separately on each
-connected component of the gold/system overlap graph, in plain Python.
+scorer behavior; score_pairs pools them with + as reports.Sums. The macro
+average over datasets is left to the report (`cli.cmd_score`). Cluster
+alignment for CEAFe is the exact optimal one-to-one assignment, not a
+greedy approximation. Only clusters that share a mention have a similarity
+above zero, so it is solved exactly and separately on each connected
+component of the gold/system overlap graph, in plain Python.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .model import (MATCH_MODES, SINGLETON_POLICIES, DataError, Document,
                     Mention, Record)
-from .reports import ratio
+from .reports import Sums, ratio
 
 
 class AlignmentError(ValueError, DataError):
@@ -371,13 +372,6 @@ class ScoreReport(NamedTuple):
         return (self.muc.f1 + self.b_cubed.f1 + self.ceafe.f1) / 3
 
 
-def macro_average(values: list[Fraction]) -> Fraction:
-    """Unweighted mean over datasets."""
-    if not values:
-        raise ValueError("macro average of an empty list")
-    return sum(values) / len(values)
-
-
 def remapped_cluster_set(gold: Document, pred: Document, mode: str,
                          singleton_policy: str,
                          ) -> tuple[ClusterSet, ClusterSet]:
@@ -409,12 +403,11 @@ def score_pairs(pairs: Iterable[tuple[Document, Document]],
     for gold, pred in pairs:
         gold_set, pred_set = remapped_cluster_set(gold, pred, mode,
                                                   singleton_policy)
-        counts = (muc_counts(gold_set, pred_set),
-                  b_cubed_counts(gold_set, pred_set),
-                  ceafe_counts(gold_set, pred_set))
+        counts = Sums((Sums(muc_counts(gold_set, pred_set)),
+                       Sums(b_cubed_counts(gold_set, pred_set)),
+                       Sums(ceafe_counts(gold_set, pred_set))))
         # the pair goes before the next one is parsed
         del gold, pred, gold_set, pred_set
-        totals = counts if totals is None else [
-            tuple(map(add, total, part)) for total, part in zip(totals, counts)]
+        totals = counts if totals is None else totals + counts
     return None if totals is None else ScoreReport(
         *(_prf(*total) for total in totals))

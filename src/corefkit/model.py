@@ -454,8 +454,15 @@ def span_parts(span: tuple[Token, ...]) -> list[list[Token]]:
 
 def span_key(span: tuple[Token, ...]) -> str:
     """Deterministic text key for a span: indices comma-joined within a
-    contiguous run, runs joined by '+'."""
-    return "+".join(",".join(t.index for t in part) for part in span_parts(span))
+    contiguous run, runs joined by '+'. A run in a later sentence than the
+    span's first token is prefixed with its sentence offset and ':': "1+1:3"
+    is node 1 and node 3 of the next sentence, "1+3" nodes 1 and 3 of one."""
+    keys = []
+    for part in span_parts(span):
+        offset = part[0].sent_index - span[0].sent_index
+        text = ",".join(t.index for t in part)
+        keys.append(f"{offset}:{text}" if offset else text)
+    return "+".join(keys)
 
 
 def mention_key(mention: Mention, doc_id: str) -> tuple[str, int, str]:

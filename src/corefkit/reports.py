@@ -2,9 +2,11 @@
 
 Every percentage keeps its numerator and denominator so reports can be
 pooled with + across datasets (language-level views) without rounding
-drift. Every printed number follows one rule: a ratio stays exact until
-printed (`ratio`), then prints as `n/a` or with fixed decimals (`fixed`),
-in tab-separated lines (`tsv`).
+drift; `Sums` pools a tuple of such partial results position by position
+(the statistics of `analyze`, the metric counts of `score`). Every printed
+number follows one rule: a ratio stays exact until printed (`ratio`), then
+prints as `n/a` or with fixed decimals (`fixed`), in tab-separated lines
+(`tsv`).
 """
 from __future__ import annotations
 
@@ -36,6 +38,14 @@ def tsv(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
     """Tab-separated text: the header line, then one line per row, each
     ending in a newline."""
     return "".join("\t".join(cells) + "\n" for cells in [header, *rows])
+
+
+class Sums(tuple):
+    """Partial result that pools with + position by position; a position
+    that holds Sums pools the same way."""
+
+    def __add__(self, other: tuple) -> "Sums":
+        return Sums(a + b for a, b in zip(self, other, strict=True))
 
 
 class StatRow(NamedTuple):

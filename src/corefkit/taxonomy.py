@@ -40,9 +40,6 @@ class UdCategory(enum.Enum):
     P = "special"
     T = "other"
 
-    def __str__(self) -> str:
-        return self.name
-
 
 _CATEGORY_RELATIONS: dict[UdCategory, tuple[str, ...]] = {
     UdCategory.S: ("nsubj",),

@@ -18,12 +18,11 @@ from pathlib import Path
 import pytest
 
 from corefkit import analysis
-from corefkit.analysis import (STATISTICS, StatOptions, SumsByKey,
-                               pool_groups)
+from corefkit.analysis import STATISTICS, StatOptions, SumsByKey
 from corefkit.corpora import discover_datasets, pair_datasets
 from corefkit.errors import analyze_errors
 from corefkit.metrics import document_pairs
-from corefkit.pooling import pool
+from corefkit.pooling import pool, pool_files
 
 COREFUD_ENV = "COREFUD_DATA"
 CRAC22_GOLD_ENV = "CRAC22_GOLD"
@@ -62,6 +61,10 @@ def train_datasets():
     return datasets
 
 
+def _statistics_task(one_file):
+    return analysis.corpus_statistics(one_file.load())
+
+
 def timed_corpus_statistics():
     """Parse + count the whole training release; returns
     ({dataset: report}, wall seconds)."""
@@ -69,8 +72,8 @@ def timed_corpus_statistics():
         return _cache["stats"]
     datasets = train_datasets()
     start = time.perf_counter()
-    merged = pool_groups({d.name: [d] for d in datasets},
-                         analysis.corpus_statistics, jobs())
+    merged = pool_files({d.name: [d] for d in datasets}, _statistics_task,
+                        jobs())
     _cache["stats"] = (merged, time.perf_counter() - start)
     return _cache["stats"]
 
@@ -86,7 +89,8 @@ _RELEASE_STATS = {
 }
 
 
-def _release_partial(corpus) -> SumsByKey:
+def _release_partial(one_file) -> SumsByKey:
+    corpus = one_file.load()
     wanted = dict(_RELEASE_STATS)
     if corpus.dataset == "en_gum":
         wanted["genre"] = ("genre", "annotated")
@@ -99,8 +103,8 @@ def release_analysis() -> dict[str, dict]:
     if "analysis" in _cache:
         return _cache["analysis"]
     datasets = train_datasets()
-    pooled = pool_groups({d.name: [d] for d in datasets}, _release_partial,
-                         jobs())
+    pooled = pool_files({d.name: [d] for d in datasets}, _release_partial,
+                        jobs())
     per_dataset = {}
     for dataset in datasets:
         info = dict(pooled[dataset.name], dataset=dataset.name,

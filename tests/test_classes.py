@@ -15,7 +15,7 @@ from corefkit.corpora import DatasetFiles, DocumentCount
 from corefkit.errors import ErrorReport
 from corefkit.metrics import ClusterSet, ScoreReport, Scores
 from corefkit.model import Corpus, Document, Entity, Mention, Sentence, Token
-from corefkit.reports import DatasetReport, StatRow
+from corefkit.reports import DatasetReport, StatRow, Sums
 from corefkit.taxonomy import MentionType
 
 
@@ -148,3 +148,17 @@ def test_records_compare_by_value_and_survive_pickling():
     assert DatasetFiles("en_x") != DatasetReport("en_x", "s")
     with pytest.raises(TypeError):
         hash(DatasetReport("en_x", "s"))
+
+
+def test_sums_pool_position_by_position_and_nested_sums_recursively():
+    pooled = Sums((1, Fraction(1, 2), Sums((2, 3)), Counter(a=1))) + Sums(
+        (4, Fraction(1, 3), Sums((5, 6)), Counter(a=2, b=1)))
+    assert pooled == (5, Fraction(5, 6), (7, 9), Counter(a=3, b=1))
+    assert type(pooled) is Sums and type(pooled[2]) is Sums
+    with pytest.raises(ValueError):
+        Sums((1, 2)) + Sums((1, 2, 3))
+    with pytest.raises(ValueError):
+        Sums((Sums((1,)),)) + Sums((Sums((1, 2)),))
+    # --jobs workers return their partial results pickled
+    copy = pickle.loads(pickle.dumps(pooled))
+    assert copy == pooled and type(copy) is Sums and type(copy[2]) is Sums

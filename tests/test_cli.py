@@ -18,8 +18,7 @@ import pytest
 
 import corefkit
 from corefkit import conllu, errors, metrics, taxonomy
-from corefkit.analysis import (MissingVectorError, corpus_statistics,
-                               pool_groups)
+from corefkit.analysis import MissingVectorError, corpus_statistics
 from corefkit.cli import CliError, _json, main
 from corefkit.conllu import ParseError
 from corefkit.corpora import DatasetFiles, discover_datasets
@@ -27,6 +26,7 @@ from corefkit.features import WordOrderError
 from corefkit.metrics import AlignmentError
 from corefkit.model import (MATCH_MODES, SINGLETON_POLICIES,
                             UNRESOLVED_DEFINITIONS, DataError)
+from corefkit.pooling import pool_files
 from corefkit.reports import StatRow
 from support import (DATA, FRESH_ENV, WeakDocument, documents_text,
                      generated_pair, tok, watch_parses)
@@ -755,8 +755,9 @@ def test_json_writes_an_exact_value_as_its_nearest_float_and_nothing_else():
 def test_a_stat_row_stays_exact_until_the_json_writer(capsys):
     assert StatRow("n", 5, 1, "count").as_json()["value"] == Fraction(5)
     assert StatRow("x", 0, 0).as_json()["value"] is None
-    reports = pool_groups({d.name: [d] for d in discover_datasets(DATA)},
-                          corpus_statistics, 1).values()
+    reports = pool_files({d.name: [d] for d in discover_datasets(DATA)},
+                         lambda one_file: corpus_statistics(one_file.load()),
+                         1).values()
     payload = [report.as_json() for report in reports]
     assert {type(row["value"]) for report in payload
             for row in report["rows"]} == {Fraction}

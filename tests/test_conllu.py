@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from corefkit import (ParseError, Token, conllu, parse_conllu, parse_file,
                       resolve_entities, serialize)
 from corefkit.conllu import _BRACKET, _ENTITY_ITEM
-from corefkit.model import (UNKNOWN, Corpus, Sentence, mention_head,
-                            parse_kv_items, span_key)
+from corefkit.model import (UNKNOWN, Corpus, Document, Sentence,
+                            mention_head, parse_kv_items, span_key)
 from support import (DATA, corpus_signature, documents_text, make_corpus,
                      misc_value, node, tok, watch_parses)
 from test_features import corpora
@@ -652,6 +652,31 @@ def test_redecoding_a_parsed_document_changes_nothing():
                         n.entity_id, n.n_parts, n.attributes)
             assert nodes == [(t, t.line(), t.sent_index, t.order)
                              for s in document.sentences for t in s.tokens]
+
+
+def _hand_built(*miscs):
+    """A one-sentence document built without the parser, so it has no
+    global.Entity declaration and no file lines; node i has MISC miscs[i]."""
+    tokens = [Token(str(i), "w", "w", "NOUN", "_", "_", int(i > 1),
+                    "nmod" if i > 1 else "root", "_", misc, False, 0, i - 1)
+              for i, misc in enumerate(miscs, start=1)]
+    return Document("d1", [Sentence(tokens=tokens)])
+
+
+def test_a_fault_in_a_document_without_file_lines_names_no_line():
+    with pytest.raises(ParseError) as excinfo:
+        resolve_entities(_hand_built("Entity=(e1-x-1-", "_"))
+    assert str(excinfo.value) == (
+        "unbalanced Entity bracket 'e1' opened in sentence 1 never closed "
+        "before end of document 'd1'")
+
+
+def test_a_document_without_a_declaration_reads_the_corefud_layout():
+    document = _hand_built("Entity=(e1-person-2-", "Entity=e1)")
+    ((mention,),) = [e.mentions for e in resolve_entities(document)]
+    assert mention.attributes == {"etype": "person", "head": "2",
+                                  "other": ""}
+    assert mention.head is document.sentences[0].tokens[1]
 
 
 def test_duplicate_sent_id_warns_not_fatal(caplog):

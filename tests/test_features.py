@@ -9,7 +9,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from corefkit import ParseError, features, parse_file, taxonomy
+from corefkit import ParseError, features, parse_conllu, parse_file, taxonomy
+from corefkit.analysis import distance_moments, load_mention_vectors
+from corefkit.cli import main
 from corefkit.features import (EXPORT_TARGETS, WordOrderError, _span_fields,
                                export_features, iter_feature_records,
                                load_word_order_table, width_bucket)
@@ -524,3 +526,59 @@ def test_export_reads_records_through_the_module_attribute(basic_corpus,
                             io.StringIO(), target, 2)
     assert calls == [target]
     assert count > 0
+
+
+# ------------------------------------------- mentions that cross sentences
+
+# Sentence 1 is nodes 1-3, sentence 2 nodes 1-3. e1 runs from node 1 of
+# sentence 1 to node 3 of sentence 2; e2 is node 1 of sentence 1 and node 3
+# of sentence 2; e3 is nodes 1 and 3 of sentence 1. e2 and e3 each have a
+# second mention in sentence 2.
+CROSSING = "\n".join([
+    "# newdoc id = cross-doc1", "# global.Entity = eid-etype-head-other",
+    "# sent_id = cross-s1",
+    tok(1, "a", misc="Entity=(e1-x-1-(e2[1/2]-y-1-)(e3[1/2]-z-1-)"),
+    tok(2, "b", head=1, deprel="nmod"),
+    tok(3, "c", head=1, deprel="nmod", misc="Entity=(e3[2/2])"), "",
+    "# sent_id = cross-s2",
+    tok(1, "d", misc="Entity=(e2-y-1-)"),
+    tok(2, "e", head=1, deprel="nmod", misc="Entity=(e3-z-1-)"),
+    tok(3, "f", head=1, deprel="nmod", misc="Entity=(e2[2/2])e1)"), "", ""])
+CROSSING_KEYS = {"e1": [(0, "1,2,3+1:1,2,3")], "e2": [(0, "1+1:3"), (1, "1")],
+                 "e3": [(0, "1+3"), (1, "2")]}
+
+
+def test_a_run_in_a_later_sentence_is_keyed_by_its_sentence_offset(
+        tmp_path):
+    path = tmp_path / "en_cross.conllu"
+    path.write_text(CROSSING, encoding="utf-8")
+    (document,) = parse_file(path).documents
+    assert {e.entity_id: [(m.sent_index, span_key(m.span))
+                          for m in e.mentions]
+            for e in document.entities} == CROSSING_KEYS
+    assert main(["export-features", str(path), "--out", str(tmp_path),
+                 "--word-order", str(DATA / "word_order.tsv")]) == 0
+    lines = (tmp_path / "en_cross.features.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    exported: dict[str, list] = {}
+    for record in map(json.loads, lines):
+        exported.setdefault(record["entity_id"], []).append(
+            (record["sent_index"], record["span"]))
+    assert exported == CROSSING_KEYS
+
+
+def test_mentions_that_differ_only_in_sentence_get_their_own_vectors(
+        tmp_path):
+    # "1+3" of sentence 1 would also be e2's key without the offset: the
+    # vector file would repeat it and the two mentions share one vector
+    corpus = parse_conllu(CROSSING)
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text("".join(
+        f"cross-doc1\t{sent}\t{key}\t{x}\t{y}\n" for sent, key, x, y in [
+            (0, "1,2,3+1:1,2,3", 0, 0), (0, "1+1:3", 0, 0), (1, "1", 3, 4),
+            (0, "1+3", 0, 0), (1, "2", 6, 8)]), encoding="utf-8")
+    loaded = load_mention_vectors(vectors)
+    assert loaded.vectors[("cross-doc1", 0, "1+1:3")] == (0.0, 0.0)
+    assert loaded.vectors[("cross-doc1", 1, "2")] == (6.0, 8.0)
+    # e2's pair is 5 apart and e3's 10; e1 is a singleton
+    assert distance_moments(corpus, loaded)[:2] == (2, 15)

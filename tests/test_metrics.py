@@ -13,7 +13,7 @@ from corefkit.model import Document, Entity, Mention
 from corefkit.metrics import (AlignmentError, ClusterSet, Scores,
                               ScoreReport, _max_assignment, align_mentions,
                               b_cubed, b_cubed_counts, ceafe, ceafe_counts,
-                              document_pairs, macro_average, muc, muc_counts,
+                              document_pairs, muc, muc_counts,
                               overlaps, remapped_cluster_set, score_pairs)
 from support import documents_text, make_corpus, tok, watch_parses
 from test_heads import documents
@@ -89,13 +89,6 @@ def test_conll_f1_is_mean_of_three():
     report = ScoreReport(Scores(1, 1, 0.3), Scores(1, 1, 0.6),
                          Scores(1, 1, 0.9))
     assert report.conll_f1 == pytest.approx(0.6)
-
-
-def test_macro_average():
-    assert macro_average([50.0, 60.0]) == pytest.approx(55.0)
-    assert macro_average([42.0]) == 42.0
-    with pytest.raises(ValueError):
-        macro_average([])
 
 
 # -------------------------------------------------------------- alignment

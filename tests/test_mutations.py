@@ -70,13 +70,15 @@ def mutants(draw) -> tuple[str, str]:
     return name, "\n".join(lines) + "\n"
 
 
-def _cell_replaced(name: str, line: int, column: int, value: str
+def _cell_replaced(name: str, *edits: tuple[int, int, str]
                    ) -> tuple[str, str]:
-    """The fixture with one cell of its 1-based line replaced."""
+    """The fixture with the cell of each (1-based line, column, value)
+    edit replaced by value."""
     lines = list(LINES[name])
-    cells = lines[line - 1].split("\t")
-    cells[column] = value
-    lines[line - 1] = "\t".join(cells)
+    for line, column, value in edits:
+        cells = lines[line - 1].split("\t")
+        cells[column] = value
+        lines[line - 1] = "\t".join(cells)
     return name, "\n".join(lines) + "\n"
 
 
@@ -99,14 +101,18 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @given(mutants())
 # HEAD, range end, empty-node index, part count, DEPS head of an empty node
 # and annotated head, each 5,000 digits long
-@example(_cell_replaced("en_pairset.conllu", 5, 6, HUGE))
-@example(_cell_replaced("en_pairset.conllu", 5, 0, f"1-{HUGE}"))
-@example(_cell_replaced("es_basic.conllu", 30, 0, f"1.{HUGE}"))
-@example(_cell_replaced("en_pairset.conllu", 5, 9,
-                        f"Entity=(s1[1/{HUGE}]-person-1-)"))
-@example(_cell_replaced("es_basic.conllu", 30, 8, f"{HUGE}:nsubj"))
-@example(_cell_replaced("es_basic.conllu", 5, 9,
-                        f"Entity=(e1-thing-{HUGE}-"))
+@example(_cell_replaced("en_pairset.conllu", (5, 6, HUGE)))
+@example(_cell_replaced("en_pairset.conllu", (5, 0, f"1-{HUGE}")))
+@example(_cell_replaced("es_basic.conllu", (30, 0, f"1.{HUGE}")))
+@example(_cell_replaced("en_pairset.conllu",
+                        (5, 9, f"Entity=(s1[1/{HUGE}]-person-1-)")))
+@example(_cell_replaced("es_basic.conllu", (30, 8, f"{HUGE}:nsubj")))
+@example(_cell_replaced("es_basic.conllu",
+                        (5, 9, f"Entity=(e1-thing-{HUGE}-")))
+# a two-part mention whose second part is in the next sentence
+@example(_cell_replaced("en_pairset.conllu",
+                        (5, 9, "Entity=(s1[1/2]-person-1-)"),
+                        (13, 9, "Entity=(s1[2/2])")))
 def test_a_mutated_file_exits_0_or_names_its_fault(mutant):
     name, text = mutant
     source, gold = FIXTURES[name]
