@@ -8,14 +8,6 @@ submodule by itself."""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Corpus", "Document", "Entity", "Mention", "MentionType", "ParseError",
-    "Sentence", "Token", "UdCategory", "__version__", "classify_mention_type",
-    "iter_documents", "mention_head", "mention_key", "parse_conllu",
-    "parse_file",
-    "resolve_entities", "serialize", "span_key", "ud_category",
-]
-
 # The module that defines each re-exported name.
 _HOMES = {
     **dict.fromkeys(("ParseError", "iter_documents", "parse_conllu",
@@ -27,6 +19,7 @@ _HOMES = {
     **dict.fromkeys(("MentionType", "UdCategory", "classify_mention_type",
                      "ud_category"), "taxonomy"),
 }
+__all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name: str):

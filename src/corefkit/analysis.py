@@ -12,7 +12,8 @@ the parent-outside-span rule everywhere (see model.head_of).
 `Statistic`). Its compute functions call the statistics through this
 module's globals, so rebinding one (as a tracer does) reaches them.
 `compute_stats` is the one-file task that `analyze` maps with
-pooling.pool_files; its reports.Sums pool per group with +.
+pooling.pool_files; its reports.Sums pool per group with +. Each
+statistic's partial result is a reports.Sums or a reports.DatasetReport.
 """
 from __future__ import annotations
 
@@ -270,19 +271,13 @@ class MissingVectorError(KeyError, DataError):
     __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
-class MentionVectors(NamedTuple):
-    """Externally computed mention embeddings, keyed by
-    (doc_id, sentence index, span key)."""
-
-    vectors: dict[tuple[str, int, str], tuple[float, ...]]
-    dimension: int
-
-
-def load_mention_vectors(path: str | Path) -> MentionVectors:
+def load_mention_vectors(
+        path: str | Path) -> dict[tuple[str, int, str], tuple[float, ...]]:
     """Read a vectors TSV: doc_id, sentence index, span key, then the vector
-    components. '#' lines are comments. Malformed lines, a repeated key,
-    and a file that is not UTF-8 raise ParseError naming the file and
-    line."""
+    components, into {(doc_id, sentence index, span key): vector}. '#'
+    lines are comments. Malformed lines, a repeated key, a vector of
+    another dimension than the first, and a file that is not UTF-8 raise
+    ParseError naming the file and line."""
     vectors: dict[tuple[str, int, str], tuple[float, ...]] = {}
     dimension: int | None = None
     filename = str(path)
@@ -325,10 +320,10 @@ def load_mention_vectors(path: str | Path) -> MentionVectors:
             if key in vectors:
                 raise ParseError(f"duplicate key {key!r}", filename, line_no)
             vectors[key] = vector
-    return MentionVectors(vectors, dimension or 0)
+    return vectors
 
 
-def distance_moments(corpus: Corpus, vectors: MentionVectors,
+def distance_moments(corpus: Corpus, vectors: dict,
                      ) -> tuple[int, Fraction, Fraction]:
     """(pair count, sum of distances, sum of squared distances) over all
     within-entity mention pairs; exact, so pooling across corpora with +
@@ -344,7 +339,7 @@ def distance_moments(corpus: Corpus, vectors: MentionVectors,
             keyed = []
             for mention in entity.mentions:
                 key = mention_key(mention, document.doc_id)
-                vector = vectors.vectors.get(key)
+                vector = vectors.get(key)
                 if vector is None:
                     missing.append(key)
                 else:
@@ -375,18 +370,10 @@ def moments_to_mean_variance(count: int, total: Fraction, total_sq: Fraction,
 
 # ---------------------------------------------------- partial results, tables
 
-class SumsByKey(dict):
-    """Partial result that pools with + key by key."""
-
-    def __add__(self, other: dict) -> "SumsByKey":
-        return SumsByKey({key: value + other[key]
-                          for key, value in self.items()})
-
-
 class StatOptions(NamedTuple):
     head_rule: str = "annotated"
     genre_pattern: str = DEFAULT_GENRE_PATTERN
-    vectors: MentionVectors | None = None
+    vectors: dict | None = None  # of load_mention_vectors
 
 
 class Table(Record):
@@ -440,8 +427,10 @@ def mention_types(corpus: Corpus, options: StatOptions) -> DatasetReport:
     return mention_type_distribution(corpus, options.head_rule)
 
 
-def anaphor_antecedent(corpus: Corpus, options: StatOptions) -> SumsByKey:
-    return SumsByKey(antecedent_category_counts(corpus, options.head_rule))
+def anaphor_antecedent(corpus: Corpus, options: StatOptions) -> Sums:
+    counts = antecedent_category_counts(corpus, options.head_rule)
+    # one Counter per anaphor type, in the order ranking_table zips them
+    return Sums(counts[mtype] for mtype in MentionType)
 
 
 def first_mention(corpus: Corpus, options: StatOptions) -> DatasetReport:
@@ -472,10 +461,10 @@ def labelled(report: DatasetReport, name: str) -> DatasetReport:
     return DatasetReport(name, report.statistic, report.rows)
 
 
-def ranking_table(counts: dict, name: str) -> Table:
+def ranking_table(counts: tuple, name: str) -> Table:
     rows = []
-    for mtype in MentionType:
-        ranking = sorted(counts[mtype].items(),
+    for mtype, categories in zip(MentionType, counts, strict=True):
+        ranking = sorted(categories.items(),
                          key=lambda kv: (-kv[1], kv[0].name))
         rows += [(mtype.value, rank, category.name, count)
                  for rank, (category, count) in enumerate(ranking, start=1)]

@@ -448,16 +448,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command line and return its exit code; a usage error or
     --help raises SystemExit. The cyclic collector is off for the run (see
-    above), and logging is configured on the run's first record; both come
-    back as they were, however the run ends."""
+    above), logging is configured on the run's first record, and the run
+    warns afresh of each unknown relation; all three come back as they
+    were, however the run ends."""
     enabled = gc.isenabled()
-    hook = model.before_first_record
+    hook, warned = model.before_first_record, model.warned_relations
     gc.disable()
     model.before_first_record = _configure_logging
+    model.warned_relations = set()
     try:
         return _run(argv)
     finally:
-        model.before_first_record = hook
+        model.before_first_record, model.warned_relations = hook, warned
         if enabled:
             gc.enable()
 

@@ -59,13 +59,13 @@ def parse_conllu(text: str, dataset: str = "", language: str = "",
     """
     _refuse_bom(text, filename)
     return Corpus(list(_parse_stream(io.StringIO(text), dataset, language,
-                                     filename)), dataset, language)
+                                     filename)), dataset)
 
 
 def parse_file(path: str | Path, dataset: str = "", language: str = "") -> Corpus:
     """Parse the CoNLL-U file at path; parse errors name it."""
     return Corpus(list(iter_documents(path, dataset=dataset,
-                                      language=language)), dataset, language)
+                                      language=language)), dataset)
 
 
 def iter_documents(path: str | Path, dataset: str = "",

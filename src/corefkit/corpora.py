@@ -94,7 +94,7 @@ class DatasetFiles(Record):
         return count_documents(self.documents())
 
     def load(self) -> Corpus:
-        return Corpus(list(self.documents()), self.name, self.language)
+        return Corpus(list(self.documents()), self.name)
 
 
 def discover_datasets(root: str | Path, split: str | None = None,

@@ -37,6 +37,9 @@ DEFAULT_GENRE_PATTERN = r"^[^_]+_([^_]+)"
 # cli.main sets it for its run to configure logging, so that a run loads
 # and configures `logging` only once it has something to log.
 before_first_record = None
+# The unknown dependency relations already warned of (taxonomy.ud_category
+# warns once of each): cli.main gives each run a fresh set.
+warned_relations: set[str] = set()
 
 
 def warn(logger: str, message: str, *args) -> None:
@@ -371,13 +374,12 @@ class Document:
 
 
 class Corpus:
-    __slots__ = ("documents", "dataset", "language")
+    __slots__ = ("documents", "dataset")
 
     def __init__(self, documents: list[Document] | None = None,
-                 dataset: str = "", language: str = "") -> None:
+                 dataset: str = "") -> None:
         self.documents = [] if documents is None else documents
         self.dataset = dataset
-        self.language = language
 
     def __iter__(self) -> Iterator[Document]:
         """The documents, in order: a corpus stands where a stream of

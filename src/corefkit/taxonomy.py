@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING
 
-from .model import warn
+from . import model
 
 if TYPE_CHECKING:
     from .model import Mention, Token
@@ -62,8 +62,6 @@ RELATION_CATEGORIES: dict[str, UdCategory] = {
     for relation in relations
 }
 
-_warned_labels: set[str] = set()
-
 
 def base_relation(deprel: str) -> str:
     """Strip the language-specific subtype: nsubj:pass -> nsubj."""
@@ -74,17 +72,18 @@ def ud_category(deprel: str | None) -> UdCategory:
     """Map a dependency relation label onto its category.
 
     Labels are compared exactly (UD labels are lowercase). A missing label
-    maps to the catch-all category; an unknown one does too, with a warning.
+    maps to the catch-all category; an unknown one does too, with a warning
+    once per run.
     """
     if deprel is None or deprel in ("", "_"):
         return UdCategory.T
     base = base_relation(deprel)
     category = RELATION_CATEGORIES.get(base)
     if category is None:
-        if base not in _warned_labels:
-            _warned_labels.add(base)
-            warn(__name__,
-                 "unknown dependency relation %r mapped to category T", base)
+        if base not in model.warned_relations:
+            model.warned_relations.add(base)
+            model.warn(__name__, "unknown dependency relation %r mapped to "
+                       "category T", base)
         return UdCategory.T
     return category
 

@@ -18,11 +18,12 @@ from pathlib import Path
 import pytest
 
 from corefkit import analysis
-from corefkit.analysis import STATISTICS, StatOptions, SumsByKey
+from corefkit.analysis import STATISTICS, StatOptions
 from corefkit.corpora import discover_datasets, pair_datasets
 from corefkit.errors import analyze_errors
 from corefkit.metrics import document_pairs
 from corefkit.pooling import pool, pool_files
+from corefkit.reports import Sums
 
 COREFUD_ENV = "COREFUD_DATA"
 CRAC22_GOLD_ENV = "CRAC22_GOLD"
@@ -78,7 +79,8 @@ def timed_corpus_statistics():
     return _cache["stats"]
 
 
-# Result key -> (statistic, head rule) of the per-dataset analysis.
+# Result key -> (statistic, head rule) of the per-dataset analysis; the
+# "rankings" result holds the category Counters in MentionType order.
 _RELEASE_STATS = {
     "head_annotated": ("head-position", "annotated"),
     "head_syntactic": ("head-position", "syntactic"),
@@ -89,13 +91,17 @@ _RELEASE_STATS = {
 }
 
 
-def _release_partial(one_file) -> SumsByKey:
-    corpus = one_file.load()
+def _release_stats(dataset: str) -> dict[str, tuple[str, str]]:
     wanted = dict(_RELEASE_STATS)
-    if corpus.dataset == "en_gum":
+    if dataset == "en_gum":
         wanted["genre"] = ("genre", "annotated")
-    return SumsByKey({key: STATISTICS[stat].compute(corpus, StatOptions(rule))
-                      for key, (stat, rule) in wanted.items()})
+    return wanted
+
+
+def _release_partial(one_file) -> Sums:
+    corpus = one_file.load()
+    return Sums(STATISTICS[stat].compute(corpus, StatOptions(rule))
+                for stat, rule in _release_stats(corpus.dataset).values())
 
 
 def release_analysis() -> dict[str, dict]:
@@ -107,8 +113,9 @@ def release_analysis() -> dict[str, dict]:
                         jobs())
     per_dataset = {}
     for dataset in datasets:
-        info = dict(pooled[dataset.name], dataset=dataset.name,
-                    language=dataset.language)
+        info = dict(zip(_release_stats(dataset.name), pooled[dataset.name],
+                        strict=True),
+                    dataset=dataset.name, language=dataset.language)
         info["competing_overt"], info["competing_zero"] = info.pop("competing")
         per_dataset[dataset.name] = info
     _cache["analysis"] = per_dataset

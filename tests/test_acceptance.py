@@ -136,6 +136,7 @@ def test_c5_anaphor_antecedent_rankings():
         pooled = util.by_language(data, "rankings")
         overt_hits = 0
         for language, counts in pooled.items():
+            counts = dict(zip(MentionType, counts))
             ranking = sorted(counts[MentionType.OVERT_PRONOUN].items(),
                              key=lambda kv: (-kv[1], kv[0].name))
             top2 = {category.name for category, _ in ranking[:2]}
@@ -145,7 +146,8 @@ def test_c5_anaphor_antecedent_rankings():
             f"S/O top-2 for overt pronouns in only {overt_hits}/12 languages"
         nominal_hits = 0
         for name, info in data.items():
-            ranking = sorted(info["rankings"][MentionType.NOMINAL_NOUN].items(),
+            counts = dict(zip(MentionType, info["rankings"]))
+            ranking = sorted(counts[MentionType.NOMINAL_NOUN].items(),
                              key=lambda kv: (-kv[1], kv[0].name))
             top4 = {category.name for category, _ in ranking[:4]}
             if top4 == {"D", "N", "S", "O"}:

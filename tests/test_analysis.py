@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corefkit import model, parse_conllu, serialize
-from corefkit.analysis import (STATISTICS, MentionVectors,
-                               MissingVectorError, StatOptions,
+from corefkit.analysis import (STATISTICS, MissingVectorError, StatOptions,
                                antecedent_category_counts,
                                competing_antecedents, corpus_statistics,
                                distance_moments, entity_size_stats,
@@ -352,7 +351,7 @@ def test_corpus_statistics_empty():
 
 def test_semantic_distance_fixture_vectors(basic_corpus):
     vectors = load_mention_vectors(DATA / "vectors.tsv")
-    assert vectors.dimension == 2
+    assert {len(vector) for vector in vectors.values()} == {2}
     mean, variance = moments_to_mean_variance(
         *distance_moments(basic_corpus, vectors))
     assert mean == pytest.approx(5.0)
@@ -367,11 +366,11 @@ def test_semantic_distance_three_mentions_hand_computed():
     ], [
         tok(1, "Rex", "PROPN", 0, "root", misc="Entity=(e1-x-1-)"),
     ], doc_id="d1")
-    vectors = MentionVectors({
+    vectors = {
         ("d1", 0, "1"): (0.0, 0.0),
         ("d1", 1, "1"): (3.0, 4.0),
         ("d1", 2, "1"): (0.0, 8.0),
-    }, 2)
+    }
     mean, variance = moments_to_mean_variance(
         *distance_moments(corpus, vectors))
     # pairwise distances 5, 8, 5
@@ -380,16 +379,14 @@ def test_semantic_distance_three_mentions_hand_computed():
 
 
 def test_semantic_distance_missing_vector_lists_keys(basic_corpus):
-    vectors = MentionVectors({}, 2)
     with pytest.raises(MissingVectorError) as excinfo:
-        distance_moments(basic_corpus, vectors)
+        distance_moments(basic_corpus, {})
     assert ("fixture-doc1", 0, "1,2,3") in excinfo.value.keys
 
 
 def test_all_reports_invariant_under_document_reordering(basic_corpus):
     reversed_corpus = Corpus(documents=list(reversed(basic_corpus.documents)),
-                             dataset=basic_corpus.dataset,
-                             language=basic_corpus.language)
+                             dataset=basic_corpus.dataset)
     for op in (head_position_stats, mention_type_distribution,
                first_mention_stats, entity_size_stats, corpus_statistics):
         assert op(basic_corpus).rows == op(reversed_corpus).rows
@@ -417,9 +414,8 @@ def _corpus_state(corpus):
 
 def test_every_statistic_leaves_the_corpus_unchanged():
     corpus = _heads_disagree()
-    vectors = MentionVectors({mention_key(m, d.doc_id): (0.0,)
-                              for d in corpus.documents
-                              for m in d.mentions()}, 1)
+    vectors = {mention_key(m, d.doc_id): (0.0,)
+               for d in corpus.documents for m in d.mentions()}
     before = _corpus_state(corpus)
     for rule in HEAD_RULES:
         for statistic in STATISTICS.values():

@@ -9,8 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from corefkit.analysis import (CompetingAntecedentStats, MentionVectors,
-                               Statistic, Table)
+from corefkit.analysis import CompetingAntecedentStats, Statistic, Table
 from corefkit.corpora import DatasetFiles, DocumentCount
 from corefkit.errors import ErrorReport
 from corefkit.metrics import ClusterSet, ScoreReport, Scores
@@ -76,9 +75,8 @@ def test_keyword_constructors_keep_their_names_and_defaults():
                         entities=[entity], language="en", dataset="en_x")
     assert (document.language, document.dataset) == ("en", "en_x")
     assert (Document("d1").language, Document("d1").dataset) == ("", "")
-    corpus = Corpus(documents=[document], dataset="en_x", language="en")
-    assert (corpus.documents, corpus.dataset, corpus.language) == \
-        ([document], "en_x", "en")
+    corpus = Corpus(documents=[document], dataset="en_x")
+    assert (corpus.documents, corpus.dataset) == ([document], "en_x")
     assert DatasetFiles(name="en_x", files=[]).language == "en"
     count = DocumentCount(documents=1, sentences=2, tokens=3, entities=4,
                           mentions=5)
@@ -103,8 +101,6 @@ def test_keyword_constructors_keep_their_names_and_defaults():
                                      total_competitors=3)
     assert (stats + stats).mean_competitors == 3
     assert stats + stats == (MentionType.OVERT_PRONOUN, 4, 2, 6)
-    vectors = MentionVectors(vectors={}, dimension=2)
-    assert vectors.dimension == 2
     errors = ErrorReport(dataset="en_x", n_entities=2, n_unresolved=1,
                          n_two_mention=1, distance_buckets=Counter({"0": 1}),
                          n_undetected=2, n_short=1, n_multi_token=1,

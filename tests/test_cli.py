@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import corefkit
-from corefkit import conllu, errors, metrics, taxonomy
+from corefkit import conllu, errors, metrics
 from corefkit.analysis import MissingVectorError, corpus_statistics
 from corefkit.cli import CliError, _json, main
 from corefkit.conllu import ParseError
@@ -324,7 +324,8 @@ def test_a_dataset_sorts_its_files_and_loads_them_in_that_order(
     reads = _watch_reads(monkeypatch)
     corpus = dataset.load()
     assert reads == _reads_of("gold")
-    assert (corpus.dataset, corpus.language) == ("es_basic", "es")
+    assert corpus.dataset == "es_basic"
+    assert {d.language for d in corpus.documents} == {"es"}
     parts = [conllu.parse_file(path) for path in files[::-1]]
     assert [d.doc_id for d in corpus.documents] == \
         [d.doc_id for part in parts for d in part.documents]
@@ -597,6 +598,30 @@ def test_analyze_semantic_distance_requires_vectors(capsys):
     assert excinfo.value.code == 1
     assert capsys.readouterr().err.endswith(
         "error: analyze: --stat semantic-distance needs --vectors\n")
+
+
+def test_semantic_distance_writes_the_same_files_with_jobs(tmp_path,
+                                                           capsys):
+    # each worker gets the vectors table pickled with its task
+    corpus = tmp_path / "in"
+    corpus.mkdir()
+    for name in ("xx_alpha", "xx_gamma"):
+        (corpus / f"{name}.conllu").write_bytes(
+            (DATA / "basic.conllu").read_bytes())
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs-{jobs}"
+        code, _, err = run(capsys, "analyze", str(corpus), "--stat",
+                           "semantic-distance", "--vectors",
+                           str(DATA / "vectors.tsv"), "--figure-data",
+                           "--format", "json", "--jobs", jobs,
+                           "--out", str(out))
+        assert (code, err) == (0, "")
+        written.append(_written(out))
+    assert sorted(written[0]) == [
+        "figure_data.tsv", "xx_alpha.semantic-distance.json",
+        "xx_gamma.semantic-distance.json"]
+    assert written[1] == written[0]
 
 
 def test_analyze_missing_vectors_same_error_with_jobs(capsys):
@@ -1047,8 +1072,7 @@ def _a_warning_then_the_count(tmp_path):
     _doc_ids_twice, _an_unknown_deprel, _a_warning_then_the_count,
 ], ids=["duplicated-doc-ids", "unknown-deprel", "export-count"])
 def test_a_warning_prints_the_same_in_a_fresh_process(tmp_path, capsys,
-                                                      monkeypatch, make_argv):
-    monkeypatch.setattr(taxonomy, "_warned_labels", set())
+                                                      make_argv):
     argv, stderr = make_argv(tmp_path)
     with _unconfigured_logging():
         code = main(argv)
@@ -1056,6 +1080,20 @@ def test_a_warning_prints_the_same_in_a_fresh_process(tmp_path, capsys,
     done = fresh(*argv)
     assert (done.returncode, done.stdout, done.stderr) == \
         (code, captured.out, captured.err) == (0, captured.out, stderr)
+
+
+def test_each_run_in_one_process_warns_of_an_unknown_relation(tmp_path,
+                                                              capsys):
+    # the relations warned of are a run's, and the caller's set comes back
+    argv, warning = _an_unknown_deprel(tmp_path)
+    callers = corefkit.model.warned_relations
+    before = set(callers)
+    with _unconfigured_logging():
+        for _ in range(2):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, warning)
+    assert corefkit.model.warned_relations is callers
+    assert callers == before
 
 
 @pytest.mark.parametrize("buffered", [True, False],

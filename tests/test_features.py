@@ -9,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from corefkit import ParseError, features, parse_conllu, parse_file, taxonomy
+from corefkit import ParseError, features, model, parse_conllu, parse_file
 from corefkit.analysis import distance_moments, load_mention_vectors
 from corefkit.cli import main
 from corefkit.features import (EXPORT_TARGETS, WordOrderError, _span_fields,
@@ -410,7 +410,7 @@ def test_span_fields_run_once_per_gold_head_key(monkeypatch, head_rule):
 def test_an_unknown_label_heading_only_candidates_warns_once(monkeypatch,
                                                              caplog):
     # no gold mention: the label reaches ud_category through the table only
-    monkeypatch.setattr(taxonomy, "_warned_labels", set())
+    monkeypatch.setattr(model, "warned_relations", set())
     sentence = [tok(1, "a", "NOUN", 2, "amod"),
                 tok(2, "b", "NOUN", 3, "frobnicate:sub"),
                 tok(3, "c", "VERB", 0, "root")]
@@ -578,7 +578,7 @@ def test_mentions_that_differ_only_in_sentence_get_their_own_vectors(
             (0, "1,2,3+1:1,2,3", 0, 0), (0, "1+1:3", 0, 0), (1, "1", 3, 4),
             (0, "1+3", 0, 0), (1, "2", 6, 8)]), encoding="utf-8")
     loaded = load_mention_vectors(vectors)
-    assert loaded.vectors[("cross-doc1", 0, "1+1:3")] == (0.0, 0.0)
-    assert loaded.vectors[("cross-doc1", 1, "2")] == (6.0, 8.0)
+    assert loaded[("cross-doc1", 0, "1+1:3")] == (0.0, 0.0)
+    assert loaded[("cross-doc1", 1, "2")] == (6.0, 8.0)
     # e2's pair is 5 apart and e3's 10; e1 is a singleton
     assert distance_moments(corpus, loaded)[:2] == (2, 15)
